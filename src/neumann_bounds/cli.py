@@ -105,13 +105,16 @@ class CliError(ValueError):
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except FileNotFoundError:
         raise CliError(f"input file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise CliError(
             f"malformed JSON in {path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
+    if not isinstance(data, dict):
+        raise CliError(f"{path}: top-level JSON value must be an object, not {type(data).__name__}")
+    return data
 
 
 def _certificate(label: str, kind: str, data: dict) -> dict:
@@ -642,6 +645,10 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     for attr in vars(config):
         if hasattr(args, attr) and getattr(args, attr) is not None:
             setattr(config, attr, getattr(args, attr))
+    for name in ("p", "h", "delta", "a"):
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+            raise CliError(f"{name} must be a finite number, got {value!r}")
     if config.p <= 1.0:
         raise CliError("exponent p must exceed 1")
     return config

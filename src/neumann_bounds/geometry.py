@@ -10,6 +10,7 @@ snowflake triangle tree with per-level analytic metadata.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,10 +26,18 @@ DISJOINT_REL_TOL = 1e-9
 MAX_TREE_DEPTH = 62
 
 SQRT3 = math.sqrt(3.0)
+# largest |coordinate| such that (2 * |coordinate|)**n stays finite
+MAX_COORDINATE = {n: 0.5 * sys.float_info.max ** (1.0 / n) for n in (2, 3)}
 
 
 class GeometryError(ValueError):
     """Invalid geometric input (degenerate cell, dimension mismatch, ...)."""
+
+
+def _first_line(exc: Exception) -> str:
+    """Qhull errors carry a multi-line option dump; keep the diagnosis line."""
+    lines = str(exc).strip().splitlines()
+    return lines[0] if lines else type(exc).__name__
 
 
 def _shoelace(poly: np.ndarray) -> float:
@@ -67,10 +76,18 @@ class ConvexCell:
             raise GeometryError(f"dimension must be 2 or 3, got {n}")
         if not np.all(np.isfinite(verts)):
             raise GeometryError("vertices must be finite")
+        # Qhull's determinants and the shoelace take degree-n products of
+        # coordinates; past float range Qhull fails or crashes (segfault in
+        # 3D). The bound also keeps extent**n finite.
+        magnitude = float(np.abs(verts).max())
+        if magnitude > MAX_COORDINATE[n]:
+            raise GeometryError(
+                f"vertex coordinate {magnitude:g} too large: degree-{n} products overflow"
+            )
         try:
             hull = ConvexHull(verts)
         except QhullError as exc:
-            raise GeometryError(f"degenerate cell: {exc}") from None
+            raise GeometryError(f"degenerate cell: {_first_line(exc)}") from None
         volume = _shoelace(verts[hull.vertices]) if n == 2 else _hull_volume_3d(verts, hull)
         if volume <= VOLUME_TOL:
             raise GeometryError(f"degenerate cell: volume {volume:g} below tolerance")

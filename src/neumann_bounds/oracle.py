@@ -11,22 +11,21 @@ quotient machinery reproduces the assembled mass forms to rounding.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.optimize import brentq
-from scipy.spatial import Delaunay
+from scipy.spatial import Delaunay, cKDTree
 
 from .geometry import StarDomainSpec
 from .poincare import PoincareBound
 from .qc_transfer import EigenBound
 
 AREA_TOL = 1e-14
-DENSE_LIMIT = 5000
 
 
 class MeshError(ValueError):
@@ -35,6 +34,20 @@ class MeshError(ValueError):
 
 class SolveError(RuntimeError):
     """Eigenvalue iteration failed to meet the residual target."""
+
+
+def _signed_areas(nodes: np.ndarray, elements: np.ndarray) -> np.ndarray:
+    x = nodes[elements]
+    return 0.5 * (
+        (x[:, 1, 0] - x[:, 0, 0]) * (x[:, 2, 1] - x[:, 0, 1])
+        - (x[:, 2, 0] - x[:, 0, 0]) * (x[:, 1, 1] - x[:, 0, 1])
+    )
+
+
+def _degenerate(nodes: np.ndarray, areas: np.ndarray) -> np.ndarray:
+    """Elements whose |area| is below AREA_TOL times the squared mesh extent."""
+    scale = float(np.ptp(nodes, axis=0).max()) or 1.0
+    return np.abs(areas) <= AREA_TOL * scale**2
 
 
 class TriangleMesh:
@@ -55,16 +68,11 @@ class TriangleMesh:
         if elements.min(initial=0) < 0 or elements.max(initial=-1) >= len(nodes):
             raise MeshError("element indices out of range")
 
-        x = nodes[elements]
-        signed = 0.5 * (
-            (x[:, 1, 0] - x[:, 0, 0]) * (x[:, 2, 1] - x[:, 0, 1])
-            - (x[:, 2, 0] - x[:, 0, 0]) * (x[:, 1, 1] - x[:, 0, 1])
-        )
+        signed = _signed_areas(nodes, elements)
         flip = signed < 0.0
         elements[flip] = elements[flip][:, [0, 2, 1]]
         signed = np.abs(signed)
-        scale = float(np.ptp(nodes, axis=0).max()) or 1.0
-        if np.any(signed <= AREA_TOL * scale**2):
+        if np.any(_degenerate(nodes, signed)):
             raise MeshError("mesh contains a degenerate element")
 
         self.nodes = nodes
@@ -90,39 +98,44 @@ class TriangleMesh:
     def element_count(self) -> int:
         return len(self.elements)
 
-    def _edge_counts(self) -> dict[tuple[int, int], int]:
-        counts: dict[tuple[int, int], int] = {}
-        for tri in self.elements:
-            for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-                key = (int(a), int(b)) if a < b else (int(b), int(a))
-                counts[key] = counts.get(key, 0) + 1
-        return counts
+    def _edge_counts(self) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct edges as sorted (a, b) rows, and how many elements hold each."""
+        pairs = np.sort(self.elements[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+        n = self.node_count
+        keys, counts = np.unique(pairs[:, 0] * n + pairs[:, 1], return_counts=True)
+        return np.stack([keys // n, keys % n], axis=1), counts
 
     def boundary_edges(self) -> list[tuple[int, int]]:
-        return [e for e, c in self._edge_counts().items() if c == 1]
+        edges, counts = self._edge_counts()
+        return [tuple(e) for e in edges[counts == 1].tolist()]
 
     def _audit_edges(self) -> None:
-        counts = self._edge_counts()
-        if any(c > 2 for c in counts.values()):
+        edges, counts = self._edge_counts()
+        if np.any(counts > 2):
             raise MeshError("an edge is shared by more than two elements")
         # hanging-node audit: no mesh node may sit strictly inside a
-        # boundary edge
-        boundary = [e for e, c in counts.items() if c == 1]
-        if not boundary:
+        # boundary edge. The ball around the edge midpoint holds every node
+        # the exact test below can accept, so it only prunes candidates.
+        boundary = edges[counts == 1]
+        if not len(boundary):
             return
         scale = float(np.ptp(self.nodes, axis=0).max()) or 1.0
         tol = 1e-9 * scale
-        for a, b in boundary:
-            pa, pb = self.nodes[a], self.nodes[b]
-            d = pb - pa
-            length2 = float(d @ d)
-            rel = self.nodes - pa
-            t = (rel @ d) / length2
-            off = np.abs(rel[:, 0] * d[1] - rel[:, 1] * d[0]) / math.sqrt(length2)
-            inside = (off < tol) & (t > 1e-9) & (t < 1.0 - 1e-9)
-            inside[[a, b]] = False
-            if np.any(inside):
-                raise MeshError("hanging node detected on a boundary edge")
+        pa, pb = self.nodes[boundary[:, 0]], self.nodes[boundary[:, 1]]
+        length = np.sqrt(((pb - pa) ** 2).sum(axis=1))
+        near = cKDTree(self.nodes).query_ball_point(0.5 * (pa + pb), 0.5 * length + 2.0 * tol)
+        sizes = np.fromiter(map(len, near), dtype=np.int64, count=len(near))
+        edge = np.repeat(np.arange(len(boundary)), sizes)
+        node = np.fromiter(itertools.chain.from_iterable(near), dtype=np.int64, count=sizes.sum())
+        d = (pb - pa)[edge]
+        length2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
+        rel = self.nodes[node] - pa[edge]
+        t = (rel[:, 0] * d[:, 0] + rel[:, 1] * d[:, 1]) / length2
+        off = np.abs(rel[:, 0] * d[:, 1] - rel[:, 1] * d[:, 0]) / np.sqrt(length2)
+        inside = (off < tol) & (t > 1e-9) & (t < 1.0 - 1e-9)
+        inside &= (node != boundary[edge, 0]) & (node != boundary[edge, 1])
+        if np.any(inside):
+            raise MeshError("hanging node detected on a boundary edge")
 
     def _audit_connected(self) -> None:
         n = self.node_count
@@ -175,22 +188,36 @@ class EigenResult:
 # ---------------------------------------------------------------------------
 
 
+def _quad_grid_mesh(grid: np.ndarray, covered: np.ndarray | None = None) -> TriangleMesh:
+    """Mesh of a (ny+1, nx+1, 2) node grid; each cell splits into (a, b, d), (a, d, c).
+
+    Cells are swept row by row. Without a mask every cell is meshed and the
+    nodes keep their row-major grid order; with an (ny, nx) mask only the
+    covered cells are meshed, and their nodes are numbered in the order the
+    sweep first touches them (a, b, c, d per cell).
+    """
+    ny, nx = grid.shape[0] - 1, grid.shape[1] - 1
+    nodes = grid.reshape(-1, 2)
+    jj, ii = np.nonzero(np.ones((ny, nx), dtype=bool) if covered is None else covered)
+    a = jj * (nx + 1) + ii
+    b, c = a + 1, a + (nx + 1)
+    d = c + 1
+    elements = np.stack([a, b, d, a, d, c], axis=1).reshape(-1, 3)
+    if covered is not None:
+        touched, first = np.unique(np.stack([a, b, c, d], axis=1), return_index=True)
+        order = touched[np.argsort(first)]
+        renumber = np.empty(len(nodes), dtype=np.int64)
+        renumber[order] = np.arange(len(order))
+        nodes, elements = nodes[order], renumber[elements]
+    return TriangleMesh(nodes, elements)
+
+
 def _structured_rectangle(x0, y0, x1, y1, h):
     nx = max(1, math.ceil((x1 - x0) / h))
     ny = max(1, math.ceil((y1 - y0) / h))
     xs = np.linspace(x0, x1, nx + 1)
     ys = np.linspace(y0, y1, ny + 1)
-    nodes = np.array([(x, y) for y in ys for x in xs])
-    elements = []
-    for j in range(ny):
-        for i in range(nx):
-            a = j * (nx + 1) + i
-            b = a + 1
-            c = a + (nx + 1)
-            d = c + 1
-            elements.append((a, b, d))
-            elements.append((a, d, c))
-    return TriangleMesh(nodes, np.array(elements))
+    return _quad_grid_mesh(np.stack(np.meshgrid(xs, ys), axis=-1))
 
 
 def _cut_lines(lo: float, hi: float, breaks: list[float], h: float) -> np.ndarray:
@@ -222,33 +249,14 @@ def _rect_union_mesh(rects: list[tuple[float, float, float, float]], h: float) -
         h,
     )
 
-    def covered(cx: float, cy: float) -> bool:
-        return any(r[0] <= cx <= r[2] and r[1] <= cy <= r[3] for r in rects)
-
-    node_index: dict[tuple[int, int], int] = {}
-    nodes: list[tuple[float, float]] = []
-
-    def node(i: int, j: int) -> int:
-        key = (i, j)
-        if key not in node_index:
-            node_index[key] = len(nodes)
-            nodes.append((xs[i], ys[j]))
-        return node_index[key]
-
-    elements = []
-    for j in range(len(ys) - 1):
-        for i in range(len(xs) - 1):
-            cx = 0.5 * (xs[i] + xs[i + 1])
-            cy = 0.5 * (ys[j] + ys[j + 1])
-            if not covered(cx, cy):
-                continue
-            a, b = node(i, j), node(i + 1, j)
-            c, d = node(i, j + 1), node(i + 1, j + 1)
-            elements.append((a, b, d))
-            elements.append((a, d, c))
-    if not elements:
+    cx = 0.5 * (xs[:-1] + xs[1:])
+    cy = 0.5 * (ys[:-1] + ys[1:])
+    covered = np.zeros((len(cy), len(cx)), dtype=bool)
+    for r in rects:
+        covered |= ((r[1] <= cy) & (cy <= r[3]))[:, None] & ((r[0] <= cx) & (cx <= r[2]))[None, :]
+    if not covered.any():
         raise MeshError("rectangle union is empty")
-    return TriangleMesh(np.array(nodes), np.array(elements))
+    return _quad_grid_mesh(np.stack(np.meshgrid(xs, ys), axis=-1), covered)
 
 
 def _convex_polygon_mesh(vertices: np.ndarray, h: float) -> TriangleMesh:
@@ -290,8 +298,13 @@ def _convex_polygon_mesh(vertices: np.ndarray, h: float) -> TriangleMesh:
             keep &= off > 0.45 * g * np.linalg.norm(e)
         grid = grid[keep]
     points = np.vstack([boundary, grid]) if len(grid) else boundary
-    tri = Delaunay(points)
-    return TriangleMesh(points, tri.simplices)
+    tri = Delaunay(points).simplices
+    # Qhull triangulates runs of collinear boundary samples into zero-area
+    # hull triangles. A sample strictly inside an edge of a proper triangle
+    # would lie inside its circumcircle, so every sample is also a vertex of
+    # proper triangles, and dropping the slivers leaves a conforming mesh.
+    sliver = _degenerate(points, _signed_areas(points, tri)) & np.all(tri < len(boundary), axis=1)
+    return TriangleMesh(points, tri[~sliver])
 
 
 def _star_mesh(delta: float, h: float) -> TriangleMesh:
@@ -310,23 +323,8 @@ def _star_mesh(delta: float, h: float) -> TriangleMesh:
     nx = max(2, math.ceil(2.0 * half_width / (0.7 * h)))
     ny = max(2, math.ceil(2.0 * alpha / (0.5 * h)))
     ny += ny % 2  # keep the pinch row y = 0 in the lattice
-    xi = np.linspace(-1.0, 1.0, nx + 1)
-    ys = np.linspace(-alpha, alpha, ny + 1)
-    nodes = []
-    for y in ys:
-        w = delta + abs(y)
-        nodes.extend((x * w, y) for x in xi)
-    nodes = np.array(nodes)
-    elements = []
-    for j in range(ny):
-        for i in range(nx):
-            a = j * (nx + 1) + i
-            b = a + 1
-            c = a + (nx + 1)
-            d = c + 1
-            elements.append((a, b, d))
-            elements.append((a, d, c))
-    return TriangleMesh(nodes, np.array(elements))
+    x, y = np.meshgrid(np.linspace(-1.0, 1.0, nx + 1), np.linspace(-alpha, alpha, ny + 1))
+    return _quad_grid_mesh(np.stack([x * (delta + np.abs(y)), y], axis=-1))
 
 
 def _disk_mesh(radius: float, h: float, center=(0.0, 0.0)) -> TriangleMesh:
@@ -426,72 +424,36 @@ def p1_matrices(mesh: TriangleMesh) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     return stiffness, mass
 
 
-def neumann_mu2(
-    mesh: TriangleMesh,
-    dense_limit: int = DENSE_LIMIT,
-    tol: float = 1e-8,
-    max_iter: int = 500,
-) -> EigenResult:
+def neumann_mu2(mesh: TriangleMesh, tol: float = 1e-8) -> EigenResult:
     """Smallest nonzero Neumann eigenvalue of the P1 discretization.
 
-    Constants are deflated by working mass-orthogonally to them; below
-    dense_limit nodes the generalized problem is solved by dense
-    factorization, above it by shifted inverse iteration. The relative
-    eigenpair residual is certified to 1e-8.
+    One sparse shift-invert Lanczos solve (ARPACK through eigsh) for the
+    three smallest eigenpairs of K v = mu M v, so near-double clusters such
+    as the square's resolve. The shift sits just below zero, which makes
+    K - sigma M positive definite despite the constant null mode; it is
+    factorized once. The second pair is then deflated mass-orthogonally
+    against constants, mu is recomputed as its Rayleigh quotient, and the
+    relative eigenpair residual is certified to tol.
     """
     stiffness, mass = p1_matrices(mesh)
     n = mesh.node_count
     ones_mass = np.asarray(mass.sum(axis=0)).ravel()  # M @ 1
 
-    if n <= dense_limit:
-        w, vecs = sla.eigh(
-            stiffness.toarray(), mass.toarray(), subset_by_index=[0, 1]
+    sigma = -1e-3 * stiffness.diagonal().sum() / mass.diagonal().sum()
+    lu = spla.splu((stiffness - sigma * mass).tocsc(), permc_spec="MMD_AT_PLUS_A")
+    try:
+        w, vecs = spla.eigsh(
+            stiffness,
+            k=min(3, n - 1),
+            M=mass,
+            sigma=sigma,
+            OPinv=spla.LinearOperator((n, n), matvec=lu.solve, dtype=float),
+            v0=np.random.default_rng(0).standard_normal(n),
+            tol=1e-10,
         )
-        mu = float(w[1])
-        v = vecs[:, 1]
-    else:
-        # block shifted inverse iteration with Ritz extraction; the block
-        # resolves near-degenerate clusters (square-symmetric domains carry
-        # an almost-double first eigenvalue) and the moderate shift keeps
-        # the deflated constant mode from being amplified into a residual
-        # floor
-        sigma = 1e-3 * stiffness.diagonal().sum() / max(mass.diagonal().sum(), 1e-300)
-        solver = spla.splu((stiffness + sigma * mass).tocsc())
-        rng = np.random.default_rng(0)
-        block = rng.standard_normal((n, 4))
-
-        def deflate_orthonormalize(vectors):
-            vectors = vectors - np.outer(
-                np.ones(n), (ones_mass @ vectors) / ones_mass.sum()
-            )
-            for col in range(vectors.shape[1]):
-                w = vectors[:, col]
-                for prev in range(col):
-                    w -= (vectors[:, prev] @ (mass @ w)) * vectors[:, prev]
-                w /= math.sqrt(w @ (mass @ w))
-                vectors[:, col] = w
-            return vectors
-
-        mu = math.inf
-        resid = math.inf
-        for _ in range(max_iter):
-            block = deflate_orthonormalize(block)
-            block = solver.solve(mass @ block)
-            block = deflate_orthonormalize(block)
-            ritz = block.T @ (stiffness @ block)
-            ritz_vals, ritz_vecs = sla.eigh(0.5 * (ritz + ritz.T))
-            block = block @ ritz_vecs
-            v = block[:, 0]
-            mu = float(ritz_vals[0])
-            resid = np.linalg.norm(stiffness @ v - mu * (mass @ v)) / np.linalg.norm(
-                stiffness @ v
-            )
-            if resid <= tol:
-                break
-        else:
-            raise SolveError(
-                f"inverse iteration did not converge: relative residual {resid:.3e}"
-            )
+    except spla.ArpackNoConvergence as exc:
+        raise SolveError(f"shift-invert Lanczos did not converge: {exc}") from None
+    v = vecs[:, np.argsort(w)[1]]
 
     v = v - (ones_mass @ v) / ones_mass.sum()
     v /= math.sqrt(v @ (mass @ v))

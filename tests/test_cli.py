@@ -1,9 +1,13 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import neumann_bounds
 from neumann_bounds.cli import emit_table, main
 
 PI2 = math.pi**2
@@ -230,6 +234,49 @@ class TestErrorPaths:
     def test_invalid_p(self, tmp_path, capsys):
         code = run_cli(["bound-star", "--delta", 1.0, "--p", 1.0])
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["bound-star", "--p", "nan"],
+            ["bound-star", "--h", "inf"],
+            ["bound-star", "--delta=-inf"],
+            ["bound-snowflake", "--a", "nan"],
+        ],
+    )
+    def test_non_finite_number_one_line(self, args, capsys):
+        assert run_cli(args) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "must be a finite number" in err[0]
+
+    def test_non_finite_config_value_one_line(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"p": NaN}')
+        assert run_cli(["bound-star", "--config", config]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "p must be a finite number" in err[0]
+
+    def test_non_object_json_one_line(self, tmp_path, capsys):
+        domain = write_json(tmp_path / "list.json", [{"type": "cells"}])
+        assert run_cli(["bound-cells", "--domain", domain]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "must be an object" in err[0]
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_huge_delta_exit_1_one_line(self, dim):
+        # Qhull crashes the interpreter on 3D input of this size, so run it
+        # in its own process
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(neumann_bounds.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "neumann_bounds.cli", "bound-star",
+             "--dim", str(dim), "--delta", "1e300"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1
+        err = proc.stderr.strip().splitlines()
+        assert len(err) == 1 and "too large" in err[0]
 
 
 class TestReportAndTables:

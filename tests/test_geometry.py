@@ -57,6 +57,24 @@ class TestCellBasics:
         with pytest.raises(GeometryError):
             ConvexCell([(0, 0), (1, 0), (1, 1), (0, 1), (0.5, 0.5)])
 
+    @pytest.mark.parametrize(
+        "verts",
+        [
+            [(0, 0), (1e200, 0), (0, 1e200)],
+            [(0, 0, 0), (1e120, 0, 0), (0, 1e120, 0), (0, 0, 1e120)],
+            # extent**2 is finite, but the shoelace products are not (NaN volume)
+            [(1e160, 1e160), (1e160 + 1e150, 1e160), (1e160, 1e160 + 1e150)],
+        ],
+    )
+    def test_coordinate_overflow_rejected(self, verts):
+        with pytest.raises(GeometryError, match="too large"):
+            ConvexCell(verts)
+
+    def test_qhull_error_condensed_to_one_line(self):
+        with pytest.raises(GeometryError) as err:
+            ConvexCell([(0, 0), (1, 0), (2, 0)])
+        assert "\n" not in str(err.value)
+
     def test_dimension_validation(self):
         with pytest.raises(GeometryError):
             ConvexCell([(0,), (1,)])

@@ -3,11 +3,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
+from scipy.spatial import Delaunay
 
+from neumann_bounds.geometry import StarDomainSpec
 from neumann_bounds.oracle import (
     GridFunction,
     MeshError,
     TriangleMesh,
+    _cut_lines,
     check_domination,
     constraint_value,
     gradient_integral,
@@ -15,6 +19,7 @@ from neumann_bounds.oracle import (
     mesh_domain,
     minimize_rayleigh_p,
     neumann_mu2,
+    p1_matrices,
     poincare_constant_p2,
     project_constraint,
     rayleigh_quotient,
@@ -68,6 +73,45 @@ class TestMeshing:
         mesh = mesh_domain({"kind": "polygon", "vertices": tri}, 0.1)
         assert mesh.total_area() == pytest.approx(math.sqrt(3) / 4, rel=1e-12)
         assert mesh.max_edge_length() <= 1.5 * 0.1
+
+    # seeded 5-9-gons whose collinear boundary samples made Delaunay emit
+    # zero-area hull triangles
+    SLIVER_POLYGONS = [
+        (0.0854072, [
+            [0.6322940950304714, 0.3928064052873968], [-0.05167223685374005, 0.5142061484157116],
+            [-0.5883794746110531, 0.3727088453677407], [-0.897679256844456, 0.04271413214592648],
+            [-0.8096653734061604, -0.26146826578667215], [-0.23469243773108717, -0.5075051065518318],
+            [0.4426314876583346, -0.4355986059762007], [0.6535502016332783, -0.33546564820940433],
+            [0.9066910877524059, 0.04712056395033009],
+        ]),
+        (0.0974366, [
+            [-0.9134972617942712, -0.23639603335844894], [-0.05244165745336424, -0.5561793480954925],
+            [1.0808399329166447, -0.349675761982414], [1.0518069000082455, 0.11304937563964165],
+            [0.17574013641165334, 0.5348438164415338], [-0.3855035728658587, 0.580226992386497],
+            [-1.1648616181992726, 0.18956575160123254],
+        ]),
+        (0.101771, [
+            [-0.8818212278518722, -0.23222855285033683], [-0.005654102941423739, -0.6385569753623912],
+            [0.4953249903355112, -0.6498310172738944], [0.8842184615134518, -0.5166733420038142],
+            [1.0862234522007541, -0.22181375132960143], [0.5727382968908509, 0.45101830805332055],
+            [-0.3976180304430662, 0.6598135945504335], [-1.0789090642896944, 0.26183212712397],
+        ]),
+    ]
+
+    @pytest.mark.parametrize("h, vertices", SLIVER_POLYGONS)
+    def test_polygon_hull_slivers_removed(self, h, vertices):
+        mesh = mesh_domain({"kind": "polygon", "vertices": vertices}, h)
+        v = np.asarray(vertices)
+        area = 0.5 * abs(v[:, 0] @ np.roll(v[:, 1], -1) - v[:, 1] @ np.roll(v[:, 0], -1))
+        assert mesh.total_area() == pytest.approx(area, rel=1e-12)
+        assert mesh.max_edge_length() <= 1.5 * h
+        assert neumann_mu2(mesh).residual <= 1e-8
+
+    def test_polygon_without_slivers_unchanged(self):
+        tri = [(0, 0), (1, 0), (0.5, math.sqrt(3) / 2)]
+        mesh = mesh_domain({"kind": "polygon", "vertices": tri}, 0.1)
+        raw = TriangleMesh(mesh.nodes, Delaunay(mesh.nodes).simplices)
+        assert np.array_equal(mesh.elements, raw.elements)
 
     def test_star_mesh(self):
         mesh = mesh_domain({"kind": "star", "delta": 1.0}, 0.08)
@@ -153,11 +197,42 @@ class TestNeumannEigenvalue:
         assert mean <= 1e-10
 
     def test_iterative_path_matches_dense(self):
-        mesh = square_mesh(0.12)
-        dense = neumann_mu2(mesh)
-        iterative = neumann_mu2(mesh, dense_limit=0)
-        assert iterative.mu2 == pytest.approx(dense.mu2, rel=1e-8)
-        assert iterative.residual <= 1e-8
+        # the square's first nonzero eigenvalue is a near-double cluster
+        specs = [
+            ({"kind": "rectangle", "bounds": [0, 0, 1, 1]}, 0.12),
+            ({"kind": "rectangle", "bounds": [0, 0, 2, 1]}, 0.1),
+            ({"kind": "disk", "radius": 1.0}, 0.1),
+            ({"kind": "star", "delta": 1.0}, 0.15),
+            ({"kind": "rect_union", "rects": [[0, 0, 1.2, 1], [0.8, 0, 2, 1], [1.6, 0, 2.8, 1]]}, 0.1),
+            ({"kind": "polygon", "vertices": [[0, 0], [1, 0], [1.2, 0.7], [0.3, 1]]}, 0.08),
+        ]
+        for spec, h in specs:
+            mesh = mesh_domain(spec, h)
+            stiffness, mass = p1_matrices(mesh)
+            dense = sla.eigh(
+                stiffness.toarray(), mass.toarray(), subset_by_index=[0, 1], eigvals_only=True
+            )[1]
+            result = neumann_mu2(mesh)
+            assert result.mu2 == pytest.approx(dense, rel=1e-10), spec["kind"]
+            assert result.residual <= 1e-8
+
+    def test_repeat_solve_bit_identical(self):
+        mesh = mesh_domain({"kind": "star", "delta": 0.5}, 0.1)
+        first, second = neumann_mu2(mesh), neumann_mu2(mesh)
+        assert first.mu2 == second.mu2
+        assert np.array_equal(first.eigenvector.values, second.eigenvector.values)
+
+    @pytest.mark.parametrize(
+        "nodes, elements",
+        [
+            ([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)]),
+            ([(0, 0), (1, 0), (1, 1), (0, 1)], [(0, 1, 2), (0, 2, 3)]),
+        ],
+    )
+    def test_tiny_meshes(self, nodes, elements):
+        result = neumann_mu2(TriangleMesh(nodes, elements))
+        assert result.mu2 == pytest.approx(12.0, rel=1e-12)
+        assert result.residual <= 1e-8
 
     def test_poincare_constant_square(self):
         assert poincare_constant_p2(square_mesh(0.05)) == pytest.approx(
@@ -358,3 +433,241 @@ class TestTwoCellInequality:
                 )
             )
             assert lhs <= rhs + 1e-10
+
+
+# ---------------------------------------------------------------------------
+# reference implementations: the loop versions the vectorized mesher and
+# mesh audit replaced, kept verbatim to pin identical results
+# ---------------------------------------------------------------------------
+
+
+def reference_edge_counts(self):
+    counts = {}
+    for tri in self.elements:
+        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            key = (int(a), int(b)) if a < b else (int(b), int(a))
+            counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def reference_audit_edges(self):
+    counts = reference_edge_counts(self)
+    if any(c > 2 for c in counts.values()):
+        raise MeshError("an edge is shared by more than two elements")
+    boundary = [e for e, c in counts.items() if c == 1]
+    if not boundary:
+        return
+    scale = float(np.ptp(self.nodes, axis=0).max()) or 1.0
+    tol = 1e-9 * scale
+    for a, b in boundary:
+        pa, pb = self.nodes[a], self.nodes[b]
+        d = pb - pa
+        length2 = float(d @ d)
+        rel = self.nodes - pa
+        t = (rel @ d) / length2
+        off = np.abs(rel[:, 0] * d[1] - rel[:, 1] * d[0]) / math.sqrt(length2)
+        inside = (off < tol) & (t > 1e-9) & (t < 1.0 - 1e-9)
+        inside[[a, b]] = False
+        if np.any(inside):
+            raise MeshError("hanging node detected on a boundary edge")
+
+
+def reference_structured_rectangle(x0, y0, x1, y1, h):
+    nx = max(1, math.ceil((x1 - x0) / h))
+    ny = max(1, math.ceil((y1 - y0) / h))
+    xs = np.linspace(x0, x1, nx + 1)
+    ys = np.linspace(y0, y1, ny + 1)
+    nodes = np.array([(x, y) for y in ys for x in xs])
+    elements = []
+    for j in range(ny):
+        for i in range(nx):
+            a = j * (nx + 1) + i
+            b = a + 1
+            c = a + (nx + 1)
+            d = c + 1
+            elements.append((a, b, d))
+            elements.append((a, d, c))
+    return TriangleMesh(nodes, np.array(elements))
+
+
+def reference_rect_union_mesh(rects, h):
+    xs = _cut_lines(
+        min(r[0] for r in rects),
+        max(r[2] for r in rects),
+        [v for r in rects for v in (r[0], r[2])],
+        h,
+    )
+    ys = _cut_lines(
+        min(r[1] for r in rects),
+        max(r[3] for r in rects),
+        [v for r in rects for v in (r[1], r[3])],
+        h,
+    )
+
+    def covered(cx, cy):
+        return any(r[0] <= cx <= r[2] and r[1] <= cy <= r[3] for r in rects)
+
+    node_index = {}
+    nodes = []
+
+    def node(i, j):
+        key = (i, j)
+        if key not in node_index:
+            node_index[key] = len(nodes)
+            nodes.append((xs[i], ys[j]))
+        return node_index[key]
+
+    elements = []
+    for j in range(len(ys) - 1):
+        for i in range(len(xs) - 1):
+            cx = 0.5 * (xs[i] + xs[i + 1])
+            cy = 0.5 * (ys[j] + ys[j + 1])
+            if not covered(cx, cy):
+                continue
+            a, b = node(i, j), node(i + 1, j)
+            c, d = node(i, j + 1), node(i + 1, j + 1)
+            elements.append((a, b, d))
+            elements.append((a, d, c))
+    if not elements:
+        raise MeshError("rectangle union is empty")
+    return TriangleMesh(np.array(nodes), np.array(elements))
+
+
+def reference_star_mesh(delta, h):
+    spec = StarDomainSpec(delta=delta, n=2)
+    alpha = spec.alpha
+    half_width = delta + alpha
+    nx = max(2, math.ceil(2.0 * half_width / (0.7 * h)))
+    ny = max(2, math.ceil(2.0 * alpha / (0.5 * h)))
+    ny += ny % 2
+    xi = np.linspace(-1.0, 1.0, nx + 1)
+    ys = np.linspace(-alpha, alpha, ny + 1)
+    nodes = []
+    for y in ys:
+        w = delta + abs(y)
+        nodes.extend((x * w, y) for x in xi)
+    nodes = np.array(nodes)
+    elements = []
+    for j in range(ny):
+        for i in range(nx):
+            a = j * (nx + 1) + i
+            b = a + 1
+            c = a + (nx + 1)
+            d = c + 1
+            elements.append((a, b, d))
+            elements.append((a, d, c))
+    return TriangleMesh(nodes, np.array(elements))
+
+
+def random_rect_row(rng, cells):
+    rects, x = [], 0.0
+    for _ in range(cells):
+        width, y0, height = rng.uniform(0.8, 1.5), rng.uniform(-0.3, 0.3), rng.uniform(0.6, 1.4)
+        rects.append((x, y0, x + width, y0 + height))
+        x += width * rng.uniform(0.5, 0.9)
+    return rects
+
+
+class TestStructuredMeshersMatchReference:
+    @pytest.mark.parametrize("h", [0.3, 0.13, 0.07, 0.04])
+    def test_rectangles(self, h):
+        for bounds in ([0, 0, 1, 1], [0, 0, 2, 1], [-0.3, 0.2, 1.7, 0.9]):
+            mesh = mesh_domain({"kind": "rectangle", "bounds": bounds}, h)
+            ref = reference_structured_rectangle(*bounds, h)
+            assert np.array_equal(mesh.nodes, ref.nodes)
+            assert np.array_equal(mesh.elements, ref.elements)
+
+    @pytest.mark.parametrize("h", [0.3, 0.13, 0.07, 0.04])
+    def test_stars(self, h):
+        for delta in (0.3, 1.0, 2.5):
+            mesh = mesh_domain({"kind": "star", "delta": delta}, h)
+            ref = reference_star_mesh(delta, h)
+            assert np.array_equal(mesh.nodes, ref.nodes)
+            assert np.array_equal(mesh.elements, ref.elements)
+
+    @pytest.mark.parametrize("h", [0.3, 0.13, 0.07])
+    def test_rect_unions(self, h):
+        rng = np.random.default_rng(round(h * 1000))
+        rows = [random_rect_row(rng, cells) for cells in range(2, 8)]
+        rows += [[(0, 0, 3, 1), (1, 1, 2, 3)], [(0, 0, 1, 1), (2, 2, 3, 3), (0.5, 0.5, 2.5, 2.5)]]
+        for rects in rows:
+            mesh = mesh_domain({"kind": "rect_union", "rects": [list(r) for r in rects]}, h)
+            ref = reference_rect_union_mesh(rects, h)
+            assert np.array_equal(mesh.nodes, ref.nodes)
+            assert np.array_equal(mesh.elements, ref.elements)
+
+    def test_empty_rect_union_rejected(self):
+        with pytest.raises(MeshError, match="empty"):
+            mesh_domain({"kind": "rect_union", "rects": [[0, 0, 0, 1]]}, 0.1)
+
+
+def audit_verdict(nodes, elements):
+    try:
+        TriangleMesh(nodes, elements)
+    except MeshError as exc:
+        return str(exc)
+    return "pass"
+
+
+class TestMeshAuditMatchesReference:
+    """The vectorized edge audit gives the loop audit's verdict on every input."""
+
+    REJECT_CASES = [
+        ([(0, 0), (1, 0), (0, 1), (0.5, 0), (0.5, -0.5)], [(0, 1, 2), (3, 1, 4)]),
+        ([(0, 0), (1, 0), (0, 1), (0, -1), (-1, 0.5)], [(0, 1, 2), (0, 1, 3), (0, 1, 4)]),
+        ([(0, 0), (1, 0), (0, 1), (5, 5), (6, 5), (5, 6)], [(0, 1, 2), (3, 4, 5)]),
+        ([(0, 0), (1, 0), (2, 0), (0, 1)], [(0, 1, 2), (0, 1, 3)]),
+    ]
+
+    def both_verdicts(self, monkeypatch, nodes, elements):
+        new = audit_verdict(nodes, elements)
+        with monkeypatch.context() as patch:
+            patch.setattr(TriangleMesh, "_audit_edges", reference_audit_edges)
+            old = audit_verdict(nodes, elements)
+        return new, old
+
+    def test_reject_cases(self, monkeypatch):
+        for nodes, elements in self.REJECT_CASES:
+            new, old = self.both_verdicts(monkeypatch, nodes, elements)
+            assert new == old != "pass"
+
+    @pytest.mark.parametrize(
+        "spec, h",
+        [
+            ({"kind": "rectangle", "bounds": [0, 0, 1, 1]}, 0.2),
+            ({"kind": "disk", "radius": 1.0}, 0.25),
+            ({"kind": "star", "delta": 0.5}, 0.3),
+            ({"kind": "rect_union", "rects": [[0, 0, 1, 1], [0.5, 0.5, 1.5, 1.5]]}, 0.2),
+            ({"kind": "polygon", "vertices": [[0, 0], [1, 0], [0.5, 0.8]]}, 0.2),
+        ],
+    )
+    def test_seeded_perturbations(self, monkeypatch, spec, h):
+        base = mesh_domain(spec, h)
+        boundary = base.boundary_edges()
+        assert set(boundary) == {e for e, c in reference_edge_counts(base).items() if c == 1}
+        scale = float(np.ptp(base.nodes, axis=0).max())
+        rng = np.random.default_rng(7)
+        verdicts = set()
+        for trial in range(60):
+            nodes, elements = base.nodes.copy(), base.elements.copy()
+            kind = trial % 4
+            if kind == 0:  # jitter every node
+                nodes += rng.normal(scale=rng.choice([1e-3, 0.05, 0.3]) * h, size=nodes.shape)
+            elif kind == 1:  # drop elements, exposing new boundary edges
+                elements = np.delete(elements, rng.choice(len(elements), 3, replace=False), axis=0)
+            else:  # an unreferenced node on, next to or beyond a boundary edge
+                a, b = boundary[rng.integers(len(boundary))]
+                d = nodes[b] - nodes[a]
+                normal = np.array([-d[1], d[0]]) / np.linalg.norm(d)
+                t = rng.choice([0.5, rng.uniform(0.01, 0.99), 1e-10, -0.01, 1.01])
+                off = rng.choice([0.0, 0.5e-9, 2e-9, 1e-6]) * scale
+                extra = nodes[a] + t * d + off * normal
+                if kind == 3:  # or move an existing node there
+                    nodes[rng.integers(len(nodes))] = extra
+                else:
+                    nodes = np.vstack([nodes, extra])
+            new, old = self.both_verdicts(monkeypatch, nodes, elements)
+            assert new == old
+            verdicts.add(new)
+        assert "hanging node detected on a boundary edge" in verdicts
+        assert len(verdicts) >= 3
