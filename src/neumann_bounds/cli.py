@@ -17,7 +17,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -634,6 +634,36 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite_number(value) -> bool:
+    return (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
+
+
+# config-file value checks by RunConfig field annotation: (test, description)
+_CONFIG_TYPES = {
+    "int": (_is_int, "an integer"),
+    "float": (_is_finite_number, "a finite number"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "list[str]": (
+        lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+        "a list of strings",
+    ),
+}
+_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+
+
+def _check_config_value(key: str, attr: str, value) -> None:
+    kind = _FIELD_TYPES[attr]
+    optional = kind.endswith(" | None")
+    test, description = _CONFIG_TYPES[kind.removesuffix(" | None")]
+    if not (test(value) or (optional and value is None)):
+        raise CliError(f"config key {key} must be {description}, got {value!r}")
+
+
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     config = RunConfig(command=args.command)
     file_values = _load_json(args.config) if getattr(args, "config", None) else {}
@@ -641,13 +671,14 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         attr = {"map": "map_path", "format": "fmt"}.get(key, key)
         if not hasattr(config, attr):
             raise CliError(f"unknown config key {key!r}")
+        _check_config_value(key, attr, value)
         setattr(config, attr, value)
     for attr in vars(config):
         if hasattr(args, attr) and getattr(args, attr) is not None:
             setattr(config, attr, getattr(args, attr))
     for name in ("p", "h", "delta", "a"):
         value = getattr(config, name)
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        if not _is_finite_number(value):
             raise CliError(f"{name} must be a finite number, got {value!r}")
     if config.p <= 1.0:
         raise CliError("exponent p must exceed 1")

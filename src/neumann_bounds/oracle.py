@@ -7,6 +7,15 @@ nonzero Neumann eigenvalue with a residual certificate, and discrete
 Rayleigh-quotient evaluation for general p. All |f|-type integrals use the
 three-edge-midpoint rule, which is exact for quadratics, so at p = 2 the
 quotient machinery reproduces the assembled mass forms to rounding.
+
+The general-p path works on two sparse operators that each mesh builds
+once, on first use: the midpoint operator P (3E x N) maps nodal values to
+the three edge midpoints of every element, and the gradient operator G
+(2E x N) maps them to the constant element gradients. Integrals, the
+zero-mean constraint and the Rayleigh functional are products with P and
+G, and their transposes scatter the functional's gradient back to the
+nodes. The constraint projection finds its shift by safeguarded Newton on
+the closed-form derivative of the constraint.
 """
 
 from __future__ import annotations
@@ -14,11 +23,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.optimize import brentq
 from scipy.spatial import Delaunay, cKDTree
 
 from .geometry import StarDomainSpec
@@ -93,6 +102,48 @@ class TriangleMesh:
     @property
     def node_count(self) -> int:
         return len(self.nodes)
+
+    # sparse operators of the general-p functionals, built on first use
+
+    @cached_property
+    def midpoint_operator(self) -> sp.csr_matrix:
+        """(3E, N) P1 interpolation at edge midpoints; row 3e + i averages
+        nodes elements[e, i] and elements[e, (i + 1) % 3]."""
+        m = 3 * len(self.elements)
+        cols = np.stack([self.elements, self.elements[:, [1, 2, 0]]], axis=2).ravel()
+        return sp.csr_matrix(
+            (np.full(2 * m, 0.5), cols, np.arange(0, 2 * m + 1, 2)), shape=(m, self.node_count)
+        )
+
+    @cached_property
+    def midpoint_weights(self) -> np.ndarray:
+        """Midpoint-rule weight area / 3 of each row of the midpoint operator."""
+        return np.repeat(self.areas / 3.0, 3)
+
+    @cached_property
+    def gradient_operator(self) -> sp.csr_matrix:
+        """(2E, N) constant element gradients; row 2e + d holds grads[e, :, d]
+        at columns elements[e, 0..2], in that order."""
+        m = 2 * len(self.elements)
+        return sp.csr_matrix(
+            (
+                self.grads.transpose(0, 2, 1).ravel(),
+                np.repeat(self.elements, 2, axis=0).ravel(),
+                np.arange(0, 3 * m + 1, 3),
+            ),
+            shape=(m, self.node_count),
+        )
+
+    # the transposes scatter midpoint and gradient terms back to the nodes;
+    # scipy rebuilds a transpose on every .T, so they are kept as well
+
+    @cached_property
+    def midpoint_transpose(self) -> sp.csr_matrix:
+        return self.midpoint_operator.T.tocsr()
+
+    @cached_property
+    def gradient_transpose(self) -> sp.csr_matrix:
+        return self.gradient_operator.T.tocsr()
 
     @property
     def element_count(self) -> int:
@@ -478,37 +529,40 @@ def poincare_constant_p2(mesh: TriangleMesh) -> float:
 
 def midpoint_values(mesh: TriangleMesh, values: np.ndarray) -> np.ndarray:
     """Values of the P1 interpolant at the three edge midpoints per element."""
-    v = values[mesh.elements]
-    return 0.5 * (v + np.roll(v, -1, axis=1))
+    return (mesh.midpoint_operator @ values).reshape(-1, 3)
+
+
+def _midpoint_integral(mesh: TriangleMesh, g: np.ndarray, element_mask=None) -> float:
+    """Midpoint-rule integral of g, given at the rows of the midpoint operator."""
+    if element_mask is None:
+        return float(mesh.midpoint_weights @ g)
+    return float((mesh.midpoint_weights * g).reshape(-1, 3)[element_mask].sum())
+
 
 def integrate_abs_power(
     mesh: TriangleMesh, values: np.ndarray, p: float, element_mask=None
 ) -> float:
     """int |f|^p over the mesh (or a subset of elements), midpoint rule."""
-    mids = np.abs(midpoint_values(mesh, values)) ** p
-    contrib = mesh.areas / 3.0 * mids.sum(axis=1)
-    if element_mask is not None:
-        contrib = contrib[element_mask]
-    return float(contrib.sum())
+    return _midpoint_integral(mesh, np.abs(mesh.midpoint_operator @ values) ** p, element_mask)
 
 
 def subset_average(mesh: TriangleMesh, values: np.ndarray, element_mask=None) -> float:
     """Mean of f over the selected elements in the midpoint measure."""
-    mids = midpoint_values(mesh, values)
-    contrib = mesh.areas / 3.0 * mids.sum(axis=1)
-    areas = mesh.areas
-    if element_mask is not None:
-        contrib = contrib[element_mask]
-        areas = areas[element_mask]
+    areas = mesh.areas if element_mask is None else mesh.areas[element_mask]
     total = float(areas.sum())
     if total <= 0.0:
         raise MeshError("subset has zero area")
-    return float(contrib.sum()) / total
+    return _midpoint_integral(mesh, mesh.midpoint_operator @ values, element_mask) / total
+
+
+def _gradient_squares(mesh: TriangleMesh, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Element gradients as (E, 2) rows, and their squared lengths."""
+    g = (mesh.gradient_operator @ values).reshape(-1, 2)
+    return g, g[:, 0] * g[:, 0] + g[:, 1] * g[:, 1]
 
 
 def gradient_magnitudes(mesh: TriangleMesh, values: np.ndarray) -> np.ndarray:
-    g = np.einsum("eid,ei->ed", mesh.grads, values[mesh.elements])
-    return np.sqrt((g**2).sum(axis=1))
+    return np.sqrt(_gradient_squares(mesh, values)[1])
 
 
 def gradient_integral(mesh: TriangleMesh, values: np.ndarray, p: float, element_mask=None) -> float:
@@ -521,23 +575,65 @@ def gradient_integral(mesh: TriangleMesh, values: np.ndarray, p: float, element_
 
 def constraint_value(mesh: TriangleMesh, values: np.ndarray, p: float) -> float:
     """Discretized zero-mean constraint functional int |f|^(p-2) f."""
-    mids = midpoint_values(mesh, values)
-    g = np.abs(mids) ** (p - 2.0) * mids if p != 2.0 else mids
-    return float((mesh.areas / 3.0 * g.sum(axis=1)).sum())
+    # sign(f) |f|^(p-1), unlike |f|^(p-2) f, is 0 and not NaN where f = 0
+    mids = mesh.midpoint_operator @ values
+    return _midpoint_integral(mesh, np.copysign(np.abs(mids) ** (p - 1.0), mids))
 
 
 def constraint_scale(mesh: TriangleMesh, values: np.ndarray, p: float) -> float:
-    mids = np.abs(midpoint_values(mesh, values)) ** (p - 1.0)
-    return float((mesh.areas / 3.0 * mids.sum(axis=1)).sum())
+    return _midpoint_integral(mesh, np.abs(mesh.midpoint_operator @ values) ** (p - 1.0))
 
 
 def project_constraint(mesh: TriangleMesh, values: np.ndarray, p: float) -> np.ndarray:
-    """Shift by the unique constant that zeroes the constraint functional."""
+    """Shift by the unique constant that zeroes the constraint functional.
+
+    The constraint F(c) = sum_k w_k sign(m_k - c) |m_k - c|^(p-1) over the
+    midpoint values m_k (weights w_k = area / 3) is strictly decreasing in
+    the shift c, with F'(c) = -(p - 1) sum_k w_k |m_k - c|^(p-2). Newton
+    starts from the weighted mean of m, the exact root at p = 2, inside the
+    bracket [min f, max f], which holds the root. A step that leaves the
+    bracket, that fails to halve the previous step, or that meets a
+    non-finite F' (a zero m_k - c at p < 2) is replaced by bisection. The
+    iteration stops when |F| <= 1e-13 sum_k w_k |m_k - c|^(p-1), or when the
+    bracket is a few ulps wide.
+    """
     lo, hi = float(values.min()), float(values.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("cannot project a function with non-finite values")
     if hi - lo <= 0.0:
         raise ValueError("cannot project a constant function")
-    shift = brentq(lambda c: constraint_value(mesh, values - c, p), lo, hi, xtol=1e-15)
-    return values - shift
+    mids = mesh.midpoint_operator @ values
+    weights = mesh.midpoint_weights
+    c = min(max(float(weights @ mids) / float(weights.sum()), lo), hi)
+    last_step = hi - lo
+    while True:
+        r = mids - c
+        a = np.abs(r)
+        # t = |r|^(p-1) and t2 = |r|^(p-2) from one power; at a zero of r
+        # with p < 2, t2 is NaN and the step below falls back to bisection
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if p >= 2.0:
+                t2 = a ** (p - 2.0)
+                t = a * t2
+            else:
+                t = a ** (p - 1.0)
+                t2 = t / a
+        value = float(weights @ np.copysign(t, r))
+        if abs(value) <= 1e-13 * float(weights @ t):
+            break
+        if value > 0.0:
+            lo = c
+        else:
+            hi = c
+        if hi - lo <= 4.0 * np.spacing(max(abs(lo), abs(hi))):
+            break
+        step = value / ((p - 1.0) * float(weights @ t2))
+        if math.isfinite(step) and lo < c + step < hi and abs(step) <= 0.5 * last_step:
+            c_next = c + step
+        else:
+            c_next = 0.5 * (lo + hi)
+        last_step, c = abs(c_next - c), c_next
+    return values - c
 
 
 def rayleigh_quotient(
@@ -555,7 +651,8 @@ def rayleigh_quotient(
     if np.ptp(values) <= 1e-14 * max(1.0, np.abs(values).max()):
         raise ValueError("Rayleigh quotient of a constant function is undefined")
     scale = constraint_scale(mesh, values, p)
-    if abs(constraint_value(mesh, values, p)) > 1e-8 * scale:
+    # a non-finite constraint counts as violated
+    if not abs(constraint_value(mesh, values, p)) <= 1e-8 * scale:
         if not project:
             raise ValueError("constraint violated; pass project=True to shift")
         values = project_constraint(mesh, values, p)
@@ -564,22 +661,17 @@ def rayleigh_quotient(
 
 def _rayleigh_gradient(mesh: TriangleMesh, values: np.ndarray, p: float):
     """Value and nodal gradient of the Rayleigh functional."""
-    grads_vec = np.einsum("eid,ei->ed", mesh.grads, values[mesh.elements])
-    gmag = np.sqrt((grads_vec**2).sum(axis=1))
+    grads_vec, gsq = _gradient_squares(mesh, values)
+    gmag = np.sqrt(gsq)
     num = float((mesh.areas * gmag**p).sum())
-    mids = midpoint_values(mesh, values)
-    den = float((mesh.areas / 3.0 * (np.abs(mids) ** p).sum(axis=1)).sum())
+    mids = mesh.midpoint_operator @ values
+    abs_mids = np.abs(mids)
+    mid_pow = abs_mids ** (p - 1.0)
+    den = float(mesh.midpoint_weights @ (abs_mids * mid_pow))
 
-    dnum = np.zeros(mesh.node_count)
     weight = mesh.areas * p * np.where(gmag > 0.0, gmag ** (p - 2.0), 0.0)
-    contrib = np.einsum("e,eid,ed->ei", weight, mesh.grads, grads_vec)
-    np.add.at(dnum, mesh.elements, contrib)
-
-    dden = np.zeros(mesh.node_count)
-    gmid = np.abs(mids) ** (p - 2.0) * mids if p != 2.0 else mids
-    half = mesh.areas[:, None] / 3.0 * p * gmid * 0.5
-    np.add.at(dden, mesh.elements, half)
-    np.add.at(dden, np.roll(mesh.elements, -1, axis=1), half)
+    dnum = mesh.gradient_transpose @ (weight[:, None] * grads_vec).ravel()
+    dden = mesh.midpoint_transpose @ (p * mesh.midpoint_weights * np.copysign(mid_pow, mids))
 
     quotient = num / den
     return quotient, (dnum - quotient * dden) / den

@@ -11,7 +11,9 @@ auditor.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import brentq
@@ -67,6 +69,21 @@ class SampledDerivative:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "dphi", d)
         object.__setattr__(self, "jac", j)
+
+    # the sample range and |D phi| scaled by its largest and its smallest
+    # sample, the integrand bases of q_pq_norm, are built once per map
+
+    @cached_property
+    def dphi_range(self) -> tuple[float, float]:
+        return float(self.dphi.min()), float(self.dphi.max())
+
+    @cached_property
+    def dphi_over_max(self) -> np.ndarray:
+        return self.dphi / self.dphi_range[1]
+
+    @cached_property
+    def dphi_over_min(self) -> np.ndarray:
+        return self.dphi / self.dphi_range[0]
 
 
 @dataclass(frozen=True)
@@ -239,7 +256,11 @@ def q_pq_norm(map_data: QCMapData, p: float, q: float) -> float:
 
     Closed-form derivative data integrates exactly; sampled data uses the
     supplied quadrature. At p = n the integrand is identically one and the
-    result is the domain volume to the outer power.
+    result is the domain volume to the outer power. Otherwise the sampled
+    integral is D^inner * S with S = sum w (|D phi| / D)^inner, where D is
+    the largest sample for inner > 0 and the smallest for inner < 0, so no
+    term of S exceeds its weight and S stays finite as q approaches p; the
+    result is S^outer * D^((p - n)/p).
     """
     if not 1.0 <= q < p:
         raise TransferError(f"need 1 <= q < p, got q={q}, p={p}")
@@ -252,11 +273,22 @@ def q_pq_norm(map_data: QCMapData, p: float, q: float) -> float:
         # inner exponent blows up
         log_integral = inner * math.log(f.op_norm) + math.log(map_data.domain_volume)
         return math.exp(outer * log_integral)
-    with np.errstate(over="ignore"):
-        integral = float((f.weights * f.dphi**inner).sum())
+    d_min, d_max = f.dphi_range
+    if d_max > sys.float_info.max ** (1.0 / map_data.n):
+        # |D phi|^n overflows, so |D phi|^n <= K |J| was compared as inf <= inf
+        raise TransferError("distortion integral diverges: |D phi|^n overflows at a sample")
+    if inner > 0.0:
+        scale, base = d_max, f.dphi_over_max
+    elif inner < 0.0:
+        if d_min == 0.0:
+            raise TransferError("distortion integral diverges at a zero |D phi| sample")
+        scale, base = d_min, f.dphi_over_min
+    else:
+        scale, base = 1.0, f.dphi
+    integral = float((f.weights * base**inner).sum())
     if not math.isfinite(integral) or integral <= 0.0:
         raise TransferError("distortion integral diverges")
-    return integral**outer
+    return integral**outer * scale ** ((p - map_data.n) / p)
 
 
 def q_p_sup_norm(map_data: QCMapData, p: float) -> float:

@@ -256,6 +256,40 @@ class TestErrorPaths:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "p must be a finite number" in err[0]
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"depth": "x"}', "depth must be an integer"),
+            ('{"mgon": 12.5}', "mgon must be an integer"),
+            ('{"seed": true}', "seed must be an integer"),
+            ('{"overlap_fraction": "a"}', "overlap_fraction must be a finite number"),
+            ('{"r": Infinity}', "r must be a finite number"),
+            ('{"h": false}', "h must be a finite number"),
+            ('{"mode": 3}', "mode must be a string"),
+            ('{"map": ["m.json"]}', "map must be a string"),
+            ('{"inputs": "a.json"}', "inputs must be a list of strings"),
+            ('{"inputs": ["a.json", 1]}', "inputs must be a list of strings"),
+            ('{"verify": "yes"}', "verify must be true or false"),
+        ],
+    )
+    def test_config_value_of_wrong_type_one_line(self, tmp_path, capsys, text, message):
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        assert run_cli(["bound-snowflake", "--depth", 4, "--config", config]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and message in err[0]
+
+    def test_config_values_of_right_type_accepted(self, tmp_path):
+        config = write_json(
+            tmp_path / "config.json",
+            {"depth": 5, "a": 1, "p": 2.5, "r": None, "overlap_fraction": 0.25,
+             "mode": "auto", "inputs": [], "verify": False},
+        )
+        out = tmp_path / "snow.json"
+        assert run_cli(["bound-snowflake", "--config", config, "--out", out]) == 0
+        report = json.loads(out.read_text())
+        assert report["config"]["depth"] == 5 and report["config"]["a"] == 1
+
     def test_non_object_json_one_line(self, tmp_path, capsys):
         domain = write_json(tmp_path / "list.json", [{"type": "cells"}])
         assert run_cli(["bound-cells", "--domain", domain]) == 1

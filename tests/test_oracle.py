@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy.optimize import brentq
 from scipy.spatial import Delaunay
 
 from neumann_bounds.geometry import StarDomainSpec
@@ -12,11 +13,14 @@ from neumann_bounds.oracle import (
     MeshError,
     TriangleMesh,
     _cut_lines,
+    _rayleigh_gradient,
     check_domination,
+    constraint_scale,
     constraint_value,
     gradient_integral,
     integrate_abs_power,
     mesh_domain,
+    midpoint_values,
     minimize_rayleigh_p,
     neumann_mu2,
     p1_matrices,
@@ -671,3 +675,145 @@ class TestMeshAuditMatchesReference:
             verdicts.add(new)
         assert "hanging node detected on a boundary edge" in verdicts
         assert len(verdicts) >= 3
+
+
+# ---------------------------------------------------------------------------
+# reference implementations: the gather/scatter midpoint rule, the einsum
+# gradient and the brentq projection that the sparse operators and the
+# Newton projection replaced, kept verbatim to pin the results
+# ---------------------------------------------------------------------------
+
+
+def reference_midpoint_values(mesh, values):
+    v = values[mesh.elements]
+    return 0.5 * (v + np.roll(v, -1, axis=1))
+
+
+def reference_constraint_value(mesh, values, p):
+    mids = reference_midpoint_values(mesh, values)
+    g = np.abs(mids) ** (p - 2.0) * mids if p != 2.0 else mids
+    return float((mesh.areas / 3.0 * g.sum(axis=1)).sum())
+
+
+def reference_project_constraint(mesh, values, p):
+    lo, hi = float(values.min()), float(values.max())
+    if hi - lo <= 0.0:
+        raise ValueError("cannot project a constant function")
+    shift = brentq(lambda c: reference_constraint_value(mesh, values - c, p), lo, hi, xtol=1e-15)
+    return values - shift
+
+
+def reference_rayleigh_gradient(mesh, values, p):
+    grads_vec = np.einsum("eid,ei->ed", mesh.grads, values[mesh.elements])
+    gmag = np.sqrt((grads_vec**2).sum(axis=1))
+    num = float((mesh.areas * gmag**p).sum())
+    mids = reference_midpoint_values(mesh, values)
+    den = float((mesh.areas / 3.0 * (np.abs(mids) ** p).sum(axis=1)).sum())
+
+    dnum = np.zeros(mesh.node_count)
+    weight = mesh.areas * p * np.where(gmag > 0.0, gmag ** (p - 2.0), 0.0)
+    contrib = np.einsum("e,eid,ed->ei", weight, mesh.grads, grads_vec)
+    np.add.at(dnum, mesh.elements, contrib)
+
+    dden = np.zeros(mesh.node_count)
+    gmid = np.abs(mids) ** (p - 2.0) * mids if p != 2.0 else mids
+    half = mesh.areas[:, None] / 3.0 * p * gmid * 0.5
+    np.add.at(dden, mesh.elements, half)
+    np.add.at(dden, np.roll(mesh.elements, -1, axis=1), half)
+
+    quotient = num / den
+    return quotient, (dnum - quotient * dden) / den
+
+
+DESCENT_MESHES = [
+    ({"kind": "rectangle", "bounds": [0, 0, 2, 1]}, 0.1),
+    ({"kind": "star", "delta": 1.0}, 0.12),
+    ({"kind": "disk", "radius": 1.0}, 0.12),
+    ({"kind": "polygon", "vertices": [[0, 0], [1, 0], [1.2, 0.7], [0.3, 1]]}, 0.1),
+]
+
+
+def relative_gap(a, b):
+    return float(np.abs(np.asarray(a) - np.asarray(b)).max() / np.abs(b).max())
+
+
+class TestDescentOperatorsMatchReference:
+    @pytest.mark.parametrize("spec, h", DESCENT_MESHES)
+    def test_midpoints_and_gradients_bit_identical(self, spec, h):
+        mesh = mesh_domain(spec, h)
+        values = np.random.default_rng(3).standard_normal(mesh.node_count)
+        assert np.array_equal(midpoint_values(mesh, values), reference_midpoint_values(mesh, values))
+        assert np.array_equal(
+            (mesh.gradient_operator @ values).reshape(-1, 2),
+            np.einsum("eid,ei->ed", mesh.grads, values[mesh.elements]),
+        )
+
+    @pytest.mark.parametrize("spec, h", DESCENT_MESHES)
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
+    def test_rayleigh_gradient_and_projection(self, spec, h, p):
+        mesh = mesh_domain(spec, h)
+        values = np.random.default_rng(4).standard_normal(mesh.node_count)
+        value, grad = _rayleigh_gradient(mesh, values, p)
+        ref_value, ref_grad = reference_rayleigh_gradient(mesh, values, p)
+        assert value == pytest.approx(ref_value, rel=1e-12)
+        assert relative_gap(grad, ref_grad) <= 1e-12
+        projected = project_constraint(mesh, values, p)
+        assert relative_gap(projected, reference_project_constraint(mesh, values, p)) <= 1e-12
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
+    def test_gradient_central_difference(self, p):
+        mesh = mesh_domain({"kind": "star", "delta": 0.7}, 0.2)
+        rng = np.random.default_rng(8)
+        values = project_constraint(mesh, rng.standard_normal(mesh.node_count), p)
+        _, grad = _rayleigh_gradient(mesh, values, p)
+        for _ in range(5):
+            direction = rng.standard_normal(mesh.node_count)
+            eps = 1e-6
+            plus = _rayleigh_gradient(mesh, values + eps * direction, p)[0]
+            minus = _rayleigh_gradient(mesh, values - eps * direction, p)[0]
+            assert (plus - minus) / (2.0 * eps) == pytest.approx(grad @ direction, rel=1e-6)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0, 6.0])
+    def test_projection_stress(self, p):
+        mesh = mesh_domain({"kind": "star", "delta": 1.0}, 0.15)
+        rng = np.random.default_rng(round(10 * p))
+        for trial in range(200):
+            values = rng.standard_normal(mesh.node_count)
+            if trial % 3 == 0:  # skewed: a few large positive values dominate
+                values = np.exp(3.0 * values)
+            projected = project_constraint(mesh, values, p)
+            assert abs(constraint_value(mesh, projected, p)) <= 1e-12 * constraint_scale(
+                mesh, projected, p
+            )
+
+    def test_projection_rejects_non_finite(self):
+        mesh = square_mesh(0.25)
+        values = np.linspace(0.0, 1.0, mesh.node_count)
+        values[3] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            project_constraint(mesh, values, 3.0)
+
+
+class TestExactZeroMidpoints:
+    """f = x - 0.5 on the unit square vanishes exactly at some edge midpoints."""
+
+    @pytest.mark.parametrize("p", [1.5, 1.1])
+    def test_finite_at_zero_midpoints(self, p):
+        mesh = square_mesh(0.1)
+        values = mesh.nodes[:, 0] - 0.5
+        assert np.any(midpoint_values(mesh, values) == 0.0)
+        assert math.isfinite(constraint_value(mesh, values, p))
+        value, grad = _rayleigh_gradient(mesh, values, p)
+        assert math.isfinite(value) and np.all(np.isfinite(grad))
+        projected = project_constraint(mesh, values, p)
+        assert abs(constraint_value(mesh, projected, p)) <= 1e-12 * constraint_scale(
+            mesh, projected, p
+        )
+        assert math.isfinite(rayleigh_quotient(mesh, GridFunction(values), p))
+
+    def test_non_finite_constraint_counts_as_violated(self):
+        mesh = square_mesh(0.2)
+        values = mesh.nodes[:, 0] - 0.5
+        values[0] = np.nan
+        with pytest.raises(ValueError, match="constraint"):
+            rayleigh_quotient(mesh, GridFunction(values), 1.5)

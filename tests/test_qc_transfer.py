@@ -120,6 +120,54 @@ class TestQpqNorm:
             q_pq_norm(m, 3.0, 2.9999999)
 
 
+def sampled_map(dphi, n=2):
+    """Sampled map on a unit-volume domain with |J| = |D phi|^n, so K = 1."""
+    dphi = np.asarray(dphi, dtype=float)
+    w = np.full(len(dphi), 1.0 / len(dphi))
+    field = SampledDerivative(weights=w, dphi=dphi, jac=np.maximum(dphi, 1e-3) ** n)
+    return QCMapData(n=n, K=1.0, domain_volume=1.0, derivative_field=field)
+
+
+def log_space_q_pq_norm(m, p, q):
+    f = m.derivative_field
+    inner = (p - m.n) * q / (p - q)
+    outer = (p - q) / (p * q)
+    terms = np.log(f.weights) + inner * np.log(f.dphi)
+    top = terms.max()
+    return math.exp(outer * (top + math.log(np.exp(terms - top).sum())))
+
+
+class TestSampledQpqNormAwayFromPEqualsN:
+    """The sampled distortion integral stays finite as q approaches p != n."""
+
+    @pytest.mark.parametrize("p", [3.0, 1.5])
+    def test_matches_log_space_up_to_the_grid_top(self, p):
+        m = sampled_map(np.linspace(1.0, 1.5, 1000))
+        for q in q_grid(p):
+            assert q_pq_norm(m, p, q) == pytest.approx(log_space_q_pq_norm(m, p, q), rel=1e-9)
+        # the limit q -> p is the sup (p > n) or inf (p < n) distortion factor
+        limit = (1.5 if p > 2.0 else 1.0) ** ((p - 2.0) / p)
+        assert q_pq_norm(m, p, p - 1e-6) == pytest.approx(limit, rel=1e-5)
+
+    @pytest.mark.parametrize("p", [3.0, 1.5])
+    def test_eigen_transfer_completes(self, p):
+        m = sampled_map(np.linspace(1.0, 1.5, 1000))
+        out = eigen_transfer(m, base_bound(0.5, p, r=2.0 * p), p)
+        assert math.isfinite(out.mu_lower) and out.mu_lower > 0.0
+
+    def test_p_equals_n_unchanged(self):
+        m = sampled_map(np.linspace(0.0, 1.5, 1000))
+        for q in q_grid(2.0):
+            outer = (2.0 - q) / (2.0 * q)
+            assert q_pq_norm(m, 2.0, q) == float(m.derivative_field.weights.sum()) ** outer
+
+    def test_zero_sample_with_negative_exponent_rejected(self):
+        m = sampled_map(np.linspace(0.0, 1.5, 1000))
+        with pytest.raises(TransferError, match="diverges"):
+            q_pq_norm(m, 1.5, 1.2)
+        assert math.isfinite(q_pq_norm(m, 3.0, 2.0))
+
+
 class TestQpSupNorm:
     def test_values(self):
         m = constant_map(2.0, 2.67, n=3)
