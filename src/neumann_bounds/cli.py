@@ -639,7 +639,10 @@ def _is_int(value) -> bool:
 
 
 def _is_finite_number(value) -> bool:
-    return (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
+    # JSON integers are unbounded; math.isfinite raises on one beyond float range
+    if _is_int(value):
+        return abs(value) <= sys.float_info.max
+    return isinstance(value, float) and math.isfinite(value)
 
 
 # config-file value checks by RunConfig field annotation: (test, description)

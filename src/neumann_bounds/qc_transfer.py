@@ -11,9 +11,7 @@ auditor.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.optimize import brentq
@@ -69,21 +67,6 @@ class SampledDerivative:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "dphi", d)
         object.__setattr__(self, "jac", j)
-
-    # the sample range and |D phi| scaled by its largest and its smallest
-    # sample, the integrand bases of q_pq_norm, are built once per map
-
-    @cached_property
-    def dphi_range(self) -> tuple[float, float]:
-        return float(self.dphi.min()), float(self.dphi.max())
-
-    @cached_property
-    def dphi_over_max(self) -> np.ndarray:
-        return self.dphi / self.dphi_range[1]
-
-    @cached_property
-    def dphi_over_min(self) -> np.ndarray:
-        return self.dphi / self.dphi_range[0]
 
 
 @dataclass(frozen=True)
@@ -273,19 +256,22 @@ def q_pq_norm(map_data: QCMapData, p: float, q: float) -> float:
         # inner exponent blows up
         log_integral = inner * math.log(f.op_norm) + math.log(map_data.domain_volume)
         return math.exp(outer * log_integral)
-    d_min, d_max = f.dphi_range
-    if d_max > sys.float_info.max ** (1.0 / map_data.n):
-        # |D phi|^n overflows, so |D phi|^n <= K |J| was compared as inf <= inf
-        raise TransferError("distortion integral diverges: |D phi|^n overflows at a sample")
-    if inner > 0.0:
-        scale, base = d_max, f.dphi_over_max
-    elif inner < 0.0:
-        if d_min == 0.0:
-            raise TransferError("distortion integral diverges at a zero |D phi| sample")
-        scale, base = d_min, f.dphi_over_min
-    else:
-        scale, base = 1.0, f.dphi
-    integral = float((f.weights * base**inner).sum())
+    if inner == 0.0:
+        integral = float(f.weights.sum())
+        if not math.isfinite(integral):
+            raise TransferError("distortion integral diverges")
+        return integral**outer
+    scale = float(f.dphi.max() if inner > 0.0 else f.dphi.min())
+    if scale == 0.0:
+        raise TransferError(
+            "distortion integral diverges at a zero |D phi| sample"
+            if inner < 0.0
+            else "distortion integral vanishes: every |D phi| sample is zero"
+        )
+    # one temporary per q: the scaled samples, raised in place
+    base = f.dphi / scale
+    np.power(base, inner, out=base)
+    integral = float(f.weights @ base)
     if not math.isfinite(integral) or integral <= 0.0:
         raise TransferError("distortion integral diverges")
     return integral**outer * scale ** ((p - map_data.n) / p)

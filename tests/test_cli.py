@@ -264,6 +264,8 @@ class TestErrorPaths:
             ('{"seed": true}', "seed must be an integer"),
             ('{"overlap_fraction": "a"}', "overlap_fraction must be a finite number"),
             ('{"r": Infinity}', "r must be a finite number"),
+            ('{"overlap_fraction": 1' + "0" * 400 + "}", "overlap_fraction must be a finite number"),
+            ('{"p": -1' + "0" * 400 + "}", "p must be a finite number"),
             ('{"h": false}', "h must be a finite number"),
             ('{"mode": 3}', "mode must be a string"),
             ('{"map": ["m.json"]}', "map must be a string"),

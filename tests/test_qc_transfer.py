@@ -114,10 +114,18 @@ class TestQpqNorm:
             )
 
     def test_divergent_integral(self):
+        # p < n makes the inner exponent negative, so a zero sample diverges
+        field = SampledDerivative(weights=[0.5, 0.5], dphi=[0.0, 1.0], jac=[1.0, 1.0])
+        m = QCMapData(n=3, K=1.0, domain_volume=1.0, derivative_field=field)
+        with pytest.raises(TransferError, match="diverges"):
+            q_pq_norm(m, 2.5, 2.4999999)
+
+    def test_huge_samples_near_the_grid_top_match_the_sup_factor(self):
+        # |D phi|^(inner) overflows unscaled; the scaled integral tends to the
+        # supremum factor (ess sup |D phi|)^((p-n)/p) = 1e100 as q -> p
         field = SampledDerivative(weights=[1.0], dphi=[1e300], jac=[1e308])
         m = QCMapData(n=2, K=1e300, domain_volume=1.0, derivative_field=field)
-        with pytest.raises(TransferError, match="diverges"):
-            q_pq_norm(m, 3.0, 2.9999999)
+        assert q_pq_norm(m, 3.0, 2.9999999) == pytest.approx(q_p_sup_norm(m, 3.0), rel=1e-12)
 
 
 def sampled_map(dphi, n=2):
