@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -173,31 +174,27 @@ def rect_cover_multiplicity(triples: list[WhitneyTriple]) -> int:
     """Exact cover multiplicity for triples of axis-aligned rectangles.
 
     Evaluates coverage on the rectangle arrangement, where membership is
-    constant per arrangement cell.
+    constant per arrangement cell: at each cell midpoint, count the triples
+    with a rectangle strictly containing it.
     """
-    rects_per_triple = []
-    xs, ys = set(), set()
+    rects = []
     for t in triples:
-        rects = []
         for cell in t.cells:
             r = _axis_aligned_rect(cell)
             if r is None:
                 raise CliError("multiplicity must be given explicitly for non-rectangle cells")
             rects.append(r)
-            xs.update((r[0], r[2]))
-            ys.update((r[1], r[3]))
-        rects_per_triple.append(rects)
-    xs, ys = sorted(xs), sorted(ys)
+    rects = np.array(rects).reshape(len(triples), 3, 4)  # (T, 3, [x0, y0, x1, y1])
+    xs = np.unique(rects[..., [0, 2]])
+    ys = np.unique(rects[..., [1, 3]])
+    cx = 0.5 * (xs[:-1] + xs[1:])
+    cy = 0.5 * (ys[:-1] + ys[1:])
     best = 0
-    for i in range(len(xs) - 1):
-        cx = 0.5 * (xs[i] + xs[i + 1])
-        for j in range(len(ys) - 1):
-            cy = 0.5 * (ys[j] + ys[j + 1])
-            count = sum(
-                any(r[0] < cx < r[2] and r[1] < cy < r[3] for r in rects)
-                for rects in rects_per_triple
-            )
-            best = max(best, count)
+    # one x strip at a time keeps the membership array at (Y, T, 3)
+    for x in cx:
+        in_x = (rects[..., 0] < x) & (x < rects[..., 2])
+        inside = in_x & (rects[..., 1] < cy[:, None, None]) & (cy[:, None, None] < rects[..., 3])
+        best = max(best, int(inside.any(axis=2).sum(axis=1).max(initial=0)))
     return max(best, 1)
 
 
@@ -335,16 +332,7 @@ def _run_bound_star(config: RunConfig) -> dict:
             f"3D pieces use an inscribed {config.mgon}-gon cross-section; volumes carry the "
             "recorded relative deficit bound"
         )
-    bound = PoincareBound(
-        value=bound.value,
-        p=bound.p,
-        form=bound.form,
-        terms=bound.terms,
-        multiplicity=bound.multiplicity,
-        details=tuple(details),
-        notes=tuple(notes),
-        domain=f"star{config.dim}d",
-    )
+    bound = replace(bound, details=tuple(details), notes=tuple(notes), domain=f"star{config.dim}d")
     report = _new_report(config)
     report["certificates"].append(_certificate("star-union", "poincare", bound.to_dict()))
     domain_spec = {"type": "star", "delta": config.delta, "dim": config.dim}
@@ -442,11 +430,7 @@ def _run_transfer(config: RunConfig) -> dict:
         if not isinstance(base, PoincareBound):
             raise CliError("eigen transfer needs a Poincare base certificate")
         if config.r is not None:
-            base = PoincareBound(
-                value=base.value, p=base.p, form=base.form, terms=base.terms,
-                r=config.r, multiplicity=base.multiplicity, details=base.details,
-                notes=base.notes, domain=base.domain,
-            )
+            base = replace(base, r=config.r)
         result = eigen_transfer(map_data, base, config.p)
         report["certificates"].append(_certificate("transfer-eigen", "eigen", result.to_dict()))
     elif mode == "poincare":
@@ -581,6 +565,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache  # parse_args returns a fresh Namespace, so calls share no state
 def _build_parser() -> _Parser:
     parser = _Parser(prog=TOOL_NAME, description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

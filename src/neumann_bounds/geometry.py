@@ -49,11 +49,13 @@ def _shoelace(poly: np.ndarray) -> float:
 def _hull_volume_3d(points: np.ndarray, hull: ConvexHull) -> float:
     """Volume of a 3D convex hull via tetrahedra fanned from the centroid."""
     centroid = points[hull.vertices].mean(axis=0)
-    vol = 0.0
-    for simplex in hull.simplices:
-        a, b, c = points[simplex] - centroid
-        vol += abs(np.dot(a, np.cross(b, c))) / 6.0
-    return vol
+    tet = points[hull.simplices] - centroid
+    a = tet[:, 0]
+    cr = np.cross(tet[:, 1], tet[:, 2])
+    # matmul dot products and a left-to-right cumsum reproduce the per-facet
+    # np.dot loop bit for bit; einsum or (a * cr).sum(1) round differently
+    terms = np.abs((a[:, None, :] @ cr[:, :, None])[:, 0, 0]) / 6.0
+    return float(np.cumsum(terms)[-1])
 
 
 class ConvexCell:
@@ -493,7 +495,6 @@ class FractalTree:
     spec: FractalTreeSpec
     levels: tuple[TreeLevel, ...]
     multiplicity: int
-    cells: tuple[tuple[ConvexCell, ...], ...]  # materialized levels only
 
     @property
     def depth(self) -> int:
@@ -505,76 +506,33 @@ def snowflake_level_count(level: int) -> int:
     return 1 if level == 0 else 3 * 2 ** (level - 1)
 
 
-def _equilateral(base_start: np.ndarray, base_end: np.ndarray) -> np.ndarray:
-    """Equilateral triangle on the directed base, apex to the left of it."""
-    edge = base_end - base_start
-    normal = np.array([-edge[1], edge[0]])
-    apex = (base_start + base_end) / 2.0 + normal * (SQRT3 / 2.0)
-    return np.array([base_start, base_end, apex])
+def snowflake_level(spec: FractalTreeSpec, j: int) -> TreeLevel:
+    """Closed-form metadata of level j; defined for every j >= 0, stored or not."""
+    side = spec.a / 3.0**j
+    area = SQRT3 * spec.a**2 / (4.0 * 3.0 ** (2 * j))
+    if j == 0:
+        return TreeLevel(0, 1, side, area, side, area, 0.0)
+    c = spec.overlap_fraction
+    # the extended cell Δ* scales the side by sqrt(1 + c), the area by 1 + c
+    return TreeLevel(
+        j,
+        snowflake_level_count(j),
+        side,
+        area,
+        math.sqrt(1.0 + c) * side,
+        (1.0 + c) * area,
+        c * area,
+    )
 
 
-def build_snowflake_tree(spec: FractalTreeSpec, materialize_depth: int = 6) -> FractalTree:
+def build_snowflake_tree(spec: FractalTreeSpec) -> FractalTree:
     """Level-indexed snowflake tree with analytic counts, sides, and areas.
 
-    Polygons are materialized only up to materialize_depth (the cell count
-    grows like 3 * 2^(j-1)); counts and measures are stored in closed form
-    for every level up to spec.depth.
+    Counts and measures are stored in closed form for every level up to
+    the stored depth spec.depth; no cell polygons are built.
     """
-    c = spec.overlap_fraction
-    ext = math.sqrt(1.0 + c)  # linear extension factor of Δ*
-    levels = []
-    for j in range(spec.depth + 1):
-        side = spec.a / 3.0**j
-        area = SQRT3 * spec.a**2 / (4.0 * 3.0 ** (2 * j))
-        if j == 0:
-            levels.append(TreeLevel(0, 1, side, area, side, area, 0.0))
-        else:
-            levels.append(
-                TreeLevel(
-                    j,
-                    snowflake_level_count(j),
-                    side,
-                    area,
-                    ext * side,
-                    (1.0 + c) * area,
-                    c * area,
-                )
-            )
-
-    cells: list[tuple[ConvexCell, ...]] = []
-    if spec.depth >= 0:
-        a = spec.a
-        root_pts = np.array(
-            [
-                (0.0, a / SQRT3),
-                (-a / 2.0, -a / (2.0 * SQRT3)),
-                (a / 2.0, -a / (2.0 * SQRT3)),
-            ]
-        )
-        cells.append((ConvexCell(root_pts),))
-        # frontier entries: the free (outward) edges of the current level,
-        # each directed so that the outside is to the left
-        frontier = [
-            (root_pts[1], root_pts[0]),
-            (root_pts[0], root_pts[2]),
-            (root_pts[2], root_pts[1]),
-        ]
-        for j in range(1, min(spec.depth, materialize_depth) + 1):
-            new_cells = []
-            new_frontier = []
-            for start, end in frontier:
-                u = start + (end - start) / 3.0
-                v = start + 2.0 * (end - start) / 3.0
-                tri = _equilateral(u, v)
-                new_cells.append(ConvexCell(tri))
-                new_frontier.append((u, tri[2]))
-                new_frontier.append((tri[2], v))
-            cells.append(tuple(new_cells))
-            frontier = new_frontier
-
     return FractalTree(
         spec=spec,
-        levels=tuple(levels),
+        levels=tuple(snowflake_level(spec, j) for j in range(spec.depth + 1)),
         multiplicity=1 if spec.depth == 0 else 2,
-        cells=tuple(cells),
     )

@@ -20,6 +20,7 @@ the closed-form derivative of the constraint.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -35,6 +36,10 @@ from .poincare import PoincareBound
 from .qc_transfer import EigenBound
 
 AREA_TOL = 1e-14
+# mesh_domain refuses a mesh whose estimated node count exceeds this: ~28x
+# the largest bench or test mesh (36k nodes), and small enough that the
+# audit, the assembly and the eigensolve stay within desk-scale memory
+MAX_MESH_NODES = 1_000_000
 
 
 class MeshError(ValueError):
@@ -415,23 +420,44 @@ def mesh_domain(spec: dict, h: float) -> TriangleMesh:
     """Deterministic conforming triangulation of a supported 2D domain.
 
     Supported kinds: rectangle, rect_union, convex polygon, the 2D star
-    domain, and disk. Maximum edge length stays below 1.5 h.
+    domain, and disk. Maximum edge length stays below 1.5 h. Before any
+    node is placed, the node count is estimated as that of a spacing-h
+    lattice over the domain's bounding box (the meshers place between
+    about 0.6x and 3.3x as many); above MAX_MESH_NODES the mesh is refused.
     """
     if h <= 0.0:
         raise MeshError("target edge length must be positive")
     kind = spec.get("kind")
     if kind == "rectangle":
         x0, y0, x1, y1 = spec["bounds"]
-        return _structured_rectangle(x0, y0, x1, y1, h)
-    if kind == "rect_union":
-        return _rect_union_mesh([tuple(r) for r in spec["rects"]], h)
-    if kind == "polygon":
-        return _convex_polygon_mesh(np.asarray(spec["vertices"], dtype=float), h)
-    if kind == "star":
-        return _star_mesh(float(spec["delta"]), h)
-    if kind == "disk":
-        return _disk_mesh(float(spec["radius"]), h, tuple(spec.get("center", (0.0, 0.0))))
-    raise MeshError(f"unsupported domain kind {kind!r}")
+        width, height = x1 - x0, y1 - y0
+        build = functools.partial(_structured_rectangle, x0, y0, x1, y1, h)
+    elif kind == "rect_union":
+        rects = [tuple(r) for r in spec["rects"]]
+        width = max(r[2] for r in rects) - min(r[0] for r in rects)
+        height = max(r[3] for r in rects) - min(r[1] for r in rects)
+        build = functools.partial(_rect_union_mesh, rects, h)
+    elif kind == "polygon":
+        vertices = np.asarray(spec["vertices"], dtype=float)
+        width, height = np.ptp(vertices, axis=0)
+        build = functools.partial(_convex_polygon_mesh, vertices, h)
+    elif kind == "star":
+        delta = float(spec["delta"])
+        alpha = StarDomainSpec(delta=delta, n=2).alpha
+        width, height = 2.0 * (delta + alpha), 2.0 * alpha
+        build = functools.partial(_star_mesh, delta, h)
+    elif kind == "disk":
+        radius = float(spec["radius"])
+        width = height = 2.0 * radius
+        build = functools.partial(_disk_mesh, radius, h, tuple(spec.get("center", (0.0, 0.0))))
+    else:
+        raise MeshError(f"unsupported domain kind {kind!r}")
+    estimate = (abs(width) / h + 1.0) * (abs(height) / h + 1.0)
+    if estimate > MAX_MESH_NODES:
+        raise MeshError(
+            f"mesh too large: about {estimate:.3g} nodes at h = {h:g} (limit {MAX_MESH_NODES})"
+        )
+    return build()
 
 
 def refine_uniform(mesh: TriangleMesh) -> TriangleMesh:

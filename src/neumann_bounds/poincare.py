@@ -23,10 +23,10 @@ from .geometry import (
     WhitneyTriple,
     cell_diameter,
     cell_volume,
+    snowflake_level,
     snowflake_level_count,
 )
 
-SQRT3 = math.sqrt(3.0)
 OVERFLOW_LIMIT = 1e300
 
 FORM_DEVIATION = "deviation-from-mean"
@@ -375,7 +375,7 @@ def _tree_downstream_weight(tree: FractalTree, j: int, p: float, depth: int) -> 
 def tree_constant(
     tree: FractalTree, cell_bounds: list[PoincareBound], p: float
 ) -> PoincareBound:
-    """Tree rule over the materialized depth of a fractal tree.
+    """Tree rule over the stored depth of a fractal tree.
 
     Per-level weight (extended cells, all cells of a level being congruent):
     C_j = 2^(p-1) B^p(Δ_j*) (1 + S_j / |Δ_j*|), with S_j the downstream
@@ -435,18 +435,6 @@ def ratio_test_tail(
             return explicit, k, term(k) * r / (1.0 - r)
         k += 1
     raise SeriesError(f"series not summable: ratio never fell below 1 up to level {cap}")
-
-
-def _snowflake_star_area(spec: FractalTreeSpec, level: int) -> float:
-    plain = SQRT3 * spec.a**2 / (4.0 * 3.0 ** (2 * level))
-    return plain if level == 0 else (1.0 + spec.overlap_fraction) * plain
-
-
-def _snowflake_bound_power(spec: FractalTreeSpec, level: int, p: float) -> float:
-    """B^p of the level cell from the diameter rule (extended side / pi_p)."""
-    side = spec.a / 3.0**level
-    star_side = side if level == 0 else math.sqrt(1.0 + spec.overlap_fraction) * side
-    return (star_side / pi_p(p)) ** p
 
 
 def _polynomial_geometric_constant(p: float, x: float, cap: int = 10_000) -> float:
@@ -521,7 +509,7 @@ def snowflake_level_bounds(tree: FractalTree, p: float) -> list[PoincareBound]:
 def snowflake_bound(
     tree: FractalTree, p: float, cell_bounds: list[PoincareBound] | None = None, cap: int = 10_000
 ) -> PoincareBound:
-    """Bound for the infinite snowflake, not just the materialized depth.
+    """Bound for the infinite snowflake, not just the stored depth.
 
     Extends every per-level weight C_j with a certified tail for the
     downstream levels beyond the stored depth, and dominates the weights of
@@ -538,7 +526,7 @@ def snowflake_bound(
 
     # certified bound for T = sum_{i>depth} i^(p-1) 2^i |Δ_i*|
     def t_term(i: int) -> float:
-        return i ** (p - 1.0) * 2.0**i * _snowflake_star_area(spec, i)
+        return i ** (p - 1.0) * 2.0**i * snowflake_level(spec, i).star_area
 
     def t_ratio(i: int) -> float:
         return ((i + 1) / i) ** (p - 1.0) * (2.0 / 9.0)
@@ -562,7 +550,7 @@ def snowflake_bound(
     j_next = depth + 1
     envelope = (
         pref
-        * _snowflake_bound_power(spec, j_next, p)
+        * (snowflake_level(spec, j_next).star_side / pi_p(p)) ** p
         * (1.0 + j_next ** (p - 1.0) * z)
     )
 

@@ -4,11 +4,21 @@ import math
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import neumann_bounds
-from neumann_bounds.cli import emit_table, main
+from neumann_bounds import oracle
+from neumann_bounds.cli import (
+    CliError,
+    _axis_aligned_rect,
+    emit_table,
+    main,
+    rect_cover_multiplicity,
+)
+from neumann_bounds.geometry import ConvexCell, WhitneyTriple
 
 PI2 = math.pi**2
 
@@ -33,6 +43,17 @@ def pair_domain(tmp_path):
 
 def run_cli(args):
     return main([str(a) for a in args])
+
+
+def run_fresh_process(args):
+    """The CLI in its own interpreter, as a shell user runs it."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(neumann_bounds.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "neumann_bounds.cli", *map(str, args)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
 
 
 class TestBoundCommands:
@@ -302,17 +323,131 @@ class TestErrorPaths:
     def test_huge_delta_exit_1_one_line(self, dim):
         # Qhull crashes the interpreter on 3D input of this size, so run it
         # in its own process
-        env = dict(os.environ)
-        src = os.path.dirname(os.path.dirname(neumann_bounds.__file__))
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "neumann_bounds.cli", "bound-star",
-             "--dim", str(dim), "--delta", "1e300"],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = run_fresh_process(["bound-star", "--dim", dim, "--delta", "1e300"])
         assert proc.returncode == 1
         err = proc.stderr.strip().splitlines()
         assert len(err) == 1 and "too large" in err[0]
+
+    def test_oversized_oracle_mesh_exit_1_one_line(self, monkeypatch, capsys):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("mesher reached")
+
+        monkeypatch.setattr(oracle, "_star_mesh", unreachable)
+        assert run_cli(["bound-star", "--delta", 1.0, "--p", 2, "--h", 1e-9]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "mesh too large" in err[0]
+
+
+class TestParserReuse:
+    def test_in_process_calls_match_fresh_processes(self, tmp_path):
+        # one parser serves every call in a process; no call may leave state
+        # that changes the next one
+        with pytest.raises(SystemExit) as err:
+            run_cli(["bound-star", "--delta"])
+        assert err.value.code == 1
+        domain = pair_domain(tmp_path)
+        calls = [
+            ["bound-snowflake", "--a", 1.5, "--depth", 8, "--p", 3],
+            ["bound-cells", "--domain", domain, "--p", 2, "--h", 0.12, "--no-verify"],
+            ["bound-cells", "--domain", domain, "--p", 2, "--h", 0.12],
+        ]
+        for i, args in enumerate(calls):
+            out = tmp_path / f"in_process_{i}.json"
+            assert run_cli([*args, "--out", out]) == 0
+            fresh = run_fresh_process([*args, "--out", tmp_path / f"fresh_{i}.json"])
+            assert fresh.returncode == 0
+            assert out.read_bytes() == (tmp_path / f"fresh_{i}.json").read_bytes()
+        assert not json.loads((tmp_path / "in_process_1.json").read_text())["checks"]
+        assert json.loads((tmp_path / "in_process_2.json").read_text())["checks"]
+
+
+def reference_rect_cover_multiplicity(triples):
+    """Arrangement-cell loop that rect_cover_multiplicity vectorizes."""
+    rects_per_triple = []
+    xs, ys = set(), set()
+    for t in triples:
+        rects = []
+        for cell in t.cells:
+            r = _axis_aligned_rect(cell)
+            if r is None:
+                raise CliError("multiplicity must be given explicitly for non-rectangle cells")
+            rects.append(r)
+            xs.update((r[0], r[2]))
+            ys.update((r[1], r[3]))
+        rects_per_triple.append(rects)
+    xs, ys = sorted(xs), sorted(ys)
+    best = 0
+    for i in range(len(xs) - 1):
+        cx = 0.5 * (xs[i] + xs[i + 1])
+        for j in range(len(ys) - 1):
+            cy = 0.5 * (ys[j] + ys[j + 1])
+            count = sum(
+                any(r[0] < cx < r[2] and r[1] < cy < r[3] for r in rects)
+                for rects in rects_per_triple
+            )
+            best = max(best, count)
+    return max(best, 1)
+
+
+def rect_cell(x0, y0, x1, y1):
+    return ConvexCell([(x0, y0), (x1, y0), (x1, y1), (x0, y1)])
+
+
+def bench_row(rng, count):
+    """Overlapping rectangle row shaped like the batch-certification chains."""
+    widths = rng.uniform(0.8, 1.4, size=count)
+    heights = rng.uniform(0.7, 1.3, size=count)
+    overlaps = rng.uniform(0.15, 0.35, size=count - 1)
+    x, rects = 0.0, []
+    for i in range(count):
+        rects.append((x, 0.0, x + widths[i], heights[i]))
+        if i < count - 1:
+            x += widths[i] - overlaps[i]
+    return rects
+
+
+class TestRectCoverMultiplicity:
+    @pytest.mark.parametrize("count", range(3, 42, 2))
+    def test_chain_rows_match_reference(self, count):
+        rng = np.random.default_rng(count)
+        for _ in range(3):
+            cells = [rect_cell(*r) for r in bench_row(rng, count)]
+            triples = [WhitneyTriple.from_cells(*cells[i:i + 3]) for i in range(0, count - 2, 2)]
+            assert rect_cover_multiplicity(triples) == reference_rect_cover_multiplicity(triples)
+
+    @pytest.mark.parametrize("seed", range(100))
+    def test_lattice_arrangements_match_reference(self, seed):
+        # corners on a coarse lattice give shared edges, nested and touching
+        # rectangles and repeated coordinates; only .cells of a triple is read
+        rng = np.random.default_rng(seed)
+        step = (1.0, 0.1, 0.3)[seed % 3]
+        triples = []
+        for _ in range(rng.integers(1, 7)):
+            cells = []
+            for _ in range(3):
+                x0, y0 = rng.integers(0, 6, size=2)
+                w, h = rng.integers(1, 4, size=2)
+                cells.append(rect_cell(x0 * step, y0 * step, (x0 + w) * step, (y0 + h) * step))
+            triples.append(SimpleNamespace(cells=tuple(cells)))
+        assert rect_cover_multiplicity(triples) == reference_rect_cover_multiplicity(triples)
+
+    def test_nested_and_touching(self):
+        nested = SimpleNamespace(cells=(rect_cell(0, 0, 4, 4), rect_cell(1, 1, 2, 2),
+                                        rect_cell(1, 1, 3, 3)))
+        touching = SimpleNamespace(cells=(rect_cell(4, 0, 5, 1), rect_cell(5, 0, 6, 1),
+                                          rect_cell(4, 1, 5, 2)))
+        inner = SimpleNamespace(cells=(rect_cell(1, 1, 2, 2), rect_cell(2, 2, 3, 3),
+                                       rect_cell(3, 3, 4, 4)))
+        assert rect_cover_multiplicity([nested, touching]) == 1
+        assert rect_cover_multiplicity([nested, touching, inner]) == 2
+        for triples in ([nested, touching], [nested, touching, inner]):
+            assert rect_cover_multiplicity(triples) == reference_rect_cover_multiplicity(triples)
+
+    def test_non_rectangle_rejected(self):
+        tri = SimpleNamespace(cells=(rect_cell(0, 0, 1, 1), ConvexCell([(0, 0), (1, 0), (0, 1)]),
+                                     rect_cell(2, 0, 3, 1)))
+        with pytest.raises(CliError):
+            rect_cover_multiplicity([tri])
 
 
 class TestReportAndTables:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 from neumann_bounds.geometry import (
     ConvexCell,
@@ -10,12 +11,15 @@ from neumann_bounds.geometry import (
     StarDomainSpec,
     WhitneyChain,
     WhitneyTriple,
+    _chebyshev_center,
+    _hull_volume_3d,
     build_snowflake_tree,
     build_star_domain,
     cell_diameter,
     cell_volume,
     intersection_volume,
     monte_carlo_intersection_volume,
+    snowflake_level,
     snowflake_level_count,
     star_discretization_error,
     star_membership,
@@ -34,6 +38,36 @@ def equilateral(side=1.0, dx=0.0, dy=0.0):
     return ConvexCell(
         [(dx, dy), (dx + side, dy), (dx + side / 2, dy + side * SQRT3 / 2)]
     )
+
+
+def _equilateral_on(base_start, base_end):
+    """Equilateral triangle on the directed base, apex to the left of it."""
+    edge = base_end - base_start
+    normal = np.array([-edge[1], edge[0]])
+    apex = (base_start + base_end) / 2.0 + normal * (SQRT3 / 2.0)
+    return np.array([base_start, base_end, apex])
+
+
+def snowflake_cells(a, depth):
+    """Snowflake triangles level by level: the root, then one child on the
+    middle third of every free edge of the level above."""
+    root = np.array(
+        [(0.0, a / SQRT3), (-a / 2.0, -a / (2.0 * SQRT3)), (a / 2.0, -a / (2.0 * SQRT3))]
+    )
+    cells = [(ConvexCell(root),)]
+    # free (outward) edges of the current level, directed with the outside on the left
+    frontier = [(root[1], root[0]), (root[0], root[2]), (root[2], root[1])]
+    for _ in range(depth):
+        level, next_frontier = [], []
+        for start, end in frontier:
+            u = start + (end - start) / 3.0
+            v = start + 2.0 * (end - start) / 3.0
+            tri = _equilateral_on(u, v)
+            level.append(ConvexCell(tri))
+            next_frontier += [(u, tri[2]), (tri[2], v)]
+        cells.append(tuple(level))
+        frontier = next_frontier
+    return cells
 
 
 class TestCellBasics:
@@ -138,6 +172,57 @@ class TestIntersection:
         c1 = ConvexCell([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
         c2 = ConvexCell([(x + 2.0, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
         assert intersection_volume(c1, c2) == 0.0
+
+
+def reference_hull_volume_3d(points, hull):
+    """Per-facet loop that _hull_volume_3d vectorizes."""
+    centroid = points[hull.vertices].mean(axis=0)
+    vol = 0.0
+    for simplex in hull.simplices:
+        a, b, c = points[simplex] - centroid
+        vol += abs(np.dot(a, np.cross(b, c))) / 6.0
+    return vol
+
+
+def intersection_polytope(c1, c2):
+    """Vertices and hull of the polytope that intersection_volume measures in 3D."""
+    halfspaces = np.vstack([c1.halfspaces, c2.halfspaces])
+    center, _ = _chebyshev_center(halfspaces)
+    points = HalfspaceIntersection(halfspaces, center).intersections
+    return points, ConvexHull(points)
+
+
+class TestHullVolume3D:
+    """The batched volume must equal the per-facet loop exactly (==)."""
+
+    @pytest.mark.parametrize("mgon", [8, 9, 16, 31, 64, 100, 128, 200, 256])
+    @pytest.mark.parametrize("delta", [0.3, 1.0, 2.7])
+    def test_star_pieces_and_their_overlap(self, mgon, delta):
+        pieces = build_star_domain(StarDomainSpec(delta=delta, n=3, mgon=mgon))
+        for piece in pieces:
+            assert cell_volume(piece) == reference_hull_volume_3d(piece.vertices, piece._hull)
+        points, hull = intersection_polytope(*pieces)
+        assert _hull_volume_3d(points, hull) == reference_hull_volume_3d(points, hull)
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_random_hulls_and_intersections(self, seed):
+        rng = np.random.default_rng(seed)
+        clouds = [rng.normal(size=(int(rng.integers(4, 80)), 3)) * rng.uniform(0.01, 100.0)
+                  for _ in range(2)]
+        for points in clouds:
+            hull = ConvexHull(points)
+            assert _hull_volume_3d(points, hull) == reference_hull_volume_3d(points, hull)
+        c1 = ConvexCell(clouds[0][ConvexHull(clouds[0]).vertices])
+        c2 = ConvexCell(c1.vertices * 0.8 + rng.normal(size=3) * 0.1 * np.ptp(c1.vertices))
+        points, hull = intersection_polytope(c1, c2)
+        assert _hull_volume_3d(points, hull) == reference_hull_volume_3d(points, hull)
+
+    def test_shifted_cubes_intersection(self):
+        c1 = ConvexCell([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
+        c2 = ConvexCell([(x + 0.25, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
+        points, hull = intersection_polytope(c1, c2)
+        assert _hull_volume_3d(points, hull) == reference_hull_volume_3d(points, hull)
+        assert intersection_volume(c1, c2) == reference_hull_volume_3d(points, hull)
 
 
 class TestUnionVolume:
@@ -303,16 +388,16 @@ class TestSnowflakeTree:
             )
 
     def test_materialized_cells_match_analytics(self):
-        tree = build_snowflake_tree(FractalTreeSpec(a=1.0, depth=3), materialize_depth=3)
-        for j, level_cells in enumerate(tree.cells):
+        tree = build_snowflake_tree(FractalTreeSpec(a=1.0, depth=3))
+        for j, level_cells in enumerate(snowflake_cells(1.0, 3)):
             assert len(level_cells) == tree.levels[j].count
             for cell in level_cells:
                 assert cell_volume(cell) == pytest.approx(tree.levels[j].area, rel=1e-10)
                 assert cell_diameter(cell) == pytest.approx(tree.levels[j].side, rel=1e-10)
 
     def test_materialized_children_sit_on_parent_edges(self):
-        tree = build_snowflake_tree(FractalTreeSpec(a=1.0, depth=2), materialize_depth=2)
-        parents = tree.cells[1]
+        cells = snowflake_cells(1.0, 2)
+        parents = cells[1]
 
         def on_some_parent_edge(v):
             for p in parents:
@@ -326,10 +411,17 @@ class TestSnowflakeTree:
                         return True
             return False
 
-        for child in tree.cells[2]:
+        for child in cells[2]:
             # the base (two of the three vertices) lies on a parent edge
             on_edge = [on_some_parent_edge(v) for v in child.vertices]
             assert sum(on_edge) >= 2
+
+    def test_level_closed_form_beyond_stored_depth(self):
+        spec = FractalTreeSpec(a=1.3, depth=4, overlap_fraction=0.3)
+        deep = build_snowflake_tree(FractalTreeSpec(a=1.3, depth=20, overlap_fraction=0.3))
+        assert build_snowflake_tree(spec).levels == deep.levels[:5]
+        for j, level in enumerate(deep.levels):
+            assert snowflake_level(spec, j) == level
 
     def test_overlap_fraction_metadata(self):
         spec = FractalTreeSpec(a=1.0, depth=4, overlap_fraction=0.25)

@@ -7,6 +7,7 @@ import scipy.linalg as sla
 from scipy.optimize import brentq
 from scipy.spatial import Delaunay
 
+from neumann_bounds import oracle
 from neumann_bounds.geometry import StarDomainSpec
 from neumann_bounds.oracle import (
     GridFunction,
@@ -129,6 +130,35 @@ class TestMeshing:
     def test_bad_h(self):
         with pytest.raises(MeshError):
             mesh_domain({"kind": "disk", "radius": 1.0}, 0.0)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"kind": "rectangle", "bounds": [0, 0, 2, 1]},
+            {"kind": "rect_union", "rects": [[0, 0, 1, 1], [0.8, 0, 2, 1]]},
+            {"kind": "polygon", "vertices": [[0, 0], [1, 0], [0, 1]]},
+            {"kind": "star", "delta": 1.0},
+            {"kind": "disk", "radius": 1.0},
+        ],
+    )
+    def test_oversized_mesh_refused_before_meshing(self, spec, monkeypatch):
+        # the estimate comes from the bounding box alone: no mesher and no
+        # mesh constructor may run, so nothing of mesh size is allocated
+        def unreachable(*args, **kwargs):
+            raise AssertionError("mesh construction reached")
+
+        for name in ("_structured_rectangle", "_rect_union_mesh", "_convex_polygon_mesh",
+                     "_star_mesh", "_disk_mesh", "_quad_grid_mesh", "TriangleMesh"):
+            monkeypatch.setattr(oracle, name, unreachable)
+        with pytest.raises(MeshError, match="mesh too large"):
+            mesh_domain(spec, 1e-9)
+
+    def test_size_limit_is_the_bounding_box_lattice(self, monkeypatch):
+        # the unit square at h = 0.1 is an 11 x 11 lattice
+        monkeypatch.setattr(oracle, "MAX_MESH_NODES", 121)
+        assert square_mesh(0.1).node_count == 121
+        with pytest.raises(MeshError, match="mesh too large"):
+            square_mesh(0.099)
 
     def test_json_round_trip_bit_exact(self):
         mesh = square_mesh(0.13)
