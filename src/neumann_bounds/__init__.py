@@ -27,7 +27,6 @@ from .poincare import (
     SpectralParams,
     chain_constant,
     convex_cell_constant,
-    subset_comparison_factor,
     pair_constant,
     pi_p,
     pi_p_quadrature,
@@ -42,24 +41,20 @@ from .qc_transfer import (
     EigenBound,
     QCMapData,
     SampledDerivative,
-    SampledField,
     TransferError,
     TransferResult,
     ball_lower_bound,
     eigen_transfer,
     eigen_transfer_lipschitz,
     example_c,
-    lebesgue_comp_norm,
     poincare_transfer,
     q_p_sup_norm,
     q_pq_norm,
-    sobolev_comp_norm,
     whitney_qc_bound,
 )
 from .oracle import (
     DominationReport,
     EigenResult,
-    GridFunction,
     MeshError,
     SolveError,
     TriangleMesh,
@@ -67,9 +62,7 @@ from .oracle import (
     mesh_domain,
     minimize_rayleigh_p,
     neumann_mu2,
-    poincare_constant_p2,
     rayleigh_quotient,
-    refine_uniform,
 )
 
 __version__ = "0.1.0"

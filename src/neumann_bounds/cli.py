@@ -91,12 +91,8 @@ class RunConfig:
     timing: bool = False
 
     def public_dict(self) -> dict:
-        keys = [
-            "command", "domain", "map_path", "base", "bound", "inputs", "p", "r",
-            "depth", "h", "seed", "delta", "a", "dim", "mgon", "overlap_fraction",
-            "mode", "fmt", "verify",
-        ]
-        return {k: getattr(self, k) for k in keys}
+        """Every field but the output path and the timing switch."""
+        return {k: getattr(self, k) for k in _FIELD_TYPES if k not in ("out", "timing")}
 
 
 class CliError(ValueError):
@@ -122,6 +118,10 @@ def _certificate(label: str, kind: str, data: dict) -> dict:
     return {"label": label, "kind": kind, "data": data}
 
 
+# certificate kind -> bound class, for the kinds the oracle can check
+_BOUND_TYPES = {"poincare": PoincareBound, "eigen": EigenBound}
+
+
 def load_bound(data: dict):
     """Reconstruct a bound object from a certificate payload or report."""
     if "certificates" in data:
@@ -137,11 +137,9 @@ def load_bound(data: dict):
         kind, payload = "poincare", data
     else:
         raise CliError("unrecognized bound certificate layout")
-    if kind == "poincare":
-        return PoincareBound.from_dict(payload)
-    if kind == "eigen":
-        return EigenBound.from_dict(payload)
-    raise CliError(f"cannot verify certificates of kind {kind!r}")
+    if kind not in _BOUND_TYPES:
+        raise CliError(f"cannot verify certificates of kind {kind!r}")
+    return _BOUND_TYPES[kind].from_dict(payload)
 
 
 # ---------------------------------------------------------------------------
@@ -151,9 +149,18 @@ def load_bound(data: dict):
 
 def _cells_from_spec(spec: dict) -> list[ConvexCell]:
     try:
-        return [ConvexCell(entry["vertices"]) for entry in spec["cells"]]
+        cells = [ConvexCell(entry["vertices"]) for entry in spec["cells"]]
     except (KeyError, TypeError):
-        raise CliError('cells domain needs "cells": [{"vertices": [[x, y], ...]}, ...]') from None
+        cells = []
+    if not cells:
+        raise CliError('cells domain needs "cells": [{"vertices": [[x, y], ...]}, ...]')
+    return cells
+
+
+def _required(spec: dict, key: str, what: str):
+    if key not in spec:
+        raise CliError(f'{what} needs "{key}"')
+    return spec[key]
 
 
 def _axis_aligned_rect(cell: ConvexCell) -> tuple[float, float, float, float] | None:
@@ -252,13 +259,20 @@ def _mesh_spec_for_domain(spec: dict) -> dict | None:
     if kind == "star":
         if int(spec.get("dim", 2)) != 2:
             return None
-        return {"kind": "star", "delta": float(spec["delta"])}
+        return {"kind": "star", "delta": float(_required(spec, "delta", "star domain"))}
     if kind in ("rectangle", "rect_union", "polygon", "disk"):
         out = dict(spec)
         out["kind"] = kind
         out.pop("type", None)
         return out
     return None
+
+
+def _append_check(report: dict, bound, mesh: TriangleMesh, label: str) -> None:
+    entry = check_domination(bound, mesh).to_dict()
+    entry["label"] = label
+    entry["mesh_dof"] = mesh.node_count
+    report["checks"].append(entry)
 
 
 def _maybe_verify(report: dict, bound, spec: dict, config: RunConfig, label: str) -> None:
@@ -268,12 +282,7 @@ def _maybe_verify(report: dict, bound, spec: dict, config: RunConfig, label: str
     if mesh_spec is None:
         report["notes"].append(f"{label}: no oracle available for this domain kind")
         return
-    mesh = mesh_domain(mesh_spec, config.h)
-    check = check_domination(bound, mesh)
-    entry = check.to_dict()
-    entry["label"] = label
-    entry["mesh_dof"] = mesh.node_count
-    report["checks"].append(entry)
+    _append_check(report, bound, mesh_domain(mesh_spec, config.h), label)
 
 
 # ---------------------------------------------------------------------------
@@ -306,13 +315,7 @@ def _run_bound_cells(config: RunConfig) -> dict:
 
 
 def _run_bound_star(config: RunConfig) -> dict:
-    if config.domain:
-        data = _load_json(config.domain)
-        if data.get("type") != "star":
-            raise CliError('bound-star expects a domain of type "star"')
-        config.delta = float(data.get("delta", config.delta))
-        config.dim = int(data.get("dim", config.dim))
-        config.mgon = int(data.get("mgon", config.mgon))
+    _override_from_domain(config, "star", ("delta", "dim", "mgon"))
     spec = StarDomainSpec(delta=config.delta, n=config.dim, mgon=config.mgon)
     omega1, omega2 = build_star_domain(spec)
     params = SpectralParams(p=config.p, n=config.dim)
@@ -341,15 +344,7 @@ def _run_bound_star(config: RunConfig) -> dict:
 
 
 def _run_bound_snowflake(config: RunConfig) -> dict:
-    if config.domain:
-        data = _load_json(config.domain)
-        if data.get("type") != "snowflake":
-            raise CliError('bound-snowflake expects a domain of type "snowflake"')
-        config.a = float(data.get("a", config.a))
-        config.depth = int(data.get("depth", config.depth))
-        config.overlap_fraction = float(
-            data.get("overlap_fraction", config.overlap_fraction)
-        )
+    _override_from_domain(config, "snowflake", ("a", "depth", "overlap_fraction"))
     spec = FractalTreeSpec(
         a=config.a, depth=config.depth, overlap_fraction=config.overlap_fraction
     )
@@ -381,28 +376,19 @@ def _run_bound_snowflake(config: RunConfig) -> dict:
 def _map_from_spec(spec: dict) -> QCMapData:
     kind = spec.get("kind")
     if kind == "linear":
-        volume = float(spec.get("domain_volume", 1.0))
-        data = QCMapData.from_linear(spec["matrix"], volume)
+        matrix = _required(spec, "matrix", "linear map")
+        data = QCMapData.from_linear(matrix, float(spec.get("domain_volume", 1.0)))
         if "K" in spec:
-            data = QCMapData(
-                n=data.n,
-                K=float(spec["K"]),
-                domain_volume=volume,
-                derivative_field=data.derivative_field,
-                alpha=data.alpha,
-                lipschitz=data.lipschitz,
-            )
+            data = replace(data, K=float(spec["K"]))
         return data
     if kind == "sampled":
         field_data = SampledDerivative(
-            weights=np.asarray(spec["weights"], dtype=float),
-            dphi=np.asarray(spec["dphi"], dtype=float),
-            jac=np.asarray(spec["jac"], dtype=float),
-            nodes=np.asarray(spec["nodes"], dtype=float) if "nodes" in spec else None,
+            *(np.asarray(_required(spec, key, "sampled map"), dtype=float)
+              for key in ("weights", "dphi", "jac"))
         )
         return QCMapData(
             n=int(spec.get("n", 2)),
-            K=float(spec["K"]),
+            K=float(_required(spec, "K", "sampled map")),
             domain_volume=float(spec.get("domain_volume", float(field_data.weights.sum()))),
             derivative_field=field_data,
             alpha=float(spec["alpha"]) if spec.get("alpha") is not None else math.inf,
@@ -455,17 +441,20 @@ def _run_verify(config: RunConfig) -> dict:
         if mesh_spec is None:
             raise CliError("domain kind has no oracle mesh")
         mesh = mesh_domain(mesh_spec, config.h)
-    check = check_domination(bound, mesh)
     report = _new_report(config)
-    if isinstance(bound, PoincareBound):
-        report["certificates"].append(_certificate("verified-bound", "poincare", bound.to_dict()))
-    else:
-        report["certificates"].append(_certificate("verified-bound", "eigen", bound.to_dict()))
-    entry = check.to_dict()
-    entry["label"] = "verified-bound"
-    entry["mesh_dof"] = mesh.node_count
-    report["checks"].append(entry)
+    kind = next(k for k, cls in _BOUND_TYPES.items() if isinstance(bound, cls))
+    report["certificates"].append(_certificate("verified-bound", kind, bound.to_dict()))
+    _append_check(report, bound, mesh, "verified-bound")
     return report
+
+
+# certificate kind -> (value key, key of the rule list, joiner of the rule names);
+# other kinds (the snowflake series tail) tabulate their tail bound
+_TABLE_KINDS = {
+    "poincare": ("bound", "terms", "+"),
+    "eigen": ("mu_lower", "provenance", "*"),
+    "transfer": ("bound", "chain", "*"),
+}
 
 
 def _table_rows(reports: list[dict]) -> list[dict]:
@@ -474,15 +463,10 @@ def _table_rows(reports: list[dict]) -> list[dict]:
         checks_by_label = {c.get("label"): c for c in report.get("checks", [])}
         for cert in report.get("certificates", []):
             data = cert["data"]
-            if cert["kind"] == "poincare":
-                value = data["bound"]
-                chain = "+".join(t["rule"] for t in data.get("terms", []))
-            elif cert["kind"] == "eigen":
-                value = data["mu_lower"]
-                chain = "*".join(f["rule"] for f in data.get("provenance", []))
-            elif cert["kind"] == "transfer":
-                value = data["bound"]
-                chain = "*".join(f["rule"] for f in data.get("chain", []))
+            if cert["kind"] in _TABLE_KINDS:
+                value_key, rules_key, joiner = _TABLE_KINDS[cert["kind"]]
+                value = data[value_key]
+                chain = joiner.join(f["rule"] for f in data.get(rules_key, []))
             else:
                 value = data.get("tail_bound", float("nan"))
                 chain = "tail-ratio-test"
@@ -517,29 +501,27 @@ def emit_table(reports: list[dict], fmt: str = "csv") -> str:
 
 
 def _run_report(config: RunConfig) -> str:
-    if not config.inputs:
-        raise CliError("report needs at least one input report")
-    reports = [_load_json(path) for path in config.inputs]
-    return emit_table(reports, config.fmt)
+    return emit_table([_load_json(path) for path in config.inputs], config.fmt)
+
+
+_PIPELINES = {
+    "bound-cells": _run_bound_cells,
+    "bound-star": _run_bound_star,
+    "bound-snowflake": _run_bound_snowflake,
+    "transfer": _run_transfer,
+    "verify": _run_verify,
+    "report": _run_report,
+}
 
 
 def run(config: RunConfig) -> tuple[dict | str, int]:
     """Execute one pipeline; returns (report payload, exit code)."""
     started = time.perf_counter()
-    if config.command == "bound-cells":
-        report = _run_bound_cells(config)
-    elif config.command == "bound-star":
-        report = _run_bound_star(config)
-    elif config.command == "bound-snowflake":
-        report = _run_bound_snowflake(config)
-    elif config.command == "transfer":
-        report = _run_transfer(config)
-    elif config.command == "verify":
-        report = _run_verify(config)
-    elif config.command == "report":
-        return _run_report(config), 0
-    else:
+    if config.command not in _PIPELINES:
         raise CliError(f"unknown command {config.command!r}")
+    report = _PIPELINES[config.command](config)
+    if isinstance(report, str):  # a rendered table
+        return report, 0
     if config.timing:
         report["timing_seconds"] = time.perf_counter() - started
     failed = any(not c["passed"] for c in report["checks"])
@@ -644,12 +626,26 @@ _CONFIG_TYPES = {
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
-def _check_config_value(key: str, attr: str, value) -> None:
+def _check_config_value(label: str, attr: str, value) -> None:
     kind = _FIELD_TYPES[attr]
     optional = kind.endswith(" | None")
     test, description = _CONFIG_TYPES[kind.removesuffix(" | None")]
     if not (test(value) or (optional and value is None)):
-        raise CliError(f"config key {key} must be {description}, got {value!r}")
+        raise CliError(f"{label} must be {description}, got {value!r}")
+
+
+def _override_from_domain(config: RunConfig, kind: str, keys: tuple[str, ...]) -> None:
+    """Values of the given keys in the optional --domain file override the
+    config; each is type-checked like a config-file value."""
+    if not config.domain:
+        return
+    data = _load_json(config.domain)
+    if data.get("type") != kind:
+        raise CliError(f'{config.command} expects a domain of type "{kind}"')
+    for key in keys:
+        if key in data:
+            _check_config_value(f"domain key {key}", key, data[key])
+            setattr(config, key, float(data[key]) if _FIELD_TYPES[key] == "float" else data[key])
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -659,7 +655,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         attr = {"map": "map_path", "format": "fmt"}.get(key, key)
         if not hasattr(config, attr):
             raise CliError(f"unknown config key {key!r}")
-        _check_config_value(key, attr, value)
+        _check_config_value(f"config key {key}", attr, value)
         setattr(config, attr, value)
     for attr in vars(config):
         if hasattr(args, attr) and getattr(args, attr) is not None:

@@ -326,9 +326,6 @@ class WhitneyTriple:
             - self.v_r2q3
         )
 
-    def hull_polygons(self) -> list[np.ndarray]:
-        return [c.hull_polygon() for c in self.cells]
-
 
 def triple_link_volume(t1: WhitneyTriple, t2: WhitneyTriple) -> float:
     """|A_j ∩ A_{j+1}| for two triples of 2D cells.
@@ -377,8 +374,6 @@ class WhitneyChain:
         links = tuple(
             triple_link_volume(triples[i], triples[i + 1]) for i in range(len(triples) - 1)
         )
-        if any(v <= 0.0 for v in links):
-            raise GeometryError("consecutive triples must overlap in positive volume")
         return cls(tuple(triples), links, multiplicity)
 
     def volumes(self) -> list[float]:
@@ -442,14 +437,6 @@ def build_star_domain(spec: StarDomainSpec) -> tuple[ConvexCell, ConvexCell]:
     return piece(d - a, d + a), piece(d + a, d - a)
 
 
-def star_membership(points: np.ndarray, spec: StarDomainSpec) -> np.ndarray:
-    """Defining-inequality membership test for the full star domain union."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    radial = np.linalg.norm(pts[:, :-1], axis=1)
-    height = pts[:, -1]
-    return (np.abs(height) < spec.alpha) & (radial < spec.delta + np.abs(height))
-
-
 @dataclass(frozen=True)
 class FractalTreeSpec:
     """Snowflake-style triangle tree: one root, 3 children, then 2 per cell.
@@ -461,8 +448,6 @@ class FractalTreeSpec:
     a: float
     depth: int
     overlap_fraction: float = 0.25
-    scale: float = 1.0 / 3.0
-    branching: int = 2
 
     def __post_init__(self) -> None:
         if self.a <= 0.0:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -222,20 +222,10 @@ class TriangleMesh:
 
 
 @dataclass(frozen=True)
-class GridFunction:
-    """One real value per mesh node."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-
-
-@dataclass(frozen=True)
 class EigenResult:
     mu2: float
     residual: float
-    eigenvector: GridFunction
+    eigenvector: np.ndarray  # one value per mesh node
     dof: int
 
 
@@ -428,55 +418,44 @@ def mesh_domain(spec: dict, h: float) -> TriangleMesh:
     if h <= 0.0:
         raise MeshError("target edge length must be positive")
     kind = spec.get("kind")
-    if kind == "rectangle":
-        x0, y0, x1, y1 = spec["bounds"]
-        width, height = x1 - x0, y1 - y0
-        build = functools.partial(_structured_rectangle, x0, y0, x1, y1, h)
-    elif kind == "rect_union":
-        rects = [tuple(r) for r in spec["rects"]]
-        width = max(r[2] for r in rects) - min(r[0] for r in rects)
-        height = max(r[3] for r in rects) - min(r[1] for r in rects)
-        build = functools.partial(_rect_union_mesh, rects, h)
-    elif kind == "polygon":
-        vertices = np.asarray(spec["vertices"], dtype=float)
-        width, height = np.ptp(vertices, axis=0)
-        build = functools.partial(_convex_polygon_mesh, vertices, h)
-    elif kind == "star":
-        delta = float(spec["delta"])
-        alpha = StarDomainSpec(delta=delta, n=2).alpha
-        width, height = 2.0 * (delta + alpha), 2.0 * alpha
-        build = functools.partial(_star_mesh, delta, h)
-    elif kind == "disk":
-        radius = float(spec["radius"])
-        width = height = 2.0 * radius
-        build = functools.partial(_disk_mesh, radius, h, tuple(spec.get("center", (0.0, 0.0))))
-    else:
-        raise MeshError(f"unsupported domain kind {kind!r}")
+    try:
+        if kind == "rectangle":
+            bounds = tuple(spec["bounds"])
+            if len(bounds) != 4:
+                raise MeshError('rectangle needs "bounds": [x0, y0, x1, y1]')
+            x0, y0, x1, y1 = bounds
+            width, height = x1 - x0, y1 - y0
+            build = functools.partial(_structured_rectangle, x0, y0, x1, y1, h)
+        elif kind == "rect_union":
+            rects = [tuple(r) for r in spec["rects"]]
+            if not rects or any(len(r) != 4 for r in rects):
+                raise MeshError('rect_union needs "rects": a non-empty list of [x0, y0, x1, y1]')
+            width = max(r[2] for r in rects) - min(r[0] for r in rects)
+            height = max(r[3] for r in rects) - min(r[1] for r in rects)
+            build = functools.partial(_rect_union_mesh, rects, h)
+        elif kind == "polygon":
+            vertices = np.asarray(spec["vertices"], dtype=float)
+            width, height = np.ptp(vertices, axis=0)
+            build = functools.partial(_convex_polygon_mesh, vertices, h)
+        elif kind == "star":
+            delta = float(spec["delta"])
+            alpha = StarDomainSpec(delta=delta, n=2).alpha
+            width, height = 2.0 * (delta + alpha), 2.0 * alpha
+            build = functools.partial(_star_mesh, delta, h)
+        elif kind == "disk":
+            radius = float(spec["radius"])
+            width = height = 2.0 * radius
+            build = functools.partial(_disk_mesh, radius, h, tuple(spec.get("center", (0.0, 0.0))))
+        else:
+            raise MeshError(f"unsupported domain kind {kind!r}")
+    except KeyError as exc:
+        raise MeshError(f"{kind} mesh description needs key {exc.args[0]!r}") from None
     estimate = (abs(width) / h + 1.0) * (abs(height) / h + 1.0)
     if estimate > MAX_MESH_NODES:
         raise MeshError(
             f"mesh too large: about {estimate:.3g} nodes at h = {h:g} (limit {MAX_MESH_NODES})"
         )
     return build()
-
-
-def refine_uniform(mesh: TriangleMesh) -> TriangleMesh:
-    """Red refinement: each triangle splits into four via edge midpoints."""
-    nodes = list(map(tuple, mesh.nodes))
-    midpoint: dict[tuple[int, int], int] = {}
-
-    def mid(a: int, b: int) -> int:
-        key = (a, b) if a < b else (b, a)
-        if key not in midpoint:
-            midpoint[key] = len(nodes)
-            nodes.append(tuple(0.5 * (mesh.nodes[a] + mesh.nodes[b])))
-        return midpoint[key]
-
-    elements = []
-    for a, b, c in mesh.elements:
-        ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-        elements.extend([(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)])
-    return TriangleMesh(np.array(nodes), np.array(elements))
 
 
 # ---------------------------------------------------------------------------
@@ -540,12 +519,7 @@ def neumann_mu2(mesh: TriangleMesh, tol: float = 1e-8) -> EigenResult:
     )
     if residual > tol:
         raise SolveError(f"eigenpair residual {residual:.3e} above target {tol:g}")
-    return EigenResult(mu2=mu, residual=residual, eigenvector=GridFunction(v), dof=n)
-
-
-def poincare_constant_p2(mesh: TriangleMesh) -> float:
-    """Discrete (2,2)-Poincare constant mu2^(-1/2)."""
-    return neumann_mu2(mesh).mu2 ** -0.5
+    return EigenResult(mu2=mu, residual=residual, eigenvector=v, dof=n)
 
 
 # ---------------------------------------------------------------------------
@@ -565,11 +539,9 @@ def _midpoint_integral(mesh: TriangleMesh, g: np.ndarray, element_mask=None) -> 
     return float((mesh.midpoint_weights * g).reshape(-1, 3)[element_mask].sum())
 
 
-def integrate_abs_power(
-    mesh: TriangleMesh, values: np.ndarray, p: float, element_mask=None
-) -> float:
-    """int |f|^p over the mesh (or a subset of elements), midpoint rule."""
-    return _midpoint_integral(mesh, np.abs(mesh.midpoint_operator @ values) ** p, element_mask)
+def integrate_abs_power(mesh: TriangleMesh, values: np.ndarray, p: float) -> float:
+    """int |f|^p over the mesh, midpoint rule."""
+    return _midpoint_integral(mesh, np.abs(mesh.midpoint_operator @ values) ** p)
 
 
 def subset_average(mesh: TriangleMesh, values: np.ndarray, element_mask=None) -> float:
@@ -587,13 +559,9 @@ def _gradient_squares(mesh: TriangleMesh, values: np.ndarray) -> tuple[np.ndarra
     return g, g[:, 0] * g[:, 0] + g[:, 1] * g[:, 1]
 
 
-def gradient_magnitudes(mesh: TriangleMesh, values: np.ndarray) -> np.ndarray:
-    return np.sqrt(_gradient_squares(mesh, values)[1])
-
-
 def gradient_integral(mesh: TriangleMesh, values: np.ndarray, p: float, element_mask=None) -> float:
     """int |grad f|^p with the exact per-element constant gradients."""
-    contrib = mesh.areas * gradient_magnitudes(mesh, values) ** p
+    contrib = mesh.areas * np.sqrt(_gradient_squares(mesh, values)[1]) ** p
     if element_mask is not None:
         contrib = contrib[element_mask]
     return float(contrib.sum())
@@ -663,17 +631,17 @@ def project_constraint(mesh: TriangleMesh, values: np.ndarray, p: float) -> np.n
 
 
 def rayleigh_quotient(
-    mesh: TriangleMesh, f: GridFunction, p: float, project: bool = False
+    mesh: TriangleMesh, values: np.ndarray, p: float, project: bool = False
 ) -> float:
-    """Discrete Rayleigh quotient int |grad f|^p / int |f|^p.
+    """Discrete Rayleigh quotient int |grad f|^p / int |f|^p of nodal values.
 
     The argument must satisfy the discretized zero-mean constraint to 1e-8
     (relative), unless project=True requests the constant-shift projection.
     Always an upper bound for the discrete minimum.
     """
-    values = np.asarray(f.values, dtype=float)
+    values = np.asarray(values, dtype=float)
     if len(values) != mesh.node_count:
-        raise ValueError("grid function length does not match the mesh")
+        raise ValueError("nodal value count does not match the mesh")
     if np.ptp(values) <= 1e-14 * max(1.0, np.abs(values).max()):
         raise ValueError("Rayleigh quotient of a constant function is undefined")
     scale = constraint_scale(mesh, values, p)
@@ -777,65 +745,39 @@ class DominationReport:
     notes: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "kind": self.kind,
-            "claimed": self.claimed,
-            "oracle_value": self.oracle_value,
-            "margin": self.margin,
-            "oracle_is_estimate": self.oracle_is_estimate,
-            "notes": list(self.notes),
-        }
+        return {**asdict(self), "notes": list(self.notes)}
 
 
-def check_domination(bound, mesh: TriangleMesh, domain_label: str | None = None) -> DominationReport:
+def check_domination(bound, mesh: TriangleMesh) -> DominationReport:
     """PASS iff the claimed bound is on the safe side of the oracle.
 
-    Poincare bounds must dominate the discrete constant; eigenvalue lower
-    bounds must not exceed the discrete eigenvalue. At p = 2 the oracle is
-    the FEM value; for other p it is the descent estimate, which is
-    explicitly flagged as an estimate, not a certificate.
+    Poincare bounds must dominate the discrete constant mu^(-1/p); eigenvalue
+    lower bounds must not exceed the discrete eigenvalue mu. At p = 2 the
+    oracle is the FEM value; for other p it is the descent estimate, which
+    is explicitly flagged as an estimate, not a certificate.
     """
-    notes: list[str] = []
-    bound_domain = getattr(bound, "domain", None)
-    if bound_domain and domain_label and bound_domain != domain_label:
-        notes.append(f"domain mismatch: bound is for {bound_domain!r}, mesh is {domain_label!r}")
     if isinstance(bound, PoincareBound):
-        p = bound.p
-        if abs(p - 2.0) < 1e-12:
-            oracle_value = poincare_constant_p2(mesh)
-            estimate = False
-        else:
-            oracle_value = minimize_rayleigh_p(mesh, p) ** (-1.0 / p)
-            estimate = True
-            notes.append("general-p oracle is an estimate, not a certificate")
-        margin = float(bound.value - oracle_value)
-        return DominationReport(
-            passed=bool(margin >= 0.0),
-            kind="poincare",
-            claimed=float(bound.value),
-            oracle_value=oracle_value,
-            margin=margin,
-            oracle_is_estimate=estimate,
-            notes=tuple(notes),
-        )
-    if isinstance(bound, EigenBound):
-        p = bound.p
-        if abs(p - 2.0) < 1e-12:
-            oracle_value = neumann_mu2(mesh).mu2
-            estimate = False
-        else:
-            oracle_value = minimize_rayleigh_p(mesh, p)
-            estimate = True
-            notes.append("general-p oracle is an estimate, not a certificate")
-        margin = float(oracle_value - bound.mu_lower)
-        return DominationReport(
-            passed=bool(margin >= 0.0),
-            kind="eigen",
-            claimed=float(bound.mu_lower),
-            oracle_value=oracle_value,
-            margin=margin,
-            oracle_is_estimate=estimate,
-            notes=tuple(notes),
-        )
-    raise TypeError(f"cannot check bounds of type {type(bound).__name__}")
+        kind, claimed = "poincare", float(bound.value)
+    elif isinstance(bound, EigenBound):
+        kind, claimed = "eigen", float(bound.mu_lower)
+    else:
+        raise TypeError(f"cannot check bounds of type {type(bound).__name__}")
+    p = bound.p
+    estimate = not abs(p - 2.0) < 1e-12  # a NaN p is not 2 and takes the descent
+    mu = minimize_rayleigh_p(mesh, p) if estimate else neumann_mu2(mesh).mu2
+    if kind == "poincare":
+        oracle_value = mu ** (-1.0 / p if estimate else -0.5)
+        margin = float(claimed - oracle_value)
+    else:
+        oracle_value = mu
+        margin = float(oracle_value - claimed)
+    notes = ("general-p oracle is an estimate, not a certificate",) if estimate else ()
+    return DominationReport(
+        passed=bool(margin >= 0.0),
+        kind=kind,
+        claimed=claimed,
+        oracle_value=oracle_value,
+        margin=margin,
+        oracle_is_estimate=estimate,
+        notes=notes,
+    )

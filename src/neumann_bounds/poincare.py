@@ -130,9 +130,8 @@ class PoincareBound:
 
 
 def _overflow_notes(*values: float) -> tuple[str, ...]:
-    if any(abs(v) > OVERFLOW_LIMIT for v in values if math.isfinite(v)) or any(
-        not math.isfinite(v) for v in values
-    ):
+    # not (|v| <= limit) also holds for inf and NaN
+    if any(not abs(v) <= OVERFLOW_LIMIT for v in values):
         return ("intermediate exceeded 1e300; relative error not certified",)
     return ()
 
@@ -165,34 +164,30 @@ def pi_p_quadrature(p: float) -> float:
     return 2.0 * value
 
 
-def convex_cell_constant(cell: ConvexCell, params: SpectralParams) -> PoincareBound:
-    """Diameter-scaled per-cell constant: B_{p,p}(cell) <= diam(cell) / pi_p.
-
-    Sharp for balls; the certificate records the diameter and pi_p so the
-    value can be recomputed from the cell alone.
-    """
-    if cell.n != params.n:
-        raise ValueError(f"cell dimension {cell.n} does not match params.n {params.n}")
-    diam = cell_diameter(cell)
-    pip = pi_p(params.p)
+def _diameter_rule(diam: float, p: float, label: str) -> PoincareBound:
+    """B_{p,p} <= diam / pi_p for a convex set; the certificate records the
+    diameter and pi_p so the value can be recomputed from them."""
+    pip = pi_p(p)
     value = diam / pip
+    power = value**p
     return PoincareBound(
         value=value,
-        p=params.p,
+        p=p,
         form=FORM_DEVIATION,
-        terms=(CertTerm("cell", "convex-diameter", value**params.p),),
+        terms=(CertTerm(label, "convex-diameter", power),),
         details=(("diameter", diam), ("pi_p", pip)),
-        notes=_overflow_notes(value**params.p),
+        notes=_overflow_notes(power),
     )
 
 
-def subset_comparison_factor(volume_ratio: float, p: float) -> float:
-    """Deviation-from-subset-average comparison factor 2 * (|Omega|/|A|)^(1/p)."""
-    if volume_ratio < 1.0:
-        raise ValueError("volume ratio |Omega|/|A| must be >= 1 (A is a subset)")
-    if p < 1.0:
-        raise ValueError("exponent p must be >= 1")
-    return 2.0 * volume_ratio ** (1.0 / p)
+def convex_cell_constant(cell: ConvexCell, params: SpectralParams) -> PoincareBound:
+    """Diameter-scaled per-cell constant: B_{p,p}(cell) <= diam(cell) / pi_p.
+
+    Sharp for balls.
+    """
+    if cell.n != params.n:
+        raise ValueError(f"cell dimension {cell.n} does not match params.n {params.n}")
+    return _diameter_rule(cell_diameter(cell), params.p, "cell")
 
 
 def _require_deviation_form(bounds, p: float) -> None:
@@ -490,20 +485,7 @@ def snowflake_tail(spec: FractalTreeSpec, p: float, start_level: int, cap: int =
 
 def snowflake_level_bounds(tree: FractalTree, p: float) -> list[PoincareBound]:
     """Per-level cell constants from the diameter rule on the extended cells."""
-    pip = pi_p(p)
-    out = []
-    for level in tree.levels:
-        value = level.star_side / pip
-        out.append(
-            PoincareBound(
-                value=value,
-                p=p,
-                form=FORM_DEVIATION,
-                terms=(CertTerm(f"level-{level.level}", "convex-diameter", value**p),),
-                details=(("diameter", level.star_side), ("pi_p", pip)),
-            )
-        )
-    return out
+    return [_diameter_rule(level.star_side, p, f"level-{level.level}") for level in tree.levels]
 
 
 def snowflake_bound(

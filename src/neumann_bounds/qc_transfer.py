@@ -50,7 +50,6 @@ class SampledDerivative:
     weights: np.ndarray
     dphi: np.ndarray
     jac: np.ndarray
-    nodes: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=float)
@@ -67,24 +66,6 @@ class SampledDerivative:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "dphi", d)
         object.__setattr__(self, "jac", j)
-
-
-@dataclass(frozen=True)
-class SampledField:
-    """Weighted samples of a scalar field (e.g. an inverse Jacobian)."""
-
-    weights: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if len(w) != len(v) or len(w) == 0:
-            raise TransferError("field samples must share a positive length")
-        if np.any(w <= 0.0) or np.any(v <= 0.0):
-            raise TransferError("field samples and weights must be positive")
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "values", v)
 
 
 @dataclass(frozen=True)
@@ -282,28 +263,6 @@ def q_p_sup_norm(map_data: QCMapData, p: float) -> float:
     if not map_data.lipschitz:
         raise TransferError("supremum distortion factor needs a Lipschitz map")
     return map_data.ess_sup_dphi() ** ((p - map_data.n) / p)
-
-
-def lebesgue_comp_norm(inverse_jacobian_samples: SampledField, r: float, s: float) -> float:
-    """Norm of the composition operator between Lebesgue spaces.
-
-    (int |J(y, phi^-1)|^(r/(r-s)) dy)^((r-s)/(rs)) for s < r; the essential
-    supremum of |J(y, phi^-1)|^(1/s) when s = r.
-    """
-    if not 1.0 <= s <= r:
-        raise TransferError(f"need 1 <= s <= r, got s={s}, r={r}")
-    field = inverse_jacobian_samples
-    if s == r:
-        return float(field.values.max()) ** (1.0 / s)
-    integral = float((field.weights * field.values ** (r / (r - s))).sum())
-    if not math.isfinite(integral):
-        raise TransferError("composition norm integral diverges")
-    return integral ** ((r - s) / (r * s))
-
-
-def sobolev_comp_norm(map_data: QCMapData, p: float, q: float) -> float:
-    """Norm bound K^(1/p) * q_pq_norm for the gradient-seminorm composition."""
-    return map_data.K ** (1.0 / p) * q_pq_norm(map_data, p, q)
 
 
 def poincare_transfer(map_data: QCMapData, base: PoincareBound, p: float) -> TransferResult:

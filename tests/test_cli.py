@@ -338,6 +338,149 @@ class TestErrorPaths:
         assert len(err) == 1 and "mesh too large" in err[0]
 
 
+class TestDomainFileOverrides:
+    @pytest.mark.parametrize(
+        "command, domain, message",
+        [
+            ("bound-snowflake", {"depth": None}, "domain key depth must be an integer"),
+            ("bound-snowflake", {"depth": 3.7}, "domain key depth must be an integer"),
+            ("bound-snowflake", {"a": "1"}, "domain key a must be a finite number"),
+            ("bound-star", {"delta": [1]}, "domain key delta must be a finite number"),
+            ("bound-star", {"mgon": 64.0}, "domain key mgon must be an integer"),
+            ("bound-star", {"dim": True}, "domain key dim must be an integer"),
+        ],
+    )
+    def test_bad_override_exit_1_one_line(self, tmp_path, capsys, command, domain, message):
+        kind = command.removeprefix("bound-")
+        path = write_json(tmp_path / "domain.json", {"type": kind, **domain})
+        assert run_cli([command, "--domain", path]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and message in err[0]
+
+    @pytest.mark.parametrize(
+        "command, domain, flags",
+        [
+            ("bound-star", {"type": "star", "delta": 2, "mgon": 16},
+             ["--delta", "2.0", "--mgon", 16]),
+            ("bound-snowflake", {"type": "snowflake", "a": 1, "overlap_fraction": 0.5},
+             ["--a", "1.0", "--overlap-fraction", "0.5"]),
+        ],
+    )
+    def test_integer_float_override_matches_flag(self, tmp_path, command, domain, flags):
+        # a float field given as a JSON integer is stored as a float, so the
+        # report equals the one from the corresponding flags
+        from_file, from_flags = tmp_path / "file.json", tmp_path / "flags.json"
+        path = write_json(tmp_path / "domain.json", domain)
+        assert run_cli([command, "--domain", path, "--out", from_file]) == 0
+        assert run_cli([command, *flags, "--out", from_flags]) == 0
+        file_report = json.loads(from_file.read_text())
+        flag_report = json.loads(from_flags.read_text())
+        assert file_report["certificates"] == flag_report["certificates"]
+        for key in domain:
+            if key != "type":
+                assert file_report["config"][key] == flag_report["config"][key]
+                assert type(file_report["config"][key]) is type(flag_report["config"][key])
+
+
+class TestMissingSpecKeys:
+    """Each bad specification ends in exit 1 with one line naming the key."""
+
+    def run_one_line(self, args, capsys):
+        assert run_cli(args) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        return err[0]
+
+    def bound_file(self, tmp_path):
+        return write_json(tmp_path / "bound.json", {"bound": 1.0, "p": 2.0})
+
+    @pytest.mark.parametrize(
+        "domain, key",
+        [
+            ({"kind": "rectangle"}, "'bounds'"),
+            ({"kind": "rectangle", "bounds": [0, 0, 1]}, '"bounds"'),
+            ({"type": "star"}, '"delta"'),
+            ({"kind": "rect_union", "rects": []}, '"rects"'),
+            ({"kind": "rect_union", "rects": [[0, 0, 1, 1], [0.5, 0, 2]]}, '"rects"'),
+            ({"kind": "rect_union"}, "'rects'"),
+            ({"kind": "polygon"}, "'vertices'"),
+            ({"kind": "disk"}, "'radius'"),
+        ],
+    )
+    def test_verify_domain(self, tmp_path, capsys, domain, key):
+        domain_path = write_json(tmp_path / "domain.json", domain)
+        line = self.run_one_line(
+            ["verify", "--bound", self.bound_file(tmp_path), "--domain", domain_path], capsys
+        )
+        assert key in line
+
+    def test_empty_cells(self, tmp_path, capsys):
+        domain = write_json(tmp_path / "cells.json", {"type": "cells", "cells": []})
+        assert '"cells"' in self.run_one_line(["bound-cells", "--domain", domain], capsys)
+
+    @pytest.mark.parametrize(
+        "spec, key",
+        [
+            ({"kind": "sampled", "weights": [1.0], "dphi": [1.0], "jac": [1.0]}, '"K"'),
+            ({"kind": "sampled", "weights": [1.0], "jac": [1.0], "K": 1.0}, '"dphi"'),
+            ({"kind": "linear"}, '"matrix"'),
+        ],
+    )
+    def test_map(self, tmp_path, capsys, spec, key):
+        map_path = write_json(tmp_path / "map.json", spec)
+        line = self.run_one_line(
+            ["transfer", "--map", map_path, "--base", self.bound_file(tmp_path)], capsys
+        )
+        assert key in line
+
+
+class TestKindTables:
+    def test_linear_k_override_is_revalidated(self, tmp_path, capsys):
+        # diag(2, 1) has distortion 2; a smaller K violates |D phi|^n <= K |J|
+        spec = {"kind": "linear", "matrix": [[2, 0], [0, 1]], "K": 1.5}
+        map_path = write_json(tmp_path / "map.json", spec)
+        base = write_json(tmp_path / "bound.json", {"bound": 1.0, "p": 2.0})
+        assert run_cli(["transfer", "--map", map_path, "--base", base]) == 1
+        assert "violates" in capsys.readouterr().err
+
+    def test_linear_k_override_recorded(self, tmp_path):
+        spec = {"kind": "linear", "matrix": [[2, 0], [0, 1]], "K": 3.0}
+        map_path = write_json(tmp_path / "map.json", spec)
+        base = write_json(tmp_path / "bound.json", {"mu_lower": 1.0, "p": 2.0})
+        out = tmp_path / "t.json"
+        assert run_cli(["transfer", "--map", map_path, "--base", base, "--out", out]) == 0
+        provenance = json.loads(out.read_text())["certificates"][0]["data"]["provenance"]
+        assert {"rule": "distortion-coefficient", "value": 3.0, "inputs": {}} in provenance
+
+    @pytest.mark.parametrize(
+        "bound, kind",
+        [({"bound": 1.0, "p": 2.0}, "poincare"), ({"mu_lower": 1.0, "p": 2.0}, "eigen")],
+    )
+    def test_verify_records_bound_kind(self, tmp_path, bound, kind):
+        bound_path = write_json(tmp_path / "bound.json", bound)
+        domain = write_json(tmp_path / "square.json",
+                            {"kind": "rectangle", "bounds": [0, 0, 1, 1]})
+        out = tmp_path / "v.json"
+        assert run_cli(["verify", "--bound", bound_path, "--domain", domain,
+                        "--h", 0.25, "--out", out]) == 0
+        report = json.loads(out.read_text())
+        assert [c["kind"] for c in report["certificates"]] == [kind]
+        assert report["checks"][0]["kind"] == kind
+        assert report["checks"][0]["label"] == "verified-bound"
+        assert report["checks"][0]["mesh_dof"] == 25
+
+    def test_unverifiable_certificate_kind(self, tmp_path, capsys):
+        bound = write_json(tmp_path / "bound.json", {"kind": "series-tail", "data": {}})
+        domain = write_json(tmp_path / "square.json",
+                            {"kind": "rectangle", "bounds": [0, 0, 1, 1]})
+        assert run_cli(["verify", "--bound", bound, "--domain", domain]) == 1
+        assert "cannot verify certificates of kind 'series-tail'" in capsys.readouterr().err
+
+    def test_report_without_inputs(self, capsys):
+        assert run_cli(["report"]) == 1
+        assert "no reports to tabulate" in capsys.readouterr().err
+
+
 class TestParserReuse:
     def test_in_process_calls_match_fresh_processes(self, tmp_path):
         # one parser serves every call in a process; no call may leave state

@@ -22,12 +22,19 @@ from neumann_bounds.geometry import (
     snowflake_level,
     snowflake_level_count,
     star_discretization_error,
-    star_membership,
     triple_link_volume,
     union_volume_2d,
 )
 
 SQRT3 = math.sqrt(3.0)
+
+
+def star_membership(points, spec):
+    """Defining-inequality membership test for the full star domain union."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    radial = np.linalg.norm(pts[:, :-1], axis=1)
+    height = pts[:, -1]
+    return (np.abs(height) < spec.alpha) & (radial < spec.delta + np.abs(height))
 
 
 def unit_square(dx=0.0, dy=0.0):

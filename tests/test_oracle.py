@@ -1,5 +1,6 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from scipy.spatial import Delaunay
 from neumann_bounds import oracle
 from neumann_bounds.geometry import StarDomainSpec
 from neumann_bounds.oracle import (
-    GridFunction,
     MeshError,
     TriangleMesh,
     _cut_lines,
@@ -25,10 +25,8 @@ from neumann_bounds.oracle import (
     minimize_rayleigh_p,
     neumann_mu2,
     p1_matrices,
-    poincare_constant_p2,
     project_constraint,
     rayleigh_quotient,
-    refine_uniform,
     subset_average,
 )
 from neumann_bounds.poincare import FORM_DEVIATION, CertTerm, PoincareBound
@@ -39,6 +37,30 @@ PI2 = math.pi**2
 
 def square_mesh(h=0.1):
     return mesh_domain({"kind": "rectangle", "bounds": [0, 0, 1, 1]}, h)
+
+
+def refine_uniform(mesh):
+    """Red refinement: each triangle splits into four via edge midpoints."""
+    nodes = list(map(tuple, mesh.nodes))
+    midpoint = {}
+
+    def mid(a, b):
+        key = (a, b) if a < b else (b, a)
+        if key not in midpoint:
+            midpoint[key] = len(nodes)
+            nodes.append(tuple(0.5 * (mesh.nodes[a] + mesh.nodes[b])))
+        return midpoint[key]
+
+    elements = []
+    for a, b, c in mesh.elements:
+        ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
+        elements.extend([(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)])
+    return TriangleMesh(np.array(nodes), np.array(elements))
+
+
+def poincare_constant_p2(mesh):
+    """Discrete (2,2)-Poincare constant mu2^(-1/2)."""
+    return neumann_mu2(mesh).mu2 ** -0.5
 
 
 class TestMeshing:
@@ -160,6 +182,23 @@ class TestMeshing:
         with pytest.raises(MeshError, match="mesh too large"):
             square_mesh(0.099)
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"kind": "rectangle"}, "needs key 'bounds'"),
+            ({"kind": "rectangle", "bounds": [0, 0, 1]}, '"bounds"'),
+            ({"kind": "rect_union"}, "needs key 'rects'"),
+            ({"kind": "rect_union", "rects": []}, '"rects"'),
+            ({"kind": "rect_union", "rects": [[0, 0, 1, 1], [1, 0, 2]]}, '"rects"'),
+            ({"kind": "polygon"}, "needs key 'vertices'"),
+            ({"kind": "star"}, "needs key 'delta'"),
+            ({"kind": "disk"}, "needs key 'radius'"),
+        ],
+    )
+    def test_missing_or_short_key_named(self, spec, message):
+        with pytest.raises(MeshError, match=message):
+            mesh_domain(spec, 0.1)
+
     def test_json_round_trip_bit_exact(self):
         mesh = square_mesh(0.13)
         data = json.loads(json.dumps(mesh.to_dict()))
@@ -227,7 +266,7 @@ class TestNeumannEigenvalue:
 
         _, mass = p1_matrices(mesh)
         ones_mass = np.asarray(mass.sum(axis=0)).ravel()
-        mean = abs(ones_mass @ result.eigenvector.values) / math.sqrt(ones_mass.sum())
+        mean = abs(ones_mass @ result.eigenvector) / math.sqrt(ones_mass.sum())
         assert mean <= 1e-10
 
     def test_iterative_path_matches_dense(self):
@@ -254,7 +293,7 @@ class TestNeumannEigenvalue:
         mesh = mesh_domain({"kind": "star", "delta": 0.5}, 0.1)
         first, second = neumann_mu2(mesh), neumann_mu2(mesh)
         assert first.mu2 == second.mu2
-        assert np.array_equal(first.eigenvector.values, second.eigenvector.values)
+        assert np.array_equal(first.eigenvector, second.eigenvector)
 
     @pytest.mark.parametrize(
         "nodes, elements",
@@ -285,7 +324,7 @@ class TestNeumannEigenvalue:
 class TestRayleighQuotient:
     def test_separated_mode_on_square(self):
         mesh = square_mesh(0.05)
-        f = GridFunction(np.cos(math.pi * mesh.nodes[:, 0]))
+        f = np.cos(math.pi * mesh.nodes[:, 0])
         value = rayleigh_quotient(mesh, f, 2.0)
         # interpolation error of the exact mode is O(h^2)
         assert value == pytest.approx(PI2, rel=5e-3)
@@ -301,7 +340,7 @@ class TestRayleighQuotient:
         mu2 = neumann_mu2(mesh).mu2
         rng = np.random.default_rng(5)
         for _ in range(20):
-            f = GridFunction(rng.standard_normal(mesh.node_count))
+            f = rng.standard_normal(mesh.node_count)
             value = rayleigh_quotient(mesh, f, 2.0, project=True)
             assert value >= mu2 - 1e-8
 
@@ -309,18 +348,18 @@ class TestRayleighQuotient:
         mesh = square_mesh(0.1)
         rng = np.random.default_rng(9)
         values = project_constraint(mesh, rng.standard_normal(mesh.node_count), 2.0)
-        v1 = rayleigh_quotient(mesh, GridFunction(values), 2.0)
-        v2 = rayleigh_quotient(mesh, GridFunction(7.5 * values), 2.0)
+        v1 = rayleigh_quotient(mesh, values, 2.0)
+        v2 = rayleigh_quotient(mesh, 7.5 * values, 2.0)
         assert v1 == pytest.approx(v2, rel=1e-12)
 
     def test_constant_rejected(self):
         mesh = square_mesh(0.2)
         with pytest.raises(ValueError):
-            rayleigh_quotient(mesh, GridFunction(np.ones(mesh.node_count)), 2.0)
+            rayleigh_quotient(mesh, np.ones(mesh.node_count), 2.0)
 
     def test_constraint_enforced_unless_projected(self):
         mesh = square_mesh(0.2)
-        f = GridFunction(mesh.nodes[:, 0] + 3.0)
+        f = mesh.nodes[:, 0] + 3.0
         with pytest.raises(ValueError, match="constraint"):
             rayleigh_quotient(mesh, f, 2.0)
         value = rayleigh_quotient(mesh, f, 2.0, project=True)
@@ -401,14 +440,109 @@ class TestDomination:
         assert report.oracle_is_estimate
         assert any("estimate" in n for n in report.notes)
 
-    def test_domain_mismatch_flagged(self):
-        bound = PoincareBound(value=1.0, p=2.0, form=FORM_DEVIATION, domain="disk")
-        report = check_domination(bound, square_mesh(0.2), domain_label="square")
-        assert any("mismatch" in n for n in report.notes)
-
     def test_unknown_type_rejected(self):
         with pytest.raises(TypeError):
             check_domination(object(), square_mesh(0.3))
+
+
+def reference_check_domination(bound, mesh, domain_label=None):
+    """Verbatim copy of the two-branch check_domination it was merged from."""
+    notes: list[str] = []
+    bound_domain = getattr(bound, "domain", None)
+    if bound_domain and domain_label and bound_domain != domain_label:
+        notes.append(f"domain mismatch: bound is for {bound_domain!r}, mesh is {domain_label!r}")
+    if isinstance(bound, PoincareBound):
+        p = bound.p
+        if abs(p - 2.0) < 1e-12:
+            oracle_value = poincare_constant_p2(mesh)
+            estimate = False
+        else:
+            oracle_value = minimize_rayleigh_p(mesh, p) ** (-1.0 / p)
+            estimate = True
+            notes.append("general-p oracle is an estimate, not a certificate")
+        margin = float(bound.value - oracle_value)
+        return oracle.DominationReport(
+            passed=bool(margin >= 0.0),
+            kind="poincare",
+            claimed=float(bound.value),
+            oracle_value=oracle_value,
+            margin=margin,
+            oracle_is_estimate=estimate,
+            notes=tuple(notes),
+        )
+    if isinstance(bound, EigenBound):
+        p = bound.p
+        if abs(p - 2.0) < 1e-12:
+            oracle_value = neumann_mu2(mesh).mu2
+            estimate = False
+        else:
+            oracle_value = minimize_rayleigh_p(mesh, p)
+            estimate = True
+            notes.append("general-p oracle is an estimate, not a certificate")
+        margin = float(oracle_value - bound.mu_lower)
+        return oracle.DominationReport(
+            passed=bool(margin >= 0.0),
+            kind="eigen",
+            claimed=float(bound.mu_lower),
+            oracle_value=oracle_value,
+            margin=margin,
+            oracle_is_estimate=estimate,
+            notes=tuple(notes),
+        )
+    raise TypeError(f"cannot check bounds of type {type(bound).__name__}")
+
+
+class TestMergedDominationMatchesReference:
+    """The one-oracle-call check against the two-branch version, field by field."""
+
+    @pytest.mark.parametrize("p", [2.0, 3.0, 2.0 + 1e-13])
+    @pytest.mark.parametrize("scale", [0.5, 1.0, 2.0])
+    def test_poincare_and_eigen(self, p, scale):
+        meshes = [square_mesh(0.25), mesh_domain({"kind": "star", "delta": 0.7}, 0.3)]
+        for mesh in meshes:
+            if abs(p - 2.0) < 1e-12:
+                mu = neumann_mu2(mesh).mu2
+            else:
+                mu = minimize_rayleigh_p(mesh, p)
+            # around the oracle value, so both verdicts occur
+            bounds = [
+                PoincareBound(value=scale * mu ** (-1.0 / p), p=p, form=FORM_DEVIATION,
+                              domain="square"),
+                EigenBound(mu_lower=scale * mu, p=p, domain="square"),
+            ]
+            for bound in bounds:
+                got = check_domination(bound, mesh)
+                want = reference_check_domination(bound, mesh)
+                assert got.to_dict() == want.to_dict()
+                for name in ("passed", "kind", "claimed", "oracle_value", "margin",
+                             "oracle_is_estimate", "notes"):
+                    a, b = getattr(got, name), getattr(want, name)
+                    assert type(a) is type(b) and a == b, name
+                    if isinstance(a, float):
+                        assert math.copysign(1.0, a) == math.copysign(1.0, b), name
+
+    def test_claim_equal_to_oracle_gives_positive_zero_margin(self):
+        mesh = square_mesh(0.25)
+        mu = neumann_mu2(mesh).mu2
+        for bound in (EigenBound(mu_lower=mu, p=2.0),
+                      PoincareBound(value=mu**-0.5, p=2.0, form=FORM_DEVIATION)):
+            report = check_domination(bound, mesh)
+            assert report.passed and report.margin == 0.0
+            assert math.copysign(1.0, report.margin) == 1.0
+            assert report.to_dict() == reference_check_domination(bound, mesh).to_dict()
+
+    @pytest.mark.parametrize(
+        "bound",
+        [object(), SimpleNamespace(p=2.0, value=1.0, mu_lower=1.0), SimpleNamespace(p=3.0)],
+    )
+    def test_non_bound_rejected_before_any_solve(self, bound, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("oracle solve reached")
+
+        for name in ("neumann_mu2", "minimize_rayleigh_p", "p1_matrices", "project_constraint"):
+            monkeypatch.setattr(oracle, name, unreachable)
+        with pytest.raises(TypeError, match="cannot check bounds"):
+            check_domination(bound, square_mesh(0.3))
 
 
 class TestSubsetComparison:
@@ -839,11 +973,11 @@ class TestExactZeroMidpoints:
         assert abs(constraint_value(mesh, projected, p)) <= 1e-12 * constraint_scale(
             mesh, projected, p
         )
-        assert math.isfinite(rayleigh_quotient(mesh, GridFunction(values), p))
+        assert math.isfinite(rayleigh_quotient(mesh, values, p))
 
     def test_non_finite_constraint_counts_as_violated(self):
         mesh = square_mesh(0.2)
         values = mesh.nodes[:, 0] - 0.5
         values[0] = np.nan
         with pytest.raises(ValueError, match="constraint"):
-            rayleigh_quotient(mesh, GridFunction(values), 1.5)
+            rayleigh_quotient(mesh, values, 1.5)

@@ -19,7 +19,6 @@ from neumann_bounds.poincare import (
     SpectralParams,
     chain_constant,
     convex_cell_constant,
-    subset_comparison_factor,
     pair_constant,
     pi_p,
     pi_p_quadrature,
@@ -101,22 +100,6 @@ class TestConvexCellConstant:
         assert sum(t.value for t in bound.terms) == pytest.approx(
             bound.value**3, rel=1e-12
         )
-
-
-class TestSubsetComparisonFactor:
-    def test_ratio_one(self):
-        assert subset_comparison_factor(1.0, 2.0) == 2.0
-        assert subset_comparison_factor(1.0, 7.3) == 2.0
-
-    def test_ratio_eight_p3(self):
-        assert subset_comparison_factor(8.0, 3.0) == pytest.approx(4.0, rel=1e-14)
-
-    def test_ratio_two_p2(self):
-        assert subset_comparison_factor(2.0, 2.0) == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-14)
-
-    def test_subset_violation(self):
-        with pytest.raises(ValueError):
-            subset_comparison_factor(0.9, 2.0)
 
 
 class TestPairConstant:

@@ -12,18 +12,15 @@ from neumann_bounds.qc_transfer import (
     EigenBound,
     QCMapData,
     SampledDerivative,
-    SampledField,
     TransferError,
     ball_lower_bound,
     eigen_transfer,
     eigen_transfer_lipschitz,
     example_c,
-    lebesgue_comp_norm,
     poincare_transfer,
     q_grid,
     q_p_sup_norm,
     q_pq_norm,
-    sobolev_comp_norm,
     whitney_qc_bound,
 )
 
@@ -191,46 +188,6 @@ class TestQpSupNorm:
         m = constant_map(1.0, 1.0, lipschitz=False)
         with pytest.raises(TransferError):
             q_p_sup_norm(m, 2.0)
-
-
-class TestLebesgueCompNorm:
-    def test_constant_field(self):
-        c, volume = 0.8, 3.0
-        field = SampledField(weights=[volume], values=[c])
-        assert lebesgue_comp_norm(field, 2.0, 1.0) == pytest.approx(
-            math.sqrt(c**2 * volume), rel=1e-14
-        )
-
-    def test_equal_exponents_sup(self):
-        field = SampledField(weights=[1.0, 1.0], values=[0.5, 2.0])
-        assert lebesgue_comp_norm(field, 3.0, 3.0) == pytest.approx(2.0 ** (1 / 3), rel=1e-14)
-
-    def test_diag_map_change_of_variables(self):
-        # diag(2,1) on the unit square: image volume 2, |J(y, inverse)| = 1/2
-        field = SampledField(weights=[2.0], values=[0.5])
-        assert lebesgue_comp_norm(field, 2.0, 1.0) == pytest.approx(
-            1.0 / math.sqrt(2.0), rel=1e-14
-        )
-
-    def test_invalid_exponents(self):
-        field = SampledField(weights=[1.0], values=[1.0])
-        with pytest.raises(TransferError):
-            lebesgue_comp_norm(field, 2.0, 3.0)
-
-
-class TestSobolevCompNorm:
-    def test_identity(self):
-        m = constant_map(1.0, 1.0)
-        assert sobolev_comp_norm(m, 3.0, 2.0) == pytest.approx(1.0, abs=1e-14)
-
-    def test_diag_two_one(self):
-        m = QCMapData.from_linear([[2.0, 0.0], [0.0, 1.0]], 1.0)
-        assert sobolev_comp_norm(m, 3.0, 2.0) == pytest.approx(2.0 ** (2.0 / 3.0), rel=1e-13)
-
-    def test_monotone_in_distortion(self):
-        lo = constant_map(2.0, 2.0, K=2.0)
-        hi = constant_map(2.0, 2.0, K=5.0)
-        assert sobolev_comp_norm(hi, 3.0, 2.0) > sobolev_comp_norm(lo, 3.0, 2.0)
 
 
 class TestPoincareTransfer:
