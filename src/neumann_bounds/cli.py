@@ -157,12 +157,6 @@ def _cells_from_spec(spec: dict) -> list[ConvexCell]:
     return cells
 
 
-def _required(spec: dict, key: str, what: str):
-    if key not in spec:
-        raise CliError(f'{what} needs "{key}"')
-    return spec[key]
-
-
 def _axis_aligned_rect(cell: ConvexCell) -> tuple[float, float, float, float] | None:
     """Bounding rectangle if the cell is exactly an axis-aligned rectangle."""
     if cell.n != 2:
@@ -259,8 +253,7 @@ def _mesh_spec_for_domain(spec: dict) -> dict | None:
     if kind == "star":
         if int(spec.get("dim", 2)) != 2:
             return None
-        return {"kind": "star", "delta": float(_required(spec, "delta", "star domain"))}
-    if kind in ("rectangle", "rect_union", "polygon", "disk"):
+    if kind in ("rectangle", "rect_union", "polygon", "star", "disk"):
         out = dict(spec)
         out["kind"] = kind
         out.pop("type", None)
@@ -268,11 +261,12 @@ def _mesh_spec_for_domain(spec: dict) -> dict | None:
     return None
 
 
-def _append_check(report: dict, bound, mesh: TriangleMesh, label: str) -> None:
+def _append_check(report: dict, bound, mesh: TriangleMesh, label: str) -> dict:
     entry = check_domination(bound, mesh).to_dict()
     entry["label"] = label
     entry["mesh_dof"] = mesh.node_count
     report["checks"].append(entry)
+    return entry
 
 
 def _maybe_verify(report: dict, bound, spec: dict, config: RunConfig, label: str) -> None:
@@ -375,25 +369,24 @@ def _run_bound_snowflake(config: RunConfig) -> dict:
 
 def _map_from_spec(spec: dict) -> QCMapData:
     kind = spec.get("kind")
-    if kind == "linear":
-        matrix = _required(spec, "matrix", "linear map")
-        data = QCMapData.from_linear(matrix, float(spec.get("domain_volume", 1.0)))
-        if "K" in spec:
-            data = replace(data, K=float(spec["K"]))
-        return data
-    if kind == "sampled":
-        field_data = SampledDerivative(
-            *(np.asarray(_required(spec, key, "sampled map"), dtype=float)
-              for key in ("weights", "dphi", "jac"))
-        )
-        return QCMapData(
-            n=int(spec.get("n", 2)),
-            K=float(_required(spec, "K", "sampled map")),
-            domain_volume=float(spec.get("domain_volume", float(field_data.weights.sum()))),
-            derivative_field=field_data,
-            alpha=float(spec["alpha"]) if spec.get("alpha") is not None else math.inf,
-            lipschitz=bool(spec.get("lipschitz", False)),
-        )
+    try:
+        if kind == "linear":
+            data = QCMapData.from_linear(spec["matrix"], float(spec.get("domain_volume", 1.0)))
+            return replace(data, K=float(spec["K"])) if "K" in spec else data
+        if kind == "sampled":
+            field_data = SampledDerivative(
+                *(np.asarray(spec[key], dtype=float) for key in ("weights", "dphi", "jac"))
+            )
+            return QCMapData(
+                n=int(spec.get("n", 2)),
+                K=float(spec["K"]),
+                domain_volume=float(spec.get("domain_volume", float(field_data.weights.sum()))),
+                derivative_field=field_data,
+                alpha=float(spec["alpha"]) if spec.get("alpha") is not None else math.inf,
+                lipschitz=bool(spec.get("lipschitz", False)),
+            )
+    except KeyError as exc:
+        raise CliError(f"{kind} map description needs key {exc.args[0]!r}") from None
     raise CliError(f"unknown map kind {kind!r}")
 
 
@@ -442,9 +435,8 @@ def _run_verify(config: RunConfig) -> dict:
             raise CliError("domain kind has no oracle mesh")
         mesh = mesh_domain(mesh_spec, config.h)
     report = _new_report(config)
-    kind = next(k for k, cls in _BOUND_TYPES.items() if isinstance(bound, cls))
-    report["certificates"].append(_certificate("verified-bound", kind, bound.to_dict()))
-    _append_check(report, bound, mesh, "verified-bound")
+    entry = _append_check(report, bound, mesh, "verified-bound")
+    report["certificates"].append(_certificate("verified-bound", entry["kind"], bound.to_dict()))
     return report
 
 

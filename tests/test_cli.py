@@ -399,7 +399,7 @@ class TestMissingSpecKeys:
         [
             ({"kind": "rectangle"}, "'bounds'"),
             ({"kind": "rectangle", "bounds": [0, 0, 1]}, '"bounds"'),
-            ({"type": "star"}, '"delta"'),
+            ({"type": "star"}, "'delta'"),
             ({"kind": "rect_union", "rects": []}, '"rects"'),
             ({"kind": "rect_union", "rects": [[0, 0, 1, 1], [0.5, 0, 2]]}, '"rects"'),
             ({"kind": "rect_union"}, "'rects'"),
@@ -421,9 +421,9 @@ class TestMissingSpecKeys:
     @pytest.mark.parametrize(
         "spec, key",
         [
-            ({"kind": "sampled", "weights": [1.0], "dphi": [1.0], "jac": [1.0]}, '"K"'),
-            ({"kind": "sampled", "weights": [1.0], "jac": [1.0], "K": 1.0}, '"dphi"'),
-            ({"kind": "linear"}, '"matrix"'),
+            ({"kind": "sampled", "weights": [1.0], "dphi": [1.0], "jac": [1.0]}, "'K'"),
+            ({"kind": "sampled", "weights": [1.0], "jac": [1.0], "K": 1.0}, "'dphi'"),
+            ({"kind": "linear"}, "'matrix'"),
         ],
     )
     def test_map(self, tmp_path, capsys, spec, key):
