@@ -369,24 +369,34 @@ def _run_bound_snowflake(config: RunConfig) -> dict:
 
 def _map_from_spec(spec: dict) -> QCMapData:
     kind = spec.get("kind")
+    key = None
+
+    def read(name, *default):
+        nonlocal key
+        key = name
+        return spec.get(name, *default) if default else spec[name]
+
     try:
         if kind == "linear":
-            data = QCMapData.from_linear(spec["matrix"], float(spec.get("domain_volume", 1.0)))
-            return replace(data, K=float(spec["K"])) if "K" in spec else data
+            data = QCMapData.from_linear(read("matrix"), float(read("domain_volume", 1.0)))
+            return replace(data, K=float(read("K"))) if "K" in spec else data
         if kind == "sampled":
             field_data = SampledDerivative(
-                *(np.asarray(spec[key], dtype=float) for key in ("weights", "dphi", "jac"))
+                *(np.asarray(read(name), dtype=float) for name in ("weights", "dphi", "jac"))
             )
+            alpha = read("alpha", None)
+            alpha = math.inf if alpha is None else float(alpha)
             return QCMapData(
-                n=int(spec.get("n", 2)),
-                K=float(spec["K"]),
-                domain_volume=float(spec.get("domain_volume", float(field_data.weights.sum()))),
+                n=int(read("n", 2)),
+                K=float(read("K")),
+                domain_volume=float(read("domain_volume", float(field_data.weights.sum()))),
                 derivative_field=field_data,
-                alpha=float(spec["alpha"]) if spec.get("alpha") is not None else math.inf,
+                alpha=alpha,
                 lipschitz=bool(spec.get("lipschitz", False)),
             )
-    except KeyError as exc:
-        raise CliError(f"{kind} map description needs key {exc.args[0]!r}") from None
+    except (KeyError, TypeError) as exc:
+        problem = "needs key" if isinstance(exc, KeyError) else "has a value of the wrong type at key"
+        raise CliError(f"{kind} map description {problem} {key!r}") from None
     raise CliError(f"unknown map kind {kind!r}")
 
 

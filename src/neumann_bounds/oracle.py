@@ -16,6 +16,11 @@ zero-mean constraint and the Rayleigh functional are products with P and
 G, and their transposes scatter the functional's gradient back to the
 nodes. The constraint projection finds its shift by safeguarded Newton on
 the closed-form derivative of the constraint.
+
+Each oracle call factors its mesh once (_shifted_solve): the p = 2
+eigensolve uses the LU of K - sigma M as its shift-invert operator, and the
+general-p descent starts from the eigenvectors of that solve and uses the
+same LU as its Sobolev-gradient preconditioner.
 """
 
 from __future__ import annotations
@@ -40,6 +45,14 @@ AREA_TOL = 1e-14
 # the largest bench or test mesh (36k nodes), and small enough that the
 # audit, the assembly and the eigensolve stay within desk-scale memory
 MAX_MESH_NODES = 1_000_000
+# stopping test of the general-p descent (minimize_rayleigh_p), both parts
+# relative to the value R: R fell by at most STOP_DECREASE * R over the last
+# STOP_WINDOW steps, or the slope g.(LU^-1 g) |v|_M / |LU^-1 g|_M, the
+# first-order decrease over a step as long as the iterate v, is at most
+# STOP_SLOPE * R
+STOP_WINDOW = 10
+STOP_DECREASE = 1e-8
+STOP_SLOPE = 1e-8
 
 
 class MeshError(ValueError):
@@ -418,38 +431,47 @@ def mesh_domain(spec: dict, h: float) -> TriangleMesh:
     if h <= 0.0:
         raise MeshError("target edge length must be positive")
     kind = spec.get("kind")
+    key = None
+
+    def read(name, *default):
+        nonlocal key
+        key = name
+        return spec.get(name, *default) if default else spec[name]
+
     try:
         if kind == "rectangle":
-            bounds = tuple(spec["bounds"])
+            bounds = tuple(read("bounds"))
             if len(bounds) != 4:
                 raise MeshError('rectangle needs "bounds": [x0, y0, x1, y1]')
             x0, y0, x1, y1 = bounds
             width, height = x1 - x0, y1 - y0
             build = functools.partial(_structured_rectangle, x0, y0, x1, y1, h)
         elif kind == "rect_union":
-            rects = [tuple(r) for r in spec["rects"]]
+            rects = [tuple(r) for r in read("rects")]
             if not rects or any(len(r) != 4 for r in rects):
                 raise MeshError('rect_union needs "rects": a non-empty list of [x0, y0, x1, y1]')
             width = max(r[2] for r in rects) - min(r[0] for r in rects)
             height = max(r[3] for r in rects) - min(r[1] for r in rects)
             build = functools.partial(_rect_union_mesh, rects, h)
         elif kind == "polygon":
-            vertices = np.asarray(spec["vertices"], dtype=float)
+            vertices = np.asarray(read("vertices"), dtype=float)
             width, height = np.ptp(vertices, axis=0)
             build = functools.partial(_convex_polygon_mesh, vertices, h)
         elif kind == "star":
-            delta = float(spec["delta"])
+            delta = float(read("delta"))
             alpha = StarDomainSpec(delta=delta, n=2).alpha
             width, height = 2.0 * (delta + alpha), 2.0 * alpha
             build = functools.partial(_star_mesh, delta, h)
         elif kind == "disk":
-            radius = float(spec["radius"])
+            radius = float(read("radius"))
             width = height = 2.0 * radius
-            build = functools.partial(_disk_mesh, radius, h, tuple(spec.get("center", (0.0, 0.0))))
+            cx, cy = map(float, read("center", (0.0, 0.0)))
+            build = functools.partial(_disk_mesh, radius, h, (cx, cy))
         else:
             raise MeshError(f"unsupported domain kind {kind!r}")
-    except KeyError as exc:
-        raise MeshError(f"{kind} mesh description needs key {exc.args[0]!r}") from None
+    except (KeyError, TypeError) as exc:
+        problem = "needs key" if isinstance(exc, KeyError) else "has a value of the wrong type at key"
+        raise MeshError(f"{kind} mesh description {problem} {key!r}") from None
     estimate = (abs(width) / h + 1.0) * (abs(height) / h + 1.0)
     if estimate > MAX_MESH_NODES:
         raise MeshError(
@@ -480,22 +502,27 @@ def p1_matrices(mesh: TriangleMesh) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     return stiffness, mass
 
 
-def neumann_mu2(mesh: TriangleMesh, tol: float = 1e-8) -> EigenResult:
-    """Smallest nonzero Neumann eigenvalue of the P1 discretization.
+def _shifted_solve(mesh: TriangleMesh):
+    """Stiffness, mass, the LU of K - sigma M and the lowest eigenvectors.
 
-    One sparse shift-invert Lanczos solve (ARPACK through eigsh) for the
-    three smallest eigenpairs of K v = mu M v, so near-double clusters such
-    as the square's resolve. The shift sits just below zero, which makes
-    K - sigma M positive definite despite the constant null mode; it is
-    factorized once. The second pair is then deflated mass-orthogonally
-    against constants, mu is recomputed as its Rayleigh quotient, and the
-    relative eigenpair residual is certified to tol.
+    The shift is scale-free: sigma = -1e-2 min_d R(x_d - xbar_d), where R is
+    the P1 Rayleigh quotient u.K u / u.M u and xbar the mass-weighted mean
+    of the coordinates. Each x_d - xbar_d is mass-orthogonal to constants,
+    so R bounds mu2 from above and sigma sits one percent of that below
+    zero, which makes K - sigma M positive definite despite the constant
+    null mode. One sparse shift-invert Lanczos solve (ARPACK through eigsh)
+    then returns the min(3, N - 1) smallest eigenpairs of K v = mu M v, so
+    near-double clusters such as the square's resolve. The eigenvectors
+    come back as columns in ascending eigenvalue order.
     """
     stiffness, mass = p1_matrices(mesh)
     n = mesh.node_count
     ones_mass = np.asarray(mass.sum(axis=0)).ravel()  # M @ 1
-
-    sigma = -1e-3 * stiffness.diagonal().sum() / mass.diagonal().sum()
+    coords = mesh.nodes - (ones_mass @ mesh.nodes) / ones_mass.sum()
+    coord_rayleigh = (coords * (stiffness @ coords)).sum(axis=0) / (coords * (mass @ coords)).sum(
+        axis=0
+    )
+    sigma = -1e-2 * float(coord_rayleigh.min())
     lu = spla.splu((stiffness - sigma * mass).tocsc(), permc_spec="MMD_AT_PLUS_A")
     try:
         w, vecs = spla.eigsh(
@@ -509,8 +536,20 @@ def neumann_mu2(mesh: TriangleMesh, tol: float = 1e-8) -> EigenResult:
         )
     except spla.ArpackNoConvergence as exc:
         raise SolveError(f"shift-invert Lanczos did not converge: {exc}") from None
-    v = vecs[:, np.argsort(w)[1]]
+    return stiffness, mass, lu, vecs[:, np.argsort(w)]
 
+
+def neumann_mu2(mesh: TriangleMesh, tol: float = 1e-8) -> EigenResult:
+    """Smallest nonzero Neumann eigenvalue of the P1 discretization.
+
+    The shifted solve (see _shifted_solve) gives the second eigenvector;
+    it is deflated mass-orthogonally against constants, mu is recomputed
+    as its Rayleigh quotient, and the relative eigenpair residual is
+    certified to tol.
+    """
+    stiffness, mass, _, vecs = _shifted_solve(mesh)
+    ones_mass = np.asarray(mass.sum(axis=0)).ravel()
+    v = vecs[:, 1]
     v = v - (ones_mass @ v) / ones_mass.sum()
     v /= math.sqrt(v @ (mass @ v))
     mu = float(v @ (stiffness @ v))
@@ -519,7 +558,7 @@ def neumann_mu2(mesh: TriangleMesh, tol: float = 1e-8) -> EigenResult:
     )
     if residual > tol:
         raise SolveError(f"eigenpair residual {residual:.3e} above target {tol:g}")
-    return EigenResult(mu2=mu, residual=residual, eigenvector=v, dof=n)
+    return EigenResult(mu2=mu, residual=residual, eigenvector=v, dof=mesh.node_count)
 
 
 # ---------------------------------------------------------------------------
@@ -590,6 +629,13 @@ def project_constraint(mesh: TriangleMesh, values: np.ndarray, p: float) -> np.n
     non-finite F' (a zero m_k - c at p < 2) is replaced by bisection. The
     iteration stops when |F| <= 1e-13 sum_k w_k |m_k - c|^(p-1), or when the
     bracket is a few ulps wide.
+
+    Floating-point limit: as p approaches 1, |m - c|^(p-1) gets unbounded
+    slope at every midpoint value, so the ulp-wide bracket can still leave
+    |F| above 1e-8 of that scale, the tolerance rayleigh_quotient demands
+    (at p = 1.1 on a 697-node star, 12 of 200 random inputs, worst 1.2e-5;
+    at p >= 1.25 below 1e-13). minimize_rayleigh_p then reports the
+    estimate as not converged.
     """
     lo, hi = float(values.min()), float(values.max())
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -675,58 +721,55 @@ def minimize_rayleigh_p(
     mesh: TriangleMesh,
     p: float,
     iterations: int = 200,
-    seed: int = 0,
-    starts: int = 3,
+    starts: int = 2,
     return_info: bool = False,
 ):
     """Best-effort upper estimate of the discrete first nontrivial mu_p.
 
-    Normalized descent with backtracking from seeded random starts; the
-    constraint is re-projected after every step. The result is an estimate,
-    not a certificate: it is only suitable for necessary-direction checks
-    (a claimed lower bound must not exceed it).
+    Backtracking descent along the Sobolev gradient LU^-1 g (unit M-norm)
+    from the P1 eigenvectors 2 and 3, at most `starts` of them, with the
+    constraint re-projected after every step. Each start ends on the
+    stopping test (STOP_WINDOW) or after `iterations` steps. Converged: the
+    best start ended on the test with the 1e-8 constraint met. An estimate,
+    not a certificate: a claimed lower bound must not exceed it.
     """
     if p <= 1.0:
         raise ValueError("exponent p must exceed 1")
-    rng = np.random.default_rng(seed)
-    best = math.inf
-    total_iters = 0
-    final_step = 0.0
-    for _ in range(starts):
-        v = rng.standard_normal(mesh.node_count)
+    _, mass, lu, vecs = _shifted_solve(mesh)
+    best, total_iters, converged = math.inf, 0, False
+    for v in vecs.T[1 : 1 + starts]:
         v = project_constraint(mesh, v, p)
         v /= integrate_abs_power(mesh, v, p) ** (1.0 / p)
-        step = 0.5
+        step, history, direction, stopped = 0.5, [], None, False
         value, grad = _rayleigh_gradient(mesh, v, p)
         for _ in range(iterations):
-            total_iters += 1
-            gnorm = np.linalg.norm(grad)
-            if gnorm <= 1e-12 * max(1.0, abs(value)):
+            history.append(value)
+            if direction is None:  # recomputed only after an accepted step
+                direction = lu.solve(grad)
+                direction /= math.sqrt(direction @ (mass @ direction))
+                slope = float(grad @ direction) * math.sqrt(v @ (mass @ v))
+            window = history[-1 - STOP_WINDOW] - value if len(history) > STOP_WINDOW else math.inf
+            stopped = not (slope > STOP_SLOPE * value and window > STOP_DECREASE * value)
+            if stopped:
                 break
-            trial = v - step * grad / gnorm
+            total_iters += 1
             try:
-                trial = project_constraint(mesh, trial, p)
+                trial = project_constraint(mesh, v - step * direction, p)
             except ValueError:
                 step *= 0.5
                 continue
-            norm = integrate_abs_power(mesh, trial, p) ** (1.0 / p)
-            if norm <= 0.0:
-                step *= 0.5
-                continue
-            trial /= norm
+            trial /= integrate_abs_power(mesh, trial, p) ** (1.0 / p)
             t_value, t_grad = _rayleigh_gradient(mesh, trial, p)
             if t_value < value:
-                v, value, grad = trial, t_value, t_grad
+                v, value, grad, direction = trial, t_value, t_grad, None
                 step = min(step * 1.3, 1.0)
             else:
                 step *= 0.5
-                if step < 1e-12:
-                    break
-        final_step = step
-        best = min(best, value)
-    if return_info:
-        return best, {"iterations": total_iters, "final_step": final_step}
-    return best
+        if value < best:
+            feasible = abs(constraint_value(mesh, v, p)) <= 1e-8 * constraint_scale(mesh, v, p)
+            best, converged = value, stopped and feasible
+    info = {"iterations": total_iters, "converged": converged, "final_step": step}
+    return (best, info) if return_info else best
 
 
 # ---------------------------------------------------------------------------
@@ -742,6 +785,8 @@ class DominationReport:
     oracle_value: float
     margin: float
     oracle_is_estimate: bool
+    iterations: int  # descent steps over all starts; 0 for the p = 2 solve
+    converged: bool
     notes: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
@@ -764,7 +809,10 @@ def check_domination(bound, mesh: TriangleMesh) -> DominationReport:
         raise TypeError(f"cannot check bounds of type {type(bound).__name__}")
     p = bound.p
     estimate = not abs(p - 2.0) < 1e-12  # a NaN p is not 2 and takes the descent
-    mu = minimize_rayleigh_p(mesh, p) if estimate else neumann_mu2(mesh).mu2
+    if estimate:
+        mu, info = minimize_rayleigh_p(mesh, p, return_info=True)
+    else:
+        mu, info = neumann_mu2(mesh).mu2, {"iterations": 0, "converged": True}
     if kind == "poincare":
         oracle_value = mu ** (-1.0 / p if estimate else -0.5)
         margin = float(claimed - oracle_value)
@@ -779,5 +827,7 @@ def check_domination(bound, mesh: TriangleMesh) -> DominationReport:
         oracle_value=oracle_value,
         margin=margin,
         oracle_is_estimate=estimate,
+        iterations=info["iterations"],
+        converged=info["converged"],
         notes=notes,
     )

@@ -55,8 +55,8 @@ class SampledDerivative:
         w = np.asarray(self.weights, dtype=float)
         d = np.asarray(self.dphi, dtype=float)
         j = np.asarray(self.jac, dtype=float)
-        if not (len(w) == len(d) == len(j)) or len(w) == 0:
-            raise TransferError("sampled derivative arrays must share a positive length")
+        if not (w.ndim == d.ndim == j.ndim == 1 and len(w) == len(d) == len(j) > 0):
+            raise TransferError("sampled derivative arrays must be lists that share a positive length")
         if np.any(w <= 0.0):
             raise TransferError("quadrature weights must be positive")
         if np.any(j <= 0.0):

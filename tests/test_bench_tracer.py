@@ -57,3 +57,14 @@ def test_installed_tracer_records_the_oracle_layers(tmp_path):
         assert layer in names, layer
     descent = [s for s in tracer.spans if s[0] == "oracle.minimize_rayleigh_p"]
     assert descent and all(s[6]["iterations"] > 0 for s in descent)
+    # the p = 3 star's descent stops on its test, well before the step cap
+    assert all(s[6]["cap_hit"] == 0 for s in descent)
+
+
+def test_descent_iterations_within_the_tracer_cap():
+    # the descent observer counts a cap hit as iterations >= iterations * starts
+    mesh = oracle.mesh_domain({"kind": "rectangle", "bounds": [0, 0, 2, 1]}, 0.2)
+    for iterations, starts in ((3, 1), (3, 2), (200, 2)):
+        _, info = oracle.minimize_rayleigh_p(mesh, 3.0, iterations=iterations, starts=starts,
+                                             return_info=True)
+        assert info["iterations"] <= iterations * starts

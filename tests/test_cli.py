@@ -405,6 +405,10 @@ class TestMissingSpecKeys:
             ({"kind": "rect_union"}, "'rects'"),
             ({"kind": "polygon"}, "'vertices'"),
             ({"kind": "disk"}, "'radius'"),
+            # present, but of the wrong JSON type
+            ({"type": "star", "delta": [1]}, "'delta'"),
+            ({"kind": "rectangle", "bounds": 3}, "'bounds'"),
+            ({"kind": "disk", "radius": 1.0, "center": 3}, "'center'"),
         ],
     )
     def test_verify_domain(self, tmp_path, capsys, domain, key):
@@ -424,6 +428,9 @@ class TestMissingSpecKeys:
             ({"kind": "sampled", "weights": [1.0], "dphi": [1.0], "jac": [1.0]}, "'K'"),
             ({"kind": "sampled", "weights": [1.0], "jac": [1.0], "K": 1.0}, "'dphi'"),
             ({"kind": "linear"}, "'matrix'"),
+            ({"kind": "linear", "matrix": [[2, 0], [0, 1]], "K": None}, "'K'"),
+            ({"kind": "sampled", "weights": None, "dphi": [1.0], "jac": [1.0], "K": 1.0},
+             "must be lists"),
         ],
     )
     def test_map(self, tmp_path, capsys, spec, key):

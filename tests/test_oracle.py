@@ -381,14 +381,14 @@ class TestMinimizer:
     def test_p2_agrees_with_fem(self):
         mesh = square_mesh(0.15)
         fem = neumann_mu2(mesh).mu2
-        est = minimize_rayleigh_p(mesh, 2.0, iterations=400, seed=0)
+        est = minimize_rayleigh_p(mesh, 2.0, iterations=400)
         assert est == pytest.approx(fem, rel=0.01)
         assert est >= fem - 1e-10
 
-    def test_deterministic_for_fixed_seed(self):
+    def test_repeat_call_bit_identical(self):
         mesh = square_mesh(0.2)
-        a = minimize_rayleigh_p(mesh, 3.0, iterations=100, seed=4)
-        b = minimize_rayleigh_p(mesh, 3.0, iterations=100, seed=4)
+        a = minimize_rayleigh_p(mesh, 3.0, iterations=100, return_info=True)
+        b = minimize_rayleigh_p(mesh, 3.0, iterations=100, return_info=True)
         assert a == b
 
     def test_p3_respects_convex_lower_bound(self):
@@ -396,13 +396,142 @@ class TestMinimizer:
         from neumann_bounds.poincare import pi_p
 
         mesh = square_mesh(0.15)
-        est = minimize_rayleigh_p(mesh, 3.0, iterations=300, seed=1)
+        est = minimize_rayleigh_p(mesh, 3.0, iterations=300)
         assert est >= (pi_p(3.0) / math.sqrt(2.0)) ** 3 - 1e-9
 
     def test_info_channel(self):
         mesh = square_mesh(0.25)
-        value, info = minimize_rayleigh_p(mesh, 2.0, iterations=50, seed=0, return_info=True)
+        value, info = minimize_rayleigh_p(mesh, 3.0, iterations=50, return_info=True)
         assert value > 0 and info["iterations"] > 0 and info["final_step"] >= 0
+        assert info["converged"] is True
+
+
+def reference_random_start_descent(mesh, p, iterations=200, seed=0, starts=3):
+    """The random-start Euclidean descent the oracle replaced, copied verbatim
+    except for its info channel (step count and final step)."""
+    if p <= 1.0:
+        raise ValueError("exponent p must exceed 1")
+    rng = np.random.default_rng(seed)
+    best = math.inf
+    for _ in range(starts):
+        v = rng.standard_normal(mesh.node_count)
+        v = project_constraint(mesh, v, p)
+        v /= integrate_abs_power(mesh, v, p) ** (1.0 / p)
+        step = 0.5
+        value, grad = _rayleigh_gradient(mesh, v, p)
+        for _ in range(iterations):
+            gnorm = np.linalg.norm(grad)
+            if gnorm <= 1e-12 * max(1.0, abs(value)):
+                break
+            trial = v - step * grad / gnorm
+            try:
+                trial = project_constraint(mesh, trial, p)
+            except ValueError:
+                step *= 0.5
+                continue
+            norm = integrate_abs_power(mesh, trial, p) ** (1.0 / p)
+            if norm <= 0.0:
+                step *= 0.5
+                continue
+            trial /= norm
+            t_value, t_grad = _rayleigh_gradient(mesh, trial, p)
+            if t_value < value:
+                v, value, grad = trial, t_value, t_grad
+                step = min(step * 1.3, 1.0)
+            else:
+                step *= 0.5
+                if step < 1e-12:
+                    break
+        best = min(best, value)
+    return best
+
+
+WARM_START_MESHES = {
+    "star": ({"kind": "star", "delta": 1.0}, 0.25),
+    "rect_union": (
+        {"kind": "rect_union", "rects": [[0, 0, 1.2, 1], [0.8, 0, 2, 1], [1.6, 0, 2.8, 1]]}, 0.2
+    ),
+    "square": ({"kind": "rectangle", "bounds": [0, 0, 1, 1]}, 0.1),
+    "rect21": ({"kind": "rectangle", "bounds": [0, 0, 2, 1]}, 0.15),
+}
+
+
+class TestPreconditionedDescent:
+    """The warm-started Sobolev-gradient descent and its stopping state."""
+
+    def test_p2_is_the_fem_eigenvalue(self):
+        for spec, h in WARM_START_MESHES.values():
+            mesh = mesh_domain(spec, h)
+            mu2 = neumann_mu2(mesh).mu2
+            value, info = minimize_rayleigh_p(mesh, 2.0, return_info=True)
+            assert value == pytest.approx(mu2, rel=1e-10, abs=0.0), spec["kind"]
+            assert value >= mu2 - 1e-10
+            assert info["converged"]
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+    @pytest.mark.parametrize("name", sorted(WARM_START_MESHES))
+    def test_at_or_below_random_start_reference(self, name, p):
+        # the reference runs 4800 steps (1600 per start); where it has itself
+        # converged, the two minima agree to the stopping tolerance
+        spec, h = WARM_START_MESHES[name]
+        mesh = mesh_domain(spec, h)
+        value, info = minimize_rayleigh_p(mesh, p, return_info=True)
+        reference = reference_random_start_descent(mesh, p, iterations=1600)
+        assert value <= reference * (1.0 + oracle.STOP_DECREASE)
+        assert info["converged"]
+        assert info["iterations"] < 2 * 200
+
+    def test_three_node_mesh_uses_one_start(self):
+        # one triangle has only two P1 eigenpairs, so there is no third start
+        mesh = TriangleMesh([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
+        one = minimize_rayleigh_p(mesh, 3.0, starts=1, return_info=True)
+        assert minimize_rayleigh_p(mesh, 3.0, starts=2, return_info=True) == one
+
+    @pytest.mark.parametrize("iterations, starts", [(1, 1), (5, 2), (30, 1), (200, 2)])
+    def test_cap_hit_is_not_converged(self, iterations, starts):
+        mesh = mesh_domain({"kind": "star", "delta": 0.8}, 0.3)
+        _, info = minimize_rayleigh_p(mesh, 4.0, iterations=iterations, starts=starts,
+                                      return_info=True)
+        assert info["converged"] == (info["iterations"] < iterations * starts)
+        assert info["converged"] == (iterations == 200)
+
+
+class TestProjectionNearPOne:
+    """Floating-point limit of the constraint projection as p approaches 1."""
+
+    def test_projection_residuals(self):
+        mesh = mesh_domain({"kind": "star", "delta": 1.0}, 0.1)
+        for p, worst_allowed, misses in ((1.1, 1e-4, True), (1.25, 1e-12, False)):
+            rng = np.random.default_rng(0)
+            residuals = []
+            for _ in range(200):
+                values = project_constraint(mesh, rng.standard_normal(mesh.node_count), p)
+                residuals.append(abs(constraint_value(mesh, values, p))
+                                 / constraint_scale(mesh, values, p))
+            assert max(residuals) <= worst_allowed, p
+            assert any(r > 1e-8 for r in residuals) is misses, p
+
+    def test_infeasible_final_iterate_is_not_converged(self, monkeypatch):
+        # a window test that always passes stops every start after
+        # STOP_WINDOW steps, so only the constraint check decides `converged`
+        monkeypatch.setattr(oracle, "STOP_DECREASE", 1.0)
+        checked = []
+        real = oracle.constraint_value
+
+        def spy(mesh, values, p):
+            value = real(mesh, values, p)
+            checked.append(abs(value) / constraint_scale(mesh, values, p))
+            return value
+
+        monkeypatch.setattr(oracle, "constraint_value", spy)
+        for spec, h, feasible in (
+            ({"kind": "rectangle", "bounds": [0, 0, 2, 1]}, 0.34, False),
+            ({"kind": "star", "delta": 1.0}, 0.25, True),
+        ):
+            checked.clear()
+            _, info = minimize_rayleigh_p(mesh_domain(spec, h), 1.1, return_info=True)
+            assert (checked[-1] <= 1e-8) is feasible
+            assert info["converged"] is feasible
 
 
 class TestDomination:
@@ -440,13 +569,22 @@ class TestDomination:
         assert report.oracle_is_estimate
         assert any("estimate" in n for n in report.notes)
 
+    def test_stopping_state_reported(self):
+        mesh = square_mesh(0.2)
+        exact = check_domination(EigenBound(mu_lower=1.0, p=2.0), mesh)
+        assert (exact.iterations, exact.converged) == (0, True)
+        descent = check_domination(EigenBound(mu_lower=1.0, p=3.0), mesh)
+        assert descent.iterations > 0 and descent.converged is True
+        assert {"iterations", "converged"} <= set(descent.to_dict())
+
     def test_unknown_type_rejected(self):
         with pytest.raises(TypeError):
             check_domination(object(), square_mesh(0.3))
 
 
 def reference_check_domination(bound, mesh, domain_label=None):
-    """Verbatim copy of the two-branch check_domination it was merged from."""
+    """Copy of the two-branch check_domination it was merged from, plus the
+    descent's stopping state (iterations, converged) that reports now carry."""
     notes: list[str] = []
     bound_domain = getattr(bound, "domain", None)
     if bound_domain and domain_label and bound_domain != domain_label:
@@ -456,8 +594,10 @@ def reference_check_domination(bound, mesh, domain_label=None):
         if abs(p - 2.0) < 1e-12:
             oracle_value = poincare_constant_p2(mesh)
             estimate = False
+            info = {"iterations": 0, "converged": True}
         else:
-            oracle_value = minimize_rayleigh_p(mesh, p) ** (-1.0 / p)
+            mu, info = minimize_rayleigh_p(mesh, p, return_info=True)
+            oracle_value = mu ** (-1.0 / p)
             estimate = True
             notes.append("general-p oracle is an estimate, not a certificate")
         margin = float(bound.value - oracle_value)
@@ -468,6 +608,8 @@ def reference_check_domination(bound, mesh, domain_label=None):
             oracle_value=oracle_value,
             margin=margin,
             oracle_is_estimate=estimate,
+            iterations=info["iterations"],
+            converged=info["converged"],
             notes=tuple(notes),
         )
     if isinstance(bound, EigenBound):
@@ -475,8 +617,9 @@ def reference_check_domination(bound, mesh, domain_label=None):
         if abs(p - 2.0) < 1e-12:
             oracle_value = neumann_mu2(mesh).mu2
             estimate = False
+            info = {"iterations": 0, "converged": True}
         else:
-            oracle_value = minimize_rayleigh_p(mesh, p)
+            oracle_value, info = minimize_rayleigh_p(mesh, p, return_info=True)
             estimate = True
             notes.append("general-p oracle is an estimate, not a certificate")
         margin = float(oracle_value - bound.mu_lower)
@@ -487,6 +630,8 @@ def reference_check_domination(bound, mesh, domain_label=None):
             oracle_value=oracle_value,
             margin=margin,
             oracle_is_estimate=estimate,
+            iterations=info["iterations"],
+            converged=info["converged"],
             notes=tuple(notes),
         )
     raise TypeError(f"cannot check bounds of type {type(bound).__name__}")
@@ -515,7 +660,7 @@ class TestMergedDominationMatchesReference:
                 want = reference_check_domination(bound, mesh)
                 assert got.to_dict() == want.to_dict()
                 for name in ("passed", "kind", "claimed", "oracle_value", "margin",
-                             "oracle_is_estimate", "notes"):
+                             "oracle_is_estimate", "iterations", "converged", "notes"):
                     a, b = getattr(got, name), getattr(want, name)
                     assert type(a) is type(b) and a == b, name
                     if isinstance(a, float):
