@@ -378,7 +378,8 @@ def _map_from_spec(spec: dict) -> QCMapData:
 
     try:
         if kind == "linear":
-            data = QCMapData.from_linear(read("matrix"), float(read("domain_volume", 1.0)))
+            volume = float(read("domain_volume", 1.0))
+            data = QCMapData.from_linear(read("matrix"), volume)
             return replace(data, K=float(read("K"))) if "K" in spec else data
         if kind == "sampled":
             field_data = SampledDerivative(

@@ -519,10 +519,8 @@ def _shifted_solve(mesh: TriangleMesh):
     n = mesh.node_count
     ones_mass = np.asarray(mass.sum(axis=0)).ravel()  # M @ 1
     coords = mesh.nodes - (ones_mass @ mesh.nodes) / ones_mass.sum()
-    coord_rayleigh = (coords * (stiffness @ coords)).sum(axis=0) / (coords * (mass @ coords)).sum(
-        axis=0
-    )
-    sigma = -1e-2 * float(coord_rayleigh.min())
+    energy = (coords * (stiffness @ coords)).sum(axis=0)
+    sigma = -1e-2 * float((energy / (coords * (mass @ coords)).sum(axis=0)).min())
     lu = spla.splu((stiffness - sigma * mass).tocsc(), permc_spec="MMD_AT_PLUS_A")
     try:
         w, vecs = spla.eigsh(
