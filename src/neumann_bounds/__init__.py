@@ -37,7 +37,6 @@ from .poincare import (
 )
 from .qc_transfer import (
     ChainFactor,
-    ClosedFormDerivative,
     EigenBound,
     QCMapData,
     SampledDerivative,

@@ -124,11 +124,13 @@ _BOUND_TYPES = {"poincare": PoincareBound, "eigen": EigenBound}
 
 def load_bound(data: dict):
     """Reconstruct a bound object from a certificate payload or report."""
+    if not isinstance(data, dict):
+        raise CliError(f"a certificate must be a JSON object, not {type(data).__name__}")
     if "certificates" in data:
-        if not data["certificates"]:
+        entries = data["certificates"]
+        if not isinstance(entries, list) or not entries:
             raise CliError("report contains no certificates")
-        entry = data["certificates"][0]
-        return load_bound(entry)
+        return load_bound(entries[0])
     if "data" in data and "kind" in data:
         kind, payload = data["kind"], data["data"]
     elif "mu_lower" in data:
@@ -137,8 +139,10 @@ def load_bound(data: dict):
         kind, payload = "poincare", data
     else:
         raise CliError("unrecognized bound certificate layout")
-    if kind not in _BOUND_TYPES:
+    if not isinstance(kind, str) or kind not in _BOUND_TYPES:
         raise CliError(f"cannot verify certificates of kind {kind!r}")
+    if not isinstance(payload, dict):
+        raise CliError(f"{kind} certificate data must be a JSON object, not {type(payload).__name__}")
     return _BOUND_TYPES[kind].from_dict(payload)
 
 
@@ -390,7 +394,6 @@ def _map_from_spec(spec: dict) -> QCMapData:
             return QCMapData(
                 n=int(read("n", 2)),
                 K=float(read("K")),
-                domain_volume=float(read("domain_volume", float(field_data.weights.sum()))),
                 derivative_field=field_data,
                 alpha=alpha,
                 lipschitz=bool(spec.get("lipschitz", False)),
@@ -491,7 +494,11 @@ def emit_table(reports: list[dict], fmt: str = "csv") -> str:
     """Render reports as a delimited table (stable column and row order)."""
     if not reports:
         raise CliError("no reports to tabulate")
-    rows = _table_rows(reports)
+    try:
+        rows = _table_rows(reports)
+    except (KeyError, TypeError, AttributeError) as exc:
+        detail = f"needs key {exc.args[0]!r}" if isinstance(exc, KeyError) else f"wrong type: {exc}"
+        raise CliError(f"malformed report: {detail}") from None
     if fmt == "json":
         return json.dumps(rows, indent=2, sort_keys=True) + "\n"
     buf = io.StringIO()
@@ -522,7 +529,10 @@ def run(config: RunConfig) -> tuple[dict | str, int]:
     started = time.perf_counter()
     if config.command not in _PIPELINES:
         raise CliError(f"unknown command {config.command!r}")
-    report = _PIPELINES[config.command](config)
+    try:
+        report = _PIPELINES[config.command](config)
+    except OverflowError:
+        raise CliError(f"{config.command} at p = {config.p:g}: a value exceeds float range") from None
     if isinstance(report, str):  # a rendered table
         return report, 0
     if config.timing:
@@ -550,52 +560,59 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+# flags that only the subcommands reading them accept
+_OPTIONAL_FLAGS = {
+    "--p": {"type": float, "help": "integrability exponent"},
+    "--h": {"type": float, "help": "oracle mesh target edge length"},
+    "--timing": {"action": "store_true", "help": "embed wall-clock timing (breaks byte-determinism)"},
+    "--no-verify": {"dest": "verify", "action": "store_false"},
+}
+
+
 @functools.cache  # parse_args returns a fresh Namespace, so calls share no state
 def _build_parser() -> _Parser:
     parser = _Parser(prog=TOOL_NAME, description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    # no prefix matching, so that a flag a command lacks (--h) is not read as --help
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=functools.partial(_Parser, allow_abbrev=False))
 
-    def common(sp, verify_flag=False):
+    def common(sp, *flags):
         sp.add_argument("--config", help="JSON file with defaults for this command")
-        sp.add_argument("--p", type=float, default=None, help="integrability exponent")
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--format", dest="fmt", choices=("json", "csv"), default=None)
         sp.add_argument("--out", default=None, help="output path (stdout if omitted)")
-        sp.add_argument("--h", type=float, default=None, help="oracle mesh target edge length")
-        sp.add_argument("--timing", action="store_true", default=None,
-                        help="embed wall-clock timing (breaks byte-determinism)")
-        if verify_flag:
-            sp.add_argument("--no-verify", dest="verify", action="store_false", default=None)
+        for flag in flags:
+            sp.add_argument(flag, default=None, **_OPTIONAL_FLAGS[flag])
 
     sp = sub.add_parser("bound-cells", help="aggregate constants over a cell complex")
     sp.add_argument("--domain", help="cells domain JSON")
-    common(sp, verify_flag=True)
+    common(sp, "--p", "--h", "--timing", "--no-verify")
 
     sp = sub.add_parser("bound-star", help="bound for the two-piece star domain")
     sp.add_argument("--domain", help='optional domain JSON of type "star"')
     sp.add_argument("--delta", type=float, default=None)
     sp.add_argument("--dim", type=int, choices=(2, 3), default=None)
     sp.add_argument("--mgon", type=int, default=None)
-    common(sp, verify_flag=True)
+    common(sp, "--p", "--h", "--timing", "--no-verify")
 
     sp = sub.add_parser("bound-snowflake", help="bound for the snowflake tree")
     sp.add_argument("--domain", help='optional domain JSON of type "snowflake"')
     sp.add_argument("--a", type=float, default=None, help="root side length")
     sp.add_argument("--depth", type=int, default=None)
     sp.add_argument("--overlap-fraction", dest="overlap_fraction", type=float, default=None)
-    common(sp)
+    common(sp, "--p", "--timing")
 
     sp = sub.add_parser("transfer", help="push a bound through a quasiconformal map")
     sp.add_argument("--map", dest="map_path", help="map specification JSON")
     sp.add_argument("--base", help="base certificate or report JSON")
     sp.add_argument("--mode", choices=("auto", "lipschitz", "eigen", "poincare"), default=None)
     sp.add_argument("--r", type=float, default=None, help="base deviation exponent override")
-    common(sp)
+    common(sp, "--p", "--timing")
 
     sp = sub.add_parser("verify", help="check a certificate against the oracle")
     sp.add_argument("--bound", help="certificate or report JSON")
     sp.add_argument("--domain", help="domain JSON (or a mesh file)")
-    common(sp)
+    common(sp, "--h", "--timing")
 
     sp = sub.add_parser("report", help="tabulate one or more reports")
     sp.add_argument("inputs", nargs="*", help="report JSON files")

@@ -40,7 +40,7 @@ def _first_line(exc: Exception) -> str:
     return lines[0] if lines else type(exc).__name__
 
 
-def _shoelace(poly: np.ndarray) -> float:
+def polygon_area(poly: np.ndarray) -> float:
     """Area of a simple polygon given as an (m, 2) vertex loop."""
     x, y = poly[:, 0], poly[:, 1]
     return float(0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
@@ -90,7 +90,7 @@ class ConvexCell:
             hull = ConvexHull(verts)
         except QhullError as exc:
             raise GeometryError(f"degenerate cell: {_first_line(exc)}") from None
-        volume = _shoelace(verts[hull.vertices]) if n == 2 else _hull_volume_3d(verts, hull)
+        volume = polygon_area(verts[hull.vertices]) if n == 2 else _hull_volume_3d(verts, hull)
         if volume <= VOLUME_TOL:
             raise GeometryError(f"degenerate cell: volume {volume:g} below tolerance")
         # convexity audit: no input vertex may sit strictly inside the hull
@@ -116,12 +116,6 @@ class ConvexCell:
         if self.n != 2:
             raise GeometryError("hull_polygon is 2D only")
         return self.vertices[self._hull.vertices]
-
-    def contains(self, points: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-        """Vectorized membership test for an (m, n) array of points."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        dist = pts @ self._hull.equations[:, :-1].T + self._hull.equations[:, -1]
-        return np.all(dist <= tol, axis=1)
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         return self.vertices.min(axis=0), self.vertices.max(axis=0)
@@ -196,39 +190,14 @@ def _chebyshev_center(halfspaces: np.ndarray) -> tuple[np.ndarray, float] | None
     return res.x[:-1], float(res.x[-1])
 
 
-def monte_carlo_intersection_volume(
-    c1: ConvexCell, c2: ConvexCell, samples: int = 10**6, seed: int = 0
-) -> tuple[float, float]:
-    """Membership-sampling estimate of |c1 ∩ c2| with its standard error.
-
-    Draws from the overlap of the two bounding boxes with a per-call
-    generator, so results are reproducible for a given seed.
-    """
-    lo = np.maximum(c1.bounding_box()[0], c2.bounding_box()[0])
-    hi = np.minimum(c1.bounding_box()[1], c2.bounding_box()[1])
-    if np.any(hi <= lo):
-        return 0.0, 0.0
-    box_vol = float(np.prod(hi - lo))
-    rng = np.random.default_rng(seed)
-    hits = 0
-    chunk = 500_000
-    drawn = 0
-    while drawn < samples:
-        m = min(chunk, samples - drawn)
-        pts = rng.uniform(lo, hi, size=(m, c1.n))
-        hits += int(np.count_nonzero(c1.contains(pts) & c2.contains(pts)))
-        drawn += m
-    frac = hits / samples
-    stderr = box_vol * math.sqrt(max(frac * (1.0 - frac), 0.0) / samples)
-    return box_vol * frac, stderr
-
-
-def intersection_volume(c1: ConvexCell, c2: ConvexCell, seed: int = 0) -> float:
+def intersection_volume(c1: ConvexCell, c2: ConvexCell) -> float:
     """Volume of the intersection of two convex cells of equal dimension.
 
     2D uses exact polygon clipping; 3D intersects the facet half-space
-    lists and measures the resulting polytope, falling back to seeded
-    Monte-Carlo sampling when the half-space construction fails.
+    lists and measures the resulting polytope. A failed 3D construction
+    raises GeometryError: overlaps serve as lower bounds (combination-rule
+    denominators) and as upper bounds (WhitneyTriple's disjointness test),
+    so no one-sided estimate can stand in.
     """
     if c1.n != c2.n:
         raise GeometryError(f"dimension mismatch: {c1.n} vs {c2.n}")
@@ -236,7 +205,7 @@ def intersection_volume(c1: ConvexCell, c2: ConvexCell, seed: int = 0) -> float:
         clipped = clip_polygon(c1.hull_polygon(), c2.hull_polygon())
         if len(clipped) < 3:
             return 0.0
-        return _shoelace(clipped)
+        return polygon_area(clipped)
     halfspaces = np.vstack([c1.halfspaces, c2.halfspaces])
     center = _chebyshev_center(halfspaces)
     if center is None:
@@ -244,10 +213,9 @@ def intersection_volume(c1: ConvexCell, c2: ConvexCell, seed: int = 0) -> float:
     try:
         hs = HalfspaceIntersection(halfspaces, center[0])
         hull = ConvexHull(hs.intersections)
-        return _hull_volume_3d(hs.intersections, hull)
-    except QhullError:
-        value, _ = monte_carlo_intersection_volume(c1, c2, seed=seed)
-        return value
+    except QhullError as exc:
+        raise GeometryError(f"overlap polytope construction failed: {_first_line(exc)}") from None
+    return _hull_volume_3d(hs.intersections, hull)
 
 
 def _intersect_polygons(polys: list[np.ndarray]) -> np.ndarray:
@@ -276,7 +244,7 @@ def union_volume_2d(polygons: list[np.ndarray]) -> float:
             continue
         members = [polys[i] for i in range(k) if mask & (1 << i)]
         inter = _intersect_polygons(members)
-        area = _shoelace(inter) if len(inter) >= 3 else 0.0
+        area = polygon_area(inter) if len(inter) >= 3 else 0.0
         if area <= 0.0:
             empty.add(mask)
             continue
@@ -340,7 +308,7 @@ def triple_link_volume(t1: WhitneyTriple, t2: WhitneyTriple) -> float:
             if a.n != 2:
                 raise GeometryError("triple link volumes are implemented for 2D cells")
             clipped = clip_polygon(a.hull_polygon(), b.hull_polygon())
-            if len(clipped) >= 3 and _shoelace(clipped) > VOLUME_TOL:
+            if len(clipped) >= 3 and polygon_area(clipped) > VOLUME_TOL:
                 pieces.append(clipped)
     return union_volume_2d(pieces)
 

@@ -36,8 +36,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.spatial import Delaunay, cKDTree
 
-from .geometry import StarDomainSpec
-from .poincare import PoincareBound
+from .geometry import ConvexCell, StarDomainSpec, cell_volume, polygon_area
+from .poincare import PoincareBound, check_exponent
 from .qc_transfer import EigenBound
 
 AREA_TOL = 1e-14
@@ -53,6 +53,7 @@ MAX_MESH_NODES = 1_000_000
 STOP_WINDOW = 10
 STOP_DECREASE = 1e-8
 STOP_SLOPE = 1e-8
+EIGEN_RESIDUAL_TOL = 1e-8  # neumann_mu2 certifies |K v - mu M v| / |K v| below this
 
 
 class MeshError(ValueError):
@@ -455,6 +456,10 @@ def mesh_domain(spec: dict, h: float) -> TriangleMesh:
             build = functools.partial(_rect_union_mesh, rects, h)
         elif kind == "polygon":
             vertices = np.asarray(read("vertices"), dtype=float)
+            # ConvexCell refuses flat and non-convex sets; the loop must also enclose the hull's area
+            cell = ConvexCell(vertices)
+            if cell.n != 2 or not math.isclose(polygon_area(vertices), cell_volume(cell), rel_tol=1e-9):
+                raise MeshError("polygon vertices must run in order around a convex polygon")
             width, height = np.ptp(vertices, axis=0)
             build = functools.partial(_convex_polygon_mesh, vertices, h)
         elif kind == "star":
@@ -537,13 +542,13 @@ def _shifted_solve(mesh: TriangleMesh):
     return stiffness, mass, lu, vecs[:, np.argsort(w)]
 
 
-def neumann_mu2(mesh: TriangleMesh, tol: float = 1e-8) -> EigenResult:
+def neumann_mu2(mesh: TriangleMesh) -> EigenResult:
     """Smallest nonzero Neumann eigenvalue of the P1 discretization.
 
     The shifted solve (see _shifted_solve) gives the second eigenvector;
     it is deflated mass-orthogonally against constants, mu is recomputed
     as its Rayleigh quotient, and the relative eigenpair residual is
-    certified to tol.
+    certified to EIGEN_RESIDUAL_TOL.
     """
     stiffness, mass, _, vecs = _shifted_solve(mesh)
     ones_mass = np.asarray(mass.sum(axis=0)).ravel()
@@ -554,8 +559,8 @@ def neumann_mu2(mesh: TriangleMesh, tol: float = 1e-8) -> EigenResult:
     residual = float(
         np.linalg.norm(stiffness @ v - mu * (mass @ v)) / np.linalg.norm(stiffness @ v)
     )
-    if residual > tol:
-        raise SolveError(f"eigenpair residual {residual:.3e} above target {tol:g}")
+    if residual > EIGEN_RESIDUAL_TOL:
+        raise SolveError(f"eigenpair residual {residual:.3e} above target {EIGEN_RESIDUAL_TOL:g}")
     return EigenResult(mu2=mu, residual=residual, eigenvector=v, dof=mesh.node_count)
 
 
@@ -731,13 +736,16 @@ def minimize_rayleigh_p(
     best start ended on the test with the 1e-8 constraint met. An estimate,
     not a certificate: a claimed lower bound must not exceed it.
     """
-    if p <= 1.0:
-        raise ValueError("exponent p must exceed 1")
+    check_exponent(p)
     _, mass, lu, vecs = _shifted_solve(mesh)
     best, total_iters, converged = math.inf, 0, False
     for v in vecs.T[1 : 1 + starts]:
-        v = project_constraint(mesh, v, p)
-        v /= integrate_abs_power(mesh, v, p) ** (1.0 / p)
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = project_constraint(mesh, v, p)
+            norm = integrate_abs_power(mesh, v, p)
+        if not 0.0 < norm < math.inf:
+            raise SolveError(f"general-p oracle at p = {p:g}: int |f|^p leaves float range")
+        v /= norm ** (1.0 / p)
         step, history, direction, stopped = 0.5, [], None, False
         value, grad = _rayleigh_gradient(mesh, v, p)
         for _ in range(iterations):

@@ -28,6 +28,7 @@ from .geometry import (
 )
 
 OVERFLOW_LIMIT = 1e300
+SERIES_CAP = 10_000  # last index a ratio-test series tail may reach
 
 FORM_DEVIATION = "deviation-from-mean"
 FORM_INF = "inf-over-constants"
@@ -35,6 +36,27 @@ FORM_INF = "inf-over-constants"
 
 class SeriesError(ValueError):
     """A series tail could not be certified (no ratio below 1 within the cap)."""
+
+
+def read_field(data: dict, key: str, convert, *default):
+    """convert(data[key]) for a certificate payload, or the default if one is
+    given and the key is absent; a missing or refused value raises ValueError
+    naming the key."""
+    if key not in data:
+        if not default:
+            raise ValueError(f"certificate needs key {key!r}")
+        return default[0]
+    try:
+        return convert(data[key])
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        detail = f"an entry lacks {exc.args[0]!r}" if isinstance(exc, KeyError) else str(exc)
+        raise ValueError(f"certificate key {key!r} is malformed: {detail}") from None
+
+
+def check_exponent(p: float) -> None:
+    """Every exponent p, given or read from a certificate, is a finite number above 1."""
+    if not 1.0 < p < math.inf:
+        raise ValueError(f"exponent p must be a finite number above 1, got {p!r}")
 
 
 @dataclass(frozen=True)
@@ -45,8 +67,7 @@ class SpectralParams:
     n: int
 
     def __post_init__(self) -> None:
-        if self.p <= 1.0:
-            raise ValueError("exponent p must exceed 1")
+        check_exponent(self.p)
         if self.n not in (2, 3):
             raise ValueError("dimension must be 2 or 3")
 
@@ -82,13 +103,17 @@ class PoincareBound:
     domain: str | None = None
 
     def __post_init__(self) -> None:
-        if self.value <= 0.0:
+        if not self.value > 0.0:
             raise ValueError("bound value must be positive")
+        check_exponent(self.p)
         if self.form not in (FORM_DEVIATION, FORM_INF):
             raise ValueError(f"unknown bound form {self.form!r}")
         if self.terms:
             total = math.fsum(t.value for t in self.terms)
-            power = self.value**self.p
+            try:
+                power = self.value**self.p
+            except OverflowError:
+                raise ValueError(f"bound {self.value!r} to the power p = {self.p:g} overflows") from None
             if not math.isfinite(power) or abs(total - power) > 1e-9 * max(power, total):
                 raise ValueError("certificate terms do not sum to value**p")
 
@@ -114,17 +139,20 @@ class PoincareBound:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PoincareBound":
+        """Inverse of to_dict; a malformed payload raises ValueError naming the key."""
+
+        def term(t: dict) -> CertTerm:
+            return CertTerm(t["label"], t["rule"], float(t["value"]))
+
         return cls(
-            value=float(data["bound"]),
-            p=float(data["p"]),
-            form=data.get("form", FORM_DEVIATION),
-            terms=tuple(
-                CertTerm(t["label"], t["rule"], float(t["value"])) for t in data.get("terms", [])
-            ),
-            r=float(data["r"]) if data.get("r") is not None else None,
-            multiplicity=int(data.get("multiplicity", 1)),
-            details=tuple((k, float(v)) for k, v in data.get("details", {}).items()),
-            notes=tuple(data.get("notes", [])),
+            value=read_field(data, "bound", float),
+            p=read_field(data, "p", float),
+            form=read_field(data, "form", str, FORM_DEVIATION),
+            terms=read_field(data, "terms", lambda ts: tuple(map(term, ts)), ()),
+            r=read_field(data, "r", lambda r: None if r is None else float(r), None),
+            multiplicity=read_field(data, "multiplicity", int, 1),
+            details=read_field(data, "details", lambda d: tuple((k, float(v)) for k, v in d.items()), ()),
+            notes=read_field(data, "notes", tuple, ()),
             domain=data.get("domain"),
         )
 
@@ -142,8 +170,7 @@ def pi_p(p: float) -> float:
     Reduces to pi at p = 2; enters the sharp convex-cell eigenvalue lower
     bound (pi_p / diam)^p.
     """
-    if p <= 1.0:
-        raise ValueError("pi_p requires p > 1")
+    check_exponent(p)
     return 2.0 * math.pi * (p - 1.0) ** (1.0 / p) / (p * math.sin(math.pi / p))
 
 
@@ -153,8 +180,7 @@ def pi_p_quadrature(p: float) -> float:
     Adaptive quadrature of 2 * int_0^{(p-1)^{1/p}} (1 - t^p/(p-1))^{-1/p} dt;
     the integrable endpoint singularity is flagged to the quadrature rule.
     """
-    if p <= 1.0:
-        raise ValueError("pi_p requires p > 1")
+    check_exponent(p)
     upper = (p - 1.0) ** (1.0 / p)
 
     def integrand(t: float) -> float:
@@ -408,9 +434,7 @@ def tree_constant(
     )
 
 
-def ratio_test_tail(
-    term, ratio, start: int, cap: int = 10_000
-) -> tuple[float, int, float]:
+def ratio_test_tail(term, ratio, start: int) -> tuple[float, int, float]:
     """Certified bound for a positive series tail sum_{k>=start} t_k.
 
     ratio(k) must upper-bound t_{k+1}/t_k and be nonincreasing in k. Terms
@@ -419,31 +443,30 @@ def ratio_test_tail(
     (explicit sum including t_k at the stopping index, stopping index,
     geometric remainder).
     """
-    if start > cap:
-        raise SeriesError(f"series not summable: start level {start} beyond cap {cap}")
+    if start > SERIES_CAP:
+        raise SeriesError(f"series not summable: start level {start} beyond cap {SERIES_CAP}")
     explicit = 0.0
     k = start
-    while k <= cap:
+    while k <= SERIES_CAP:
         r = ratio(k)
         explicit += term(k)
         if r < 1.0:
             return explicit, k, term(k) * r / (1.0 - r)
         k += 1
-    raise SeriesError(f"series not summable: ratio never fell below 1 up to level {cap}")
+    raise SeriesError(f"series not summable: ratio never fell below 1 up to level {SERIES_CAP}")
 
 
-def _polynomial_geometric_constant(p: float, x: float, cap: int = 10_000) -> float:
+def _polynomial_geometric_constant(p: float, x: float) -> float:
     """Certified upper bound for sum_{k>=0} (k+1)^(p-1) x^k, 0 < x < 1."""
     explicit, k, rem = ratio_test_tail(
         lambda k: (k + 1) ** (p - 1.0) * x**k,
         lambda k: ((k + 2) / (k + 1)) ** (p - 1.0) * x,
         start=0,
-        cap=cap,
     )
     return explicit + rem
 
 
-def snowflake_envelope_term(spec: FractalTreeSpec, p: float, level: int, cap: int = 10_000) -> float:
+def snowflake_envelope_term(spec: FractalTreeSpec, p: float, level: int) -> float:
     """Envelope e_j of the total level-j downstream weight of the tree rule.
 
     e_j = (3/2) Z(p) (extended side of the root cell / pi_p)^p
@@ -451,14 +474,13 @@ def snowflake_envelope_term(spec: FractalTreeSpec, p: float, level: int, cap: in
     with Z(p) a certified polynomial-geometric constant; e_j dominates the
     number of level-j cells times their per-cell downstream weight.
     """
-    if p <= 1.0:
-        raise ValueError("snowflake series requires p > 1")
-    z = _polynomial_geometric_constant(p, 2.0 / 9.0, cap=cap)
+    check_exponent(p)
+    z = _polynomial_geometric_constant(p, 2.0 / 9.0)
     base = 1.5 * z * (math.sqrt(1.0 + spec.overlap_fraction) * spec.a / pi_p(p)) ** p
     return base * level ** (p - 1.0) * (2.0 / 3.0**p) ** level
 
 
-def snowflake_tail(spec: FractalTreeSpec, p: float, start_level: int, cap: int = 10_000) -> float:
+def snowflake_tail(spec: FractalTreeSpec, p: float, start_level: int) -> float:
     """Rigorous upper bound for the discarded per-level weight series.
 
     Bounds sum_{j>=start_level} e_j of the level envelopes by the ratio
@@ -467,19 +489,18 @@ def snowflake_tail(spec: FractalTreeSpec, p: float, start_level: int, cap: int =
     convergence of the snowflake series a computable certificate instead
     of a limiting argument.
     """
-    if p <= 1.0:
-        raise ValueError("snowflake tail requires p > 1")
+    check_exponent(p)
     if start_level < 1:
         raise ValueError("start_level must be >= 1")
     geo = 2.0 / 3.0**p
 
     def term(j: int) -> float:
-        return snowflake_envelope_term(spec, p, j, cap=cap)
+        return snowflake_envelope_term(spec, p, j)
 
     def ratio(j: int) -> float:
         return ((j + 1) / j) ** (p - 1.0) * geo
 
-    explicit, _, rem = ratio_test_tail(term, ratio, start=start_level, cap=cap)
+    explicit, _, rem = ratio_test_tail(term, ratio, start=start_level)
     return explicit + rem
 
 
@@ -489,7 +510,7 @@ def snowflake_level_bounds(tree: FractalTree, p: float) -> list[PoincareBound]:
 
 
 def snowflake_bound(
-    tree: FractalTree, p: float, cell_bounds: list[PoincareBound] | None = None, cap: int = 10_000
+    tree: FractalTree, p: float, cell_bounds: list[PoincareBound] | None = None
 ) -> PoincareBound:
     """Bound for the infinite snowflake, not just the stored depth.
 
@@ -513,7 +534,7 @@ def snowflake_bound(
     def t_ratio(i: int) -> float:
         return ((i + 1) / i) ** (p - 1.0) * (2.0 / 9.0)
 
-    t_explicit, _, t_rem = ratio_test_tail(t_term, t_ratio, start=depth + 1, cap=cap)
+    t_explicit, _, t_rem = ratio_test_tail(t_term, t_ratio, start=depth + 1)
     t_tail = t_explicit + t_rem
 
     coeffs = []
@@ -528,7 +549,7 @@ def snowflake_bound(
     # envelope for the weights of levels beyond the stored depth:
     # E(j) = 2^(p-1) B^p(Δ_j*) (1 + j^(p-1) Z), decreasing by a factor
     # <= 2^(p-1)/3^p < 1 per level
-    z = _polynomial_geometric_constant(p, 2.0 / 9.0, cap=cap)
+    z = _polynomial_geometric_constant(p, 2.0 / 9.0)
     j_next = depth + 1
     envelope = (
         pref

@@ -1,11 +1,10 @@
 """Composition-operator norms and eigenvalue transfer under quasiconformal maps.
 
 Given the analytic data of a K-quasiconformal homeomorphism (distortion
-coefficient, operator-norm derivative samples or a closed form, Jacobians,
-integrability exponent), these operations push Poincare constants and
-Neumann eigenvalue bounds from a base domain to its image. Every transfer
-returns its full factor chain so the product can be recomputed by an
-auditor.
+coefficient, quadrature samples of |D phi| and |J|, integrability
+exponent), these operations push Poincare constants and Neumann eigenvalue
+bounds from a base domain to its image. Every transfer returns its full
+factor chain so the product can be recomputed by an auditor.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .poincare import PoincareBound, pi_p
+from .poincare import PoincareBound, check_exponent, pi_p, read_field
 
 Q_GRID_SIZE = 64
 QC_SLACK = 1e-9  # additive slack for the pointwise distortion check
@@ -32,20 +31,12 @@ class TransferError(ValueError):
 
 
 @dataclass(frozen=True)
-class ClosedFormDerivative:
-    """Constant derivative data: operator norm and Jacobian magnitude."""
-
-    op_norm: float
-    jacobian: float
-
-    def __post_init__(self) -> None:
-        if self.op_norm <= 0.0 or self.jacobian <= 0.0:
-            raise TransferError("closed-form derivative data must be positive")
-
-
-@dataclass(frozen=True)
 class SampledDerivative:
-    """Quadrature samples of |D phi| and |J| over the base domain."""
+    """Quadrature samples of |D phi| and |J| over the base domain.
+
+    The weights sum to the domain volume; a map with a constant derivative
+    is one sample weighted by the whole volume.
+    """
 
     weights: np.ndarray
     dphi: np.ndarray
@@ -57,11 +48,12 @@ class SampledDerivative:
         j = np.asarray(self.jac, dtype=float)
         if not (w.ndim == d.ndim == j.ndim == 1 and len(w) == len(d) == len(j) > 0):
             raise TransferError("sampled derivative arrays must be lists that share a positive length")
-        if np.any(w <= 0.0):
-            raise TransferError("quadrature weights must be positive")
-        if np.any(j <= 0.0):
+        # negated comparisons also refuse NaN samples
+        if not np.all(w > 0.0):
+            raise TransferError("quadrature weights (a constant map's domain volume) must be positive")
+        if not np.all(j > 0.0):
             raise TransferError("Jacobian samples must be positive (orientation fixed)")
-        if np.any(d < 0.0):
+        if not np.all(d >= 0.0):
             raise TransferError("derivative-norm samples must be nonnegative")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "dphi", d)
@@ -74,30 +66,24 @@ class QCMapData:
 
     n: int
     K: float
-    domain_volume: float
-    derivative_field: ClosedFormDerivative | SampledDerivative
+    derivative_field: SampledDerivative
     alpha: float = math.inf
     lipschitz: bool = True
 
     def __post_init__(self) -> None:
         if self.n not in (2, 3):
             raise TransferError("map dimension must be 2 or 3")
-        if self.K < 1.0:
+        if not self.K >= 1.0:
             raise TransferError("distortion coefficient K must be >= 1")
-        if self.domain_volume <= 0.0:
-            raise TransferError("domain volume must be positive")
         f = self.derivative_field
-        if isinstance(f, ClosedFormDerivative):
-            if f.op_norm**self.n > self.K * f.jacobian + QC_SLACK:
-                raise TransferError("derivative data violates |D phi|^n <= K |J|")
-        else:
-            with np.errstate(over="ignore"):
-                if np.any(f.dphi**self.n > self.K * f.jac + QC_SLACK):
-                    raise TransferError("a sample violates |D phi|^n <= K |J|")
+        with np.errstate(over="ignore"):
+            if np.any(f.dphi**self.n > self.K * f.jac + QC_SLACK):
+                raise TransferError("a sample violates |D phi|^n <= K |J|")
 
     @classmethod
     def from_linear(cls, matrix, domain_volume: float) -> "QCMapData":
-        """Map data of a linear map: L is the spectral norm, J = |det|."""
+        """Map data of a linear map: L is the spectral norm, J = |det|, and
+        the constant derivative is one sample weighted by the domain volume."""
         m = np.asarray(matrix, dtype=float)
         if m.shape not in ((2, 2), (3, 3)):
             raise TransferError("linear map matrix must be 2x2 or 3x3")
@@ -106,28 +92,29 @@ class QCMapData:
         if jac <= 0.0:
             raise TransferError("linear map must be invertible")
         n = m.shape[0]
-        return cls(
-            n=n,
-            K=op_norm**n / jac,
-            domain_volume=domain_volume,
-            derivative_field=ClosedFormDerivative(op_norm, jac),
-            alpha=math.inf,
-            lipschitz=True,
-        )
+        try:
+            K = op_norm**n / jac
+        except OverflowError:
+            K = math.inf
+        if not math.isfinite(K):
+            raise TransferError(f"linear map {m.tolist()}: distortion |A|^n / |det A| overflows")
+        return cls(n=n, K=K, derivative_field=SampledDerivative([domain_volume], [op_norm], [jac]))
 
     def ess_sup_dphi(self) -> float:
-        f = self.derivative_field
-        return f.op_norm if isinstance(f, ClosedFormDerivative) else float(f.dphi.max())
+        return float(self.derivative_field.dphi.max())
 
     def dphi_integral_norm(self, alpha: float) -> float:
         """L_alpha norm of |D phi|; the alpha = inf convention drops the
-        volume factor and returns the essential supremum."""
-        if math.isinf(alpha):
-            return self.ess_sup_dphi()
+        volume factor and returns the essential supremum.
+
+        Computed as D (sum w (|D phi| / D)^alpha)^(1/alpha) with D the
+        largest sample, so the sum stays finite whenever the norm is.
+        """
+        scale = self.ess_sup_dphi()
+        if math.isinf(alpha) or scale == 0.0:
+            return scale
         f = self.derivative_field
-        if isinstance(f, ClosedFormDerivative):
-            return f.op_norm * self.domain_volume ** (1.0 / alpha)
-        value = float((f.weights * f.dphi**alpha).sum()) ** (1.0 / alpha)
+        value = scale * float(f.weights @ (f.dphi / scale) ** alpha) ** (1.0 / alpha)
         if not math.isfinite(value):
             raise TransferError("derivative integral norm diverges")
         return value
@@ -179,8 +166,9 @@ class EigenBound:
     domain: str | None = None
 
     def __post_init__(self) -> None:
-        if self.mu_lower <= 0.0:
+        if not self.mu_lower > 0.0:
             raise TransferError("eigenvalue lower bound must be positive")
+        check_exponent(self.p)
 
     def to_dict(self) -> dict:
         return {
@@ -193,50 +181,45 @@ class EigenBound:
 
     @classmethod
     def from_dict(cls, data: dict) -> "EigenBound":
+        """Inverse of to_dict; a malformed payload raises ValueError naming the key."""
+
+        def factor(f: dict) -> ChainFactor:
+            inputs = tuple((k, float(v)) for k, v in f.get("inputs", {}).items())
+            return ChainFactor(f["rule"], float(f["value"]), inputs)
+
         return cls(
-            mu_lower=float(data["mu_lower"]),
-            p=float(data["p"]),
-            provenance=tuple(
-                ChainFactor(
-                    f["rule"], float(f["value"]), tuple((k, float(v)) for k, v in f.get("inputs", {}).items())
-                )
-                for f in data.get("provenance", [])
-            ),
-            notes=tuple(data.get("notes", [])),
+            mu_lower=read_field(data, "mu_lower", float),
+            p=read_field(data, "p", float),
+            provenance=read_field(data, "provenance", lambda fs: tuple(map(factor, fs)), ()),
+            notes=read_field(data, "notes", tuple, ()),
             domain=data.get("domain"),
         )
 
 
-def q_grid(p: float, size: int = Q_GRID_SIZE) -> np.ndarray:
+def q_grid(p: float) -> np.ndarray:
     """Geometric scan grid for the exponent minimization over q in [1, p)."""
     top = p - 1e-6
     if top <= 1.0:
         raise TransferError("empty q-grid: p is too close to 1")
-    return np.unique(np.concatenate([[1.0], np.geomspace(1.0, top, size)]))
+    return np.unique(np.concatenate([[1.0], np.geomspace(1.0, top, Q_GRID_SIZE)]))
 
 
 def q_pq_norm(map_data: QCMapData, p: float, q: float) -> float:
     """Distortion integral norm (int |D phi|^((p-n)q/(p-q)))^((p-q)/(pq)).
 
-    Closed-form derivative data integrates exactly; sampled data uses the
-    supplied quadrature. At p = n the integrand is identically one and the
-    result is the domain volume to the outer power. Otherwise the sampled
-    integral is D^inner * S with S = sum w (|D phi| / D)^inner, where D is
-    the largest sample for inner > 0 and the smallest for inner < 0, so no
-    term of S exceeds its weight and S stays finite as q approaches p; the
-    result is S^outer * D^((p - n)/p).
+    The integral uses the supplied quadrature. At p = n the integrand is
+    identically one and the result is the domain volume (the weight sum) to
+    the outer power. Otherwise the integral is D^inner * S with
+    S = sum w (|D phi| / D)^inner, where D is the largest sample for
+    inner > 0 and the smallest for inner < 0, so no term of S exceeds its
+    weight and S stays finite as q approaches p; the result is
+    S^outer * D^((p - n)/p).
     """
     if not 1.0 <= q < p:
         raise TransferError(f"need 1 <= q < p, got q={q}, p={p}")
     inner = (p - map_data.n) * q / (p - q)
     outer = (p - q) / (p * q)
     f = map_data.derivative_field
-    if isinstance(f, ClosedFormDerivative):
-        # evaluated in log space: the combined exponent inner * outer equals
-        # (p - n)/p, so the value is benign even when q approaches p and the
-        # inner exponent blows up
-        log_integral = inner * math.log(f.op_norm) + math.log(map_data.domain_volume)
-        return math.exp(outer * log_integral)
     if inner == 0.0:
         integral = float(f.weights.sum())
         if not math.isfinite(integral):
@@ -444,10 +427,7 @@ def example_c(delta: float, p: float, base_mu: EigenBound) -> EigenBound:
     map_data = QCMapData(
         n=3,
         K=k_bound,
-        domain_volume=4.0 * math.pi / 3.0,
-        derivative_field=ClosedFormDerivative(l_bound, l_bound**3 / k_bound),
-        alpha=math.inf,
-        lipschitz=True,
+        derivative_field=SampledDerivative([4.0 * math.pi / 3.0], [l_bound], [l_bound**3 / k_bound]),
     )
     result = eigen_transfer_lipschitz(map_data, base_mu, p)
     return EigenBound(

@@ -9,8 +9,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from scipy.spatial import QhullError
+
 import neumann_bounds
-from neumann_bounds import oracle
+from neumann_bounds import geometry, oracle
 from neumann_bounds.cli import (
     CliError,
     _axis_aligned_rect,
@@ -382,14 +384,15 @@ class TestDomainFileOverrides:
                 assert type(file_report["config"][key]) is type(flag_report["config"][key])
 
 
+def one_line_error(args, capsys):
+    assert run_cli(args) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    return err[0]
+
+
 class TestMissingSpecKeys:
     """Each bad specification ends in exit 1 with one line naming the key."""
-
-    def run_one_line(self, args, capsys):
-        assert run_cli(args) == 1
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1
-        return err[0]
 
     def bound_file(self, tmp_path):
         return write_json(tmp_path / "bound.json", {"bound": 1.0, "p": 2.0})
@@ -413,14 +416,14 @@ class TestMissingSpecKeys:
     )
     def test_verify_domain(self, tmp_path, capsys, domain, key):
         domain_path = write_json(tmp_path / "domain.json", domain)
-        line = self.run_one_line(
+        line = one_line_error(
             ["verify", "--bound", self.bound_file(tmp_path), "--domain", domain_path], capsys
         )
         assert key in line
 
     def test_empty_cells(self, tmp_path, capsys):
         domain = write_json(tmp_path / "cells.json", {"type": "cells", "cells": []})
-        assert '"cells"' in self.run_one_line(["bound-cells", "--domain", domain], capsys)
+        assert '"cells"' in one_line_error(["bound-cells", "--domain", domain], capsys)
 
     @pytest.mark.parametrize(
         "spec, key",
@@ -435,10 +438,132 @@ class TestMissingSpecKeys:
     )
     def test_map(self, tmp_path, capsys, spec, key):
         map_path = write_json(tmp_path / "map.json", spec)
-        line = self.run_one_line(
+        line = one_line_error(
             ["transfer", "--map", map_path, "--base", self.bound_file(tmp_path)], capsys
         )
         assert key in line
+
+
+SQUARE = {"kind": "rectangle", "bounds": [0, 0, 1, 1]}
+IDENTITY_MAP = {"kind": "linear", "matrix": [[1, 0], [0, 1]]}
+
+
+class TestMalformedCertificates:
+    """A malformed certificate or report ends in exit 1 with one line."""
+
+    @pytest.mark.parametrize(
+        "commands, payload, message",
+        [
+            (("verify", "transfer"), {"bound": [1], "p": 2}, "certificate key 'bound'"),
+            (("verify", "transfer"), {"mu_lower": None, "p": 2}, "certificate key 'mu_lower'"),
+            (("verify", "transfer"), {"certificates": [{"kind": "poincare", "data": {"bound": 1.0}}]},
+             "certificate needs key 'p'"),
+            (("verify", "transfer"), {"bound": 1.0, "p": 2, "terms": [{"label": "a", "value": 1.0}]},
+             "certificate key 'terms' is malformed: an entry lacks 'rule'"),
+            (("verify", "transfer"), {"mu_lower": 1.0, "p": 2, "provenance": [{"value": 1.0}]},
+             "certificate key 'provenance' is malformed: an entry lacks 'rule'"),
+            (("verify", "transfer"), {"bound": 1.0, "p": 2, "details": [1, 2]},
+             "certificate key 'details'"),
+            (("verify", "transfer"), {"certificates": [1]}, "must be a JSON object"),
+            (("verify", "transfer"), {"bound": 1.0, "p": math.nan},
+             "exponent p must be a finite number above 1"),
+            (("verify", "transfer"), {"mu_lower": 1.0, "p": 1.0},
+             "exponent p must be a finite number above 1"),
+            (("verify", "transfer"), {"mu_lower": math.nan, "p": 2}, "must be positive"),
+            (("report",), {"certificates": [{"label": "x"}]}, "malformed report: needs key 'data'"),
+        ],
+    )
+    def test_exit_1_one_line(self, tmp_path, capsys, commands, payload, message):
+        cert = write_json(tmp_path / "cert.json", payload)
+        argv = {
+            "verify": ["verify", "--bound", cert, "--domain", write_json(tmp_path / "sq.json", SQUARE),
+                       "--h", 0.5],
+            "transfer": ["transfer", "--map", write_json(tmp_path / "map.json", IDENTITY_MAP),
+                         "--base", cert],
+            "report": ["report", cert],
+        }
+        for command in commands:
+            assert message in one_line_error(argv[command], capsys), command
+
+
+class TestOverflowOneLine:
+    def test_bound_star_huge_p(self, capsys):
+        line = one_line_error(["bound-star", "--p", 1e6, "--no-verify"], capsys)
+        assert "p = 1e+06" in line
+
+    def test_linear_map_distortion_overflow(self, tmp_path, capsys):
+        map_path = write_json(tmp_path / "map.json",
+                              {"kind": "linear", "matrix": [[1e200, 0], [0, 1e-200]]})
+        base = write_json(tmp_path / "base.json", {"bound": 1.0, "p": 2.0})
+        line = one_line_error(["transfer", "--map", map_path, "--base", base], capsys)
+        assert "linear map [[1e+200, 0.0], [0.0, 1e-200]]" in line
+
+    def test_verify_huge_certificate_exponent(self, tmp_path, capsys):
+        cert = write_json(tmp_path / "cert.json", {"bound": 1.0, "p": 1e308})
+        domain = write_json(tmp_path / "sq.json", SQUARE)
+        line = one_line_error(["verify", "--bound", cert, "--domain", domain, "--h", 0.3], capsys)
+        assert "p = 1e+308" in line
+
+
+class TestPolygonDomainChecked:
+    @pytest.mark.parametrize(
+        "vertices, message",
+        [
+            ([[0, 0], [1, 0], [2, 0]], "degenerate cell"),
+            ([[0, 0], [1, 0]], "degenerate cell"),
+            ([[0, 0], [1, 0], [1, 1], [0.5, 0.2], [0, 1]], "strictly inside the convex hull"),
+            ([[0, 0], [1, 1], [1, 0], [0, 1]], "must run in order around a convex polygon"),
+            ([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], "must run in order around a convex polygon"),
+        ],
+    )
+    def test_exit_1_one_line(self, tmp_path, capsys, vertices, message):
+        bound = write_json(tmp_path / "bound.json", {"bound": 1.0, "p": 2.0})
+        domain = write_json(tmp_path / "poly.json", {"kind": "polygon", "vertices": vertices})
+        assert message in one_line_error(["verify", "--bound", bound, "--domain", domain], capsys)
+
+
+class TestFlagsPerCommand:
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("bound-snowflake", ["--h", "0.1"]),
+            ("transfer", ["--h", "0.1"]),
+            ("report", ["--h", "0.1"]),
+            ("verify", ["--p", "3"]),
+            ("report", ["--p", "3"]),
+            ("report", ["--timing"]),
+        ],
+    )
+    def test_unread_flag_rejected(self, command, flag):
+        with pytest.raises(SystemExit) as err:
+            run_cli([command, *flag])
+        assert err.value.code == 1
+
+    def test_seed_accepted_everywhere(self, tmp_path):
+        snow = tmp_path / "snow.json"
+        assert run_cli(["bound-snowflake", "--depth", 2, "--seed", 3, "--out", snow]) == 0
+        star = tmp_path / "star.json"
+        assert run_cli(["bound-star", "--dim", 3, "--mgon", 8, "--seed", 3, "--out", star]) == 0
+        cells = tmp_path / "cells.json"
+        assert run_cli(["bound-cells", "--domain", pair_domain(tmp_path), "--no-verify",
+                        "--seed", 3, "--out", cells]) == 0
+        map_path = write_json(tmp_path / "map.json", IDENTITY_MAP)
+        assert run_cli(["transfer", "--map", map_path, "--base", cells, "--seed", 3,
+                        "--out", tmp_path / "t.json"]) == 0
+        domain = write_json(tmp_path / "sq.json", SQUARE)
+        cert = write_json(tmp_path / "cert.json", {"bound": 1.0, "p": 2.0})
+        assert run_cli(["verify", "--bound", cert, "--domain", domain, "--h", 0.5, "--seed", 3,
+                        "--out", tmp_path / "v.json"]) == 0
+        assert run_cli(["report", snow, "--seed", 3, "--out", tmp_path / "r.csv"]) == 0
+
+
+def test_3d_overlap_construction_failure_one_line(monkeypatch, capsys):
+    def failing(*args, **kwargs):
+        raise QhullError("QH6271 qhull topology error\nsecond line of the option dump")
+
+    monkeypatch.setattr(geometry, "HalfspaceIntersection", failing)
+    line = one_line_error(["bound-star", "--dim", 3, "--mgon", 8], capsys)
+    assert line.endswith("overlap polytope construction failed: QH6271 qhull topology error")
 
 
 class TestKindTables:

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.spatial import ConvexHull, HalfspaceIntersection
+from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
+from neumann_bounds import geometry
 from neumann_bounds.geometry import (
     ConvexCell,
     FractalTreeSpec,
@@ -18,7 +19,6 @@ from neumann_bounds.geometry import (
     cell_diameter,
     cell_volume,
     intersection_volume,
-    monte_carlo_intersection_volume,
     snowflake_level,
     snowflake_level_count,
     star_discretization_error,
@@ -27,6 +27,35 @@ from neumann_bounds.geometry import (
 )
 
 SQRT3 = math.sqrt(3.0)
+
+
+def monte_carlo_intersection_volume(c1, c2, samples, seed):
+    """Membership-sampling estimate of |c1 ∩ c2| with its standard error.
+
+    Draws from the overlap of the two bounding boxes with a per-call
+    generator, so results are reproducible for a given seed.
+    """
+    def contains(cell, pts):
+        dist = pts @ cell.halfspaces[:, :-1].T + cell.halfspaces[:, -1]
+        return np.all(dist <= 1e-12, axis=1)
+
+    lo = np.maximum(c1.bounding_box()[0], c2.bounding_box()[0])
+    hi = np.minimum(c1.bounding_box()[1], c2.bounding_box()[1])
+    if np.any(hi <= lo):
+        return 0.0, 0.0
+    box_vol = float(np.prod(hi - lo))
+    rng = np.random.default_rng(seed)
+    hits = 0
+    chunk = 500_000
+    drawn = 0
+    while drawn < samples:
+        m = min(chunk, samples - drawn)
+        pts = rng.uniform(lo, hi, size=(m, c1.n))
+        hits += int(np.count_nonzero(contains(c1, pts) & contains(c2, pts)))
+        drawn += m
+    frac = hits / samples
+    stderr = box_vol * math.sqrt(max(frac * (1.0 - frac), 0.0) / samples)
+    return box_vol * frac, stderr
 
 
 def star_membership(points, spec):
@@ -174,6 +203,17 @@ class TestIntersection:
         c1 = ConvexCell([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
         c2 = ConvexCell([(x + 0.25, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
         assert intersection_volume(c1, c2) == pytest.approx(0.75, rel=1e-9)
+
+    def test_3d_construction_failure_raises(self, monkeypatch):
+        # no sampling fallback: the overlap feeds lower- and upper-bound uses
+        def failing(*args, **kwargs):
+            raise QhullError("QH6271 qhull topology error\nsecond line of the option dump")
+
+        monkeypatch.setattr(geometry, "HalfspaceIntersection", failing)
+        c1 = ConvexCell([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
+        c2 = ConvexCell([(x + 0.25, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
+        with pytest.raises(GeometryError, match=r"QH6271 qhull topology error$"):
+            intersection_volume(c1, c2)
 
     def test_3d_disjoint(self):
         c1 = ConvexCell([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])

@@ -513,10 +513,12 @@ class TestProjectionNearPOne:
 
     def test_infeasible_final_iterate_is_not_converged(self, monkeypatch):
         # a window test that always passes stops every start after
-        # STOP_WINDOW steps, so only the constraint check decides `converged`
+        # STOP_WINDOW steps, so only the constraint check decides `converged`;
+        # a projection that adds a fixed shift leaves every iterate infeasible
         monkeypatch.setattr(oracle, "STOP_DECREASE", 1.0)
         checked = []
         real = oracle.constraint_value
+        real_project = oracle.project_constraint
 
         def spy(mesh, values, p):
             value = real(mesh, values, p)
@@ -524,10 +526,12 @@ class TestProjectionNearPOne:
             return value
 
         monkeypatch.setattr(oracle, "constraint_value", spy)
-        for spec, h, feasible in (
-            ({"kind": "rectangle", "bounds": [0, 0, 2, 1]}, 0.34, False),
-            ({"kind": "star", "delta": 1.0}, 0.25, True),
+        for spec, h, shift, feasible in (
+            ({"kind": "rectangle", "bounds": [0, 0, 2, 1]}, 0.34, 1e-3, False),
+            ({"kind": "star", "delta": 1.0}, 0.25, 0.0, True),
         ):
+            monkeypatch.setattr(oracle, "project_constraint",
+                                lambda mesh, values, p, s=shift: real_project(mesh, values, p) + s)
             checked.clear()
             _, info = minimize_rayleigh_p(mesh_domain(spec, h), 1.1, return_info=True)
             assert (checked[-1] <= 1e-8) is feasible

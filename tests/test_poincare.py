@@ -13,6 +13,7 @@ from neumann_bounds.geometry import (
 )
 from neumann_bounds.poincare import (
     FORM_DEVIATION,
+    SERIES_CAP,
     CertTerm,
     PoincareBound,
     SeriesError,
@@ -374,11 +375,11 @@ class TestSnowflakeTail:
     def test_start_beyond_cap_errors(self):
         spec = FractalTreeSpec(a=1.0, depth=12)
         with pytest.raises(SeriesError):
-            snowflake_tail(spec, 2.0, start_level=101, cap=100)
+            snowflake_tail(spec, 2.0, start_level=SERIES_CAP + 1)
 
     def test_ratio_test_cap_exhaustion(self):
         with pytest.raises(SeriesError):
-            ratio_test_tail(lambda k: 1.0, lambda k: 2.0, start=1, cap=50)
+            ratio_test_tail(lambda k: 1.0, lambda k: 2.0, start=1)
 
 
 class TestSnowflakeBound:

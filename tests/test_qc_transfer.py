@@ -8,7 +8,6 @@ from neumann_bounds.oracle import mesh_domain, neumann_mu2
 from neumann_bounds.poincare import FORM_DEVIATION, CertTerm, PoincareBound, pi_p, pi_p_quadrature
 from neumann_bounds.qc_transfer import (
     BESSEL_J1_PRIME_FIRST_ZERO,
-    ClosedFormDerivative,
     EigenBound,
     QCMapData,
     SampledDerivative,
@@ -35,11 +34,11 @@ def base_bound(value, p, r=None):
 
 
 def constant_map(op_norm, jac, n=2, volume=1.0, K=None, alpha=math.inf, lipschitz=True):
+    """Constant derivative data: one quadrature sample weighted by the volume."""
     return QCMapData(
         n=n,
         K=K if K is not None else op_norm**n / jac,
-        domain_volume=volume,
-        derivative_field=ClosedFormDerivative(op_norm, jac),
+        derivative_field=SampledDerivative([volume], [op_norm], [jac]),
         alpha=alpha,
         lipschitz=lipschitz,
     )
@@ -101,7 +100,7 @@ class TestQpqNorm:
         sup = float(np.linalg.norm(np.asarray(mat), 2))
         jac = abs(np.linalg.det(np.asarray(mat)))
         sampled = QCMapData(
-            n=2, K=closed.K, domain_volume=1.0,
+            n=2, K=closed.K,
             derivative_field=SampledDerivative(w, np.full_like(w, sup), np.full_like(w, jac)),
             alpha=math.inf, lipschitz=True,
         )
@@ -113,7 +112,7 @@ class TestQpqNorm:
     def test_divergent_integral(self):
         # p < n makes the inner exponent negative, so a zero sample diverges
         field = SampledDerivative(weights=[0.5, 0.5], dphi=[0.0, 1.0], jac=[1.0, 1.0])
-        m = QCMapData(n=3, K=1.0, domain_volume=1.0, derivative_field=field)
+        m = QCMapData(n=3, K=1.0, derivative_field=field)
         with pytest.raises(TransferError, match="diverges"):
             q_pq_norm(m, 2.5, 2.4999999)
 
@@ -121,8 +120,76 @@ class TestQpqNorm:
         # |D phi|^(inner) overflows unscaled; the scaled integral tends to the
         # supremum factor (ess sup |D phi|)^((p-n)/p) = 1e100 as q -> p
         field = SampledDerivative(weights=[1.0], dphi=[1e300], jac=[1e308])
-        m = QCMapData(n=2, K=1e300, domain_volume=1.0, derivative_field=field)
+        m = QCMapData(n=2, K=1e300, derivative_field=field)
         assert q_pq_norm(m, 3.0, 2.9999999) == pytest.approx(q_p_sup_norm(m, 3.0), rel=1e-12)
+
+
+def closed_form_q_pq_norm(op_norm, domain_volume, n, p, q):
+    """The closed-form branch q_pq_norm had for constant derivative data."""
+    inner = (p - n) * q / (p - q)
+    outer = (p - q) / (p * q)
+    # evaluated in log space: the combined exponent inner * outer equals
+    # (p - n)/p, so the value is benign even when q approaches p and the
+    # inner exponent blows up
+    log_integral = inner * math.log(op_norm) + math.log(domain_volume)
+    return math.exp(outer * log_integral)
+
+
+def closed_form_dphi_integral_norm(op_norm, domain_volume, alpha):
+    """The closed-form branch dphi_integral_norm had for constant derivative data."""
+    if math.isinf(alpha):
+        return op_norm
+    return op_norm * domain_volume ** (1.0 / alpha)
+
+
+LINEAR_MAPS = {
+    2: ([[2.0, 0.3], [0.0, 1.0]], [[0.7, -0.2], [0.4, 1.3]], [[1.0, 0.0], [0.0, 1.0]]),
+    3: ([[1.5, 0.2, 0.0], [0.0, 1.0, 0.3], [0.1, 0.0, 0.8]],
+        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+}
+
+
+class TestLinearMapAsOneSample:
+    """A linear map is one quadrature sample weighted by the domain volume."""
+
+    @pytest.mark.parametrize("volume", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
+    def test_matches_closed_form(self, p, n, volume):
+        for matrix in LINEAR_MAPS[n]:
+            m = QCMapData.from_linear(matrix, volume)
+            op_norm = float(np.linalg.norm(np.asarray(matrix), 2))
+            for q in q_grid(p):
+                assert q_pq_norm(m, p, q) == pytest.approx(
+                    closed_form_q_pq_norm(op_norm, volume, n, p, q), rel=1e-14
+                )
+            for alpha in (n + 0.5, 8.0, math.inf):
+                assert m.dphi_integral_norm(alpha) == pytest.approx(
+                    closed_form_dphi_integral_norm(op_norm, volume, alpha), rel=1e-14
+                )
+
+    def test_unit_volume_takes_the_first_grid_point(self):
+        # every q gives the same factor L^((p-n)/p), so the minimum is the
+        # first; the log-space closed form picked q = 2.80 here by rounding
+        m = QCMapData.from_linear([[2.0, 0.0], [0.0, 1.0]], 1.0)
+        base = base_bound(0.5, 3.0, r=6.0)
+        assert poincare_transfer(m, base, 3.0).q_star == 1.0
+        assert dict(eigen_transfer(m, base, 3.0).provenance[1].inputs)["q_star"] == 1.0
+
+    def test_huge_sample_alpha_norm(self):
+        # |D phi|^alpha overflows unscaled; one unit-weight sample is its own norm
+        field = SampledDerivative(weights=[1.0], dphi=[1e200], jac=[1e300])
+        m = QCMapData(n=2, K=1e300, derivative_field=field, alpha=8.0, lipschitz=False)
+        assert m.dphi_integral_norm(8.0) == pytest.approx(1e200, rel=1e-14)
+
+    def test_distortion_beyond_float_range_refused(self):
+        with pytest.raises(TransferError, match=r"linear map \[\[1e\+200"):
+            QCMapData.from_linear([[1e200, 0.0], [0.0, 1e-200]], 1.0)
+
+    @pytest.mark.parametrize("volume", [0.0, -1.0, math.nan])
+    def test_nonpositive_volume_refused(self, volume):
+        with pytest.raises(TransferError, match="domain volume"):
+            QCMapData.from_linear([[1.0, 0.0], [0.0, 1.0]], volume)
 
 
 def sampled_map(dphi, n=2):
@@ -130,7 +197,7 @@ def sampled_map(dphi, n=2):
     dphi = np.asarray(dphi, dtype=float)
     w = np.full(len(dphi), 1.0 / len(dphi))
     field = SampledDerivative(weights=w, dphi=dphi, jac=np.maximum(dphi, 1e-3) ** n)
-    return QCMapData(n=n, K=1.0, domain_volume=1.0, derivative_field=field)
+    return QCMapData(n=n, K=1.0, derivative_field=field)
 
 
 def log_space_q_pq_norm(m, p, q):
@@ -201,7 +268,7 @@ class TestPoincareTransfer:
 
     def test_s_formula(self):
         field = SampledDerivative(weights=[1.0], dphi=[1.0], jac=[1.0])
-        m = QCMapData(n=2, K=1.0, domain_volume=1.0, derivative_field=field,
+        m = QCMapData(n=2, K=1.0, derivative_field=field,
                       alpha=4.0, lipschitz=False)
         base = base_bound(0.4, 2.0, r=4.0)
         result = poincare_transfer(m, base, 2.0)
@@ -223,11 +290,11 @@ class TestPoincareTransfer:
 
     def test_alpha_too_small(self):
         field = SampledDerivative(weights=[1.0], dphi=[1.0], jac=[1.0])
-        m = QCMapData(n=2, K=1.0, domain_volume=1.0, derivative_field=field,
+        m = QCMapData(n=2, K=1.0, derivative_field=field,
                       alpha=2.0, lipschitz=False)
         with pytest.raises(TransferError, match="alpha too small"):
             poincare_transfer(m, base_bound(0.4, 2.0, r=4.0), 2.0)
-        m = QCMapData(n=2, K=1.0, domain_volume=1.0, derivative_field=field,
+        m = QCMapData(n=2, K=1.0, derivative_field=field,
                       alpha=2.2, lipschitz=False)
         with pytest.raises(TransferError, match="alpha too small"):
             # s = (0.2/2.2) * 4 < 1
@@ -273,7 +340,7 @@ class TestEigenTransfer:
         with pytest.raises(TransferError):
             eigen_transfer(m, base_bound(0.5, 2.0, r=2.0), 2.0)
         field = SampledDerivative(weights=[1.0], dphi=[1.0], jac=[1.0])
-        shallow = QCMapData(n=2, K=1.0, domain_volume=1.0, derivative_field=field,
+        shallow = QCMapData(n=2, K=1.0, derivative_field=field,
                             alpha=3.0, lipschitz=False)
         with pytest.raises(TransferError, match="integrability"):
             eigen_transfer(shallow, base_bound(0.5, 2.0, r=4.0), 2.0)
