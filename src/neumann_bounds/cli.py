@@ -232,10 +232,28 @@ def _cells_bound(spec: dict, p: float) -> tuple[PoincareBound, list[ConvexCell],
             if len(cells) < 3 or len(cells) % 2 == 0:
                 raise CliError("default chain grouping needs an odd cell count >= 3")
             index_triples = [[i, i + 1, i + 2] for i in range(0, len(cells) - 2, 2)]
+        elif not isinstance(index_triples, list) or not all(
+            isinstance(idx, list) and len(idx) == 3
+            and all(_is_int(i) and 0 <= i < len(cells) for i in idx)
+            for idx in index_triples
+        ):
+            raise CliError(f'chain "triples" must be a list of [i, j, k] cell indices, '
+                           f"each an integer in [0, {len(cells)})")
+        left_out = sorted(set(range(len(cells))) - {i for idx in index_triples for i in idx})
+        if left_out:
+            raise CliError(f"chain triples leave out cell {left_out[0]}; a chain bound covers "
+                           "only the cells of its triples")
         triples = [WhitneyTriple.from_cells(*(cells[i] for i in idx)) for idx in index_triples]
         multiplicity = spec.get("multiplicity")
         if multiplicity is None:
             multiplicity = rect_cover_multiplicity(triples)
+        elif not _is_int(multiplicity):
+            raise CliError(f"chain multiplicity must be an integer, got {multiplicity!r}")
+        elif all(_axis_aligned_rect(c) is not None for c in cells):
+            exact = rect_cover_multiplicity(triples)
+            if multiplicity < exact:
+                raise CliError(f"chain multiplicity {multiplicity} is below the cover multiplicity "
+                               f"{exact} of the rectangle triples")
         chain = WhitneyChain.from_triples(triples, multiplicity)
         bounds = [triple_constant(t, *(per_cell[i] for i in idx), p)
                   for t, idx in zip(triples, index_triples)]
@@ -555,8 +573,7 @@ def render_report(report: dict | str, fmt: str) -> str:
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # input errors exit 1; 2 is reserved for FAILs
-        self.print_usage(sys.stderr)
+    def error(self, message):  # input errors exit 1 with one line; 2 is reserved for FAILs
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 

@@ -24,6 +24,9 @@ DISJOINT_REL_TOL = 1e-9
 # maximum snowflake depth such that the level cell count 3*2^(j-1) still
 # fits an int64 (serialization safety)
 MAX_TREE_DEPTH = 62
+# largest 3D star cross-section: cell_diameter builds a (2 mgon)^2 x 3 array,
+# and a 3D bound-star peaks near 0.3 GB at mgon 1024 and 3.7 GB at 4096
+MAX_MGON = 1024
 
 SQRT3 = math.sqrt(3.0)
 # largest |coordinate| such that (2 * |coordinate|)**n stays finite
@@ -364,8 +367,9 @@ class StarDomainSpec:
             raise GeometryError("delta must be positive")
         if self.n not in (2, 3):
             raise GeometryError("star domain dimension must be 2 or 3")
-        if self.n == 3 and self.mgon < 8:
-            raise GeometryError("3D cross-section needs at least 8 vertices")
+        if self.n == 3 and not 8 <= self.mgon <= MAX_MGON:
+            raise GeometryError(f"3D cross-section needs between 8 and {MAX_MGON} vertices, "
+                                f"got {self.mgon}")
 
     @property
     def alpha(self) -> float:

@@ -54,6 +54,7 @@ STOP_WINDOW = 10
 STOP_DECREASE = 1e-8
 STOP_SLOPE = 1e-8
 EIGEN_RESIDUAL_TOL = 1e-8  # neumann_mu2 certifies |K v - mu M v| / |K v| below this
+FEASIBILITY_TOL = 1e-8  # a function meets the zero-mean constraint when constraint_residual <= this
 
 
 class MeshError(ValueError):
@@ -248,36 +249,24 @@ class EigenResult:
 # ---------------------------------------------------------------------------
 
 
-def _quad_grid_mesh(grid: np.ndarray, covered: np.ndarray | None = None) -> TriangleMesh:
-    """Mesh of a (ny+1, nx+1, 2) node grid; each cell splits into (a, b, d), (a, d, c).
+def _quad_grid_mesh(grid: np.ndarray, covered: np.ndarray) -> TriangleMesh:
+    """Mesh of the covered cells of a (ny+1, nx+1, 2) node grid.
 
-    Cells are swept row by row. Without a mask every cell is meshed and the
-    nodes keep their row-major grid order; with an (ny, nx) mask only the
-    covered cells are meshed, and their nodes are numbered in the order the
-    sweep first touches them (a, b, c, d per cell).
+    Each cell (j, i) with covered[j, i] splits into (a, b, d), (a, d, c),
+    cells swept row by row; the nodes those cells touch keep their
+    row-major grid order.
     """
-    ny, nx = grid.shape[0] - 1, grid.shape[1] - 1
+    nx = grid.shape[1] - 1
     nodes = grid.reshape(-1, 2)
-    jj, ii = np.nonzero(np.ones((ny, nx), dtype=bool) if covered is None else covered)
+    jj, ii = np.nonzero(covered)
     a = jj * (nx + 1) + ii
     b, c = a + 1, a + (nx + 1)
     d = c + 1
     elements = np.stack([a, b, d, a, d, c], axis=1).reshape(-1, 3)
-    if covered is not None:
-        touched, first = np.unique(np.stack([a, b, c, d], axis=1), return_index=True)
-        order = touched[np.argsort(first)]
-        renumber = np.empty(len(nodes), dtype=np.int64)
-        renumber[order] = np.arange(len(order))
-        nodes, elements = nodes[order], renumber[elements]
-    return TriangleMesh(nodes, elements)
-
-
-def _structured_rectangle(x0, y0, x1, y1, h):
-    nx = max(1, math.ceil((x1 - x0) / h))
-    ny = max(1, math.ceil((y1 - y0) / h))
-    xs = np.linspace(x0, x1, nx + 1)
-    ys = np.linspace(y0, y1, ny + 1)
-    return _quad_grid_mesh(np.stack(np.meshgrid(xs, ys), axis=-1))
+    used = np.zeros(len(nodes), dtype=bool)
+    used[elements] = True
+    renumber = np.cumsum(used) - 1
+    return TriangleMesh(nodes[used], renumber[elements])
 
 
 def _cut_lines(lo: float, hi: float, breaks: list[float], h: float) -> np.ndarray:
@@ -296,19 +285,11 @@ def _rect_union_mesh(rects: list[tuple[float, float, float, float]], h: float) -
     Grid lines are cut at every rectangle edge, so elements never straddle
     a rectangle boundary and the overlap regions are node-matched.
     """
-    xs = _cut_lines(
-        min(r[0] for r in rects),
-        max(r[2] for r in rects),
-        [v for r in rects for v in (r[0], r[2])],
-        h,
+    xs, ys = (
+        _cut_lines(min(r[d] for r in rects), max(r[d + 2] for r in rects),
+                   [v for r in rects for v in (r[d], r[d + 2])], h)
+        for d in (0, 1)
     )
-    ys = _cut_lines(
-        min(r[1] for r in rects),
-        max(r[3] for r in rects),
-        [v for r in rects for v in (r[1], r[3])],
-        h,
-    )
-
     cx = 0.5 * (xs[:-1] + xs[1:])
     cy = 0.5 * (ys[:-1] + ys[1:])
     covered = np.zeros((len(cy), len(cx)), dtype=bool)
@@ -384,7 +365,8 @@ def _star_mesh(delta: float, h: float) -> TriangleMesh:
     ny = max(2, math.ceil(2.0 * alpha / (0.5 * h)))
     ny += ny % 2  # keep the pinch row y = 0 in the lattice
     x, y = np.meshgrid(np.linspace(-1.0, 1.0, nx + 1), np.linspace(-alpha, alpha, ny + 1))
-    return _quad_grid_mesh(np.stack([x * (delta + np.abs(y)), y], axis=-1))
+    grid = np.stack([x * (delta + np.abs(y)), y], axis=-1)
+    return _quad_grid_mesh(grid, np.ones((ny, nx), dtype=bool))
 
 
 def _disk_mesh(radius: float, h: float, center=(0.0, 0.0)) -> TriangleMesh:
@@ -440,17 +422,14 @@ def mesh_domain(spec: dict, h: float) -> TriangleMesh:
         return spec.get(name, *default) if default else spec[name]
 
     try:
-        if kind == "rectangle":
-            bounds = tuple(read("bounds"))
-            if len(bounds) != 4:
-                raise MeshError('rectangle needs "bounds": [x0, y0, x1, y1]')
-            x0, y0, x1, y1 = bounds
-            width, height = x1 - x0, y1 - y0
-            build = functools.partial(_structured_rectangle, x0, y0, x1, y1, h)
-        elif kind == "rect_union":
-            rects = [tuple(r) for r in read("rects")]
+        if kind in ("rectangle", "rect_union"):  # a rectangle is a one-rectangle union
+            if kind == "rectangle":
+                rects, need = [tuple(read("bounds"))], '"bounds": [x0, y0, x1, y1]'
+            else:
+                rects = [tuple(r) for r in read("rects")]
+                need = '"rects": a non-empty list of [x0, y0, x1, y1]'
             if not rects or any(len(r) != 4 for r in rects):
-                raise MeshError('rect_union needs "rects": a non-empty list of [x0, y0, x1, y1]')
+                raise MeshError(f"{kind} needs {need}")
             width = max(r[2] for r in rects) - min(r[0] for r in rects)
             height = max(r[3] for r in rects) - min(r[1] for r in rects)
             build = functools.partial(_rect_union_mesh, rects, h)
@@ -609,15 +588,17 @@ def gradient_integral(mesh: TriangleMesh, values: np.ndarray, p: float, element_
     return float(contrib.sum())
 
 
-def constraint_value(mesh: TriangleMesh, values: np.ndarray, p: float) -> float:
-    """Discretized zero-mean constraint functional int |f|^(p-2) f."""
+def constraint_residual(mesh: TriangleMesh, values: np.ndarray, p: float) -> float:
+    """|F| / S for the discretized zero-mean constraint F = int |f|^(p-2) f
+    and its scale S = int |f|^(p-1); NaN if either is not finite, 0 for f = 0."""
     # sign(f) |f|^(p-1), unlike |f|^(p-2) f, is 0 and not NaN where f = 0
     mids = mesh.midpoint_operator @ values
-    return _midpoint_integral(mesh, np.copysign(np.abs(mids) ** (p - 1.0), mids))
-
-
-def constraint_scale(mesh: TriangleMesh, values: np.ndarray, p: float) -> float:
-    return _midpoint_integral(mesh, np.abs(mesh.midpoint_operator @ values) ** (p - 1.0))
+    power = np.abs(mids) ** (p - 1.0)
+    value = _midpoint_integral(mesh, np.copysign(power, mids))
+    scale = _midpoint_integral(mesh, power)
+    if not (math.isfinite(value) and math.isfinite(scale)):
+        return math.nan
+    return abs(value) / scale if scale > 0.0 else 0.0
 
 
 def project_constraint(mesh: TriangleMesh, values: np.ndarray, p: float) -> np.ndarray:
@@ -635,9 +616,9 @@ def project_constraint(mesh: TriangleMesh, values: np.ndarray, p: float) -> np.n
 
     Floating-point limit: as p approaches 1, |m - c|^(p-1) gets unbounded
     slope at every midpoint value, so the ulp-wide bracket can still leave
-    |F| above 1e-8 of that scale, the tolerance rayleigh_quotient demands
-    (at p = 1.1 on a 697-node star, 12 of 200 random inputs, worst 1.2e-5;
-    at p >= 1.25 below 1e-13). minimize_rayleigh_p then reports the
+    |F| above FEASIBILITY_TOL of that scale, the tolerance rayleigh_quotient
+    demands (at p = 1.1 on a 697-node star, 12 of 200 random inputs, worst
+    1.2e-5; at p >= 1.25 below 1e-13). minimize_rayleigh_p then reports the
     estimate as not converged.
     """
     lo, hi = float(values.min()), float(values.max())
@@ -684,8 +665,9 @@ def rayleigh_quotient(
 ) -> float:
     """Discrete Rayleigh quotient int |grad f|^p / int |f|^p of nodal values.
 
-    The argument must satisfy the discretized zero-mean constraint to 1e-8
-    (relative), unless project=True requests the constant-shift projection.
+    The argument must satisfy the discretized zero-mean constraint to
+    FEASIBILITY_TOL (constraint_residual), unless project=True requests the
+    constant-shift projection.
     Always an upper bound for the discrete minimum.
     """
     values = np.asarray(values, dtype=float)
@@ -693,9 +675,8 @@ def rayleigh_quotient(
         raise ValueError("nodal value count does not match the mesh")
     if np.ptp(values) <= 1e-14 * max(1.0, np.abs(values).max()):
         raise ValueError("Rayleigh quotient of a constant function is undefined")
-    scale = constraint_scale(mesh, values, p)
-    # a non-finite constraint counts as violated
-    if not abs(constraint_value(mesh, values, p)) <= 1e-8 * scale:
+    # a NaN residual (non-finite constraint) counts as violated
+    if not constraint_residual(mesh, values, p) <= FEASIBILITY_TOL:
         if not project:
             raise ValueError("constraint violated; pass project=True to shift")
         values = project_constraint(mesh, values, p)
@@ -733,8 +714,8 @@ def minimize_rayleigh_p(
     from the P1 eigenvectors 2 and 3, at most `starts` of them, with the
     constraint re-projected after every step. Each start ends on the
     stopping test (STOP_WINDOW) or after `iterations` steps. Converged: the
-    best start ended on the test with the 1e-8 constraint met. An estimate,
-    not a certificate: a claimed lower bound must not exceed it.
+    best start ended on the test with the constraint met to FEASIBILITY_TOL.
+    An estimate, not a certificate: a claimed lower bound must not exceed it.
     """
     check_exponent(p)
     _, mass, lu, vecs = _shifted_solve(mesh)
@@ -772,8 +753,7 @@ def minimize_rayleigh_p(
             else:
                 step *= 0.5
         if value < best:
-            feasible = abs(constraint_value(mesh, v, p)) <= 1e-8 * constraint_scale(mesh, v, p)
-            best, converged = value, stopped and feasible
+            best, converged = value, stopped and constraint_residual(mesh, v, p) <= FEASIBILITY_TOL
     info = {"iterations": total_iters, "converged": converged, "final_step": step}
     return (best, info) if return_info else best
 

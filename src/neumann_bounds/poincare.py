@@ -11,7 +11,7 @@ family gets a rigorous ratio-test tail in place of truncation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from scipy.integrate import quad
 
@@ -295,6 +295,21 @@ def triple_constant(
     )
 
 
+def _max_weight_bound(coeffs, parts, m: int, p: float, details, notes=()) -> PoincareBound:
+    """B^p = m * max_i C_i for the chain, tree and snowflake rules.
+
+    coeffs[i] is candidate i's weight C_i and parts[i] its (label, rule,
+    value) split; the first largest weight wins, and its parts scaled by m
+    are the certificate terms, a zero part after the first dropped.
+    """
+    best = max(range(len(coeffs)), key=lambda i: coeffs[i])
+    terms = [CertTerm(label, rule, m * v) for k, (label, rule, v) in enumerate(parts[best])
+             if k == 0 or v > 0.0]
+    value = (m * coeffs[best]) ** (1.0 / p)
+    return PoincareBound(value, p, FORM_INF, tuple(terms), multiplicity=m, details=tuple(details),
+                         notes=tuple(notes) + _overflow_notes(value**p, *coeffs))
+
+
 def _chain_coefficients(
     volumes: list[float], links: list[float], bounds_pow: list[float], p: float
 ) -> tuple[list[float], list[tuple[float, float]]]:
@@ -356,9 +371,7 @@ def chain_constant(
     volumes = chain.volumes()
     links = list(chain.link_volumes)
     bounds_pow = [b.bound_power() for b in triple_bounds]
-    coeffs, parts = _chain_coefficients(volumes, links, bounds_pow, p)
-    m = chain.multiplicity
-    best = max(range(len(coeffs)), key=lambda i: coeffs[i])
+    coeffs, splits = _chain_coefficients(volumes, links, bounds_pow, p)
     notes = ["final cell reuses its trailing link; single-triple chains drop the link term"]
     check = _chain_coefficients_double_sum(volumes, links, bounds_pow, p)
     drift = max(
@@ -366,20 +379,11 @@ def chain_constant(
     )
     if drift > 1e-9:
         notes.append(f"double-sum reorganization check drifted by {drift:.3e}")
-    first, second = parts[best]
-    terms = [CertTerm(f"cell-{best + 1}-own", "chain-aggregation", m * first)]
-    if second > 0.0:
-        terms.append(CertTerm(f"cell-{best + 1}-links", "chain-aggregation", m * second))
-    value = (m * coeffs[best]) ** (1.0 / p)
-    return PoincareBound(
-        value=value,
-        p=p,
-        form=FORM_INF,
-        terms=tuple(terms),
-        multiplicity=m,
-        details=tuple((f"C_{i + 1}", c) for i, c in enumerate(coeffs)),
-        notes=tuple(notes) + _overflow_notes(value**p, *coeffs),
-    )
+    parts = [((f"cell-{i + 1}-own", "chain-aggregation", first),
+              (f"cell-{i + 1}-links", "chain-aggregation", second))
+             for i, (first, second) in enumerate(splits)]
+    details = ((f"C_{i + 1}", c) for i, c in enumerate(coeffs))
+    return _max_weight_bound(coeffs, parts, chain.multiplicity, p, details, notes)
 
 
 def _tree_downstream_weight(tree: FractalTree, j: int, p: float, depth: int) -> float:
@@ -407,31 +411,16 @@ def tree_constant(
     if len(cell_bounds) != len(tree.levels):
         raise ValueError("need one bound per tree level")
     _require_deviation_form(cell_bounds, p)
-    depth = tree.depth
-    coeffs = []
+    coeffs, parts = [], []
     pref = 2.0 ** (p - 1.0)
     for j, level in enumerate(tree.levels):
-        s_j = _tree_downstream_weight(tree, j, p, depth)
-        coeffs.append(pref * cell_bounds[j].bound_power() * (1.0 + s_j / level.star_area))
-    m = tree.multiplicity
-    best = max(range(len(coeffs)), key=lambda i: coeffs[i])
-    s_best = _tree_downstream_weight(tree, best, p, depth)
-    bp_best = cell_bounds[best].bound_power()
-    own = pref * bp_best
-    downstream = pref * bp_best * s_best / tree.levels[best].star_area
-    terms = [CertTerm(f"level-{best}-own", "tree-aggregation", m * own)]
-    if downstream > 0.0:
-        terms.append(CertTerm(f"level-{best}-downstream", "tree-aggregation", m * downstream))
-    value = (m * coeffs[best]) ** (1.0 / p)
-    return PoincareBound(
-        value=value,
-        p=p,
-        form=FORM_INF,
-        terms=tuple(terms),
-        multiplicity=m,
-        details=tuple((f"C_level_{j}", c) for j, c in enumerate(coeffs)),
-        notes=_overflow_notes(value**p, *coeffs),
-    )
+        s_j = _tree_downstream_weight(tree, j, p, tree.depth)
+        own = pref * cell_bounds[j].bound_power()
+        coeffs.append(own * (1.0 + s_j / level.star_area))
+        parts.append(((f"level-{j}-own", "tree-aggregation", own),
+                      (f"level-{j}-downstream", "tree-aggregation", own * s_j / level.star_area)))
+    details = ((f"C_level_{j}", c) for j, c in enumerate(coeffs))
+    return _max_weight_bound(coeffs, parts, tree.multiplicity, p, details)
 
 
 def ratio_test_tail(term, ratio, start: int) -> tuple[float, int, float]:
@@ -537,14 +526,16 @@ def snowflake_bound(
     t_explicit, _, t_rem = ratio_test_tail(t_term, t_ratio, start=depth + 1)
     t_tail = t_explicit + t_rem
 
-    coeffs = []
-    tail_parts = []
+    coeffs, parts = [], []
     for j, level in enumerate(tree.levels):
         s_finite = _tree_downstream_weight(tree, j, p, depth)
         share = 1.5 if j == 0 else 2.0**-j
         s_total = s_finite + share * t_tail
-        coeffs.append(pref * cell_bounds[j].bound_power() * (1.0 + s_total / level.star_area))
-        tail_parts.append(pref * cell_bounds[j].bound_power() * share * t_tail / level.star_area)
+        own = pref * cell_bounds[j].bound_power()
+        coeffs.append(own * (1.0 + s_total / level.star_area))
+        tail = own * share * t_tail / level.star_area
+        parts.append(((f"level-{j}-finite", "tree-aggregation", coeffs[-1] - tail),
+                      (f"level-{j}-tail", "tail-ratio-test", tail)))
 
     # envelope for the weights of levels beyond the stored depth:
     # E(j) = 2^(p-1) B^p(Δ_j*) (1 + j^(p-1) Z), decreasing by a factor
@@ -556,36 +547,18 @@ def snowflake_bound(
         * (snowflake_level(spec, j_next).star_side / pi_p(p)) ** p
         * (1.0 + j_next ** (p - 1.0) * z)
     )
+    coeffs.append(envelope)
+    parts.append(((f"level-{j_next}-envelope", "tail-ratio-test", envelope),))
 
-    m = 2  # the infinite tree always has extended cells overlapping parents
-    candidates = coeffs + [envelope]
-    best = max(range(len(candidates)), key=lambda i: candidates[i])
-    value = (m * candidates[best]) ** (1.0 / p)
-    if best < len(coeffs):
-        tail_power = m * tail_parts[best]
-        terms = (
-            CertTerm(f"level-{best}-finite", "tree-aggregation", m * coeffs[best] - tail_power),
-            CertTerm(f"level-{best}-tail", "tail-ratio-test", tail_power),
-        )
-    else:
-        tail_power = m * envelope
-        terms = (CertTerm(f"level-{j_next}-envelope", "tail-ratio-test", tail_power),)
-    finite_tree = tree_constant(tree, cell_bounds, p)
-    return PoincareBound(
-        value=value,
-        p=p,
-        form=FORM_INF,
-        terms=terms,
-        multiplicity=m,
-        details=(
-            ("finite-depth-bound", finite_tree.value),
-            ("downstream-tail-weight", t_tail),
-            ("beyond-depth-envelope", envelope),
-            ("tail-increment-power", tail_power),
-        ),
-        notes=(
-            "covers the infinite tree: stored levels carry certified downstream tails, "
-            "deeper levels are dominated by a decreasing envelope",
-        )
-        + _overflow_notes(value**p, *coeffs),
+    details = (
+        ("finite-depth-bound", tree_constant(tree, cell_bounds, p).value),
+        ("downstream-tail-weight", t_tail),
+        ("beyond-depth-envelope", envelope),
     )
+    notes = ("covers the infinite tree: stored levels carry certified downstream tails, "
+             "deeper levels are dominated by a decreasing envelope",)
+    # m = 2: the infinite tree always has extended cells overlapping parents
+    bound = _max_weight_bound(coeffs, parts, 2, p, details, notes)
+    # the winner's tail term (its last), or 0 where a zero tail was dropped
+    tail_power = sum(t.value for t in bound.terms if t.rule == "tail-ratio-test")
+    return replace(bound, details=bound.details + (("tail-increment-power", tail_power),))

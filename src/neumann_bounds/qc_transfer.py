@@ -18,7 +18,9 @@ from scipy.optimize import brentq
 from .poincare import PoincareBound, check_exponent, pi_p, read_field
 
 Q_GRID_SIZE = 64
-QC_SLACK = 1e-9  # additive slack for the pointwise distortion check
+# relative slack of the pointwise distortion check |D phi|^n <= K |J| (1 + QC_SLACK):
+# scale-free, and absorbs the few-ulp rounding of K |J| for a map's own K
+QC_SLACK = 1e-12
 
 # first positive zero of the derivative of the first-kind Bessel function
 # of order one; its square is the first nontrivial Neumann eigenvalue of
@@ -77,7 +79,7 @@ class QCMapData:
             raise TransferError("distortion coefficient K must be >= 1")
         f = self.derivative_field
         with np.errstate(over="ignore"):
-            if np.any(f.dphi**self.n > self.K * f.jac + QC_SLACK):
+            if np.any(f.dphi**self.n > self.K * f.jac * (1.0 + QC_SLACK)):
                 raise TransferError("a sample violates |D phi|^n <= K |J|")
 
     @classmethod

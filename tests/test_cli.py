@@ -534,10 +534,26 @@ class TestFlagsPerCommand:
             ("report", ["--timing"]),
         ],
     )
-    def test_unread_flag_rejected(self, command, flag):
+    def test_unread_flag_rejected(self, command, flag, capsys):
         with pytest.raises(SystemExit) as err:
             run_cli([command, *flag])
         assert err.value.code == 1
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["bound-star", "--dim", "4"], "argument --dim: invalid choice"),
+            (["bound-star", "--delta"], "argument --delta: expected one argument"),
+            (["bound-star", "--bogus"], "unrecognized arguments: --bogus"),
+        ],
+    )
+    def test_parser_error_is_one_line(self, args, message, capsys):
+        with pytest.raises(SystemExit) as err:
+            run_cli(args)
+        assert err.value.code == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and message in lines[0]
 
     def test_seed_accepted_everywhere(self, tmp_path):
         snow = tmp_path / "snow.json"
@@ -555,6 +571,53 @@ class TestFlagsPerCommand:
         assert run_cli(["verify", "--bound", cert, "--domain", domain, "--h", 0.5, "--seed", 3,
                         "--out", tmp_path / "v.json"]) == 0
         assert run_cli(["report", snow, "--seed", 3, "--out", tmp_path / "r.csv"]) == 0
+
+
+def test_oversized_3d_cross_section_one_line(capsys):
+    assert "between 8 and 1024 vertices, got 1025" in one_line_error(
+        ["bound-star", "--dim", 3, "--mgon", 1025, "--no-verify"], capsys
+    )
+
+
+ROW5 = {"type": "cells",
+        "cells": [{"vertices": [[x, 0], [x + 1, 0], [x + 1, 1], [x, 1]]} for x in (0, 0.6, 1.2, 1.8, 2.4)],
+        "structure": "chain"}
+
+
+class TestChainInputs:
+    """Chain indices and multiplicity are checked before any triple is built."""
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"triples": [[0, 1, 99]]}, 'chain "triples" must be a list of [i, j, k] cell indices'),
+            ({"triples": [[0, 1, -1]]}, "each an integer in [0, 5)"),
+            ({"triples": "abc"}, 'chain "triples"'),
+            ({"triples": 5}, 'chain "triples"'),
+            ({"triples": [[0, 1]]}, 'chain "triples"'),
+            ({"triples": [[0, 1, 2.0]]}, 'chain "triples"'),
+            ({"triples": [[0, 1, True]]}, 'chain "triples"'),
+            ({"triples": [[0, 1, 2]]}, "chain triples leave out cell 3"),
+            ({"triples": []}, "chain triples leave out cell 0"),
+            ({"multiplicity": "2"}, "chain multiplicity must be an integer, got '2'"),
+            ({"multiplicity": True}, "chain multiplicity must be an integer, got True"),
+            ({"multiplicity": 2.0}, "chain multiplicity must be an integer"),
+            ({"multiplicity": 1}, "chain multiplicity 1 is below the cover multiplicity 2"),
+        ],
+    )
+    def test_exit_1_one_line(self, tmp_path, capsys, override, message):
+        domain = write_json(tmp_path / "row.json", {**ROW5, **override})
+        assert message in one_line_error(["bound-cells", "--domain", domain, "--no-verify"], capsys)
+
+    def test_exact_multiplicity_accepted(self, tmp_path):
+        outs = []
+        for i, override in enumerate(({}, {"multiplicity": 2})):
+            outs.append(tmp_path / f"chain{i}.json")
+            domain = write_json(tmp_path / f"row{i}.json", {**ROW5, **override})
+            assert run_cli(["bound-cells", "--domain", domain, "--no-verify", "--out", outs[-1]]) == 0
+        certificates = [json.loads(out.read_text())["certificates"] for out in outs]
+        assert certificates[0] == certificates[1]
+        assert certificates[0][0]["data"]["multiplicity"] == 2
 
 
 def test_3d_overlap_construction_failure_one_line(monkeypatch, capsys):

@@ -16,8 +16,7 @@ from neumann_bounds.oracle import (
     _cut_lines,
     _rayleigh_gradient,
     check_domination,
-    constraint_scale,
-    constraint_value,
+    constraint_residual,
     gradient_integral,
     integrate_abs_power,
     mesh_domain,
@@ -169,8 +168,8 @@ class TestMeshing:
         def unreachable(*args, **kwargs):
             raise AssertionError("mesh construction reached")
 
-        for name in ("_structured_rectangle", "_rect_union_mesh", "_convex_polygon_mesh",
-                     "_star_mesh", "_disk_mesh", "_quad_grid_mesh", "TriangleMesh"):
+        for name in ("_rect_union_mesh", "_convex_polygon_mesh", "_star_mesh", "_disk_mesh",
+                     "_quad_grid_mesh", "TriangleMesh"):
             monkeypatch.setattr(oracle, name, unreachable)
         with pytest.raises(MeshError, match="mesh too large"):
             mesh_domain(spec, 1e-9)
@@ -370,11 +369,7 @@ class TestRayleighQuotient:
         rng = np.random.default_rng(2)
         for p in (2.0, 3.0, 1.5):
             values = project_constraint(mesh, rng.standard_normal(mesh.node_count), p)
-            from neumann_bounds.oracle import constraint_scale
-
-            assert abs(constraint_value(mesh, values, p)) <= 1e-10 * constraint_scale(
-                mesh, values, p
-            )
+            assert constraint_residual(mesh, values, p) <= 1e-10
 
 
 class TestMinimizer:
@@ -506,8 +501,7 @@ class TestProjectionNearPOne:
             residuals = []
             for _ in range(200):
                 values = project_constraint(mesh, rng.standard_normal(mesh.node_count), p)
-                residuals.append(abs(constraint_value(mesh, values, p))
-                                 / constraint_scale(mesh, values, p))
+                residuals.append(constraint_residual(mesh, values, p))
             assert max(residuals) <= worst_allowed, p
             assert any(r > 1e-8 for r in residuals) is misses, p
 
@@ -517,15 +511,14 @@ class TestProjectionNearPOne:
         # a projection that adds a fixed shift leaves every iterate infeasible
         monkeypatch.setattr(oracle, "STOP_DECREASE", 1.0)
         checked = []
-        real = oracle.constraint_value
+        real = oracle.constraint_residual
         real_project = oracle.project_constraint
 
         def spy(mesh, values, p):
-            value = real(mesh, values, p)
-            checked.append(abs(value) / constraint_scale(mesh, values, p))
-            return value
+            checked.append(real(mesh, values, p))
+            return checked[-1]
 
-        monkeypatch.setattr(oracle, "constraint_value", spy)
+        monkeypatch.setattr(oracle, "constraint_residual", spy)
         for spec, h, shift, feasible in (
             ({"kind": "rectangle", "bounds": [0, 0, 2, 1]}, 0.34, 1e-3, False),
             ({"kind": "star", "delta": 1.0}, 0.25, 0.0, True),
@@ -910,8 +903,21 @@ class TestStructuredMeshersMatchReference:
         for rects in rows:
             mesh = mesh_domain({"kind": "rect_union", "rects": [list(r) for r in rects]}, h)
             ref = reference_rect_union_mesh(rects, h)
-            assert np.array_equal(mesh.nodes, ref.nodes)
-            assert np.array_equal(mesh.elements, ref.elements)
+            # the same elements in the same order; the nodes in row-major
+            # grid order (y, then x), where the reference numbers them in
+            # the order the sweep first touches them
+            assert np.array_equal(mesh.nodes[mesh.elements], ref.nodes[ref.elements])
+            assert len(mesh.nodes) == len(ref.nodes)
+            x, y = mesh.nodes.T
+            assert np.all((np.diff(y) > 0.0) | ((np.diff(y) == 0.0) & (np.diff(x) > 0.0)))
+
+    @pytest.mark.parametrize("h", [0.3, 0.13, 0.07])
+    def test_rectangle_is_a_one_rectangle_union(self, h):
+        for bounds in ([0, 0, 1, 1], [0, 0, 2, 1], [-0.3, 0.2, 1.7, 0.9]):
+            mesh = mesh_domain({"kind": "rectangle", "bounds": bounds}, h)
+            union = mesh_domain({"kind": "rect_union", "rects": [bounds]}, h)
+            assert np.array_equal(mesh.nodes, union.nodes)
+            assert np.array_equal(mesh.elements, union.elements)
 
     def test_empty_rect_union_rejected(self):
         with pytest.raises(MeshError, match="empty"):
@@ -1095,9 +1101,7 @@ class TestDescentOperatorsMatchReference:
             if trial % 3 == 0:  # skewed: a few large positive values dominate
                 values = np.exp(3.0 * values)
             projected = project_constraint(mesh, values, p)
-            assert abs(constraint_value(mesh, projected, p)) <= 1e-12 * constraint_scale(
-                mesh, projected, p
-            )
+            assert constraint_residual(mesh, projected, p) <= 1e-12
 
     def test_projection_rejects_non_finite(self):
         mesh = square_mesh(0.25)
@@ -1115,13 +1119,11 @@ class TestExactZeroMidpoints:
         mesh = square_mesh(0.1)
         values = mesh.nodes[:, 0] - 0.5
         assert np.any(midpoint_values(mesh, values) == 0.0)
-        assert math.isfinite(constraint_value(mesh, values, p))
+        assert math.isfinite(constraint_residual(mesh, values, p))
         value, grad = _rayleigh_gradient(mesh, values, p)
         assert math.isfinite(value) and np.all(np.isfinite(grad))
         projected = project_constraint(mesh, values, p)
-        assert abs(constraint_value(mesh, projected, p)) <= 1e-12 * constraint_scale(
-            mesh, projected, p
-        )
+        assert constraint_residual(mesh, projected, p) <= 1e-12
         assert math.isfinite(rayleigh_quotient(mesh, values, p))
 
     def test_non_finite_constraint_counts_as_violated(self):

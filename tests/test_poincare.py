@@ -5,15 +5,24 @@ import pytest
 
 from neumann_bounds.geometry import (
     ConvexCell,
+    FractalTree,
     FractalTreeSpec,
     WhitneyChain,
     WhitneyTriple,
     build_snowflake_tree,
     cell_volume,
+    snowflake_level,
 )
 from neumann_bounds.poincare import (
     FORM_DEVIATION,
+    FORM_INF,
     SERIES_CAP,
+    _chain_coefficients,
+    _chain_coefficients_double_sum,
+    _overflow_notes,
+    _polynomial_geometric_constant,
+    _require_deviation_form,
+    _tree_downstream_weight,
     CertTerm,
     PoincareBound,
     SeriesError,
@@ -401,3 +410,213 @@ class TestSnowflakeBound:
             tree = build_snowflake_tree(FractalTreeSpec(a=1.0, depth=depth))
             values.append(snowflake_bound(tree, 2.0).value)
         assert values[0] == pytest.approx(values[1], rel=1e-5)
+
+
+# Verbatim copies of chain_constant, tree_constant and snowflake_bound as they
+# were before the three rules shared one max-weight aggregation; only the names
+# (and the snowflake copy's call of the tree copy) differ.
+
+
+def reference_chain_constant(
+    chain: WhitneyChain, triple_bounds: list[PoincareBound], p: float
+) -> PoincareBound:
+    """Chain rule over Whitney triples A_1..A_J.
+
+    The weighted-gradient estimate is collapsed to a single constant with
+    the cover multiplicity m: B^p(W) = m * max_i C_i, valid against the
+    choice c = f_{A_1} (inf-over-constants form).
+    """
+    if len(triple_bounds) != len(chain.triples):
+        raise ValueError("need one triple bound per chain element")
+    _require_deviation_form(triple_bounds, p)
+    volumes = chain.volumes()
+    links = list(chain.link_volumes)
+    bounds_pow = [b.bound_power() for b in triple_bounds]
+    coeffs, parts = _chain_coefficients(volumes, links, bounds_pow, p)
+    m = chain.multiplicity
+    best = max(range(len(coeffs)), key=lambda i: coeffs[i])
+    notes = ["final cell reuses its trailing link; single-triple chains drop the link term"]
+    check = _chain_coefficients_double_sum(volumes, links, bounds_pow, p)
+    drift = max(
+        abs(a - b) / max(abs(a), abs(b), 1e-300) for a, b in zip(coeffs, check)
+    )
+    if drift > 1e-9:
+        notes.append(f"double-sum reorganization check drifted by {drift:.3e}")
+    first, second = parts[best]
+    terms = [CertTerm(f"cell-{best + 1}-own", "chain-aggregation", m * first)]
+    if second > 0.0:
+        terms.append(CertTerm(f"cell-{best + 1}-links", "chain-aggregation", m * second))
+    value = (m * coeffs[best]) ** (1.0 / p)
+    return PoincareBound(
+        value=value,
+        p=p,
+        form=FORM_INF,
+        terms=tuple(terms),
+        multiplicity=m,
+        details=tuple((f"C_{i + 1}", c) for i, c in enumerate(coeffs)),
+        notes=tuple(notes) + _overflow_notes(value**p, *coeffs),
+    )
+
+
+def reference_tree_constant(
+    tree: FractalTree, cell_bounds: list[PoincareBound], p: float
+) -> PoincareBound:
+    """Tree rule over the stored depth of a fractal tree.
+
+    Per-level weight (extended cells, all cells of a level being congruent):
+    C_j = 2^(p-1) B^p(Δ_j*) (1 + S_j / |Δ_j*|), with S_j the downstream
+    step-weighted measure sum; B^p(tree) = m * max_j C_j.
+    """
+    if not tree.levels:
+        raise ValueError("tree has no cells")
+    if len(cell_bounds) != len(tree.levels):
+        raise ValueError("need one bound per tree level")
+    _require_deviation_form(cell_bounds, p)
+    depth = tree.depth
+    coeffs = []
+    pref = 2.0 ** (p - 1.0)
+    for j, level in enumerate(tree.levels):
+        s_j = _tree_downstream_weight(tree, j, p, depth)
+        coeffs.append(pref * cell_bounds[j].bound_power() * (1.0 + s_j / level.star_area))
+    m = tree.multiplicity
+    best = max(range(len(coeffs)), key=lambda i: coeffs[i])
+    s_best = _tree_downstream_weight(tree, best, p, depth)
+    bp_best = cell_bounds[best].bound_power()
+    own = pref * bp_best
+    downstream = pref * bp_best * s_best / tree.levels[best].star_area
+    terms = [CertTerm(f"level-{best}-own", "tree-aggregation", m * own)]
+    if downstream > 0.0:
+        terms.append(CertTerm(f"level-{best}-downstream", "tree-aggregation", m * downstream))
+    value = (m * coeffs[best]) ** (1.0 / p)
+    return PoincareBound(
+        value=value,
+        p=p,
+        form=FORM_INF,
+        terms=tuple(terms),
+        multiplicity=m,
+        details=tuple((f"C_level_{j}", c) for j, c in enumerate(coeffs)),
+        notes=_overflow_notes(value**p, *coeffs),
+    )
+
+
+def reference_snowflake_bound(
+    tree: FractalTree, p: float, cell_bounds: list[PoincareBound] | None = None
+) -> PoincareBound:
+    """Bound for the infinite snowflake, not just the stored depth.
+
+    Extends every per-level weight C_j with a certified tail for the
+    downstream levels beyond the stored depth, and dominates the weights of
+    all unstored levels by a strictly decreasing envelope evaluated at
+    depth+1. The certificate separates the finite part from the tail terms.
+    """
+    spec = tree.spec
+    if cell_bounds is None:
+        cell_bounds = snowflake_level_bounds(tree, p)
+    if len(cell_bounds) != len(tree.levels):
+        raise ValueError("need one bound per tree level")
+    depth = tree.depth
+    pref = 2.0 ** (p - 1.0)
+
+    # certified bound for T = sum_{i>depth} i^(p-1) 2^i |Δ_i*|
+    def t_term(i: int) -> float:
+        return i ** (p - 1.0) * 2.0**i * snowflake_level(spec, i).star_area
+
+    def t_ratio(i: int) -> float:
+        return ((i + 1) / i) ** (p - 1.0) * (2.0 / 9.0)
+
+    t_explicit, _, t_rem = ratio_test_tail(t_term, t_ratio, start=depth + 1)
+    t_tail = t_explicit + t_rem
+
+    coeffs = []
+    tail_parts = []
+    for j, level in enumerate(tree.levels):
+        s_finite = _tree_downstream_weight(tree, j, p, depth)
+        share = 1.5 if j == 0 else 2.0**-j
+        s_total = s_finite + share * t_tail
+        coeffs.append(pref * cell_bounds[j].bound_power() * (1.0 + s_total / level.star_area))
+        tail_parts.append(pref * cell_bounds[j].bound_power() * share * t_tail / level.star_area)
+
+    # envelope for the weights of levels beyond the stored depth:
+    # E(j) = 2^(p-1) B^p(Δ_j*) (1 + j^(p-1) Z), decreasing by a factor
+    # <= 2^(p-1)/3^p < 1 per level
+    z = _polynomial_geometric_constant(p, 2.0 / 9.0)
+    j_next = depth + 1
+    envelope = (
+        pref
+        * (snowflake_level(spec, j_next).star_side / pi_p(p)) ** p
+        * (1.0 + j_next ** (p - 1.0) * z)
+    )
+
+    m = 2  # the infinite tree always has extended cells overlapping parents
+    candidates = coeffs + [envelope]
+    best = max(range(len(candidates)), key=lambda i: candidates[i])
+    value = (m * candidates[best]) ** (1.0 / p)
+    if best < len(coeffs):
+        tail_power = m * tail_parts[best]
+        terms = (
+            CertTerm(f"level-{best}-finite", "tree-aggregation", m * coeffs[best] - tail_power),
+            CertTerm(f"level-{best}-tail", "tail-ratio-test", tail_power),
+        )
+    else:
+        tail_power = m * envelope
+        terms = (CertTerm(f"level-{j_next}-envelope", "tail-ratio-test", tail_power),)
+    finite_tree = reference_tree_constant(tree, cell_bounds, p)
+    return PoincareBound(
+        value=value,
+        p=p,
+        form=FORM_INF,
+        terms=terms,
+        multiplicity=m,
+        details=(
+            ("finite-depth-bound", finite_tree.value),
+            ("downstream-tail-weight", t_tail),
+            ("beyond-depth-envelope", envelope),
+            ("tail-increment-power", tail_power),
+        ),
+        notes=(
+            "covers the infinite tree: stored levels carry certified downstream tails, "
+            "deeper levels are dominated by a decreasing envelope",
+        )
+        + _overflow_notes(value**p, *coeffs),
+    )
+
+
+def random_chain(rng, num_triples, overlap):
+    """A row of 2J + 1 rectangles of one width and random heights, grouped
+    into J triples; an overlap fraction up to 1/2 keeps outer cells disjoint."""
+    width = rng.uniform(0.6, 1.6)
+    cells = [unit_square(dx=j * width * (1.0 - overlap), dy=rng.uniform(-0.2, 0.2), w=width,
+                         h=rng.uniform(0.7, 1.3))
+             for j in range(2 * num_triples + 1)]
+    triples = [WhitneyTriple.from_cells(*cells[2 * i : 2 * i + 3]) for i in range(num_triples)]
+    chain = WhitneyChain.from_triples(triples, multiplicity=min(2, num_triples))
+    bounds = [deviation_bound(rng.uniform(0.2, 3.0), 2.0) for _ in triples]
+    return chain, bounds
+
+
+class TestMaxWeightAggregationMatchesReference:
+    """The shared aggregation reproduces the three rules' former certificates."""
+
+    @pytest.mark.parametrize("p", [1.2, 1.5, 2.0, 3.0, 4.0, 6.0])
+    def test_chains(self, p):
+        rng = np.random.default_rng(round(10 * p))
+        for num_triples in range(1, 9):
+            for overlap in (0.1, 0.25, 0.4, 0.5):
+                chain, bounds = random_chain(rng, num_triples, overlap)
+                bounds = [deviation_bound(b.value, p) for b in bounds]
+                assert (chain_constant(chain, bounds, p).to_dict()
+                        == reference_chain_constant(chain, bounds, p).to_dict())
+
+    @pytest.mark.parametrize("p", [1.2, 1.5, 2.0, 3.0, 4.0, 6.0])
+    def test_trees_and_snowflakes(self, p):
+        for depth in range(63):
+            overlap = (0.05, 0.25, 0.5, 0.95)[depth % 4]
+            tree = build_snowflake_tree(FractalTreeSpec(a=1.7, depth=depth, overlap_fraction=overlap))
+            bounds = snowflake_level_bounds(tree, p)
+            assert (tree_constant(tree, bounds, p).to_dict()
+                    == reference_tree_constant(tree, bounds, p).to_dict())
+            # shrunken stored-level bounds let the beyond-depth envelope win
+            for scale in (1.0, 0.01):
+                scaled = [deviation_bound(scale * b.value, p) for b in bounds]
+                assert (snowflake_bound(tree, p, scaled).to_dict()
+                        == reference_snowflake_bound(tree, p, scaled).to_dict())

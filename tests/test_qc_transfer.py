@@ -59,6 +59,16 @@ class TestMapData:
         with pytest.raises(TransferError):
             constant_map(2.0, 1.0, K=1.0)  # |D phi|^2 = 4 > K |J| = 1
 
+    def test_distortion_slack_is_relative(self):
+        # the rounding of K |J| grows with |A|^n; a relative slack accepts
+        # every linear map at any scale and still refuses a real excess
+        rng = np.random.default_rng(1)
+        for _ in range(300):
+            QCMapData.from_linear(rng.uniform(-1.0, 1.0, (2, 2)) * 10.0 ** rng.uniform(3, 8), 1.0)
+        for scale in (1e-6, 1.0, 1e6):  # |D phi|^2 exceeds K |J| = 2 scale^2 by 1e-10 of it
+            with pytest.raises(TransferError, match="violates"):
+                constant_map(scale * math.sqrt(2.0 * (1.0 + 1e-10)), scale**2, K=2.0)
+
     def test_sampled_validation(self):
         with pytest.raises(TransferError):
             SampledDerivative(weights=[1.0], dphi=[1.0], jac=[-1.0])
