@@ -361,9 +361,7 @@ def _run_bound_star(config: RunConfig) -> dict:
 
 def _run_bound_snowflake(config: RunConfig) -> dict:
     _override_from_domain(config, "snowflake", ("a", "depth", "overlap_fraction"))
-    spec = FractalTreeSpec(
-        a=config.a, depth=config.depth, overlap_fraction=config.overlap_fraction
-    )
+    spec = FractalTreeSpec(a=config.a, depth=config.depth, overlap_fraction=config.overlap_fraction)
     tree = build_snowflake_tree(spec)
     level_bounds = snowflake_level_bounds(tree, config.p)
     finite = tree_constant(tree, level_bounds, config.p)
@@ -373,18 +371,9 @@ def _run_bound_snowflake(config: RunConfig) -> dict:
     report["certificates"].append(_certificate("snowflake-finite-tree", "poincare", finite.to_dict()))
     report["certificates"].append(_certificate("snowflake-infinite", "poincare", full.to_dict()))
     tail_relative = (full.value ** config.p - finite.value ** config.p) / finite.value ** config.p
-    report["certificates"].append(
-        _certificate(
-            "snowflake-tail",
-            "series-tail",
-            {
-                "start_level": config.depth + 1,
-                "tail_bound": tail,
-                "tail_relative_increment": tail_relative,
-                "p": config.p,
-            },
-        )
-    )
+    tail_data = {"start_level": config.depth + 1, "tail_bound": tail,
+                 "tail_relative_increment": tail_relative, "p": config.p}
+    report["certificates"].append(_certificate("snowflake-tail", "series-tail", tail_data))
     report["notes"].append("no oracle available for the fractal domain; certificates only")
     return report
 

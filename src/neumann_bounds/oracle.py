@@ -233,7 +233,19 @@ class TriangleMesh:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TriangleMesh":
-        return cls(data["nodes"], data["elements"])
+        """Mesh of a mesh file; a key whose entries are not numbers, or an
+        element index that is not an integer, is refused by name."""
+        arrays = {}
+        for key in ("nodes", "elements"):
+            try:
+                arrays[key] = np.asarray(data[key], dtype=float)
+            except (TypeError, ValueError):
+                raise MeshError(f"mesh key {key!r} must be an array of numbers") from None
+        elements = arrays["elements"]
+        # NaN and inf fail too; below 2^53 every integer is an exact float
+        if not np.all((np.trunc(elements) == elements) & (np.abs(elements) < 2.0**53)):
+            raise MeshError("mesh key 'elements' must hold integer node indices")
+        return cls(arrays["nodes"], elements)
 
 
 @dataclass(frozen=True)
@@ -448,9 +460,16 @@ def mesh_domain(spec: dict, h: float) -> TriangleMesh:
             build = functools.partial(_star_mesh, delta, h)
         elif kind == "disk":
             radius = float(read("radius"))
+            center = tuple(map(float, read("center", (0.0, 0.0))))
+            # the element areas, ~ radius^2, stay normal floats
+            if not 1e-150 < radius < 1e150:
+                raise MeshError(f"disk mesh description key 'radius' must lie between 1e-150 "
+                                f"and 1e150, got {radius!r}")
+            if len(center) != 2 or not all(map(math.isfinite, center)):
+                raise MeshError(f"disk mesh description key 'center' must be two finite numbers, "
+                                f"got {list(center)!r}")
             width = height = 2.0 * radius
-            cx, cy = map(float, read("center", (0.0, 0.0)))
-            build = functools.partial(_disk_mesh, radius, h, (cx, cy))
+            build = functools.partial(_disk_mesh, radius, h, center)
         else:
             raise MeshError(f"unsupported domain kind {kind!r}")
     except (KeyError, TypeError) as exc:

@@ -11,6 +11,7 @@ family gets a rigorous ratio-test tail in place of truncation.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 from scipy.integrate import quad
@@ -24,11 +25,12 @@ from .geometry import (
     cell_diameter,
     cell_volume,
     snowflake_level,
-    snowflake_level_count,
 )
 
 OVERFLOW_LIMIT = 1e300
 SERIES_CAP = 10_000  # last index a ratio-test series tail may reach
+_ROOT_SIDE_REFUSAL = ("snowflake root side a = {:g} at p = {:g} puts a certified number "
+                      "outside the normal float range")
 
 FORM_DEVIATION = "deviation-from-mean"
 FORM_INF = "inf-over-constants"
@@ -164,6 +166,13 @@ def _overflow_notes(*values: float) -> tuple[str, ...]:
     return ()
 
 
+def _check_float_range(values, message: str) -> None:
+    """ValueError(message) unless every value is a normal float: a subnormal
+    or zero one has lost the relative accuracy a certificate claims."""
+    if not all(sys.float_info.min <= v <= sys.float_info.max for v in values):
+        raise ValueError(message)
+
+
 def pi_p(p: float) -> float:
     """The generalized half-period constant 2*pi*(p-1)^(1/p) / (p*sin(pi/p)).
 
@@ -295,17 +304,21 @@ def triple_constant(
     )
 
 
-def _max_weight_bound(coeffs, parts, m: int, p: float, details, notes=()) -> PoincareBound:
+def _max_weight_bound(coeffs, parts, m: int, p: float, details, notes=(),
+                      refusal: str | None = None) -> PoincareBound:
     """B^p = m * max_i C_i for the chain, tree and snowflake rules.
 
     coeffs[i] is candidate i's weight C_i and parts[i] its (label, rule,
     value) split; the first largest weight wins, and its parts scaled by m
-    are the certificate terms, a zero part after the first dropped.
+    are the certificate terms, a zero part after the first dropped; a term
+    or B^p outside the normal floats raises the refusal message, if given.
     """
     best = max(range(len(coeffs)), key=lambda i: coeffs[i])
     terms = [CertTerm(label, rule, m * v) for k, (label, rule, v) in enumerate(parts[best])
              if k == 0 or v > 0.0]
     value = (m * coeffs[best]) ** (1.0 / p)
+    if refusal is not None:
+        _check_float_range([t.value for t in terms] + [value**p], refusal)
     return PoincareBound(value, p, FORM_INF, tuple(terms), multiplicity=m, details=tuple(details),
                          notes=tuple(notes) + _overflow_notes(value**p, *coeffs))
 
@@ -386,15 +399,15 @@ def chain_constant(
     return _max_weight_bound(coeffs, parts, chain.multiplicity, p, details, notes)
 
 
-def _tree_downstream_weight(tree: FractalTree, j: int, p: float, depth: int) -> float:
-    """sum_{i=j}^{depth} i^(p-1) * (#level-i descendants of one level-j cell) * |Δ_i*|."""
-    total = 0.0
-    for i in range(j, depth + 1):
-        if i == 0:
-            continue  # steps^(p-1) vanishes at the root itself
-        count = snowflake_level_count(i) if j == 0 else 2 ** (i - j)
-        total += i ** (p - 1.0) * count * tree.levels[i].star_area
-    return total
+def _downstream_ratios(tree: FractalTree, p: float) -> list[float]:
+    """r_j = S_j / |Δ_j*|, S_j = sum_{i>=j} i^(p-1) (#level-i descendants of a
+    level-j cell) |Δ_i*|: a cell has two children of 1/9 its area, the root
+    three of (1+c)/9, so r_j = j^(p-1) + (2/9) r_{j+1} and r_0 = (1+c) r_1 / 3."""
+    r = [0.0] * (tree.depth + 2)
+    for j in range(tree.depth, 0, -1):
+        r[j] = j ** (p - 1.0) + (2.0 / 9.0) * r[j + 1]
+    r[0] = (1.0 + tree.spec.overlap_fraction) * r[1] / 3.0
+    return r[:-1]
 
 
 def tree_constant(
@@ -403,8 +416,8 @@ def tree_constant(
     """Tree rule over the stored depth of a fractal tree.
 
     Per-level weight (extended cells, all cells of a level being congruent):
-    C_j = 2^(p-1) B^p(Δ_j*) (1 + S_j / |Δ_j*|), with S_j the downstream
-    step-weighted measure sum; B^p(tree) = m * max_j C_j.
+    C_j = 2^(p-1) B^p(Δ_j*) (1 + r_j), with r_j the scale-free downstream
+    ratio of _downstream_ratios; B^p(tree) = m * max_j C_j.
     """
     if not tree.levels:
         raise ValueError("tree has no cells")
@@ -413,14 +426,14 @@ def tree_constant(
     _require_deviation_form(cell_bounds, p)
     coeffs, parts = [], []
     pref = 2.0 ** (p - 1.0)
-    for j, level in enumerate(tree.levels):
-        s_j = _tree_downstream_weight(tree, j, p, tree.depth)
+    for j, r in enumerate(_downstream_ratios(tree, p)):
         own = pref * cell_bounds[j].bound_power()
-        coeffs.append(own * (1.0 + s_j / level.star_area))
+        coeffs.append(own * (1.0 + r))
         parts.append(((f"level-{j}-own", "tree-aggregation", own),
-                      (f"level-{j}-downstream", "tree-aggregation", own * s_j / level.star_area)))
+                      (f"level-{j}-downstream", "tree-aggregation", own * r)))
     details = ((f"C_level_{j}", c) for j, c in enumerate(coeffs))
-    return _max_weight_bound(coeffs, parts, tree.multiplicity, p, details)
+    return _max_weight_bound(coeffs, parts, tree.multiplicity, p, details,
+                             refusal=_ROOT_SIDE_REFUSAL.format(tree.spec.a, p))
 
 
 def ratio_test_tail(term, ratio, start: int) -> tuple[float, int, float]:
@@ -435,24 +448,29 @@ def ratio_test_tail(term, ratio, start: int) -> tuple[float, int, float]:
     if start > SERIES_CAP:
         raise SeriesError(f"series not summable: start level {start} beyond cap {SERIES_CAP}")
     explicit = 0.0
-    k = start
-    while k <= SERIES_CAP:
+    for k in range(start, SERIES_CAP + 1):
         r = ratio(k)
         explicit += term(k)
         if r < 1.0:
             return explicit, k, term(k) * r / (1.0 - r)
-        k += 1
     raise SeriesError(f"series not summable: ratio never fell below 1 up to level {SERIES_CAP}")
 
 
-def _polynomial_geometric_constant(p: float, x: float) -> float:
-    """Certified upper bound for sum_{k>=0} (k+1)^(p-1) x^k, 0 < x < 1."""
+def _power_series_tail(p: float, x: float, start: int) -> float:
+    """Certified upper bound for sum_{k>=start} k^(p-1) x^k, 0 < x < 1, start >= 1;
+    refused when x^k at the stopping index, the least power summed, is not normal."""
     explicit, k, rem = ratio_test_tail(
-        lambda k: (k + 1) ** (p - 1.0) * x**k,
-        lambda k: ((k + 2) / (k + 1)) ** (p - 1.0) * x,
-        start=0,
+        lambda k: k ** (p - 1.0) * x**k, lambda k: ((k + 1) / k) ** (p - 1.0) * x, start
     )
+    _check_float_range((x**k,), f"series tail at p = {p:g} from start level {start} "
+                                "leaves the normal float range")
     return explicit + rem
+
+
+def _envelope_base(spec: FractalTreeSpec, p: float) -> float:
+    """(3/2) Z(p) (extended side of the root cell / pi_p)^p."""
+    z = 4.5 * _power_series_tail(p, 2.0 / 9.0, 1)
+    return 1.5 * z * (math.sqrt(1.0 + spec.overlap_fraction) * spec.a / pi_p(p)) ** p
 
 
 def snowflake_envelope_term(spec: FractalTreeSpec, p: float, level: int) -> float:
@@ -464,38 +482,32 @@ def snowflake_envelope_term(spec: FractalTreeSpec, p: float, level: int) -> floa
     number of level-j cells times their per-cell downstream weight.
     """
     check_exponent(p)
-    z = _polynomial_geometric_constant(p, 2.0 / 9.0)
-    base = 1.5 * z * (math.sqrt(1.0 + spec.overlap_fraction) * spec.a / pi_p(p)) ** p
-    return base * level ** (p - 1.0) * (2.0 / 3.0**p) ** level
+    return _envelope_base(spec, p) * level ** (p - 1.0) * (2.0 / 3.0**p) ** level
 
 
 def snowflake_tail(spec: FractalTreeSpec, p: float, start_level: int) -> float:
     """Rigorous upper bound for the discarded per-level weight series.
 
     Bounds sum_{j>=start_level} e_j of the level envelopes by the ratio
-    test with ratio ((j+1)/j)^(p-1) * 2/3^p, which is nonincreasing and
-    eventually below 1 whenever the series is summable. This makes the
+    test, which certifies it whenever the series is summable. This makes the
     convergence of the snowflake series a computable certificate instead
-    of a limiting argument.
+    of a limiting argument; a tail outside the normal floats is refused.
     """
     check_exponent(p)
     if start_level < 1:
         raise ValueError("start_level must be >= 1")
-    geo = 2.0 / 3.0**p
-
-    def term(j: int) -> float:
-        return snowflake_envelope_term(spec, p, j)
-
-    def ratio(j: int) -> float:
-        return ((j + 1) / j) ** (p - 1.0) * geo
-
-    explicit, _, rem = ratio_test_tail(term, ratio, start=start_level)
-    return explicit + rem
+    tail = _envelope_base(spec, p) * _power_series_tail(p, 2.0 / 3.0**p, start_level)
+    _check_float_range((tail,), f"snowflake series tail from start level {start_level} at "
+                                f"a = {spec.a:g}, p = {p:g} leaves the normal float range")
+    return tail
 
 
 def snowflake_level_bounds(tree: FractalTree, p: float) -> list[PoincareBound]:
     """Per-level cell constants from the diameter rule on the extended cells."""
-    return [_diameter_rule(level.star_side, p, f"level-{level.level}") for level in tree.levels]
+    try:
+        return [_diameter_rule(level.star_side, p, f"level-{level.level}") for level in tree.levels]
+    except OverflowError:
+        raise ValueError(_ROOT_SIDE_REFUSAL.format(tree.spec.a, p)) from None
 
 
 def snowflake_bound(
@@ -513,52 +525,40 @@ def snowflake_bound(
         cell_bounds = snowflake_level_bounds(tree, p)
     if len(cell_bounds) != len(tree.levels):
         raise ValueError("need one bound per tree level")
-    depth = tree.depth
+    j_next = tree.depth + 1
+    c = spec.overlap_fraction
     pref = 2.0 ** (p - 1.0)
 
-    # certified bound for T = sum_{i>depth} i^(p-1) 2^i |Δ_i*|
-    def t_term(i: int) -> float:
-        return i ** (p - 1.0) * 2.0**i * snowflake_level(spec, i).star_area
-
-    def t_ratio(i: int) -> float:
-        return ((i + 1) / i) ** (p - 1.0) * (2.0 / 9.0)
-
-    t_explicit, _, t_rem = ratio_test_tail(t_term, t_ratio, start=depth + 1)
-    t_tail = t_explicit + t_rem
-
+    # T = sum_{i>depth} i^(p-1) 2^i |Δ_i*| = (1+c) |Δ_0| sigma reaches a level-j
+    # cell as the share 2^-j (3/2 at the root) of T, i.e. u_j |Δ_j*|
+    sigma = _power_series_tail(p, 2.0 / 9.0, j_next)
     coeffs, parts = [], []
-    for j, level in enumerate(tree.levels):
-        s_finite = _tree_downstream_weight(tree, j, p, depth)
-        share = 1.5 if j == 0 else 2.0**-j
-        s_total = s_finite + share * t_tail
+    for j, r in enumerate(_downstream_ratios(tree, p)):
+        u = 1.5 * (1.0 + c) * sigma if j == 0 else 4.5**j * sigma
         own = pref * cell_bounds[j].bound_power()
-        coeffs.append(own * (1.0 + s_total / level.star_area))
-        tail = own * share * t_tail / level.star_area
-        parts.append(((f"level-{j}-finite", "tree-aggregation", coeffs[-1] - tail),
-                      (f"level-{j}-tail", "tail-ratio-test", tail)))
+        coeffs.append(own * (1.0 + r + u))
+        parts.append(((f"level-{j}-finite", "tree-aggregation", coeffs[-1] - own * u),
+                      (f"level-{j}-tail", "tail-ratio-test", own * u)))
 
     # envelope for the weights of levels beyond the stored depth:
     # E(j) = 2^(p-1) B^p(Δ_j*) (1 + j^(p-1) Z), decreasing by a factor
     # <= 2^(p-1)/3^p < 1 per level
-    z = _polynomial_geometric_constant(p, 2.0 / 9.0)
-    j_next = depth + 1
-    envelope = (
-        pref
-        * (snowflake_level(spec, j_next).star_side / pi_p(p)) ** p
-        * (1.0 + j_next ** (p - 1.0) * z)
-    )
+    z = 4.5 * _power_series_tail(p, 2.0 / 9.0, 1)
+    envelope = (pref * (snowflake_level(spec, j_next).star_side / pi_p(p)) ** p
+                * (1.0 + j_next ** (p - 1.0) * z))
     coeffs.append(envelope)
     parts.append(((f"level-{j_next}-envelope", "tail-ratio-test", envelope),))
 
     details = (
         ("finite-depth-bound", tree_constant(tree, cell_bounds, p).value),
-        ("downstream-tail-weight", t_tail),
+        ("downstream-tail-weight", (1.0 + c) * tree.levels[0].area * sigma),
         ("beyond-depth-envelope", envelope),
     )
     notes = ("covers the infinite tree: stored levels carry certified downstream tails, "
              "deeper levels are dominated by a decreasing envelope",)
     # m = 2: the infinite tree always has extended cells overlapping parents
-    bound = _max_weight_bound(coeffs, parts, 2, p, details, notes)
+    bound = _max_weight_bound(coeffs, parts, 2, p, details, notes,
+                              _ROOT_SIDE_REFUSAL.format(spec.a, p))
     # the winner's tail term (its last), or 0 where a zero tail was dropped
     tail_power = sum(t.value for t in bound.terms if t.rule == "tail-ratio-test")
     return replace(bound, details=bound.details + (("tail-increment-power", tail_power),))

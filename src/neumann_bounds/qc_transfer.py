@@ -89,6 +89,8 @@ class QCMapData:
         m = np.asarray(matrix, dtype=float)
         if m.shape not in ((2, 2), (3, 3)):
             raise TransferError("linear map matrix must be 2x2 or 3x3")
+        if not np.isfinite(m).all():
+            raise TransferError(f"linear map matrix {m.tolist()} must have finite entries")
         op_norm = float(np.linalg.norm(m, 2))
         jac = float(abs(np.linalg.det(m)))
         if jac <= 0.0:

@@ -498,11 +498,46 @@ class TestOverflowOneLine:
         line = one_line_error(["transfer", "--map", map_path, "--base", base], capsys)
         assert "linear map [[1e+200, 0.0], [0.0, 1e-200]]" in line
 
+    def test_non_finite_linear_map_named(self, tmp_path, capsys):
+        map_path = write_json(tmp_path / "map.json", {"kind": "linear", "matrix": [[math.nan, 0], [0, 1]]})
+        base = write_json(tmp_path / "base.json", {"bound": 1.0, "p": 2.0})
+        line = one_line_error(["transfer", "--map", map_path, "--base", base], capsys)
+        assert "linear map matrix [[nan, 0.0], [0.0, 1.0]]" in line
+
     def test_verify_huge_certificate_exponent(self, tmp_path, capsys):
         cert = write_json(tmp_path / "cert.json", {"bound": 1.0, "p": 1e308})
         domain = write_json(tmp_path / "sq.json", SQUARE)
         line = one_line_error(["verify", "--bound", cert, "--domain", domain, "--h", 0.3], capsys)
         assert "p = 1e+308" in line
+
+
+class TestSnowflakeFloatRange:
+    """A snowflake run whose certified numbers would leave the normal floats
+    exits 1 with one line naming the cause; a small root side within range
+    scales every bound."""
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--a", 1e-160, "--depth", 12], "root side a = 1e-160 at p = 2"),
+            (["--a", 1e-200, "--depth", 12], "root side a = 1e-200 at p = 2"),
+            (["--a", 1e150, "--depth", 12, "--p", 3], "root side a = 1e+150 at p = 3"),
+            (["--p", 12, "--depth", 62], "p = 12 from start level 63"),
+            (["--p", 20, "--depth", 40], "p = 20 from start level 41"),
+        ],
+    )
+    def test_exit_1_one_line(self, capsys, args, message):
+        assert message in one_line_error(["bound-snowflake", *args], capsys)
+
+    def test_small_root_side_scales_the_bounds(self, tmp_path):
+        bounds = {}
+        for a in (1.0, 1e-100):
+            out = tmp_path / f"snow{a}.json"
+            assert run_cli(["bound-snowflake", "--a", a, "--depth", 12, "--out", out]) == 0
+            certs = json.loads(out.read_text())["certificates"]
+            bounds[a] = [c["data"]["bound"] for c in certs[:2]]
+        for small, unit in zip(bounds[1e-100], bounds[1.0]):
+            assert small == pytest.approx(1e-100 * unit, rel=1e-15, abs=0.0)
 
 
 class TestPolygonDomainChecked:

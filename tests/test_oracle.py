@@ -192,11 +192,33 @@ class TestMeshing:
             ({"kind": "polygon"}, "needs key 'vertices'"),
             ({"kind": "star"}, "needs key 'delta'"),
             ({"kind": "disk"}, "needs key 'radius'"),
+            ({"kind": "disk", "radius": -1}, "key 'radius'"),
+            ({"kind": "disk", "radius": 0}, "key 'radius'"),
+            ({"kind": "disk", "radius": 1e-300}, "key 'radius'"),
+            ({"kind": "disk", "radius": math.nan}, "key 'radius'"),
+            ({"kind": "disk", "radius": math.inf}, "key 'radius'"),
+            ({"kind": "disk", "radius": 1, "center": [0]}, "key 'center'"),
+            ({"kind": "disk", "radius": 1, "center": [0, 0, 0]}, "key 'center'"),
+            ({"kind": "disk", "radius": 1, "center": [math.nan, 0]}, "key 'center'"),
         ],
     )
     def test_missing_or_short_key_named(self, spec, message):
         with pytest.raises(MeshError, match=message):
             mesh_domain(spec, 0.1)
+
+    @pytest.mark.parametrize(
+        "nodes, elements, message",
+        [
+            ([[0, 0], [1, 0], [0, 1]], [[0, 1, 2.5]], "'elements' must hold integer"),
+            ([[0, 0], [1, 0], [0, 1]], [[0, 1, 1e300]], "'elements' must hold integer"),
+            ([[0, 0], [1, 0], [0, 1]], [[0, 1, math.inf]], "'elements' must hold integer"),
+            ([[0, 0], [1, 0], [0, 1]], "abc", "'elements' must be an array of numbers"),
+            ("abc", [[0, 1, 2]], "'nodes' must be an array of numbers"),
+        ],
+    )
+    def test_mesh_file_entries_checked(self, nodes, elements, message):
+        with pytest.raises(MeshError, match=message):
+            TriangleMesh.from_dict({"nodes": nodes, "elements": elements})
 
     def test_json_round_trip_bit_exact(self):
         mesh = square_mesh(0.13)
@@ -204,6 +226,8 @@ class TestMeshing:
         back = TriangleMesh.from_dict(data)
         assert np.array_equal(back.nodes, mesh.nodes)
         assert np.array_equal(back.elements, mesh.elements)
+        assert back.elements.dtype == mesh.elements.dtype
+        assert back.to_dict() == mesh.to_dict()
 
     def test_hanging_node_rejected(self):
         nodes = [(0, 0), (1, 0), (0, 1), (0.5, 0), (0.5, -0.5)]

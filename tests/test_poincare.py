@@ -1,4 +1,6 @@
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from neumann_bounds.geometry import (
     build_snowflake_tree,
     cell_volume,
     snowflake_level,
+    snowflake_level_count,
 )
 from neumann_bounds.poincare import (
     FORM_DEVIATION,
@@ -19,10 +22,9 @@ from neumann_bounds.poincare import (
     SERIES_CAP,
     _chain_coefficients,
     _chain_coefficients_double_sum,
+    _downstream_ratios,
     _overflow_notes,
-    _polynomial_geometric_constant,
     _require_deviation_form,
-    _tree_downstream_weight,
     CertTerm,
     PoincareBound,
     SeriesError,
@@ -412,9 +414,82 @@ class TestSnowflakeBound:
         assert values[0] == pytest.approx(values[1], rel=1e-5)
 
 
+class TestScaleFreeSnowflakeRules:
+    """The tree and snowflake rules read the root side only through B^p."""
+
+    @pytest.mark.parametrize("p", [1.2, 2.0, 3.0, 6.0])
+    def test_ratios_match_area_sums(self, p):
+        for depth in range(63):
+            overlap = (0.05, 0.25, 0.5, 0.95)[depth % 4]
+            tree = build_snowflake_tree(FractalTreeSpec(a=1.7, depth=depth, overlap_fraction=overlap))
+            ratios = _downstream_ratios(tree, p)
+            assert len(ratios) == depth + 1
+            for j, level in enumerate(tree.levels):
+                area_sum = _tree_downstream_weight(tree, j, p, depth) / level.star_area
+                assert ratios[j] == pytest.approx(area_sum, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("a", [1e-100, 1e-30, 1e30, 1e100])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_bounds_scale_with_root_side(self, a, p):
+        unit, scaled = (FractalTreeSpec(a=side, depth=12) for side in (1.0, a))
+        # the root (m C)^(1/p) is taken with the rounded exponent fl(1/p), which
+        # moves it by up to 2^-53 |ln(m C)| / p ~ 2^-53 |ln a| beyond rounding
+        rel = 1e-15 + 2.0**-53 * abs(math.log(a))
+        for rule in (lambda t: tree_constant(t, snowflake_level_bounds(t, p), p),
+                     lambda t: snowflake_bound(t, p)):
+            expected = a * rule(build_snowflake_tree(unit)).value
+            assert rule(build_snowflake_tree(scaled)).value == pytest.approx(expected, rel=rel, abs=0.0)
+        expected_tail = a**p * snowflake_tail(unit, p, 13)
+        if expected_tail >= sys.float_info.min:
+            assert snowflake_tail(scaled, p, 13) == pytest.approx(expected_tail, rel=1e-14, abs=0.0)
+        else:  # a subnormal tail has lost its relative accuracy
+            with pytest.raises(ValueError, match="start level 13"):
+                snowflake_tail(scaled, p, 13)
+
+    @pytest.mark.parametrize("a, p", [(1e-160, 2.0), (1e-200, 2.0), (1e150, 3.0)])
+    def test_root_side_beyond_float_range_refused(self, a, p):
+        # the large side overflows the level bounds, the small ones leave the
+        # rules' certificate terms subnormal
+        tree = build_snowflake_tree(FractalTreeSpec(a=a, depth=12))
+        for rule in (lambda: tree_constant(tree, snowflake_level_bounds(tree, p), p),
+                     lambda: snowflake_bound(tree, p)):
+            with pytest.raises(ValueError, match=re.escape(f"root side a = {a:g} at p = {p:g}")):
+                rule()
+
+    @pytest.mark.parametrize("p, start", [(12.0, 63), (20.0, 41)])
+    def test_underflowing_series_tail_refused(self, p, start):
+        # the true tails are positive (~1e-321 at p = 12), so 0 is no upper bound
+        spec = FractalTreeSpec(a=1.0, depth=start - 1)
+        with pytest.raises(ValueError, match=f"p = {p:g} from start level {start}"):
+            snowflake_tail(spec, p, start)
+
+
 # Verbatim copies of chain_constant, tree_constant and snowflake_bound as they
 # were before the three rules shared one max-weight aggregation; only the names
-# (and the snowflake copy's call of the tree copy) differ.
+# (and the snowflake copy's call of the tree copy) differ. The two helpers below
+# are verbatim copies of the absolute-area sums the tree and snowflake rules
+# used before they moved to scale-free ratios.
+
+
+def _tree_downstream_weight(tree: FractalTree, j: int, p: float, depth: int) -> float:
+    """sum_{i=j}^{depth} i^(p-1) * (#level-i descendants of one level-j cell) * |Δ_i*|."""
+    total = 0.0
+    for i in range(j, depth + 1):
+        if i == 0:
+            continue  # steps^(p-1) vanishes at the root itself
+        count = snowflake_level_count(i) if j == 0 else 2 ** (i - j)
+        total += i ** (p - 1.0) * count * tree.levels[i].star_area
+    return total
+
+
+def _polynomial_geometric_constant(p: float, x: float) -> float:
+    """Certified upper bound for sum_{k>=0} (k+1)^(p-1) x^k, 0 < x < 1."""
+    explicit, k, rem = ratio_test_tail(
+        lambda k: (k + 1) ** (p - 1.0) * x**k,
+        lambda k: ((k + 2) / (k + 1)) ** (p - 1.0) * x,
+        start=0,
+    )
+    return explicit + rem
 
 
 def reference_chain_constant(
@@ -594,8 +669,29 @@ def random_chain(rng, num_triples, overlap):
     return chain, bounds
 
 
+def assert_same_certificate(new, ref, rel):
+    """Equal payloads, floats to a relative tolerance; every other field,
+    and the type of each, exactly."""
+    assert type(new) is type(ref)
+    if isinstance(ref, dict):
+        assert list(new) == list(ref)
+        for key in ref:
+            assert_same_certificate(new[key], ref[key], rel)
+    elif isinstance(ref, list):
+        assert len(new) == len(ref)
+        for x, y in zip(new, ref):
+            assert_same_certificate(x, y, rel)
+    elif isinstance(ref, float):
+        assert new == pytest.approx(ref, rel=rel, abs=0.0)
+    else:
+        assert new == ref
+
+
 class TestMaxWeightAggregationMatchesReference:
-    """The shared aggregation reproduces the three rules' former certificates."""
+    """The shared aggregation reproduces the three rules' former certificates;
+    the tree and snowflake rules, which now sum scale-free ratios where the
+    references sum absolute areas, agree in every field but the last bits of
+    their floats."""
 
     @pytest.mark.parametrize("p", [1.2, 1.5, 2.0, 3.0, 4.0, 6.0])
     def test_chains(self, p):
@@ -613,10 +709,10 @@ class TestMaxWeightAggregationMatchesReference:
             overlap = (0.05, 0.25, 0.5, 0.95)[depth % 4]
             tree = build_snowflake_tree(FractalTreeSpec(a=1.7, depth=depth, overlap_fraction=overlap))
             bounds = snowflake_level_bounds(tree, p)
-            assert (tree_constant(tree, bounds, p).to_dict()
-                    == reference_tree_constant(tree, bounds, p).to_dict())
+            assert_same_certificate(tree_constant(tree, bounds, p).to_dict(),
+                                    reference_tree_constant(tree, bounds, p).to_dict(), 1e-13)
             # shrunken stored-level bounds let the beyond-depth envelope win
             for scale in (1.0, 0.01):
                 scaled = [deviation_bound(scale * b.value, p) for b in bounds]
-                assert (snowflake_bound(tree, p, scaled).to_dict()
-                        == reference_snowflake_bound(tree, p, scaled).to_dict())
+                assert_same_certificate(snowflake_bound(tree, p, scaled).to_dict(),
+                                        reference_snowflake_bound(tree, p, scaled).to_dict(), 1e-13)

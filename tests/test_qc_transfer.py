@@ -196,6 +196,11 @@ class TestLinearMapAsOneSample:
         with pytest.raises(TransferError, match=r"linear map \[\[1e\+200"):
             QCMapData.from_linear([[1e200, 0.0], [0.0, 1e-200]], 1.0)
 
+    @pytest.mark.parametrize("entry", [math.nan, math.inf])
+    def test_non_finite_matrix_named(self, entry):
+        with pytest.raises(TransferError, match=r"linear map matrix \[\[.*finite entries"):
+            QCMapData.from_linear([[entry, 0.0], [0.0, 1.0]], 1.0)
+
     @pytest.mark.parametrize("volume", [0.0, -1.0, math.nan])
     def test_nonpositive_volume_refused(self, volume):
         with pytest.raises(TransferError, match="domain volume"):
