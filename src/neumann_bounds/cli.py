@@ -44,6 +44,8 @@ from .poincare import (
     chain_constant,
     convex_cell_constant,
     pair_constant,
+    read_entry,
+    read_field,
     snowflake_bound,
     snowflake_level_bounds,
     snowflake_tail,
@@ -152,13 +154,11 @@ def load_bound(data: dict):
 
 
 def _cells_from_spec(spec: dict) -> list[ConvexCell]:
-    try:
-        cells = [ConvexCell(entry["vertices"]) for entry in spec["cells"]]
-    except (KeyError, TypeError):
-        cells = []
-    if not cells:
+    vertex_lists = read_field(spec, "cells", lambda es: [read_entry(e, "vertices", "array") for e in es],
+                              [], what="cells domain", error=CliError)
+    if not vertex_lists:
         raise CliError('cells domain needs "cells": [{"vertices": [[x, y], ...]}, ...]')
-    return cells
+    return [ConvexCell(vertices) for vertices in vertex_lists]
 
 
 def _axis_aligned_rect(cell: ConvexCell) -> tuple[float, float, float, float] | None:
@@ -207,7 +207,7 @@ def _cells_bound(spec: dict, p: float) -> tuple[PoincareBound, list[ConvexCell],
     cells = _cells_from_spec(spec)
     params = SpectralParams(p=p, n=cells[0].n)
     per_cell = [convex_cell_constant(c, params) for c in cells]
-    structure = spec.get("structure", "auto")
+    structure = read_field(spec, "structure", "string", "auto", what="cells domain", error=CliError)
     if structure == "auto":
         structure = {1: "single", 2: "pair", 3: "triple"}.get(len(cells), "chain")
     if structure == "single":
@@ -234,7 +234,7 @@ def _cells_bound(spec: dict, p: float) -> tuple[PoincareBound, list[ConvexCell],
             index_triples = [[i, i + 1, i + 2] for i in range(0, len(cells) - 2, 2)]
         elif not isinstance(index_triples, list) or not all(
             isinstance(idx, list) and len(idx) == 3
-            and all(_is_int(i) and 0 <= i < len(cells) for i in idx)
+            and all(type(i) is int and 0 <= i < len(cells) for i in idx)
             for idx in index_triples
         ):
             raise CliError(f'chain "triples" must be a list of [i, j, k] cell indices, '
@@ -244,11 +244,10 @@ def _cells_bound(spec: dict, p: float) -> tuple[PoincareBound, list[ConvexCell],
             raise CliError(f"chain triples leave out cell {left_out[0]}; a chain bound covers "
                            "only the cells of its triples")
         triples = [WhitneyTriple.from_cells(*(cells[i] for i in idx)) for idx in index_triples]
-        multiplicity = spec.get("multiplicity")
+        multiplicity = read_field(spec, "multiplicity", "integer", None,
+                                  what="cells domain", error=CliError)
         if multiplicity is None:
             multiplicity = rect_cover_multiplicity(triples)
-        elif not _is_int(multiplicity):
-            raise CliError(f"chain multiplicity must be an integer, got {multiplicity!r}")
         elif all(_axis_aligned_rect(c) is not None for c in cells):
             exact = rect_cover_multiplicity(triples)
             if multiplicity < exact:
@@ -261,20 +260,21 @@ def _cells_bound(spec: dict, p: float) -> tuple[PoincareBound, list[ConvexCell],
     raise CliError(f"unknown cells structure {structure!r}")
 
 
+def _cells_mesh_spec(cells: list[ConvexCell]) -> dict | None:
+    """Oracle mesh description of a cover by axis-aligned rectangles."""
+    rects = [_axis_aligned_rect(cell) for cell in cells]
+    if None in rects:
+        return None
+    return {"kind": "rect_union", "rects": [list(r) for r in rects]}
+
+
 def _mesh_spec_for_domain(spec: dict) -> dict | None:
     """Translate a domain description into an oracle mesh description."""
     kind = spec.get("type") or spec.get("kind")
     if kind == "cells":
-        rects = []
-        for cell in _cells_from_spec(spec):
-            r = _axis_aligned_rect(cell)
-            if r is None:
-                return None
-            rects.append(list(r))
-        return {"kind": "rect_union", "rects": rects}
-    if kind == "star":
-        if int(spec.get("dim", 2)) != 2:
-            return None
+        return _cells_mesh_spec(_cells_from_spec(spec))
+    if kind == "star" and read_field(spec, "dim", "integer", 2, what="star domain", error=CliError) != 2:
+        return None
     if kind in ("rectangle", "rect_union", "polygon", "star", "disk"):
         out = dict(spec)
         out["kind"] = kind
@@ -291,10 +291,9 @@ def _append_check(report: dict, bound, mesh: TriangleMesh, label: str) -> dict:
     return entry
 
 
-def _maybe_verify(report: dict, bound, spec: dict, config: RunConfig, label: str) -> None:
+def _maybe_verify(report: dict, bound, mesh_spec: dict | None, config: RunConfig, label: str) -> None:
     if not config.verify:
         return
-    mesh_spec = _mesh_spec_for_domain(spec)
     if mesh_spec is None:
         report["notes"].append(f"{label}: no oracle available for this domain kind")
         return
@@ -326,7 +325,7 @@ def _run_bound_cells(config: RunConfig) -> dict:
     bound, cells, structure = _cells_bound(spec, config.p)
     report = _new_report(config)
     report["certificates"].append(_certificate(f"cells-{structure}", "poincare", bound.to_dict()))
-    _maybe_verify(report, bound, spec, config, f"cells-{structure}")
+    _maybe_verify(report, bound, _cells_mesh_spec(cells), config, f"cells-{structure}")
     return report
 
 
@@ -354,8 +353,8 @@ def _run_bound_star(config: RunConfig) -> dict:
     bound = replace(bound, details=tuple(details), notes=tuple(notes), domain=f"star{config.dim}d")
     report = _new_report(config)
     report["certificates"].append(_certificate("star-union", "poincare", bound.to_dict()))
-    domain_spec = {"type": "star", "delta": config.delta, "dim": config.dim}
-    _maybe_verify(report, bound, domain_spec, config, "star-union")
+    mesh_spec = {"kind": "star", "delta": config.delta} if config.dim == 2 else None
+    _maybe_verify(report, bound, mesh_spec, config, "star-union")
     return report
 
 
@@ -380,34 +379,21 @@ def _run_bound_snowflake(config: RunConfig) -> dict:
 
 def _map_from_spec(spec: dict) -> QCMapData:
     kind = spec.get("kind")
-    key = None
-
-    def read(name, *default):
-        nonlocal key
-        key = name
-        return spec.get(name, *default) if default else spec[name]
-
-    try:
-        if kind == "linear":
-            volume = float(read("domain_volume", 1.0))
-            data = QCMapData.from_linear(read("matrix"), volume)
-            return replace(data, K=float(read("K"))) if "K" in spec else data
-        if kind == "sampled":
-            field_data = SampledDerivative(
-                *(np.asarray(read(name), dtype=float) for name in ("weights", "dphi", "jac"))
-            )
-            alpha = read("alpha", None)
-            alpha = math.inf if alpha is None else float(alpha)
-            return QCMapData(
-                n=int(read("n", 2)),
-                K=float(read("K")),
-                derivative_field=field_data,
-                alpha=alpha,
-                lipschitz=bool(spec.get("lipschitz", False)),
-            )
-    except (KeyError, TypeError) as exc:
-        problem = "needs key" if isinstance(exc, KeyError) else "has a value of the wrong type at key"
-        raise CliError(f"{kind} map description {problem} {key!r}") from None
+    read = functools.partial(read_field, spec, what=f"{kind} map description", error=CliError)
+    if kind == "linear":
+        volume = read("domain_volume", "number", 1.0)
+        data = QCMapData.from_linear(read("matrix", "array"), volume)
+        return replace(data, K=read("K", "number")) if "K" in spec else data
+    if kind == "sampled":
+        field_data = SampledDerivative(*(read(name, "array") for name in ("weights", "dphi", "jac")))
+        alpha = read("alpha", "number", None)
+        return QCMapData(
+            n=read("n", "integer", 2),
+            K=read("K", "number"),
+            derivative_field=field_data,
+            alpha=math.inf if alpha is None else alpha,
+            lipschitz=read("lipschitz", "flag", False),
+        )
     raise CliError(f"unknown map kind {kind!r}")
 
 
@@ -627,68 +613,44 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_finite_number(value) -> bool:
-    # JSON integers are unbounded; math.isfinite raises on one beyond float range
-    if _is_int(value):
-        return abs(value) <= sys.float_info.max
-    return isinstance(value, float) and math.isfinite(value)
-
-
-# config-file value checks by RunConfig field annotation: (test, description)
-_CONFIG_TYPES = {
-    "int": (_is_int, "an integer"),
-    "float": (_is_finite_number, "a finite number"),
-    "str": (lambda v: isinstance(v, str), "a string"),
-    "bool": (lambda v: isinstance(v, bool), "true or false"),
-    "list[str]": (
-        lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
-        "a list of strings",
-    ),
-}
+# value kind of a config-file or domain-file value, by RunConfig field annotation
+_CONFIG_KINDS = {"int": "integer", "float": "finite number", "str": "string", "bool": "flag",
+                 "list[str]": "strings"}
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
-def _check_config_value(label: str, attr: str, value) -> None:
-    kind = _FIELD_TYPES[attr]
-    optional = kind.endswith(" | None")
-    test, description = _CONFIG_TYPES[kind.removesuffix(" | None")]
-    if not (test(value) or (optional and value is None)):
-        raise CliError(f"{label} must be {description}, got {value!r}")
+def _read_config_value(data: dict, key: str, attr: str, config: RunConfig, what: str):
+    """data[key] as a value of field attr's kind, or attr's current value if absent (null if None)."""
+    kind = _CONFIG_KINDS[_FIELD_TYPES[attr].removesuffix(" | None")]
+    return read_field(data, key, kind, getattr(config, attr), what=what, error=CliError)
 
 
 def _override_from_domain(config: RunConfig, kind: str, keys: tuple[str, ...]) -> None:
     """Values of the given keys in the optional --domain file override the
-    config; each is type-checked like a config-file value."""
+    config; each is read like a config-file value."""
     if not config.domain:
         return
     data = _load_json(config.domain)
     if data.get("type") != kind:
         raise CliError(f'{config.command} expects a domain of type "{kind}"')
     for key in keys:
-        if key in data:
-            _check_config_value(f"domain key {key}", key, data[key])
-            setattr(config, key, float(data[key]) if _FIELD_TYPES[key] == "float" else data[key])
+        setattr(config, key, _read_config_value(data, key, key, config, "domain"))
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     config = RunConfig(command=args.command)
     file_values = _load_json(args.config) if getattr(args, "config", None) else {}
-    for key, value in file_values.items():
+    for key in file_values:
         attr = {"map": "map_path", "format": "fmt"}.get(key, key)
         if not hasattr(config, attr):
             raise CliError(f"unknown config key {key!r}")
-        _check_config_value(f"config key {key}", attr, value)
-        setattr(config, attr, value)
+        setattr(config, attr, _read_config_value(file_values, key, attr, config, "config"))
     for attr in vars(config):
         if hasattr(args, attr) and getattr(args, attr) is not None:
             setattr(config, attr, getattr(args, attr))
-    for name in ("p", "h", "delta", "a"):
+    for name in ("p", "h", "delta", "a"):  # flags may give nan or inf
         value = getattr(config, name)
-        if not _is_finite_number(value):
+        if not math.isfinite(value):
             raise CliError(f"{name} must be a finite number, got {value!r}")
     if config.p <= 1.0:
         raise CliError("exponent p must exceed 1")

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
-VOLUME_TOL = 1e-12
+VOLUME_TOL = 1e-12  # cut-off of degenerate cells and empty overlaps, relative to their scale
 # |Q1 ∩ Q3| below this fraction of the smaller cell counts as disjoint
 # (clipping noise allowance).
 DISJOINT_REL_TOL = 1e-9
@@ -94,10 +94,10 @@ class ConvexCell:
         except QhullError as exc:
             raise GeometryError(f"degenerate cell: {_first_line(exc)}") from None
         volume = polygon_area(verts[hull.vertices]) if n == 2 else _hull_volume_3d(verts, hull)
-        if volume <= VOLUME_TOL:
+        scale = float(np.ptp(verts, axis=0).max())
+        if volume <= VOLUME_TOL * scale**n:
             raise GeometryError(f"degenerate cell: volume {volume:g} below tolerance")
         # convexity audit: no input vertex may sit strictly inside the hull
-        scale = float(np.ptp(verts, axis=0).max())
         dist = verts @ hull.equations[:, :-1].T + hull.equations[:, -1]
         if np.any(dist.max(axis=1) < -1e-9 * scale):
             raise GeometryError("vertex strictly inside the convex hull of the vertex set")
@@ -178,7 +178,7 @@ def clip_polygon(subject: np.ndarray, clipper: np.ndarray) -> np.ndarray:
 
 
 def _chebyshev_center(halfspaces: np.ndarray) -> tuple[np.ndarray, float] | None:
-    """Interior point of the polytope {a.x + b <= 0} maximizing facet clearance."""
+    """Interior point of the polytope {a.x + b <= 0} maximizing facet clearance, and that clearance."""
     a = halfspaces[:, :-1]
     b = halfspaces[:, -1]
     norms = np.linalg.norm(a, axis=1)
@@ -188,7 +188,7 @@ def _chebyshev_center(halfspaces: np.ndarray) -> tuple[np.ndarray, float] | None
     c[-1] = -1.0
     a_ub = np.hstack([a, norms[:, None]])
     res = linprog(c, A_ub=a_ub, b_ub=-b, bounds=[(None, None)] * dim + [(0, None)], method="highs")
-    if not res.success or res.x[-1] <= 1e-12:
+    if not res.success:
         return None
     return res.x[:-1], float(res.x[-1])
 
@@ -211,7 +211,8 @@ def intersection_volume(c1: ConvexCell, c2: ConvexCell) -> float:
         return polygon_area(clipped)
     halfspaces = np.vstack([c1.halfspaces, c2.halfspaces])
     center = _chebyshev_center(halfspaces)
-    if center is None:
+    # an overlap thinner than VOLUME_TOL times the smaller cell's length scale is empty
+    if center is None or center[1] <= VOLUME_TOL * min(map(cell_volume, (c1, c2))) ** (1.0 / 3.0):
         return 0.0
     try:
         hs = HalfspaceIntersection(halfspaces, center[0])
@@ -311,7 +312,7 @@ def triple_link_volume(t1: WhitneyTriple, t2: WhitneyTriple) -> float:
             if a.n != 2:
                 raise GeometryError("triple link volumes are implemented for 2D cells")
             clipped = clip_polygon(a.hull_polygon(), b.hull_polygon())
-            if len(clipped) >= 3 and polygon_area(clipped) > VOLUME_TOL:
+            if len(clipped) >= 3 and polygon_area(clipped) > VOLUME_TOL * min(map(cell_volume, (a, b))):
                 pieces.append(clipped)
     return union_volume_2d(pieces)
 

@@ -37,7 +37,7 @@ import scipy.sparse.linalg as spla
 from scipy.spatial import Delaunay, cKDTree
 
 from .geometry import ConvexCell, StarDomainSpec, cell_volume, polygon_area
-from .poincare import PoincareBound, check_exponent
+from .poincare import PoincareBound, check_exponent, read_field
 from .qc_transfer import EigenBound
 
 AREA_TOL = 1e-14
@@ -233,19 +233,14 @@ class TriangleMesh:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TriangleMesh":
-        """Mesh of a mesh file; a key whose entries are not numbers, or an
-        element index that is not an integer, is refused by name."""
-        arrays = {}
-        for key in ("nodes", "elements"):
-            try:
-                arrays[key] = np.asarray(data[key], dtype=float)
-            except (TypeError, ValueError):
-                raise MeshError(f"mesh key {key!r} must be an array of numbers") from None
-        elements = arrays["elements"]
-        # NaN and inf fail too; below 2^53 every integer is an exact float
+        """Mesh of a mesh file; a key whose entries are not finite numbers,
+        or an element index that is not an integer, is refused by name."""
+        nodes, elements = (read_field(data, key, "array", what="mesh", error=MeshError)
+                           for key in ("nodes", "elements"))
+        # below 2^53 every integer is an exact float
         if not np.all((np.trunc(elements) == elements) & (np.abs(elements) < 2.0**53)):
             raise MeshError("mesh key 'elements' must hold integer node indices")
-        return cls(arrays["nodes"], elements)
+        return cls(nodes, elements)
 
 
 @dataclass(frozen=True)
@@ -291,17 +286,15 @@ def _cut_lines(lo: float, hi: float, breaks: list[float], h: float) -> np.ndarra
     return np.array(out)
 
 
-def _rect_union_mesh(rects: list[tuple[float, float, float, float]], h: float) -> TriangleMesh:
-    """Conforming mesh of a union of axis-aligned rectangles.
+def _rect_union_mesh(rects: np.ndarray, h: float) -> TriangleMesh:
+    """Conforming mesh of a union of axis-aligned rectangles, the (k, 4) rows
+    [x0, y0, x1, y1] of rects.
 
     Grid lines are cut at every rectangle edge, so elements never straddle
     a rectangle boundary and the overlap regions are node-matched.
     """
-    xs, ys = (
-        _cut_lines(min(r[d] for r in rects), max(r[d + 2] for r in rects),
-                   [v for r in rects for v in (r[d], r[d + 2])], h)
-        for d in (0, 1)
-    )
+    xs, ys = (_cut_lines(rects[:, d].min(), rects[:, d + 2].max(), rects[:, [d, d + 2]].ravel(), h)
+              for d in (0, 1))
     cx = 0.5 * (xs[:-1] + xs[1:])
     cy = 0.5 * (ys[:-1] + ys[1:])
     covered = np.zeros((len(cy), len(cx)), dtype=bool)
@@ -426,55 +419,43 @@ def mesh_domain(spec: dict, h: float) -> TriangleMesh:
     if h <= 0.0:
         raise MeshError("target edge length must be positive")
     kind = spec.get("kind")
-    key = None
-
-    def read(name, *default):
-        nonlocal key
-        key = name
-        return spec.get(name, *default) if default else spec[name]
-
-    try:
-        if kind in ("rectangle", "rect_union"):  # a rectangle is a one-rectangle union
-            if kind == "rectangle":
-                rects, need = [tuple(read("bounds"))], '"bounds": [x0, y0, x1, y1]'
-            else:
-                rects = [tuple(r) for r in read("rects")]
-                need = '"rects": a non-empty list of [x0, y0, x1, y1]'
-            if not rects or any(len(r) != 4 for r in rects):
-                raise MeshError(f"{kind} needs {need}")
-            width = max(r[2] for r in rects) - min(r[0] for r in rects)
-            height = max(r[3] for r in rects) - min(r[1] for r in rects)
-            build = functools.partial(_rect_union_mesh, rects, h)
-        elif kind == "polygon":
-            vertices = np.asarray(read("vertices"), dtype=float)
-            # ConvexCell refuses flat and non-convex sets; the loop must also enclose the hull's area
-            cell = ConvexCell(vertices)
-            if cell.n != 2 or not math.isclose(polygon_area(vertices), cell_volume(cell), rel_tol=1e-9):
-                raise MeshError("polygon vertices must run in order around a convex polygon")
-            width, height = np.ptp(vertices, axis=0)
-            build = functools.partial(_convex_polygon_mesh, vertices, h)
-        elif kind == "star":
-            delta = float(read("delta"))
-            alpha = StarDomainSpec(delta=delta, n=2).alpha
-            width, height = 2.0 * (delta + alpha), 2.0 * alpha
-            build = functools.partial(_star_mesh, delta, h)
-        elif kind == "disk":
-            radius = float(read("radius"))
-            center = tuple(map(float, read("center", (0.0, 0.0))))
-            # the element areas, ~ radius^2, stay normal floats
-            if not 1e-150 < radius < 1e150:
-                raise MeshError(f"disk mesh description key 'radius' must lie between 1e-150 "
-                                f"and 1e150, got {radius!r}")
-            if len(center) != 2 or not all(map(math.isfinite, center)):
-                raise MeshError(f"disk mesh description key 'center' must be two finite numbers, "
-                                f"got {list(center)!r}")
-            width = height = 2.0 * radius
-            build = functools.partial(_disk_mesh, radius, h, center)
+    read = functools.partial(read_field, spec, what=f"{kind} mesh description", error=MeshError)
+    if kind in ("rectangle", "rect_union"):  # a rectangle is a one-rectangle union
+        if kind == "rectangle":
+            rects, need = read("bounds", "array")[None], '"bounds": [x0, y0, x1, y1]'
         else:
-            raise MeshError(f"unsupported domain kind {kind!r}")
-    except (KeyError, TypeError) as exc:
-        problem = "needs key" if isinstance(exc, KeyError) else "has a value of the wrong type at key"
-        raise MeshError(f"{kind} mesh description {problem} {key!r}") from None
+            rects, need = read("rects", "array"), '"rects": a non-empty list of [x0, y0, x1, y1]'
+        if rects.ndim != 2 or rects.shape[1:] != (4,) or not len(rects):
+            raise MeshError(f"{kind} needs {need}")
+        width, height = rects[:, 2:].max(axis=0) - rects[:, :2].min(axis=0)
+        build = functools.partial(_rect_union_mesh, rects, h)
+    elif kind == "polygon":
+        vertices = read("vertices", "array")
+        # ConvexCell refuses flat and non-convex sets; the loop must also enclose the hull's area
+        cell = ConvexCell(vertices)
+        if cell.n != 2 or not math.isclose(polygon_area(vertices), cell_volume(cell), rel_tol=1e-9):
+            raise MeshError("polygon vertices must run in order around a convex polygon")
+        width, height = np.ptp(vertices, axis=0)
+        build = functools.partial(_convex_polygon_mesh, vertices, h)
+    elif kind == "star":
+        delta = read("delta", "finite number")
+        alpha = StarDomainSpec(delta=delta, n=2).alpha
+        width, height = 2.0 * (delta + alpha), 2.0 * alpha
+        build = functools.partial(_star_mesh, delta, h)
+    elif kind == "disk":
+        radius = read("radius", "number")
+        center = read("center", "array", (0.0, 0.0))
+        # the element areas, ~ radius^2, stay normal floats
+        if not 1e-150 < radius < 1e150:
+            raise MeshError(f"disk mesh description key 'radius' must lie between 1e-150 "
+                            f"and 1e150, got {radius!r}")
+        if np.shape(center) != (2,):
+            raise MeshError(f"disk mesh description key 'center' must be two numbers, "
+                            f"got {center.tolist()!r}")
+        width = height = 2.0 * radius
+        build = functools.partial(_disk_mesh, radius, h, tuple(center))
+    else:
+        raise MeshError(f"unsupported domain kind {kind!r}")
     estimate = (abs(width) / h + 1.0) * (abs(height) / h + 1.0)
     if estimate > MAX_MESH_NODES:
         raise MeshError(

@@ -11,9 +11,11 @@ family gets a rigorous ratio-test tail in place of truncation.
 from __future__ import annotations
 
 import math
+import reprlib
 import sys
 from dataclasses import dataclass, replace
 
+import numpy as np
 from scipy.integrate import quad
 
 from .geometry import (
@@ -40,19 +42,68 @@ class SeriesError(ValueError):
     """A series tail could not be certified (no ratio below 1 within the cap)."""
 
 
-def read_field(data: dict, key: str, convert, *default):
-    """convert(data[key]) for a certificate payload, or the default if one is
-    given and the key is absent; a missing or refused value raises ValueError
-    naming the key."""
+def _is_number(value) -> bool:
+    # JSON integers are unbounded; float() overflows on one beyond float range
+    return isinstance(value, float) or (type(value) is int and abs(value) <= sys.float_info.max)
+
+
+def _finite_array(value) -> np.ndarray | None:
+    try:
+        array = np.asarray(value) if isinstance(value, (list, tuple)) else None
+    except ValueError:  # ragged nesting
+        return None
+    if array is None or array.dtype.kind not in "iuf" or not np.isfinite(array).all():
+        return None
+    return array.astype(float, copy=False)
+
+
+# value kind -> (description, conversion that returns None for a refused
+# value); a bool is never a number, and an integer refuses 2.0
+_VALUE_KINDS = {
+    "number": ("a number", lambda v: float(v) if _is_number(v) else None),
+    "finite number": ("a finite number",
+                      lambda v: float(v) if _is_number(v) and math.isfinite(v) else None),
+    "integer": ("an integer", lambda v: v if type(v) is int else None),
+    "string": ("a string", lambda v: v if isinstance(v, str) else None),
+    "flag": ("true or false", lambda v: v if isinstance(v, bool) else None),
+    "strings": ("a list of strings",
+                lambda v: v if isinstance(v, list) and all(isinstance(s, str) for s in v) else None),
+    "array": ("an array of finite numbers", _finite_array),
+}
+
+
+def _convert(kind: str, value, name: str, error):
+    description, convert = _VALUE_KINDS[kind]
+    converted = convert(value)
+    if converted is None:
+        raise error(f"{name} must be {description}, got {reprlib.repr(value)}")
+    return converted
+
+
+def read_field(data: dict, key: str, kind, *default, what: str = "certificate", error=ValueError):
+    """data[key] of an outside JSON object as a value of the given kind, or the
+    default if one is given and the key is absent (null is taken where the default
+    is None); error names the key of a missing or refused value. A callable kind
+    converts a list or map of entries (see read_entry); a failure there is malformed."""
     if key not in data:
         if not default:
-            raise ValueError(f"certificate needs key {key!r}")
+            raise error(f"{what} needs key {key!r}")
         return default[0]
+    value = data[key]
+    if value is None and default == (None,):
+        return None
+    if not callable(kind):
+        return _convert(kind, value, f"{what} key {key!r}", error)
     try:
-        return convert(data[key])
+        return kind(value)
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         detail = f"an entry lacks {exc.args[0]!r}" if isinstance(exc, KeyError) else str(exc)
-        raise ValueError(f"certificate key {key!r} is malformed: {detail}") from None
+        raise error(f"{what} key {key!r} is malformed: {detail}") from None
+
+
+def read_entry(entry: dict, key: str, kind: str):
+    """entry[key] of a nested entry as a value of the given kind."""
+    return _convert(kind, entry[key], f"entry {key!r}", TypeError)
 
 
 def check_exponent(p: float) -> None:
@@ -144,18 +195,20 @@ class PoincareBound:
         """Inverse of to_dict; a malformed payload raises ValueError naming the key."""
 
         def term(t: dict) -> CertTerm:
-            return CertTerm(t["label"], t["rule"], float(t["value"]))
+            return CertTerm(*(read_entry(t, k, "string") for k in ("label", "rule")),
+                            read_entry(t, "value", "number"))
 
         return cls(
-            value=read_field(data, "bound", float),
-            p=read_field(data, "p", float),
-            form=read_field(data, "form", str, FORM_DEVIATION),
+            value=read_field(data, "bound", "number"),
+            p=read_field(data, "p", "number"),
+            form=read_field(data, "form", "string", FORM_DEVIATION),
             terms=read_field(data, "terms", lambda ts: tuple(map(term, ts)), ()),
-            r=read_field(data, "r", lambda r: None if r is None else float(r), None),
-            multiplicity=read_field(data, "multiplicity", int, 1),
-            details=read_field(data, "details", lambda d: tuple((k, float(v)) for k, v in d.items()), ()),
-            notes=read_field(data, "notes", tuple, ()),
-            domain=data.get("domain"),
+            r=read_field(data, "r", "number", None),
+            multiplicity=read_field(data, "multiplicity", "integer", 1),
+            details=read_field(data, "details",
+                               lambda d: tuple((k, read_entry(d, k, "number")) for k in d.keys()), ()),
+            notes=tuple(read_field(data, "notes", "strings", ())),
+            domain=read_field(data, "domain", "string", None),
         )
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .poincare import PoincareBound, check_exponent, pi_p, read_field
+from .poincare import PoincareBound, check_exponent, pi_p, read_entry, read_field
 
 Q_GRID_SIZE = 64
 # relative slack of the pointwise distortion check |D phi|^n <= K |J| (1 + QC_SLACK):
@@ -188,15 +188,16 @@ class EigenBound:
         """Inverse of to_dict; a malformed payload raises ValueError naming the key."""
 
         def factor(f: dict) -> ChainFactor:
-            inputs = tuple((k, float(v)) for k, v in f.get("inputs", {}).items())
-            return ChainFactor(f["rule"], float(f["value"]), inputs)
+            inputs = f.get("inputs", {})
+            return ChainFactor(read_entry(f, "rule", "string"), read_entry(f, "value", "number"),
+                               tuple((k, read_entry(inputs, k, "number")) for k in inputs.keys()))
 
         return cls(
-            mu_lower=read_field(data, "mu_lower", float),
-            p=read_field(data, "p", float),
+            mu_lower=read_field(data, "mu_lower", "number"),
+            p=read_field(data, "p", "number"),
             provenance=read_field(data, "provenance", lambda fs: tuple(map(factor, fs)), ()),
-            notes=read_field(data, "notes", tuple, ()),
-            domain=data.get("domain"),
+            notes=tuple(read_field(data, "notes", "strings", ())),
+            domain=read_field(data, "domain", "string", None),
         )
 
 

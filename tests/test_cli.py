@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -12,7 +13,7 @@ import pytest
 from scipy.spatial import QhullError
 
 import neumann_bounds
-from neumann_bounds import geometry, oracle
+from neumann_bounds import cli, geometry, oracle
 from neumann_bounds.cli import (
     CliError,
     _axis_aligned_rect,
@@ -21,6 +22,9 @@ from neumann_bounds.cli import (
     rect_cover_multiplicity,
 )
 from neumann_bounds.geometry import ConvexCell, WhitneyTriple
+from neumann_bounds.oracle import TriangleMesh, mesh_domain
+from neumann_bounds.poincare import CertTerm, PoincareBound
+from neumann_bounds.qc_transfer import ChainFactor, EigenBound, QCMapData, SampledDerivative
 
 PI2 = math.pi**2
 
@@ -277,24 +281,25 @@ class TestErrorPaths:
         config.write_text('{"p": NaN}')
         assert run_cli(["bound-star", "--config", config]) == 1
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and "p must be a finite number" in err[0]
+        assert len(err) == 1 and "config key 'p' must be a finite number" in err[0]
 
     @pytest.mark.parametrize(
         "text, message",
         [
-            ('{"depth": "x"}', "depth must be an integer"),
-            ('{"mgon": 12.5}', "mgon must be an integer"),
-            ('{"seed": true}', "seed must be an integer"),
-            ('{"overlap_fraction": "a"}', "overlap_fraction must be a finite number"),
-            ('{"r": Infinity}', "r must be a finite number"),
-            ('{"overlap_fraction": 1' + "0" * 400 + "}", "overlap_fraction must be a finite number"),
-            ('{"p": -1' + "0" * 400 + "}", "p must be a finite number"),
-            ('{"h": false}', "h must be a finite number"),
-            ('{"mode": 3}', "mode must be a string"),
-            ('{"map": ["m.json"]}', "map must be a string"),
-            ('{"inputs": "a.json"}', "inputs must be a list of strings"),
-            ('{"inputs": ["a.json", 1]}', "inputs must be a list of strings"),
-            ('{"verify": "yes"}', "verify must be true or false"),
+            ('{"depth": "x"}', "config key 'depth' must be an integer"),
+            ('{"mgon": 12.5}', "config key 'mgon' must be an integer"),
+            ('{"seed": true}', "config key 'seed' must be an integer"),
+            ('{"overlap_fraction": "a"}', "config key 'overlap_fraction' must be a finite number"),
+            ('{"r": Infinity}', "config key 'r' must be a finite number"),
+            ('{"overlap_fraction": 1' + "0" * 400 + "}",
+             "config key 'overlap_fraction' must be a finite number"),
+            ('{"p": -1' + "0" * 400 + "}", "config key 'p' must be a finite number"),
+            ('{"h": false}', "config key 'h' must be a finite number"),
+            ('{"mode": 3}', "config key 'mode' must be a string"),
+            ('{"map": ["m.json"]}', "config key 'map' must be a string"),
+            ('{"inputs": "a.json"}', "config key 'inputs' must be a list of strings"),
+            ('{"inputs": ["a.json", 1]}', "config key 'inputs' must be a list of strings"),
+            ('{"verify": "yes"}', "config key 'verify' must be true or false"),
         ],
     )
     def test_config_value_of_wrong_type_one_line(self, tmp_path, capsys, text, message):
@@ -344,12 +349,12 @@ class TestDomainFileOverrides:
     @pytest.mark.parametrize(
         "command, domain, message",
         [
-            ("bound-snowflake", {"depth": None}, "domain key depth must be an integer"),
-            ("bound-snowflake", {"depth": 3.7}, "domain key depth must be an integer"),
-            ("bound-snowflake", {"a": "1"}, "domain key a must be a finite number"),
-            ("bound-star", {"delta": [1]}, "domain key delta must be a finite number"),
-            ("bound-star", {"mgon": 64.0}, "domain key mgon must be an integer"),
-            ("bound-star", {"dim": True}, "domain key dim must be an integer"),
+            ("bound-snowflake", {"depth": None}, "domain key 'depth' must be an integer"),
+            ("bound-snowflake", {"depth": 3.7}, "domain key 'depth' must be an integer"),
+            ("bound-snowflake", {"a": "1"}, "domain key 'a' must be a finite number"),
+            ("bound-star", {"delta": [1]}, "domain key 'delta' must be a finite number"),
+            ("bound-star", {"mgon": 64.0}, "domain key 'mgon' must be an integer"),
+            ("bound-star", {"dim": True}, "domain key 'dim' must be an integer"),
         ],
     )
     def test_bad_override_exit_1_one_line(self, tmp_path, capsys, command, domain, message):
@@ -391,6 +396,9 @@ def one_line_error(args, capsys):
     return err[0]
 
 
+SAMPLED = {"kind": "sampled", "weights": [1.0], "dphi": [1.0], "jac": [1.0], "K": 1.0}
+
+
 class TestMissingSpecKeys:
     """Each bad specification ends in exit 1 with one line naming the key."""
 
@@ -404,7 +412,7 @@ class TestMissingSpecKeys:
             ({"kind": "rectangle", "bounds": [0, 0, 1]}, '"bounds"'),
             ({"type": "star"}, "'delta'"),
             ({"kind": "rect_union", "rects": []}, '"rects"'),
-            ({"kind": "rect_union", "rects": [[0, 0, 1, 1], [0.5, 0, 2]]}, '"rects"'),
+            ({"kind": "rect_union", "rects": [[0, 0, 1, 1], [0.5, 0, 2]]}, "'rects'"),
             ({"kind": "rect_union"}, "'rects'"),
             ({"kind": "polygon"}, "'vertices'"),
             ({"kind": "disk"}, "'radius'"),
@@ -412,6 +420,21 @@ class TestMissingSpecKeys:
             ({"type": "star", "delta": [1]}, "'delta'"),
             ({"kind": "rectangle", "bounds": 3}, "'bounds'"),
             ({"kind": "disk", "radius": 1.0, "center": 3}, "'center'"),
+            # a string, a bool or a non-finite value where a number belongs
+            ({"kind": "disk", "radius": "abc"}, "key 'radius' must be a number, got 'abc'"),
+            ({"kind": "star", "delta": "abc"}, "key 'delta' must be a finite number, got 'abc'"),
+            ({"type": "star", "dim": "x", "delta": 1}, "key 'dim' must be an integer, got 'x'"),
+            ({"type": "star", "dim": 2.5, "delta": 1}, "key 'dim' must be an integer, got 2.5"),
+            ({"kind": "star", "delta": True}, "key 'delta' must be a finite number, got True"),
+            ({"kind": "disk", "radius": True, "center": ["1", "2"]}, "key 'radius'"),
+            ({"kind": "disk", "radius": 1, "center": ["1", "2"]}, "key 'center'"),
+            ({"kind": "star", "delta": math.nan}, "key 'delta' must be a finite number, got nan"),
+            ({"kind": "rect_union", "rects": [[0, 0, 1, math.nan]]}, "key 'rects'"),
+            ({"kind": "polygon", "vertices": [[0, 0], [1, "a"], [0, 1]]}, "key 'vertices'"),
+            ({"type": "cells", "cells": [{"vertices": [[0, 0], [1, 0], [1, "x"], [0, 1]]}]},
+             "entry 'vertices' must be an array of finite numbers"),
+            ({"nodes": [[0, 0], [1, 0], [0, math.nan]], "elements": [[0, 1, 2]]},
+             "mesh key 'nodes' must be an array of finite numbers"),
         ],
     )
     def test_verify_domain(self, tmp_path, capsys, domain, key):
@@ -433,7 +456,21 @@ class TestMissingSpecKeys:
             ({"kind": "linear"}, "'matrix'"),
             ({"kind": "linear", "matrix": [[2, 0], [0, 1]], "K": None}, "'K'"),
             ({"kind": "sampled", "weights": None, "dphi": [1.0], "jac": [1.0], "K": 1.0},
-             "must be lists"),
+             "'weights'"),
+            # "false" used to select the Lipschitz route, and Infinity passed
+            ({**SAMPLED, "lipschitz": "false"}, "key 'lipschitz' must be true or false, got 'false'"),
+            ({**SAMPLED, "n": 2.9}, "key 'n' must be an integer, got 2.9"),
+            ({**SAMPLED, "weights": [1, math.inf], "dphi": [1, 1], "jac": [1, 1], "lipschitz": True},
+             "key 'weights' must be an array of finite numbers"),
+            ({"kind": "linear", "matrix": [[2, 0], [0, 1]], "K": True}, "key 'K' must be a number"),
+            ({"kind": "linear", "matrix": [[1, 0], [0, 1]], "domain_volume": "1"},
+             "key 'domain_volume' must be a number, got '1'"),
+            ({**SAMPLED, "K": "1"}, "key 'K' must be a number, got '1'"),
+            ({**SAMPLED, "alpha": "8"}, "key 'alpha' must be a number, got '8'"),
+            ({**SAMPLED, "n": "2"}, "key 'n' must be an integer, got '2'"),
+            ({**SAMPLED, "weights": ["1"]}, "key 'weights' must be an array of finite numbers"),
+            ({"kind": "linear", "matrix": [[1, "0"], [0, 1]]},
+             "key 'matrix' must be an array of finite numbers"),
         ],
     )
     def test_map(self, tmp_path, capsys, spec, key):
@@ -470,6 +507,25 @@ class TestMalformedCertificates:
             (("verify", "transfer"), {"mu_lower": 1.0, "p": 1.0},
              "exponent p must be a finite number above 1"),
             (("verify", "transfer"), {"mu_lower": math.nan, "p": 2}, "must be positive"),
+            # a bool or a string is never a number; "abc" is not a list of notes
+            (("verify", "transfer"), {"bound": True, "p": "2"},
+             "certificate key 'bound' must be a number, got True"),
+            (("verify", "transfer"), {"bound": 1.0, "p": "2"},
+             "certificate key 'p' must be a number, got '2'"),
+            (("verify", "transfer"), {"mu_lower": 1.0, "p": 2, "notes": "abc"},
+             "certificate key 'notes' must be a list of strings, got 'abc'"),
+            (("verify", "transfer"), {"bound": 1.0, "p": 2, "multiplicity": 2.0},
+             "certificate key 'multiplicity' must be an integer, got 2.0"),
+            (("verify", "transfer"), {"bound": 1.0, "p": 2, "domain": 3},
+             "certificate key 'domain' must be a string, got 3"),
+            (("verify", "transfer"),
+             {"bound": 1.0, "p": 2, "terms": [{"label": "a", "rule": "r", "value": True}]},
+             "certificate key 'terms' is malformed: entry 'value' must be a number, got True"),
+            (("verify", "transfer"),
+             {"mu_lower": 1.0, "p": 2, "provenance": [{"rule": "r", "value": "1"}]},
+             "certificate key 'provenance' is malformed: entry 'value' must be a number, got '1'"),
+            (("verify", "transfer"), {"bound": 1.0, "p": 2, "details": {"overlap": False}},
+             "certificate key 'details' is malformed: entry 'overlap' must be a number, got False"),
             (("report",), {"certificates": [{"label": "x"}]}, "malformed report: needs key 'data'"),
         ],
     )
@@ -502,7 +558,7 @@ class TestOverflowOneLine:
         map_path = write_json(tmp_path / "map.json", {"kind": "linear", "matrix": [[math.nan, 0], [0, 1]]})
         base = write_json(tmp_path / "base.json", {"bound": 1.0, "p": 2.0})
         line = one_line_error(["transfer", "--map", map_path, "--base", base], capsys)
-        assert "linear map matrix [[nan, 0.0], [0.0, 1.0]]" in line
+        assert "key 'matrix' must be an array of finite numbers, got [[nan, 0], [0, 1]]" in line
 
     def test_verify_huge_certificate_exponent(self, tmp_path, capsys):
         cert = write_json(tmp_path / "cert.json", {"bound": 1.0, "p": 1e308})
@@ -634,9 +690,9 @@ class TestChainInputs:
             ({"triples": [[0, 1, True]]}, 'chain "triples"'),
             ({"triples": [[0, 1, 2]]}, "chain triples leave out cell 3"),
             ({"triples": []}, "chain triples leave out cell 0"),
-            ({"multiplicity": "2"}, "chain multiplicity must be an integer, got '2'"),
-            ({"multiplicity": True}, "chain multiplicity must be an integer, got True"),
-            ({"multiplicity": 2.0}, "chain multiplicity must be an integer"),
+            ({"multiplicity": "2"}, "cells domain key 'multiplicity' must be an integer, got '2'"),
+            ({"multiplicity": True}, "cells domain key 'multiplicity' must be an integer, got True"),
+            ({"multiplicity": 2.0}, "cells domain key 'multiplicity' must be an integer"),
             ({"multiplicity": 1}, "chain multiplicity 1 is below the cover multiplicity 2"),
         ],
     )
@@ -886,3 +942,148 @@ class TestDeterminism:
         out2 = tmp_path / "override.json"
         run_cli(["bound-star", "--config", config, "--delta", 2.0, "--out", out2])
         assert json.loads(out2.read_text())["config"]["delta"] == 2.0
+
+
+class TestCellCoverScale:
+    """Degenerate-cell and overlap cut-offs are relative to the cells' own
+    scale, so a scaled cover gets the scaled bound."""
+
+    PAIR = [[[0, 0], [1, 0], [1, 1], [0, 1]], [[0.5, 0], [1.5, 0], [1.5, 1], [0.5, 1]]]
+
+    def cells_bound(self, tmp_path, cells, factor):
+        domain = write_json(tmp_path / "cells.json", {"type": "cells", "cells": [
+            {"vertices": [[factor * v for v in point] for point in cell]} for cell in cells]})
+        out = tmp_path / "bound.json"
+        assert run_cli(["bound-cells", "--domain", domain, "--no-verify", "--out", out]) == 0
+        return json.loads(out.read_text())["certificates"][0]["data"]["bound"]
+
+    @pytest.mark.parametrize("factor", [1e-7, 1e5])
+    @pytest.mark.parametrize("cells", [PAIR, [c["vertices"] for c in ROW5["cells"]]],
+                             ids=["pair", "row5"])
+    def test_scaled_cells(self, tmp_path, cells, factor):
+        unit = self.cells_bound(tmp_path, cells, 1.0)
+        scaled = self.cells_bound(tmp_path, cells, factor)
+        assert scaled == pytest.approx(factor * unit, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("delta", [1e-5, 1e5])
+    def test_scaled_3d_star(self, tmp_path, delta):
+        bounds = []
+        for d in (1.0, delta):
+            out = tmp_path / f"star{d}.json"
+            assert run_cli(["bound-star", "--dim", 3, "--mgon", 8, "--delta", d, "--out", out]) == 0
+            bounds.append(json.loads(out.read_text())["certificates"][0]["data"]["bound"])
+        assert bounds[1] == pytest.approx(delta * bounds[0], rel=1e-12, abs=0)
+
+
+def test_bound_cells_builds_each_cell_once(tmp_path, monkeypatch):
+    builds = []
+    build = ConvexCell.__init__
+
+    def counted(self, vertices):
+        builds.append(len(vertices))
+        build(self, vertices)
+
+    monkeypatch.setattr(ConvexCell, "__init__", counted)
+    domain = write_json(tmp_path / "row.json", ROW5)
+    for flags in ([], ["--no-verify"]):
+        builds.clear()
+        out = tmp_path / "row_out.json"
+        assert run_cli(["bound-cells", "--domain", domain, "--h", 0.2, *flags, "--out", out]) == 0
+        assert len(json.loads(out.read_text())["checks"]) == (0 if flags else 1)
+        assert len(builds) == 5
+
+
+def canonical(obj):
+    """A form of obj whose == tells ints from floats, lists from tuples and
+    arrays apart by dtype, shape and bytes."""
+    if isinstance(obj, np.ndarray):
+        return ("array", obj.dtype.str, obj.shape, obj.tobytes())
+    if isinstance(obj, TriangleMesh):
+        return canonical((obj.nodes, obj.elements))
+    if isinstance(obj, ConvexCell):
+        return canonical(obj.vertices)
+    if dataclasses.is_dataclass(obj):
+        return canonical(tuple(getattr(obj, f.name) for f in dataclasses.fields(obj)))
+    if isinstance(obj, (list, tuple)):
+        return (type(obj).__name__, *map(canonical, obj))
+    return (type(obj).__name__, obj)
+
+
+def read_mesh(path):
+    return mesh_domain(cli._load_json(path), 0.25)
+
+
+def read_config(path):
+    return cli.config_from_args(cli._build_parser().parse_args(["bound-snowflake", "--config", path]))
+
+
+def read_domain_overrides(path):
+    config = cli.RunConfig(command="bound-snowflake", domain=path)
+    cli._override_from_domain(config, "snowflake", ("a", "depth", "overlap_fraction"))
+    return config
+
+
+def floats(rows):
+    return np.array(rows, dtype=float)
+
+
+# input kind -> (JSON text, its reader, the object built from the same values)
+WELL_TYPED_INPUTS = {
+    "rectangle": ('{"kind": "rectangle", "bounds": [0, 0, 2, 1]}', read_mesh,
+                  lambda: oracle._rect_union_mesh(floats([[0, 0, 2, 1]]), 0.25)),
+    "rect_union": ('{"kind": "rect_union", "rects": [[0, 0, 1, 1], [0.5, 0, 1.5, 1]]}', read_mesh,
+                   lambda: oracle._rect_union_mesh(floats([[0, 0, 1, 1], [0.5, 0, 1.5, 1]]), 0.25)),
+    "polygon": ('{"kind": "polygon", "vertices": [[0, 0], [2, 0], [1, 1]]}', read_mesh,
+                lambda: oracle._convex_polygon_mesh(floats([[0, 0], [2, 0], [1, 1]]), 0.25)),
+    "star": ('{"kind": "star", "delta": 1}', read_mesh, lambda: oracle._star_mesh(1.0, 0.25)),
+    "disk": ('{"kind": "disk", "radius": 1, "center": [2, 0.5]}', read_mesh,
+             lambda: oracle._disk_mesh(1.0, 0.25, (2.0, 0.5))),
+    "raw mesh": ('{"nodes": [[0, 0], [1, 0], [0, 1], [1, 1]], "elements": [[0, 1, 2], [1, 3, 2]]}',
+                 lambda path: TriangleMesh.from_dict(cli._load_json(path)),
+                 lambda: TriangleMesh(floats([[0, 0], [1, 0], [0, 1], [1, 1]]),
+                                      np.array([[0, 1, 2], [1, 3, 2]]))),
+    "linear map": ('{"kind": "linear", "matrix": [[2, 0], [0, 1]], "domain_volume": 3, "K": 4}',
+                   lambda path: cli._map_from_spec(cli._load_json(path)),
+                   lambda: dataclasses.replace(QCMapData.from_linear(floats([[2, 0], [0, 1]]), 3.0),
+                                               K=4.0)),
+    "sampled map": ('{"kind": "sampled", "weights": [1, 2], "dphi": [1, 0.5], "jac": [1, 1], "K": 2,'
+                    ' "alpha": 8, "lipschitz": true, "n": 2}',
+                    lambda path: cli._map_from_spec(cli._load_json(path)),
+                    lambda: QCMapData(2, 2.0, SampledDerivative(*map(floats, ([1, 2], [1, 0.5], [1, 1]))),
+                                      8.0, True)),
+    "cells": ('{"type": "cells", "cells": [{"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}]}',
+              lambda path: cli._cells_from_spec(cli._load_json(path)),
+              lambda: [ConvexCell(floats([[0, 0], [1, 0], [1, 1], [0, 1]]))]),
+    "poincare certificate": (
+        '{"bound": 2, "p": 2, "form": "deviation-from-mean", "r": null, "multiplicity": 1,'
+        ' "terms": [{"label": "a", "rule": "r", "value": 4}], "details": {"x": 1}, "notes": ["n"],'
+        ' "domain": null}',
+        lambda path: cli.load_bound(cli._load_json(path)),
+        lambda: PoincareBound(2.0, 2.0, "deviation-from-mean", (CertTerm("a", "r", 4.0),), None, 1,
+                              (("x", 1.0),), ("n",), None)),
+    "eigen certificate": (
+        '{"mu_lower": 1, "p": 3, "provenance": [{"rule": "r", "value": 1, "inputs": {"q": 2}}],'
+        ' "notes": [], "domain": "d"}',
+        lambda path: cli.load_bound(cli._load_json(path)),
+        lambda: EigenBound(1.0, 3.0, (ChainFactor("r", 1.0, (("q", 2.0),)),), (), "d")),
+    "config file": (
+        '{"p": 2.5, "depth": 5, "a": 1.5, "r": null, "mode": "auto", "inputs": ["x.json"],'
+        ' "verify": false}',
+        read_config,
+        lambda: cli.RunConfig(command="bound-snowflake", p=2.5, depth=5, a=1.5, mode="auto",
+                              inputs=["x.json"], verify=False)),
+    "domain file": ('{"type": "snowflake", "a": 2, "depth": 5, "overlap_fraction": 0.5}',
+                    read_domain_overrides,
+                    lambda: cli.RunConfig(command="bound-snowflake", domain="input.json", a=2.0,
+                                          depth=5, overlap_fraction=0.5)),
+}
+
+
+@pytest.mark.parametrize("kind", WELL_TYPED_INPUTS)
+def test_well_typed_input_reads_to_constructed_object(tmp_path, monkeypatch, kind):
+    """Each input kind reads to the object its constructor builds from the same
+    values as floats (integers where the kind is an integer)."""
+    text, read, expected = WELL_TYPED_INPUTS[kind]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "input.json").write_text(text)
+    assert canonical(read("input.json")) == canonical(expected())

@@ -188,7 +188,7 @@ class TestMeshing:
             ({"kind": "rectangle", "bounds": [0, 0, 1]}, '"bounds"'),
             ({"kind": "rect_union"}, "needs key 'rects'"),
             ({"kind": "rect_union", "rects": []}, '"rects"'),
-            ({"kind": "rect_union", "rects": [[0, 0, 1, 1], [1, 0, 2]]}, '"rects"'),
+            ({"kind": "rect_union", "rects": [[0, 0, 1, 1], [1, 0, 2]]}, "key 'rects'"),
             ({"kind": "polygon"}, "needs key 'vertices'"),
             ({"kind": "star"}, "needs key 'delta'"),
             ({"kind": "disk"}, "needs key 'radius'"),
@@ -200,6 +200,13 @@ class TestMeshing:
             ({"kind": "disk", "radius": 1, "center": [0]}, "key 'center'"),
             ({"kind": "disk", "radius": 1, "center": [0, 0, 0]}, "key 'center'"),
             ({"kind": "disk", "radius": 1, "center": [math.nan, 0]}, "key 'center'"),
+            ({"kind": "disk", "radius": "abc"}, "key 'radius' must be a number, got 'abc'"),
+            ({"kind": "disk", "radius": True}, "key 'radius' must be a number, got True"),
+            ({"kind": "disk", "radius": 1, "center": ["1", "2"]}, "key 'center'"),
+            ({"kind": "star", "delta": "abc"}, "key 'delta' must be a finite number, got 'abc'"),
+            ({"kind": "star", "delta": math.nan}, "key 'delta' must be a finite number, got nan"),
+            ({"kind": "rect_union", "rects": [[0, 0, 1, math.nan]]}, "key 'rects'"),
+            ({"kind": "polygon", "vertices": [[0, 0], [1, "a"], [0, 1]]}, "key 'vertices'"),
         ],
     )
     def test_missing_or_short_key_named(self, spec, message):
@@ -211,9 +218,10 @@ class TestMeshing:
         [
             ([[0, 0], [1, 0], [0, 1]], [[0, 1, 2.5]], "'elements' must hold integer"),
             ([[0, 0], [1, 0], [0, 1]], [[0, 1, 1e300]], "'elements' must hold integer"),
-            ([[0, 0], [1, 0], [0, 1]], [[0, 1, math.inf]], "'elements' must hold integer"),
-            ([[0, 0], [1, 0], [0, 1]], "abc", "'elements' must be an array of numbers"),
-            ("abc", [[0, 1, 2]], "'nodes' must be an array of numbers"),
+            ([[0, 0], [1, 0], [0, 1]], [[0, 1, math.inf]],
+             "'elements' must be an array of finite numbers"),
+            ([[0, 0], [1, 0], [0, 1]], "abc", "'elements' must be an array of finite numbers"),
+            ("abc", [[0, 1, 2]], "'nodes' must be an array of finite numbers"),
         ],
     )
     def test_mesh_file_entries_checked(self, nodes, elements, message):
