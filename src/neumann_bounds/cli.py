@@ -111,6 +111,8 @@ def _load_json(path: str) -> dict:
         raise CliError(
             f"malformed JSON in {path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:
+        raise CliError(f"{path}: JSON nested too deeply to read") from None
     if not isinstance(data, dict):
         raise CliError(f"{path}: top-level JSON value must be an object, not {type(data).__name__}")
     return data
@@ -552,6 +554,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+# allowed values of the RunConfig fields whose flags take choices; config and
+# domain files are held to the same table
+_CHOICES = {
+    "fmt": ("json", "csv"),
+    "dim": (2, 3),
+    "mode": ("auto", "lipschitz", "eigen", "poincare"),
+}
+
 # flags that only the subcommands reading them accept
 _OPTIONAL_FLAGS = {
     "--p": {"type": float, "help": "integrability exponent"},
@@ -571,7 +581,7 @@ def _build_parser() -> _Parser:
     def common(sp, *flags):
         sp.add_argument("--config", help="JSON file with defaults for this command")
         sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--format", dest="fmt", choices=("json", "csv"), default=None)
+        sp.add_argument("--format", dest="fmt", choices=_CHOICES["fmt"], default=None)
         sp.add_argument("--out", default=None, help="output path (stdout if omitted)")
         for flag in flags:
             sp.add_argument(flag, default=None, **_OPTIONAL_FLAGS[flag])
@@ -583,7 +593,7 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("bound-star", help="bound for the two-piece star domain")
     sp.add_argument("--domain", help='optional domain JSON of type "star"')
     sp.add_argument("--delta", type=float, default=None)
-    sp.add_argument("--dim", type=int, choices=(2, 3), default=None)
+    sp.add_argument("--dim", type=int, choices=_CHOICES["dim"], default=None)
     sp.add_argument("--mgon", type=int, default=None)
     common(sp, "--p", "--h", "--timing", "--no-verify")
 
@@ -597,7 +607,7 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("transfer", help="push a bound through a quasiconformal map")
     sp.add_argument("--map", dest="map_path", help="map specification JSON")
     sp.add_argument("--base", help="base certificate or report JSON")
-    sp.add_argument("--mode", choices=("auto", "lipschitz", "eigen", "poincare"), default=None)
+    sp.add_argument("--mode", choices=_CHOICES["mode"], default=None)
     sp.add_argument("--r", type=float, default=None, help="base deviation exponent override")
     common(sp, "--p", "--timing")
 
@@ -620,9 +630,16 @@ _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
 def _read_config_value(data: dict, key: str, attr: str, config: RunConfig, what: str):
-    """data[key] as a value of field attr's kind, or attr's current value if absent (null if None)."""
+    """data[key] as a value of field attr's kind and one of its choices, or attr's
+    current value if absent (null if None)."""
     kind = _CONFIG_KINDS[_FIELD_TYPES[attr].removesuffix(" | None")]
-    return read_field(data, key, kind, getattr(config, attr), what=what, error=CliError)
+    value = read_field(data, key, kind, getattr(config, attr), what=what, error=CliError)
+    choices = _CHOICES.get(attr)
+    if choices is not None and value not in choices:
+        raise CliError(
+            f"{what} key {key!r} must be one of {', '.join(map(str, choices))}, got {value!r}"
+        )
+    return value
 
 
 def _override_from_domain(config: RunConfig, kind: str, keys: tuple[str, ...]) -> None:

@@ -20,7 +20,9 @@ the closed-form derivative of the constraint.
 Each oracle call factors its mesh once (_shifted_solve): the p = 2
 eigensolve uses the LU of K - sigma M as its shift-invert operator, and the
 general-p descent starts from the eigenvectors of that solve and uses the
-same LU as its Sobolev-gradient preconditioner.
+same LU as its Sobolev-gradient preconditioner. The solve deflates the
+known constant null vector instead of computing it, and computes only the
+eigenpairs its caller reads: one at p = 2, one per descent start.
 """
 
 from __future__ import annotations
@@ -486,8 +488,9 @@ def p1_matrices(mesh: TriangleMesh) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     return stiffness, mass
 
 
-def _shifted_solve(mesh: TriangleMesh):
-    """Stiffness, mass, the LU of K - sigma M and the lowest eigenvectors.
+def _shifted_solve(mesh: TriangleMesh, count: int):
+    """Stiffness, mass, M @ 1, the LU of K - sigma M and the lowest
+    non-constant eigenvectors.
 
     The shift is scale-free: sigma = -1e-2 min_d R(x_d - xbar_d), where R is
     the P1 Rayleigh quotient u.K u / u.M u and xbar the mass-weighted mean
@@ -495,49 +498,59 @@ def _shifted_solve(mesh: TriangleMesh):
     so R bounds mu2 from above and sigma sits one percent of that below
     zero, which makes K - sigma M positive definite despite the constant
     null mode. One sparse shift-invert Lanczos solve (ARPACK through eigsh)
-    then returns the min(3, N - 1) smallest eigenpairs of K v = mu M v, so
-    near-double clusters such as the square's resolve. The eigenvectors
-    come back as columns in ascending eigenvalue order.
+    then returns the k = min(count, N - 2) smallest nonzero eigenpairs of
+    K v = mu M v. The constant null vector is known, so it is deflated
+    rather than computed: every LU solve is projected mass-orthogonally off
+    constants, and the Krylov basis holds min(N, 10 k) vectors, so a caller
+    that reads one eigenvector pays for one. The eigenvectors come back as
+    columns in ascending eigenvalue order.
     """
     stiffness, mass = p1_matrices(mesh)
     n = mesh.node_count
     ones_mass = np.asarray(mass.sum(axis=0)).ravel()  # M @ 1
-    coords = mesh.nodes - (ones_mass @ mesh.nodes) / ones_mass.sum()
+    total = ones_mass.sum()
+    coords = mesh.nodes - (ones_mass @ mesh.nodes) / total
     energy = (coords * (stiffness @ coords)).sum(axis=0)
     sigma = -1e-2 * float((energy / (coords * (mass @ coords)).sum(axis=0)).min())
     lu = spla.splu((stiffness - sigma * mass).tocsc(), permc_spec="MMD_AT_PLUS_A")
+
+    def deflated_solve(x):
+        y = lu.solve(x)
+        return y - (ones_mass @ y) / total
+
+    k = min(count, n - 2)  # ARPACK needs k < ncv, and the deflated range has N - 1 dimensions
     try:
         w, vecs = spla.eigsh(
             stiffness,
-            k=min(3, n - 1),
+            k=k,
             M=mass,
             sigma=sigma,
-            OPinv=spla.LinearOperator((n, n), matvec=lu.solve, dtype=float),
+            OPinv=spla.LinearOperator((n, n), matvec=deflated_solve, dtype=float),
             v0=np.random.default_rng(0).standard_normal(n),
+            ncv=min(n, 10 * k),
             tol=1e-10,
         )
     except spla.ArpackNoConvergence as exc:
         raise SolveError(f"shift-invert Lanczos did not converge: {exc}") from None
-    return stiffness, mass, lu, vecs[:, np.argsort(w)]
+    return stiffness, mass, ones_mass, lu, vecs[:, np.argsort(w)]
 
 
 def neumann_mu2(mesh: TriangleMesh) -> EigenResult:
     """Smallest nonzero Neumann eigenvalue of the P1 discretization.
 
-    The shifted solve (see _shifted_solve) gives the second eigenvector;
-    it is deflated mass-orthogonally against constants, mu is recomputed
-    as its Rayleigh quotient, and the relative eigenpair residual is
-    certified to EIGEN_RESIDUAL_TOL.
+    The shifted solve (see _shifted_solve) gives the first non-constant
+    eigenvector; it is deflated mass-orthogonally against constants once
+    more (removing the rounding of the solve), mu is recomputed as its
+    Rayleigh quotient, and the relative eigenpair residual is certified to
+    EIGEN_RESIDUAL_TOL.
     """
-    stiffness, mass, _, vecs = _shifted_solve(mesh)
-    ones_mass = np.asarray(mass.sum(axis=0)).ravel()
-    v = vecs[:, 1]
+    stiffness, mass, ones_mass, _, vecs = _shifted_solve(mesh, 1)
+    v = vecs[:, 0]
     v = v - (ones_mass @ v) / ones_mass.sum()
     v /= math.sqrt(v @ (mass @ v))
-    mu = float(v @ (stiffness @ v))
-    residual = float(
-        np.linalg.norm(stiffness @ v - mu * (mass @ v)) / np.linalg.norm(stiffness @ v)
-    )
+    kv = stiffness @ v
+    mu = float(v @ kv)
+    residual = float(np.linalg.norm(kv - mu * (mass @ v)) / np.linalg.norm(kv))
     if residual > EIGEN_RESIDUAL_TOL:
         raise SolveError(f"eigenpair residual {residual:.3e} above target {EIGEN_RESIDUAL_TOL:g}")
     return EigenResult(mu2=mu, residual=residual, eigenvector=v, dof=mesh.node_count)
@@ -711,16 +724,17 @@ def minimize_rayleigh_p(
     """Best-effort upper estimate of the discrete first nontrivial mu_p.
 
     Backtracking descent along the Sobolev gradient LU^-1 g (unit M-norm)
-    from the P1 eigenvectors 2 and 3, at most `starts` of them, with the
-    constraint re-projected after every step. Each start ends on the
-    stopping test (STOP_WINDOW) or after `iterations` steps. Converged: the
-    best start ended on the test with the constraint met to FEASIBILITY_TOL.
+    from the first `starts` non-constant P1 eigenvectors (2 and 3 by
+    default; a 3-node mesh has only one), with the constraint re-projected
+    after every step. Each start ends on the stopping test (STOP_WINDOW) or
+    after `iterations` steps. Converged: the best start ended on the test
+    with the constraint met to FEASIBILITY_TOL.
     An estimate, not a certificate: a claimed lower bound must not exceed it.
     """
     check_exponent(p)
-    _, mass, lu, vecs = _shifted_solve(mesh)
+    _, mass, _, lu, vecs = _shifted_solve(mesh, starts)
     best, total_iters, converged = math.inf, 0, False
-    for v in vecs.T[1 : 1 + starts]:
+    for v in vecs.T:
         with np.errstate(over="ignore", invalid="ignore"):
             v = project_constraint(mesh, v, p)
             norm = integrate_abs_power(mesh, v, p)

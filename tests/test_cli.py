@@ -320,6 +320,38 @@ class TestErrorPaths:
         report = json.loads(out.read_text())
         assert report["config"]["depth"] == 5 and report["config"]["a"] == 1
 
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            ("bound-snowflake", '{"format": "xml"}',
+             "config key 'format' must be one of json, csv, got 'xml'"),
+            ("report", '{"format": "JSON"}',
+             "config key 'format' must be one of json, csv, got 'JSON'"),
+            ("bound-snowflake", '{"mode": "bogus"}',
+             "config key 'mode' must be one of auto, lipschitz, eigen, poincare, got 'bogus'"),
+            ("bound-star", '{"dim": 4}', "config key 'dim' must be one of 2, 3, got 4"),
+        ],
+    )
+    def test_config_value_outside_flag_choices_one_line(self, tmp_path, capsys, command, text,
+                                                        message):
+        # a config file is held to the choices of the flag it stands for
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        out = tmp_path / "out.txt"
+        assert run_cli([command, "--config", config, "--out", out]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and message in err[0]
+        assert not out.exists()
+
+    def test_deeply_nested_json_one_line(self, tmp_path, capsys):
+        depth = 100_000
+        bound = tmp_path / "deep.json"
+        bound.write_text('{"bound": ' + "[" * depth + "]" * depth + "}")
+        domain = write_json(tmp_path / "sq.json", {"type": "rectangle", "bounds": [0, 0, 1, 1]})
+        assert run_cli(["verify", "--bound", bound, "--domain", domain]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and str(bound) in err[0] and "nested too deeply" in err[0]
+
     def test_non_object_json_one_line(self, tmp_path, capsys):
         domain = write_json(tmp_path / "list.json", [{"type": "cells"}])
         assert run_cli(["bound-cells", "--domain", domain]) == 1
@@ -355,6 +387,7 @@ class TestDomainFileOverrides:
             ("bound-star", {"delta": [1]}, "domain key 'delta' must be a finite number"),
             ("bound-star", {"mgon": 64.0}, "domain key 'mgon' must be an integer"),
             ("bound-star", {"dim": True}, "domain key 'dim' must be an integer"),
+            ("bound-star", {"dim": 4}, "domain key 'dim' must be one of 2, 3, got 4"),
         ],
     )
     def test_bad_override_exit_1_one_line(self, tmp_path, capsys, command, domain, message):

@@ -262,6 +262,16 @@ class TestMeshing:
             TriangleMesh(nodes, elements)
 
 
+# the unit square (near-double mu2), the 2x1 rectangle (double mu3), the unit
+# disk (double mu2) and the delta = 1 star
+SOLVE_SPECS = {
+    "square": {"kind": "rectangle", "bounds": [0, 0, 1, 1]},
+    "rect2x1": {"kind": "rectangle", "bounds": [0, 0, 2, 1]},
+    "disk": {"kind": "disk", "radius": 1.0},
+    "star": {"kind": "star", "delta": 1.0},
+}
+
+
 class TestNeumannEigenvalue:
     def test_square_convergence_from_above(self):
         values = [neumann_mu2(square_mesh(h)).mu2 for h in (0.1, 0.05)]
@@ -305,6 +315,9 @@ class TestNeumannEigenvalue:
         specs = [
             ({"kind": "rectangle", "bounds": [0, 0, 1, 1]}, 0.12),
             ({"kind": "rectangle", "bounds": [0, 0, 2, 1]}, 0.1),
+            # mu3 = mu4 = pi^2 here: only mu2 is requested, and the double
+            # pair above it must not stall or replace it
+            ({"kind": "rectangle", "bounds": [0, 0, 2, 1]}, 0.05),
             ({"kind": "disk", "radius": 1.0}, 0.1),
             ({"kind": "star", "delta": 1.0}, 0.15),
             ({"kind": "rect_union", "rects": [[0, 0, 1.2, 1], [0.8, 0, 2, 1], [1.6, 0, 2.8, 1]]}, 0.1),
@@ -319,6 +332,43 @@ class TestNeumannEigenvalue:
             result = neumann_mu2(mesh)
             assert result.mu2 == pytest.approx(dense, rel=1e-10), spec["kind"]
             assert result.residual <= 1e-8
+
+    @pytest.mark.parametrize("name", ["rect2x1", "disk", "star"])
+    def test_one_eigenpair_costs_few_lu_solves(self, monkeypatch, name):
+        # the constant is deflated and the Krylov basis holds 10 vectors per
+        # requested pair, so mu2 alone takes about 11 solves
+        solves = 0
+        factor = oracle.spla.splu
+
+        def counting_splu(*args, **kwargs):
+            lu = factor(*args, **kwargs)
+
+            def solve(x):
+                nonlocal solves
+                solves += 1
+                return lu.solve(x)
+
+            return SimpleNamespace(solve=solve)
+
+        monkeypatch.setattr(oracle.spla, "splu", counting_splu)
+        result = neumann_mu2(mesh_domain(SOLVE_SPECS[name], 0.05))
+        assert result.residual <= 1e-8
+        assert 0 < solves <= 15
+
+    @pytest.mark.parametrize("name", SOLVE_SPECS)
+    def test_shifted_solve_vectors_deflated_and_orthonormal(self, name):
+        mesh = mesh_domain(SOLVE_SPECS[name], 0.05)
+        stiffness, mass, ones_mass, _, vecs = oracle._shifted_solve(mesh, 2)
+        assert vecs.shape == (mesh.node_count, 2)
+        assert np.allclose(ones_mass, mass @ np.ones(mesh.node_count), rtol=1e-14, atol=0)
+        gram = vecs.T @ (mass @ vecs)
+        assert np.abs(gram - np.eye(2)).max() <= 1e-10
+        assert np.abs(ones_mass @ vecs).max() / math.sqrt(ones_mass.sum()) <= 1e-10
+        mu = np.einsum("ij,ij->j", vecs, stiffness @ vecs)
+        assert 0 < mu[0] <= mu[1]
+        for v, value in zip(vecs.T, mu):
+            kv = stiffness @ v
+            assert np.linalg.norm(kv - value * (mass @ v)) / np.linalg.norm(kv) <= 1e-8
 
     def test_repeat_solve_bit_identical(self):
         mesh = mesh_domain({"kind": "star", "delta": 0.5}, 0.1)
