@@ -94,6 +94,9 @@ class ConvexCell:
         except QhullError as exc:
             raise GeometryError(f"degenerate cell: {_first_line(exc)}") from None
         volume = polygon_area(verts[hull.vertices]) if n == 2 else _hull_volume_3d(verts, hull)
+        if volume < sys.float_info.min:  # subnormal: its relative accuracy is lost
+            raise GeometryError(f"cell volume {volume:g} is below the smallest normal float "
+                                f"{sys.float_info.min:g}")
         scale = float(np.ptp(verts, axis=0).max())
         if volume <= VOLUME_TOL * scale**n:
             raise GeometryError(f"degenerate cell: volume {volume:g} below tolerance")

@@ -732,6 +732,8 @@ def minimize_rayleigh_p(
     An estimate, not a certificate: a claimed lower bound must not exceed it.
     """
     check_exponent(p)
+    if starts < 1:
+        raise ValueError(f"starts must be at least 1, got {starts!r}")
     _, mass, _, lu, vecs = _shifted_solve(mesh, starts)
     best, total_iters, converged = math.inf, 0, False
     for v in vecs.T:

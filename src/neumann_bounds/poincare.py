@@ -29,7 +29,6 @@ from .geometry import (
     snowflake_level,
 )
 
-OVERFLOW_LIMIT = 1e300
 SERIES_CAP = 10_000  # last index a ratio-test series tail may reach
 _ROOT_SIDE_REFUSAL = ("snowflake root side a = {:g} at p = {:g} puts a certified number "
                       "outside the normal float range")
@@ -212,13 +211,6 @@ class PoincareBound:
         )
 
 
-def _overflow_notes(*values: float) -> tuple[str, ...]:
-    # not (|v| <= limit) also holds for inf and NaN
-    if any(not abs(v) <= OVERFLOW_LIMIT for v in values):
-        return ("intermediate exceeded 1e300; relative error not certified",)
-    return ()
-
-
 def _check_float_range(values, message: str) -> None:
     """ValueError(message) unless every value is a normal float: a subnormal
     or zero one has lost the relative accuracy a certificate claims."""
@@ -257,14 +249,12 @@ def _diameter_rule(diam: float, p: float, label: str) -> PoincareBound:
     diameter and pi_p so the value can be recomputed from them."""
     pip = pi_p(p)
     value = diam / pip
-    power = value**p
     return PoincareBound(
         value=value,
         p=p,
         form=FORM_DEVIATION,
-        terms=(CertTerm(label, "convex-diameter", power),),
+        terms=(CertTerm(label, "convex-diameter", value**p),),
         details=(("diameter", diam), ("pi_p", pip)),
-        notes=_overflow_notes(power),
     )
 
 
@@ -286,6 +276,18 @@ def _require_deviation_form(bounds, p: float) -> None:
             raise ValueError(f"input bound has exponent {b.p}, expected {p}")
 
 
+def _rule_bound(terms, power: float, p: float, form: str, details=(), notes=(),
+                multiplicity: int = 1, refusal: str | None = None) -> PoincareBound:
+    """The bound B = power^(1/p) of a combination rule whose certificate terms
+    sum to B^p = power. A term or B^p outside the normal floats is refused with
+    the given message, or with one naming the first term's rule and p."""
+    _check_float_range([t.value for t in terms] + [power], refusal or (
+        f"{terms[0].rule} rule at p = {p:g} puts a certificate term or B^p "
+        "outside the normal float range"))
+    return PoincareBound(power ** (1.0 / p), p, form, tuple(terms), multiplicity=multiplicity,
+                         details=tuple(details), notes=tuple(notes))
+
+
 def pair_constant(
     q1: ConvexCell,
     q2: ConvexCell,
@@ -301,18 +303,9 @@ def pair_constant(
     pref = 2.0 ** (2.0 * p - 1.0) / overlap
     t1 = pref * cell_volume(q1) * b1.bound_power()
     t2 = pref * cell_volume(q2) * b2.bound_power()
-    value = (t1 + t2) ** (1.0 / p)
-    return PoincareBound(
-        value=value,
-        p=p,
-        form=FORM_DEVIATION,
-        terms=(
-            CertTerm("cell-1", "two-cell-union", t1),
-            CertTerm("cell-2", "two-cell-union", t2),
-        ),
-        details=(("overlap", overlap), ("volume-1", cell_volume(q1)), ("volume-2", cell_volume(q2))),
-        notes=_overflow_notes(pref, t1, t2),
-    )
+    terms = (CertTerm("cell-1", "two-cell-union", t1), CertTerm("cell-2", "two-cell-union", t2))
+    details = (("overlap", overlap), ("volume-1", cell_volume(q1)), ("volume-2", cell_volume(q2)))
+    return _rule_bound(terms, t1 + t2, p, FORM_DEVIATION, details)
 
 
 def triple_constant(
@@ -337,24 +330,11 @@ def triple_constant(
     t_q1 = pref * (u12 / v2) * (v1 / t.v_q1r2) * b1.bound_power()
     t_r2 = pref * (u12 / t.v_q1r2 + u32 / t.v_r2q3) * b2.bound_power()
     t_q3 = pref * (u32 / v2) * (v3 / t.v_r2q3) * b3.bound_power()
-    value = (t_q1 + t_r2 + t_q3) ** (1.0 / p)
-    return PoincareBound(
-        value=value,
-        p=p,
-        form=FORM_DEVIATION,
-        terms=(
-            CertTerm("q1", "triple-union", t_q1),
-            CertTerm("r2", "triple-union", t_r2),
-            CertTerm("q3", "triple-union", t_q3),
-        ),
-        details=(
-            ("union-q1r2", u12),
-            ("union-r2q3", u32),
-            ("overlap-q1r2", t.v_q1r2),
-            ("overlap-r2q3", t.v_r2q3),
-        ),
-        notes=_overflow_notes(pref, t_q1, t_r2, t_q3),
-    )
+    terms = tuple(CertTerm(label, "triple-union", v)
+                  for label, v in (("q1", t_q1), ("r2", t_r2), ("q3", t_q3)))
+    details = (("union-q1r2", u12), ("union-r2q3", u32),
+               ("overlap-q1r2", t.v_q1r2), ("overlap-r2q3", t.v_r2q3))
+    return _rule_bound(terms, t_q1 + t_r2 + t_q3, p, FORM_DEVIATION, details)
 
 
 def _max_weight_bound(coeffs, parts, m: int, p: float, details, notes=(),
@@ -363,17 +343,12 @@ def _max_weight_bound(coeffs, parts, m: int, p: float, details, notes=(),
 
     coeffs[i] is candidate i's weight C_i and parts[i] its (label, rule,
     value) split; the first largest weight wins, and its parts scaled by m
-    are the certificate terms, a zero part after the first dropped; a term
-    or B^p outside the normal floats raises the refusal message, if given.
+    are the certificate terms, a zero part after the first dropped.
     """
     best = max(range(len(coeffs)), key=lambda i: coeffs[i])
     terms = [CertTerm(label, rule, m * v) for k, (label, rule, v) in enumerate(parts[best])
              if k == 0 or v > 0.0]
-    value = (m * coeffs[best]) ** (1.0 / p)
-    if refusal is not None:
-        _check_float_range([t.value for t in terms] + [value**p], refusal)
-    return PoincareBound(value, p, FORM_INF, tuple(terms), multiplicity=m, details=tuple(details),
-                         notes=tuple(notes) + _overflow_notes(value**p, *coeffs))
+    return _rule_bound(terms, m * coeffs[best], p, FORM_INF, details, notes, m, refusal)
 
 
 def _chain_coefficients(
@@ -406,22 +381,6 @@ def _chain_coefficients(
     return coeffs, parts
 
 
-def _chain_coefficients_double_sum(
-    volumes: list[float], links: list[float], bounds_pow: list[float], p: float
-) -> list[float]:
-    """Same weights accumulated by the unreorganized double sum (cross-check)."""
-    j_count = len(volumes)
-    coeffs = [2.0 ** (p - 1.0) * bp for bp in bounds_pow]
-    if j_count == 1:
-        return coeffs
-    for j in range(j_count):
-        outer = (j + 1) ** (p - 1.0) * volumes[j]
-        for mu in range(j + 1):
-            link = links[mu] if mu < j_count - 1 else links[j_count - 2]
-            coeffs[mu] += 2.0 ** (2.0 * p) * outer * bounds_pow[mu] / link
-    return coeffs
-
-
 def chain_constant(
     chain: WhitneyChain, triple_bounds: list[PoincareBound], p: float
 ) -> PoincareBound:
@@ -438,13 +397,7 @@ def chain_constant(
     links = list(chain.link_volumes)
     bounds_pow = [b.bound_power() for b in triple_bounds]
     coeffs, splits = _chain_coefficients(volumes, links, bounds_pow, p)
-    notes = ["final cell reuses its trailing link; single-triple chains drop the link term"]
-    check = _chain_coefficients_double_sum(volumes, links, bounds_pow, p)
-    drift = max(
-        abs(a - b) / max(abs(a), abs(b), 1e-300) for a, b in zip(coeffs, check)
-    )
-    if drift > 1e-9:
-        notes.append(f"double-sum reorganization check drifted by {drift:.3e}")
+    notes = ("final cell reuses its trailing link; single-triple chains drop the link term",)
     parts = [((f"cell-{i + 1}-own", "chain-aggregation", first),
               (f"cell-{i + 1}-links", "chain-aggregation", second))
              for i, (first, second) in enumerate(splits)]

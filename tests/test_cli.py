@@ -983,20 +983,53 @@ class TestCellCoverScale:
 
     PAIR = [[[0, 0], [1, 0], [1, 1], [0, 1]], [[0.5, 0], [1.5, 0], [1.5, 1], [0.5, 1]]]
 
-    def cells_bound(self, tmp_path, cells, factor):
-        domain = write_json(tmp_path / "cells.json", {"type": "cells", "cells": [
+    ROW5 = [c["vertices"] for c in ROW5["cells"]]
+
+    def domain(self, tmp_path, cells, factor):
+        return write_json(tmp_path / "cells.json", {"type": "cells", "cells": [
             {"vertices": [[factor * v for v in point] for point in cell]} for cell in cells]})
+
+    def cells_certificate(self, tmp_path, cells, factor):
         out = tmp_path / "bound.json"
+        domain = self.domain(tmp_path, cells, factor)
         assert run_cli(["bound-cells", "--domain", domain, "--no-verify", "--out", out]) == 0
-        return json.loads(out.read_text())["certificates"][0]["data"]["bound"]
+        return json.loads(out.read_text())["certificates"][0]["data"]
+
+    def cells_bound(self, tmp_path, cells, factor):
+        return self.cells_certificate(tmp_path, cells, factor)["bound"]
 
     @pytest.mark.parametrize("factor", [1e-7, 1e5])
-    @pytest.mark.parametrize("cells", [PAIR, [c["vertices"] for c in ROW5["cells"]]],
-                             ids=["pair", "row5"])
+    @pytest.mark.parametrize("cells", [PAIR, ROW5], ids=["pair", "row5"])
     def test_scaled_cells(self, tmp_path, cells, factor):
         unit = self.cells_bound(tmp_path, cells, 1.0)
         scaled = self.cells_bound(tmp_path, cells, factor)
         assert scaled == pytest.approx(factor * unit, rel=1e-12, abs=0)
+
+    def test_huge_pair_keeps_its_precision(self, tmp_path):
+        # a float above 1e300 is as accurate as any other normal float
+        unit = self.cells_bound(tmp_path, self.PAIR, 1.0)
+        huge = self.cells_certificate(tmp_path, self.PAIR, 1e150)
+        assert huge["notes"] == []
+        assert max(t["value"] for t in huge["terms"]) > 1e300
+        assert huge["bound"] == pytest.approx(1e150 * unit, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("cells, factor, p, rule", [
+        (PAIR, 1e-150, 3, "two-cell-union"),  # the per-cell B^p underflow to 0
+        (ROW5[:3], 1e-150, 3, "triple-union"),
+        (ROW5, 1e150, 2, "chain-aggregation"),  # the link weights overflow
+    ], ids=["pair", "triple", "chain"])
+    def test_rule_leaving_normal_floats_exit_1(self, tmp_path, capsys, cells, factor, p, rule):
+        domain = self.domain(tmp_path, cells, factor)
+        line = one_line_error(["bound-cells", "--domain", domain, "--p", p, "--no-verify"], capsys)
+        assert f"{rule} rule at p = {p} puts a certificate term or B^p outside" in line
+
+    @pytest.mark.parametrize("cells", [PAIR, ROW5], ids=["pair", "row5"])
+    def test_subnormal_cell_volume_exit_1(self, tmp_path, capsys, cells):
+        # a 1e-160 square has area ~1e-320; the row's disjointness cut-off scaled
+        # with it used to underflow to 0
+        domain = self.domain(tmp_path, cells, 1e-160)
+        line = one_line_error(["bound-cells", "--domain", domain, "--no-verify"], capsys)
+        assert "cell volume 9.99989e-321 is below the smallest normal float" in line
 
     @pytest.mark.parametrize("delta", [1e-5, 1e5])
     def test_scaled_3d_star(self, tmp_path, delta):

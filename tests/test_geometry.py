@@ -140,6 +140,19 @@ class TestCellBasics:
         with pytest.raises(GeometryError, match="too large"):
             ConvexCell(verts)
 
+    @pytest.mark.parametrize("lam, n", [(1e-154, 2), (1e-160, 2), (1e-103, 3)])
+    def test_subnormal_volume_rejected(self, lam, n):
+        # a subnormal volume would make the disjointness and overlap cut-offs
+        # that scale with it underflow to 0
+        cube = [tuple(lam * x for x in corner) for corner in np.ndindex(*(2,) * n)]
+        with pytest.raises(GeometryError, match=r"cell volume \S+ is below the smallest normal float"):
+            ConvexCell(cube)
+
+    @pytest.mark.parametrize("lam, n", [(1e-153, 2), (1e-102, 3)])
+    def test_small_normal_volume_accepted(self, lam, n):
+        cube = [tuple(lam * x for x in corner) for corner in np.ndindex(*(2,) * n)]
+        assert cell_volume(ConvexCell(cube)) == pytest.approx(lam**n, rel=1e-12)
+
     def test_qhull_error_condensed_to_one_line(self):
         with pytest.raises(GeometryError) as err:
             ConvexCell([(0, 0), (1, 0), (2, 0)])

@@ -564,6 +564,12 @@ class TestPreconditionedDescent:
         one = minimize_rayleigh_p(mesh, 3.0, starts=1, return_info=True)
         assert minimize_rayleigh_p(mesh, 3.0, starts=2, return_info=True) == one
 
+    @pytest.mark.parametrize("starts", [0, -1])
+    def test_no_start_refused(self, starts):
+        mesh = square_mesh(0.3)
+        with pytest.raises(ValueError, match=f"starts must be at least 1, got {starts}"):
+            minimize_rayleigh_p(mesh, 3.0, starts=starts)
+
     @pytest.mark.parametrize("iterations, starts", [(1, 1), (5, 2), (30, 1), (200, 2)])
     def test_cap_hit_is_not_converged(self, iterations, starts):
         mesh = mesh_domain({"kind": "star", "delta": 0.8}, 0.3)

@@ -21,9 +21,7 @@ from neumann_bounds.poincare import (
     FORM_INF,
     SERIES_CAP,
     _chain_coefficients,
-    _chain_coefficients_double_sum,
     _downstream_ratios,
-    _overflow_notes,
     _require_deviation_form,
     CertTerm,
     PoincareBound,
@@ -314,13 +312,17 @@ class TestChainConstant:
         with pytest.raises(ValueError):
             chain_constant(chain, [b], 2.0)  # wrong number of bounds
 
-    def test_double_sum_reorganization_agrees(self):
-        # the reorganized suffix form and the raw double sum are the same
-        # weights; any drift would be flagged in the certificate notes
-        chain = make_chain(4)
-        b = deviation_bound(0.45, 2.0)
-        bound = chain_constant(chain, [b] * 4, 2.0)
-        assert not any("drifted" in note for note in bound.notes)
+    @pytest.mark.parametrize("p", [1.2, 2.0, 3.5, 6.0])
+    def test_weights_match_double_sum(self, p):
+        # the suffix-sum weights are the unreorganized double sum, regrouped
+        rng = np.random.default_rng(round(10 * p))
+        for num_triples in range(1, 9):
+            for overlap in (0.1, 0.25, 0.5):
+                chain, bounds = random_chain(rng, num_triples, overlap)
+                args = (chain.volumes(), list(chain.link_volumes),
+                        [b.bound_power() for b in bounds], p)
+                coeffs, _ = _chain_coefficients(*args)
+                assert coeffs == pytest.approx(chain_coefficients_double_sum(*args), rel=1e-12, abs=0.0)
 
 
 class TestTreeConstant:
@@ -464,11 +466,13 @@ class TestScaleFreeSnowflakeRules:
             snowflake_tail(spec, p, start)
 
 
-# Verbatim copies of chain_constant, tree_constant and snowflake_bound as they
-# were before the three rules shared one max-weight aggregation; only the names
-# (and the snowflake copy's call of the tree copy) differ. The two helpers below
+# Copies of chain_constant, tree_constant and snowflake_bound as they were
+# before the three rules shared one max-weight aggregation; only the names (and
+# the snowflake copy's call of the tree copy) differ, and none carries the
+# former overflow note, which their draws never reached. The two helpers below
 # are verbatim copies of the absolute-area sums the tree and snowflake rules
-# used before they moved to scale-free ratios.
+# used before they moved to scale-free ratios, and the double sum is the chain
+# weights before their reorganization into suffix sums.
 
 
 def _tree_downstream_weight(tree: FractalTree, j: int, p: float, depth: int) -> float:
@@ -480,6 +484,22 @@ def _tree_downstream_weight(tree: FractalTree, j: int, p: float, depth: int) -> 
         count = snowflake_level_count(i) if j == 0 else 2 ** (i - j)
         total += i ** (p - 1.0) * count * tree.levels[i].star_area
     return total
+
+
+def chain_coefficients_double_sum(
+    volumes: list[float], links: list[float], bounds_pow: list[float], p: float
+) -> list[float]:
+    """The chain weights C_i accumulated by the unreorganized double sum."""
+    j_count = len(volumes)
+    coeffs = [2.0 ** (p - 1.0) * bp for bp in bounds_pow]
+    if j_count == 1:
+        return coeffs
+    for j in range(j_count):
+        outer = (j + 1) ** (p - 1.0) * volumes[j]
+        for mu in range(j + 1):
+            link = links[mu] if mu < j_count - 1 else links[j_count - 2]
+            coeffs[mu] += 2.0 ** (2.0 * p) * outer * bounds_pow[mu] / link
+    return coeffs
 
 
 def _polynomial_geometric_constant(p: float, x: float) -> float:
@@ -511,12 +531,6 @@ def reference_chain_constant(
     m = chain.multiplicity
     best = max(range(len(coeffs)), key=lambda i: coeffs[i])
     notes = ["final cell reuses its trailing link; single-triple chains drop the link term"]
-    check = _chain_coefficients_double_sum(volumes, links, bounds_pow, p)
-    drift = max(
-        abs(a - b) / max(abs(a), abs(b), 1e-300) for a, b in zip(coeffs, check)
-    )
-    if drift > 1e-9:
-        notes.append(f"double-sum reorganization check drifted by {drift:.3e}")
     first, second = parts[best]
     terms = [CertTerm(f"cell-{best + 1}-own", "chain-aggregation", m * first)]
     if second > 0.0:
@@ -529,7 +543,7 @@ def reference_chain_constant(
         terms=tuple(terms),
         multiplicity=m,
         details=tuple((f"C_{i + 1}", c) for i, c in enumerate(coeffs)),
-        notes=tuple(notes) + _overflow_notes(value**p, *coeffs),
+        notes=tuple(notes),
     )
 
 
@@ -570,7 +584,6 @@ def reference_tree_constant(
         terms=tuple(terms),
         multiplicity=m,
         details=tuple((f"C_level_{j}", c) for j, c in enumerate(coeffs)),
-        notes=_overflow_notes(value**p, *coeffs),
     )
 
 
@@ -651,8 +664,7 @@ def reference_snowflake_bound(
         notes=(
             "covers the infinite tree: stored levels carry certified downstream tails, "
             "deeper levels are dominated by a decreasing envelope",
-        )
-        + _overflow_notes(value**p, *coeffs),
+        ),
     )
 
 
