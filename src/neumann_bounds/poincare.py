@@ -278,13 +278,24 @@ def _require_deviation_form(bounds, p: float) -> None:
 
 def _rule_bound(terms, power: float, p: float, form: str, details=(), notes=(),
                 multiplicity: int = 1, refusal: str | None = None) -> PoincareBound:
-    """The bound B = power^(1/p) of a combination rule whose certificate terms
+    """The bound B >= power^(1/p) of a combination rule whose certificate terms
     sum to B^p = power. A term or B^p outside the normal floats is refused with
     the given message, or with one naming the first term's rule and p."""
-    _check_float_range([t.value for t in terms] + [power], refusal or (
-        f"{terms[0].rule} rule at p = {p:g} puts a certificate term or B^p "
-        "outside the normal float range"))
-    return PoincareBound(power ** (1.0 / p), p, form, tuple(terms), multiplicity=multiplicity,
+    message = refusal or (f"{terms[0].rule} rule at p = {p:g} puts a certificate term or B^p "
+                          "outside the normal float range")
+    _check_float_range([t.value for t in terms] + [power], message)
+    # the rounded exponent fl(1/p) moves the plain root by up to 2^-53 |ln power| / p;
+    # one Newton step brings it within a few ulp, and it is raised until B**p, whose
+    # pow error is below one ulp, lies two ulp above power, so B^p >= power exactly
+    try:
+        value = power ** (1.0 / p)
+        value *= 1.0 + (power / value**p - 1.0) / p
+        floor = math.nextafter(math.nextafter(power, math.inf), math.inf)
+        while value**p < floor:
+            value = math.nextafter(value, math.inf)
+    except OverflowError:  # power within a few ulp of the largest float
+        raise ValueError(message) from None
+    return PoincareBound(value, p, form, tuple(terms), multiplicity=multiplicity,
                          details=tuple(details), notes=tuple(notes))
 
 

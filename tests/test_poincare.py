@@ -23,6 +23,7 @@ from neumann_bounds.poincare import (
     _chain_coefficients,
     _downstream_ratios,
     _require_deviation_form,
+    _rule_bound,
     CertTerm,
     PoincareBound,
     SeriesError,
@@ -434,9 +435,8 @@ class TestScaleFreeSnowflakeRules:
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_bounds_scale_with_root_side(self, a, p):
         unit, scaled = (FractalTreeSpec(a=side, depth=12) for side in (1.0, a))
-        # the root (m C)^(1/p) is taken with the rounded exponent fl(1/p), which
-        # moves it by up to 2^-53 |ln(m C)| / p ~ 2^-53 |ln a| beyond rounding
-        rel = 1e-15 + 2.0**-53 * abs(math.log(a))
+        # the root is within a few ulp of the exact root at every scale
+        rel = 3e-15
         for rule in (lambda t: tree_constant(t, snowflake_level_bounds(t, p), p),
                      lambda t: snowflake_bound(t, p)):
             expected = a * rule(build_snowflake_tree(unit)).value
@@ -466,10 +466,30 @@ class TestScaleFreeSnowflakeRules:
             snowflake_tail(spec, p, start)
 
 
+class TestRuleRoot:
+    """Every combination rule takes its root B = (B^p)^(1/p) in _rule_bound."""
+
+    def test_never_below_exact_root(self):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.prec = 256
+        rng = np.random.default_rng(5)
+        for power, p in zip(10.0 ** rng.uniform(-300, 300, 3000), rng.uniform(1.01, 12.0, 3000)):
+            power, p = float(power), float(p)
+            value = _rule_bound((CertTerm("x", "test", power),), power, p, FORM_INF).value
+            exact = mpmath.mpf(power) ** (1 / mpmath.mpf(p))
+            assert exact <= value <= exact * (1 + 8 * 2.0**-53)
+
+    @pytest.mark.parametrize("power", [sys.float_info.max, math.nextafter(sys.float_info.max, 0)])
+    def test_root_of_largest_float_refused(self, power):
+        with pytest.raises(ValueError, match="test rule at p = 3 puts"):
+            _rule_bound((CertTerm("x", "test", power),), power, 3.0, FORM_INF)
+
+
 # Copies of chain_constant, tree_constant and snowflake_bound as they were
 # before the three rules shared one max-weight aggregation; only the names (and
-# the snowflake copy's call of the tree copy) differ, and none carries the
-# former overflow note, which their draws never reached. The two helpers below
+# the snowflake copy's call of the tree copy) differ, none carries the former
+# overflow note, which their draws never reached, and each takes the root of
+# certified_root. The two helpers below
 # are verbatim copies of the absolute-area sums the tree and snowflake rules
 # used before they moved to scale-free ratios, and the double sum is the chain
 # weights before their reorganization into suffix sums.
@@ -484,6 +504,17 @@ def _tree_downstream_weight(tree: FractalTree, j: int, p: float, depth: int) -> 
         count = snowflake_level_count(i) if j == 0 else 2 ** (i - j)
         total += i ** (p - 1.0) * count * tree.levels[i].star_area
     return total
+
+
+def certified_root(power: float, p: float) -> float:
+    """power^(1/p) by one Newton step from the plain root, raised until its
+    p-th power lies two ulp above power."""
+    value = power ** (1.0 / p)
+    value *= 1.0 + (power / value**p - 1.0) / p
+    floor = math.nextafter(math.nextafter(power, math.inf), math.inf)
+    while value**p < floor:
+        value = math.nextafter(value, math.inf)
+    return value
 
 
 def chain_coefficients_double_sum(
@@ -535,7 +566,7 @@ def reference_chain_constant(
     terms = [CertTerm(f"cell-{best + 1}-own", "chain-aggregation", m * first)]
     if second > 0.0:
         terms.append(CertTerm(f"cell-{best + 1}-links", "chain-aggregation", m * second))
-    value = (m * coeffs[best]) ** (1.0 / p)
+    value = certified_root(m * coeffs[best], p)
     return PoincareBound(
         value=value,
         p=p,
@@ -576,7 +607,7 @@ def reference_tree_constant(
     terms = [CertTerm(f"level-{best}-own", "tree-aggregation", m * own)]
     if downstream > 0.0:
         terms.append(CertTerm(f"level-{best}-downstream", "tree-aggregation", m * downstream))
-    value = (m * coeffs[best]) ** (1.0 / p)
+    value = certified_root(m * coeffs[best], p)
     return PoincareBound(
         value=value,
         p=p,
@@ -638,7 +669,7 @@ def reference_snowflake_bound(
     m = 2  # the infinite tree always has extended cells overlapping parents
     candidates = coeffs + [envelope]
     best = max(range(len(candidates)), key=lambda i: candidates[i])
-    value = (m * candidates[best]) ** (1.0 / p)
+    value = certified_root(m * candidates[best], p)
     if best < len(coeffs):
         tail_power = m * tail_parts[best]
         terms = (
