@@ -6,12 +6,18 @@ recovers B^p, so an auditor can recompute every emitted number. Per-cell
 constants come from the diameter rule for convex cells; unions are handled
 by the two-cell, triple, chain, and tree combination rules; the snowflake
 family gets a rigorous ratio-test tail in place of truncation.
+
+Every combination rule emits its bound through _rule_bound, the one
+float-range policy: a term or B^p that is not a normal float has lost its
+relative accuracy, so the rule is refused naming it and p (the tree and
+snowflake rules name the root side). B is never below the exact (B^p)^(1/p).
 """
 
 from __future__ import annotations
 
 import math
 import reprlib
+from itertools import accumulate
 import sys
 from dataclasses import dataclass, replace
 
@@ -249,13 +255,8 @@ def _diameter_rule(diam: float, p: float, label: str) -> PoincareBound:
     diameter and pi_p so the value can be recomputed from them."""
     pip = pi_p(p)
     value = diam / pip
-    return PoincareBound(
-        value=value,
-        p=p,
-        form=FORM_DEVIATION,
-        terms=(CertTerm(label, "convex-diameter", value**p),),
-        details=(("diameter", diam), ("pi_p", pip)),
-    )
+    return PoincareBound(value, p, FORM_DEVIATION, (CertTerm(label, "convex-diameter", value**p),),
+                         details=(("diameter", diam), ("pi_p", pip)))
 
 
 def convex_cell_constant(cell: ConvexCell, params: SpectralParams) -> PoincareBound:
@@ -378,18 +379,11 @@ def _chain_coefficients(
         part = first_factor * bounds_pow[0]
         return [part], [(part, 0.0)]
     second_factor = 2.0 ** (2.0 * p)
-    weighted = [(k + 1) ** (p - 1.0) * volumes[k] for k in range(j_count)]
-    suffix = list(weighted)
-    for k in range(j_count - 2, -1, -1):
-        suffix[k] += suffix[k + 1]
-    coeffs, parts = [], []
-    for i in range(j_count):
-        link = links[i] if i < j_count - 1 else links[j_count - 2]
-        first = first_factor * bounds_pow[i]
-        second = second_factor * suffix[i] * bounds_pow[i] / link
-        coeffs.append(first + second)
-        parts.append((first, second))
-    return coeffs, parts
+    # suffix[i] = sum_{k>=i} (k+1)^(p-1) |A_k|, accumulated from the last cell
+    suffix = list(accumulate((k + 1) ** (p - 1.0) * volumes[k] for k in reversed(range(j_count))))
+    parts = [(first_factor * bp, second_factor * s * bp / link)
+             for bp, s, link in zip(bounds_pow, suffix[::-1], links + links[-1:])]
+    return [first + second for first, second in parts], parts
 
 
 def chain_constant(
