@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import math
 import reprlib
-from itertools import accumulate
 import sys
 from dataclasses import dataclass, replace
+from itertools import accumulate
 
 import numpy as np
 from scipy.integrate import quad

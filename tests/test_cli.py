@@ -983,7 +983,7 @@ class TestCellCoverScale:
 
     PAIR = [[[0, 0], [1, 0], [1, 1], [0, 1]], [[0.5, 0], [1.5, 0], [1.5, 1], [0.5, 1]]]
 
-    ROW5 = [c["vertices"] for c in ROW5["cells"]]
+    ROW5_CELLS = [c["vertices"] for c in ROW5["cells"]]
 
     def domain(self, tmp_path, cells, factor):
         return write_json(tmp_path / "cells.json", {"type": "cells", "cells": [
@@ -999,7 +999,7 @@ class TestCellCoverScale:
         return self.cells_certificate(tmp_path, cells, factor)["bound"]
 
     @pytest.mark.parametrize("factor", [1e-7, 1e5])
-    @pytest.mark.parametrize("cells", [PAIR, ROW5], ids=["pair", "row5"])
+    @pytest.mark.parametrize("cells", [PAIR, ROW5_CELLS], ids=["pair", "row5"])
     def test_scaled_cells(self, tmp_path, cells, factor):
         unit = self.cells_bound(tmp_path, cells, 1.0)
         scaled = self.cells_bound(tmp_path, cells, factor)
@@ -1015,15 +1015,15 @@ class TestCellCoverScale:
 
     @pytest.mark.parametrize("cells, factor, p, rule", [
         (PAIR, 1e-150, 3, "two-cell-union"),  # the per-cell B^p underflow to 0
-        (ROW5[:3], 1e-150, 3, "triple-union"),
-        (ROW5, 1e150, 2, "chain-aggregation"),  # the link weights overflow
+        (ROW5_CELLS[:3], 1e-150, 3, "triple-union"),
+        (ROW5_CELLS, 1e150, 2, "chain-aggregation"),  # the link weights overflow
     ], ids=["pair", "triple", "chain"])
     def test_rule_leaving_normal_floats_exit_1(self, tmp_path, capsys, cells, factor, p, rule):
         domain = self.domain(tmp_path, cells, factor)
         line = one_line_error(["bound-cells", "--domain", domain, "--p", p, "--no-verify"], capsys)
         assert f"{rule} rule at p = {p} puts a certificate term or B^p outside" in line
 
-    @pytest.mark.parametrize("cells", [PAIR, ROW5], ids=["pair", "row5"])
+    @pytest.mark.parametrize("cells", [PAIR, ROW5_CELLS], ids=["pair", "row5"])
     def test_subnormal_cell_volume_exit_1(self, tmp_path, capsys, cells):
         # a 1e-160 square has area ~1e-320; the row's disjointness cut-off scaled
         # with it used to underflow to 0

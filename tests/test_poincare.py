@@ -486,13 +486,13 @@ class TestRuleRoot:
 
 
 # Copies of chain_constant, tree_constant and snowflake_bound as they were
-# before the three rules shared one max-weight aggregation; only the names (and
-# the snowflake copy's call of the tree copy) differ, none carries the former
-# overflow note, which their draws never reached, and each takes the root of
-# certified_root. The two helpers below
-# are verbatim copies of the absolute-area sums the tree and snowflake rules
-# used before they moved to scale-free ratios, and the double sum is the chain
-# weights before their reorganization into suffix sums.
+# before the three rules shared one max-weight aggregation. Only the names (and
+# the snowflake copy's call of the tree copy) differ, except that none carries
+# the former overflow note, which their draws never reach, and each takes its
+# root with certified_root. The two helpers below are verbatim copies of the
+# absolute-area sums the tree and snowflake rules used before they moved to
+# scale-free ratios; the double sum gives the chain weights before their
+# regrouping into suffix sums.
 
 
 def _tree_downstream_weight(tree: FractalTree, j: int, p: float, depth: int) -> float:
