@@ -177,12 +177,19 @@ def _axis_aligned_rect(cell: ConvexCell) -> tuple[float, float, float, float] | 
     return (float(lo[0]), float(lo[1]), float(hi[0]), float(hi[1]))
 
 
+# the 7 non-empty subsets of a triple's three cells, as membership rows
+_SUBSETS_OF_3 = np.array([[i >> k & 1 for k in range(3)] for i in range(1, 8)], dtype=bool)
+
+
 def rect_cover_multiplicity(triples: list[WhitneyTriple]) -> int:
     """Exact cover multiplicity for triples of axis-aligned rectangles.
 
     Evaluates coverage on the rectangle arrangement, where membership is
     constant per arrangement cell: at each cell midpoint, count the triples
-    with a rectangle strictly containing it.
+    with a rectangle strictly containing it. By inclusion-exclusion over the
+    7 sub-intersections S of each triple, that count is the sum over all
+    (triple, S) of (-1)^(|S|+1) [x in S's x-range] [y in S's y-range], one
+    product of an x-strip by a y-strip indicator matrix.
     """
     rects = []
     for t in triples:
@@ -191,17 +198,23 @@ def rect_cover_multiplicity(triples: list[WhitneyTriple]) -> int:
             if r is None:
                 raise CliError("multiplicity must be given explicitly for non-rectangle cells")
             rects.append(r)
-    rects = np.array(rects).reshape(len(triples), 3, 4)  # (T, 3, [x0, y0, x1, y1])
+    rects = np.array(rects).reshape(len(triples), 1, 3, 4)  # (T, 1, 3, [x0, y0, x1, y1])
     xs = np.unique(rects[..., [0, 2]])
     ys = np.unique(rects[..., [1, 3]])
     cx = 0.5 * (xs[:-1] + xs[1:])
     cy = 0.5 * (ys[:-1] + ys[1:])
+    member = _SUBSETS_OF_3[:, :, None]
+    lo = np.where(member, rects[..., :2], -np.inf).max(axis=2).reshape(-1, 2)  # (7T, [x, y])
+    hi = np.where(member, rects[..., 2:], np.inf).min(axis=2).reshape(-1, 2)
+    sign = np.tile(1.0 - 2.0 * (_SUBSETS_OF_3.sum(axis=1) % 2 == 0), len(triples))
+    in_y = ((lo[:, 1] < cy[:, None]) & (cy[:, None] < hi[:, 1])).astype(float)  # (Y, 7T)
     best = 0
-    # one x strip at a time keeps the membership array at (Y, T, 3)
-    for x in cx:
-        in_x = (rects[..., 0] < x) & (x < rects[..., 2])
-        inside = in_x & (rects[..., 1] < cy[:, None, None]) & (cy[:, None, None] < rects[..., 3])
-        best = max(best, int(inside.any(axis=2).sum(axis=1).max(initial=0)))
+    # x strips in blocks keep the work arrays O(Y T), like the y-strip matrix
+    step = max(len(cy), 64)
+    for start in range(0, len(cx), step):
+        x = cx[start:start + step, None]
+        in_x = ((lo[:, 0] < x) & (x < hi[:, 0])) * sign
+        best = max(best, int((in_x @ in_y.T).max(initial=0)))
     return max(best, 1)
 
 

@@ -24,8 +24,7 @@ DISJOINT_REL_TOL = 1e-9
 # maximum snowflake depth such that the level cell count 3*2^(j-1) still
 # fits an int64 (serialization safety)
 MAX_TREE_DEPTH = 62
-# largest 3D star cross-section: cell_diameter builds a (2 mgon)^2 x 3 array,
-# and a 3D bound-star peaks near 0.3 GB at mgon 1024 and 3.7 GB at 4096
+# largest 3D star cross-section; the overlap polytope and its hull grow with it
 MAX_MGON = 1024
 
 SQRT3 = math.sqrt(3.0)
@@ -46,7 +45,9 @@ def _first_line(exc: Exception) -> str:
 def polygon_area(poly: np.ndarray) -> float:
     """Area of a simple polygon given as an (m, 2) vertex loop."""
     x, y = poly[:, 0], poly[:, 1]
-    return float(0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
+    # the shift np.roll(., -1), without its overhead on 4-8 vertex loops
+    return float(0.5 * abs(np.dot(x, np.concatenate((y[1:], y[:1])))
+                           - np.dot(y, np.concatenate((x[1:], x[:1])))))
 
 
 def _hull_volume_3d(points: np.ndarray, hull: ConvexHull) -> float:
@@ -70,7 +71,7 @@ class ConvexCell:
     vertex on its hull boundary.
     """
 
-    __slots__ = ("vertices", "n", "_hull", "_volume")
+    __slots__ = ("vertices", "n", "_hull", "_volume", "_hull_vertices", "_box")
 
     def __init__(self, vertices) -> None:
         verts = np.asarray(vertices, dtype=float)
@@ -93,11 +94,13 @@ class ConvexCell:
             hull = ConvexHull(verts)
         except QhullError as exc:
             raise GeometryError(f"degenerate cell: {_first_line(exc)}") from None
-        volume = polygon_area(verts[hull.vertices]) if n == 2 else _hull_volume_3d(verts, hull)
+        hull_vertices = verts[hull.vertices]
+        volume = polygon_area(hull_vertices) if n == 2 else _hull_volume_3d(verts, hull)
         if volume < sys.float_info.min:  # subnormal: its relative accuracy is lost
             raise GeometryError(f"cell volume {volume:g} is below the smallest normal float "
                                 f"{sys.float_info.min:g}")
-        scale = float(np.ptp(verts, axis=0).max())
+        lo, hi = verts.min(axis=0), verts.max(axis=0)
+        scale = float((hi - lo).max())
         if volume <= VOLUME_TOL * scale**n:
             raise GeometryError(f"degenerate cell: volume {volume:g} below tolerance")
         # convexity audit: no input vertex may sit strictly inside the hull
@@ -108,6 +111,9 @@ class ConvexCell:
         self.n = n
         self._hull = hull
         self._volume = float(volume)
+        hull_vertices.flags.writeable = False
+        self._hull_vertices = hull_vertices
+        self._box = (lo.tolist(), hi.tolist())
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"ConvexCell(n={self.n}, vertices={len(self.vertices)}, volume={self._volume:.6g})"
@@ -121,10 +127,10 @@ class ConvexCell:
         """2D only: hull vertices in counterclockwise order."""
         if self.n != 2:
             raise GeometryError("hull_polygon is 2D only")
-        return self.vertices[self._hull.vertices]
+        return self._hull_vertices
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.vertices.min(axis=0), self.vertices.max(axis=0)
+        return np.array(self._box[0]), np.array(self._box[1])
 
     def scaled(self, factor: float) -> "ConvexCell":
         return ConvexCell(self.vertices * factor)
@@ -135,11 +141,32 @@ def cell_volume(cell: ConvexCell) -> float:
     return cell._volume
 
 
+def _boxes_apart(c1: ConvexCell, c2: ConvexCell) -> bool:
+    """Whether the cells' bounding boxes are strictly apart on some axis, so the cells are disjoint."""
+    (lo1, hi1), (lo2, hi2) = c1._box, c2._box
+    return any(h1 < l2 or h2 < l1 for l1, h1, l2, h2 in zip(lo1, hi1, lo2, hi2))
+
+
 def cell_diameter(cell: ConvexCell) -> float:
-    """Diameter of the polytope; attained at a vertex pair."""
-    verts = cell.vertices[cell._hull.vertices]
-    diff = verts[:, None, :] - verts[None, :, :]
-    return float(np.sqrt((diff**2).sum(axis=-1)).max())
+    """Diameter of the polytope; attained at a vertex pair.
+
+    Blocks of 32 vertices meet the vertices from their own index on, so each
+    pair is measured once in O(m) memory. Squared distances add the axes left
+    to right, as a sum over the last axis does; sqrt is monotone, so the root
+    of the largest is the largest root.
+    """
+    verts = cell._hull_vertices
+    cols = verts.T
+    best = 0.0
+    for start in range(0, len(verts), 32):
+        block, rest = verts[start:start + 32], cols[:, start:]
+        diff = block[:, 0, None] - rest[0]
+        d2 = diff * diff
+        for k in range(1, cell.n):
+            np.subtract(block[:, k, None], rest[k], out=diff)
+            d2 += diff * diff
+        best = max(best, float(d2.max()))
+    return math.sqrt(best)
 
 
 def clip_polygon(subject: np.ndarray, clipper: np.ndarray) -> np.ndarray:
@@ -148,35 +175,30 @@ def clip_polygon(subject: np.ndarray, clipper: np.ndarray) -> np.ndarray:
     Both inputs are (m, 2) counterclockwise vertex loops; returns the
     clipped loop (possibly empty).
     """
-    output = [tuple(p) for p in subject]
-    cp1 = tuple(clipper[-1])
-    for cp2 in map(tuple, clipper):
+    output = subject.tolist()
+    clip = clipper.tolist()
+    x1, y1 = clip[-1]
+    for x2, y2 in clip:
         if not output:
             break
-        ex, ey = cp2[0] - cp1[0], cp2[1] - cp1[1]
-
-        def inside(p):
-            return ex * (p[1] - cp1[1]) - ey * (p[0] - cp1[0]) >= 0.0
-
-        def intersect(s, e):
-            dx, dy = e[0] - s[0], e[1] - s[1]
-            denom = ex * dy - ey * dx
-            if denom == 0.0:
-                return e
-            t = (ex * (cp1[1] - s[1]) - ey * (cp1[0] - s[0])) / denom
-            return (s[0] + t * dx, s[1] + t * dy)
-
+        ex, ey = x2 - x1, y2 - y1
         inputs, output = output, []
-        s = inputs[-1]
-        for e in inputs:
-            if inside(e):
-                if not inside(s):
-                    output.append(intersect(s, e))
+        # one inside test per vertex: on or left of the edge (x1, y1) -> (x2, y2)
+        inside = [ex * (y - y1) - ey * (x - x1) >= 0.0 for x, y in inputs]
+        s, s_in = inputs[-1], inside[-1]
+        for e, e_in in zip(inputs, inside):
+            if e_in != s_in:  # the edge s -> e crosses the clip line
+                dx, dy = e[0] - s[0], e[1] - s[1]
+                denom = ex * dy - ey * dx
+                if denom == 0.0:
+                    output.append(e)
+                else:
+                    t = (ex * (y1 - s[1]) - ey * (x1 - s[0])) / denom
+                    output.append((s[0] + t * dx, s[1] + t * dy))
+            if e_in:
                 output.append(e)
-            elif inside(s):
-                output.append(intersect(s, e))
-            s = e
-        cp1 = cp2
+            s, s_in = e, e_in
+        x1, y1 = x2, y2
     return np.array(output, dtype=float).reshape(-1, 2)
 
 
@@ -207,6 +229,8 @@ def intersection_volume(c1: ConvexCell, c2: ConvexCell) -> float:
     """
     if c1.n != c2.n:
         raise GeometryError(f"dimension mismatch: {c1.n} vs {c2.n}")
+    if _boxes_apart(c1, c2):
+        return 0.0
     if c1.n == 2:
         clipped = clip_polygon(c1.hull_polygon(), c2.hull_polygon())
         if len(clipped) < 3:
@@ -314,6 +338,8 @@ def triple_link_volume(t1: WhitneyTriple, t2: WhitneyTriple) -> float:
         for b in t2.cells:
             if a.n != 2:
                 raise GeometryError("triple link volumes are implemented for 2D cells")
+            if _boxes_apart(a, b):
+                continue
             clipped = clip_polygon(a.hull_polygon(), b.hull_polygon())
             if len(clipped) >= 3 and polygon_area(clipped) > VOLUME_TOL * min(map(cell_volume, (a, b))):
                 pieces.append(clipped)

@@ -851,6 +851,29 @@ def reference_rect_cover_multiplicity(triples):
     return max(best, 1)
 
 
+def previous_rect_cover_multiplicity(triples):
+    """Verbatim copy of the x-strip loop that the one matrix product replaced."""
+    rects = []
+    for t in triples:
+        for cell in t.cells:
+            r = _axis_aligned_rect(cell)
+            if r is None:
+                raise CliError("multiplicity must be given explicitly for non-rectangle cells")
+            rects.append(r)
+    rects = np.array(rects).reshape(len(triples), 3, 4)  # (T, 3, [x0, y0, x1, y1])
+    xs = np.unique(rects[..., [0, 2]])
+    ys = np.unique(rects[..., [1, 3]])
+    cx = 0.5 * (xs[:-1] + xs[1:])
+    cy = 0.5 * (ys[:-1] + ys[1:])
+    best = 0
+    # one x strip at a time keeps the membership array at (Y, T, 3)
+    for x in cx:
+        in_x = (rects[..., 0] < x) & (x < rects[..., 2])
+        inside = in_x & (rects[..., 1] < cy[:, None, None]) & (cy[:, None, None] < rects[..., 3])
+        best = max(best, int(inside.any(axis=2).sum(axis=1).max(initial=0)))
+    return max(best, 1)
+
+
 def rect_cell(x0, y0, x1, y1):
     return ConvexCell([(x0, y0), (x1, y0), (x1, y1), (x0, y1)])
 
@@ -892,6 +915,44 @@ class TestRectCoverMultiplicity:
                 cells.append(rect_cell(x0 * step, y0 * step, (x0 + w) * step, (y0 + h) * step))
             triples.append(SimpleNamespace(cells=tuple(cells)))
         assert rect_cover_multiplicity(triples) == reference_rect_cover_multiplicity(triples)
+
+    @pytest.mark.parametrize("count", [3, 5, 41, 81, 161])
+    @pytest.mark.parametrize("flat", [False, True])
+    def test_rows_match_strip_loop(self, count, flat):
+        # flat rows have one y strip and up to 2 count x strips, so several x blocks
+        rng = np.random.default_rng(count)
+        rects = bench_row(rng, count)
+        if flat:
+            rects = [(x0, 0.0, x1, 1.0) for x0, _, x1, _ in rects]
+        cells = [rect_cell(*r) for r in rects]
+        triples = [SimpleNamespace(cells=tuple(cells[i:i + 3])) for i in range(0, count - 2, 2)]
+        assert rect_cover_multiplicity(triples) == previous_rect_cover_multiplicity(triples)
+
+    @pytest.mark.parametrize("where", [0, 63, 64, 199])
+    def test_overlap_in_one_strip(self, where):
+        # a flat row of 200 x strips; a second triple meets it in strip `where` only,
+        # the first, the last, or either side of a 64-strip block boundary
+        row = [rect_cell(i, 0, i + 1, 1) for i in range(200)]
+        first = SimpleNamespace(cells=(rect_cell(0, 0, 200, 1), row[0], row[1]))
+        second = SimpleNamespace(cells=(row[where], rect_cell(where, 5, where + 1, 6),
+                                        rect_cell(where, 7, where + 1, 8)))
+        assert rect_cover_multiplicity([first, second]) == 2
+        assert rect_cover_multiplicity([first, second]) == previous_rect_cover_multiplicity(
+            [first, second])
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_triples_match_strip_loop(self, seed):
+        rng = np.random.default_rng(1000 + seed)
+        step = (1.0, 0.1, 0.37)[seed % 3]
+        triples = []
+        for _ in range(rng.integers(1, 60)):
+            cells = []
+            for _ in range(3):
+                x0, y0 = rng.integers(0, 40, size=2)
+                w, h = rng.integers(1, 12, size=2)
+                cells.append(rect_cell(x0 * step, y0 * step, (x0 + w) * step, (y0 + h) * step))
+            triples.append(SimpleNamespace(cells=tuple(cells)))
+        assert rect_cover_multiplicity(triples) == previous_rect_cover_multiplicity(triples)
 
     def test_nested_and_touching(self):
         nested = SimpleNamespace(cells=(rect_cell(0, 0, 4, 4), rect_cell(1, 1, 2, 2),

@@ -300,6 +300,182 @@ class TestUnionVolume:
         assert union_volume_2d([big, small]) == pytest.approx(1.0, rel=1e-12)
 
 
+# verbatim copies of the kernels before the box test and the lean rewrites;
+# the current kernels must reproduce them bit for bit
+def previous_polygon_area(poly):
+    x, y = poly[:, 0], poly[:, 1]
+    return float(0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
+
+
+def previous_cell_diameter(cell):
+    verts = cell.vertices[cell._hull.vertices]
+    diff = verts[:, None, :] - verts[None, :, :]
+    return float(np.sqrt((diff**2).sum(axis=-1)).max())
+
+
+def previous_clip_polygon(subject, clipper):
+    output = [tuple(p) for p in subject]
+    cp1 = tuple(clipper[-1])
+    for cp2 in map(tuple, clipper):
+        if not output:
+            break
+        ex, ey = cp2[0] - cp1[0], cp2[1] - cp1[1]
+
+        def inside(p):
+            return ex * (p[1] - cp1[1]) - ey * (p[0] - cp1[0]) >= 0.0
+
+        def intersect(s, e):
+            dx, dy = e[0] - s[0], e[1] - s[1]
+            denom = ex * dy - ey * dx
+            if denom == 0.0:
+                return e
+            t = (ex * (cp1[1] - s[1]) - ey * (cp1[0] - s[0])) / denom
+            return (s[0] + t * dx, s[1] + t * dy)
+
+        inputs, output = output, []
+        s = inputs[-1]
+        for e in inputs:
+            if inside(e):
+                if not inside(s):
+                    output.append(intersect(s, e))
+                output.append(e)
+            elif inside(s):
+                output.append(intersect(s, e))
+            s = e
+        cp1 = cp2
+    return np.array(output, dtype=float).reshape(-1, 2)
+
+
+def previous_intersection_area(c1, c2):
+    clipped = previous_clip_polygon(c1.hull_polygon(), c2.hull_polygon())
+    return previous_polygon_area(clipped) if len(clipped) >= 3 else 0.0
+
+
+def previous_triple_link_volume(t1, t2):
+    pieces = []
+    for a in t1.cells:
+        for b in t2.cells:
+            clipped = previous_clip_polygon(a.hull_polygon(), b.hull_polygon())
+            if len(clipped) >= 3 and previous_polygon_area(clipped) > (
+                    geometry.VOLUME_TOL * min(map(cell_volume, (a, b)))):
+                pieces.append(clipped)
+    return union_volume_2d(pieces)
+
+
+def random_convex_cell(rng):
+    """A random convex polygon of 3-12 hull vertices at a random scale and offset."""
+    scale = 10.0 ** rng.uniform(-3, 3)
+    points = rng.normal(size=(int(rng.integers(3, 13)), 2)) * scale + rng.normal(size=2) * scale
+    return ConvexCell(points[ConvexHull(points).vertices])
+
+
+def bitwise_equal(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestKernelsMatchPrevious:
+    """Area, clip, diameter and the box test reproduce the previous kernels exactly."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_clip_area_and_overlap(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            c1 = random_convex_cell(rng)
+            # a partner near c1, so the draws mix overlaps, nesting and disjoint pairs
+            c2 = ConvexCell(c1.hull_polygon() * rng.uniform(0.3, 1.5)
+                            + rng.normal(size=2) * np.ptp(c1.vertices))
+            for a, b in ((c1, c2), (c2, c1), (c1, c1)):
+                clipped = geometry.clip_polygon(a.hull_polygon(), b.hull_polygon())
+                assert bitwise_equal(clipped, previous_clip_polygon(a.hull_polygon(), b.hull_polygon()))
+                if len(clipped) >= 3:
+                    assert geometry.polygon_area(clipped) == previous_polygon_area(clipped)
+                assert intersection_volume(a, b) == previous_intersection_area(a, b)
+            assert cell_volume(c1) == previous_polygon_area(c1.vertices[c1._hull.vertices])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_diameter_2d(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            cell = random_convex_cell(rng)
+            assert cell_diameter(cell) == previous_cell_diameter(cell)
+        # many-vertex polygons cross the 32-vertex blocks
+        for m in (31, 32, 33, 64, 200, 1000):
+            angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, size=m))
+            cell = ConvexCell(np.stack([np.cos(angles), 0.4 * np.sin(angles)], axis=1))
+            assert cell_diameter(cell) == previous_cell_diameter(cell)
+
+    @pytest.mark.parametrize("mgon", [8, 16, 17, 64, 256, 512, 1024])
+    @pytest.mark.parametrize("delta", [0.3, 2.7])
+    def test_diameter_3d_prisms(self, mgon, delta):
+        for piece in build_star_domain(StarDomainSpec(delta=delta, n=3, mgon=mgon)):
+            assert cell_diameter(piece) == previous_cell_diameter(piece)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_diameter_3d_random(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            points = rng.normal(size=(int(rng.integers(4, 120)), 3)) * rng.uniform(0.01, 100.0)
+            cell = ConvexCell(points[ConvexHull(points).vertices])
+            assert cell_diameter(cell) == previous_cell_diameter(cell)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_triple_links(self, seed):
+        rng = np.random.default_rng(seed)
+        count = 2 * int(rng.integers(2, 8)) + 1
+        widths = rng.uniform(0.8, 1.4, size=count)
+        x, cells = 0.0, []
+        for w in widths:
+            y0 = rng.uniform(-0.2, 0.2)
+            cells.append(ConvexCell([(x, y0), (x + w, y0), (x + w, y0 + 1.0), (x, y0 + 1.0)]))
+            x += w - rng.uniform(0.15, 0.35) * w
+        triples = [WhitneyTriple.from_cells(*cells[i:i + 3]) for i in range(0, count - 2, 2)]
+        for t1, t2 in zip(triples, triples[1:]):
+            assert triple_link_volume(t1, t2) == previous_triple_link_volume(t1, t2)
+
+    # box-test edge cases: only boxes strictly apart skip the clip
+    @pytest.mark.parametrize("shift, expected", [
+        ((2.0, 0.0), 0.0),     # strictly apart
+        ((1.0, 1.0), 0.0),     # boxes touch at a corner
+        ((1.0, 0.0), 0.0),     # shared edge
+        ((0.5, 0.0), 0.5),     # overlap
+        ((0.25, 0.25), 0.5625),
+    ])
+    def test_box_test_2d(self, shift, expected):
+        a, b = unit_square(), unit_square(*shift)
+        for c1, c2 in ((a, b), (b, a)):
+            assert intersection_volume(c1, c2) == expected == previous_intersection_area(c1, c2)
+        assert geometry._boxes_apart(a, b) == (shift == (2.0, 0.0))
+
+    def test_box_test_nested_and_inside_box_but_disjoint(self):
+        big = unit_square()
+        small = ConvexCell([(0.2, 0.2), (0.4, 0.2), (0.4, 0.4), (0.2, 0.4)])
+        assert not geometry._boxes_apart(big, small)
+        assert intersection_volume(big, small) == previous_intersection_area(big, small)
+        assert intersection_volume(small, big) == pytest.approx(0.04, rel=1e-12)
+        # the boxes overlap but the triangles do not: the clip decides
+        lower = ConvexCell([(0, 0), (1, 0), (0, 1)])
+        upper = ConvexCell([(1, 0.5), (1, 1), (0.5, 1)])
+        assert not geometry._boxes_apart(lower, upper)
+        assert intersection_volume(lower, upper) == 0.0
+
+    @pytest.mark.parametrize("shift, expected", [(2.0, 0.0), (1.0, 0.0), (0.5, 0.5)])
+    def test_box_test_3d(self, shift, expected):
+        def cube(dx):
+            return ConvexCell([(x + dx, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
+
+        assert geometry._boxes_apart(cube(0.0), cube(shift)) == (shift == 2.0)
+        assert intersection_volume(cube(0.0), cube(shift)) == pytest.approx(expected, abs=1e-12)
+
+    def test_triple_link_skips_only_disjoint_boxes(self):
+        squares = [unit_square(dx=0.5 * i) for i in range(5)]
+        t1 = WhitneyTriple.from_cells(*squares[0:3])
+        t2 = WhitneyTriple.from_cells(*squares[2:5])
+        assert triple_link_volume(t1, t2) == previous_triple_link_volume(t1, t2)
+        far = [unit_square(dx=10.0 + 0.5 * i) for i in range(3)]
+        assert triple_link_volume(t1, WhitneyTriple.from_cells(*far)) == 0.0
+
+
 class TestWhitneyContainers:
     def row_of_squares(self, count, overlap=0.5):
         return [unit_square(dx=i * (1 - overlap)) for i in range(count)]
