@@ -14,7 +14,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
 VOLUME_TOL = 1e-12  # cut-off of degenerate cells and empty overlaps, relative to their scale
@@ -204,6 +203,8 @@ def clip_polygon(subject: np.ndarray, clipper: np.ndarray) -> np.ndarray:
 
 def _chebyshev_center(halfspaces: np.ndarray) -> tuple[np.ndarray, float] | None:
     """Interior point of the polytope {a.x + b <= 0} maximizing facet clearance, and that clearance."""
+    from scipy.optimize import linprog  # imported on use: it costs the CLI's start-up
+
     a = halfspaces[:, :-1]
     b = halfspaces[:, -1]
     norms = np.linalg.norm(a, axis=1)

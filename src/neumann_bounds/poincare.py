@@ -22,7 +22,6 @@ from dataclasses import dataclass, replace
 from itertools import accumulate
 
 import numpy as np
-from scipy.integrate import quad
 
 from .geometry import (
     ConvexCell,
@@ -240,6 +239,8 @@ def pi_p_quadrature(p: float) -> float:
     Adaptive quadrature of 2 * int_0^{(p-1)^{1/p}} (1 - t^p/(p-1))^{-1/p} dt;
     the integrable endpoint singularity is flagged to the quadrature rule.
     """
+    from scipy.integrate import quad  # imported on use: it costs the CLI's start-up
+
     check_exponent(p)
     upper = (p - 1.0) ** (1.0 / p)
 

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .poincare import PoincareBound, check_exponent, pi_p, read_entry, read_field
 
@@ -396,6 +395,8 @@ def ball_lower_bound(n: int, p: float) -> EigenBound:
             notes=("exact planar value: squared first zero of the radial mode derivative",),
         )
     if p == 2.0 and n == 3:
+        from scipy.optimize import brentq  # imported on use: it costs the CLI's start-up
+
         zero = brentq(_ball3_radial_stationarity, 1.0, 3.0, xtol=1e-14)
         return EigenBound(
             mu_lower=zero**2,

@@ -51,15 +51,24 @@ def run_cli(args):
     return main([str(a) for a in args])
 
 
-def run_fresh_process(args):
+def run_fresh_process(args, module=("-m", "neumann_bounds.cli")):
     """The CLI in its own interpreter, as a shell user runs it."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(neumann_bounds.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "neumann_bounds.cli", *map(str, args)],
+        [sys.executable, *module, *map(str, args)],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def test_import_defers_optimize_and_integrate():
+    """linprog, brentq and quad load where they are used, not with the CLI."""
+    code = ("import sys, neumann_bounds.cli; "
+            "print([m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules])")
+    fresh = run_fresh_process([], module=("-c", code))
+    assert fresh.returncode == 0, fresh.stderr
+    assert fresh.stdout.strip() == "[]"
 
 
 class TestBoundCommands:
