@@ -252,11 +252,15 @@ def pi_p_quadrature(p: float) -> float:
 
 
 def _diameter_rule(diam: float, p: float, label: str) -> PoincareBound:
-    """B_{p,p} <= diam / pi_p for a convex set; the certificate records the
-    diameter and pi_p so the value can be recomputed from them."""
+    """B_{p,p} <= diam / pi_p for a convex set, raised as a rule's root is so
+    that B^p is not below its one term; the certificate records the diameter
+    and pi_p so the value can be recomputed from them."""
     pip = pi_p(p)
     value = diam / pip
-    return PoincareBound(value, p, FORM_DEVIATION, (CertTerm(label, "convex-diameter", value**p),),
+    term = value**p
+    if term >= sys.float_info.min:  # deep snowflake levels underflow; none is reported
+        value = _raised_root(value, term, p)
+    return PoincareBound(value, p, FORM_DEVIATION, (CertTerm(label, "convex-diameter", term),),
                          details=(("diameter", diam), ("pi_p", pip)))
 
 
@@ -278,6 +282,16 @@ def _require_deviation_form(bounds, p: float) -> None:
             raise ValueError(f"input bound has exponent {b.p}, expected {p}")
 
 
+def _raised_root(value: float, power: float, p: float) -> float:
+    """value raised until B**p, whose pow error is below one ulp, lies two ulp
+    above the normal float power, so that B^p >= power exactly. OverflowError
+    when power lies within a few ulp of the largest float."""
+    floor = math.nextafter(math.nextafter(power, math.inf), math.inf)
+    while value**p < floor:
+        value = math.nextafter(value, math.inf)
+    return value
+
+
 def _rule_bound(terms, power: float, p: float, form: str, details=(), notes=(),
                 multiplicity: int = 1, refusal: str | None = None) -> PoincareBound:
     """The bound B >= power^(1/p) of a combination rule whose certificate terms
@@ -287,14 +301,10 @@ def _rule_bound(terms, power: float, p: float, form: str, details=(), notes=(),
                           "outside the normal float range")
     _check_float_range([t.value for t in terms] + [power], message)
     # the rounded exponent fl(1/p) moves the plain root by up to 2^-53 |ln power| / p;
-    # one Newton step brings it within a few ulp, and it is raised until B**p, whose
-    # pow error is below one ulp, lies two ulp above power, so B^p >= power exactly
+    # one Newton step brings it within a few ulp before it is raised
     try:
         value = power ** (1.0 / p)
-        value *= 1.0 + (power / value**p - 1.0) / p
-        floor = math.nextafter(math.nextafter(power, math.inf), math.inf)
-        while value**p < floor:
-            value = math.nextafter(value, math.inf)
+        value = _raised_root(value * (1.0 + (power / value**p - 1.0) / p), power, p)
     except OverflowError:  # power within a few ulp of the largest float
         raise ValueError(message) from None
     return PoincareBound(value, p, form, tuple(terms), multiplicity=multiplicity,

@@ -21,6 +21,7 @@ from neumann_bounds.poincare import (
     FORM_INF,
     SERIES_CAP,
     _chain_coefficients,
+    _diameter_rule,
     _downstream_ratios,
     _require_deviation_form,
     _rule_bound,
@@ -478,6 +479,24 @@ class TestRuleRoot:
             value = _rule_bound((CertTerm("x", "test", power),), power, p, FORM_INF).value
             exact = mpmath.mpf(power) ** (1 / mpmath.mpf(p))
             assert exact <= value <= exact * (1 + 8 * 2.0**-53)
+
+    def test_diameter_rule_never_below_its_term(self):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.prec = 256
+        rng = np.random.default_rng(6)
+        for diam, p in zip(10.0 ** rng.uniform(-20, 20, 3000), rng.uniform(1.01, 12.0, 3000)):
+            diam, p = float(diam), float(p)
+            bound = _diameter_rule(diam, p, "cell")
+            (term,) = bound.terms
+            assert mpmath.mpf(bound.value) ** mpmath.mpf(p) >= mpmath.mpf(term.value)
+            assert diam / pi_p(p) <= bound.value <= diam / pi_p(p) * (1 + 8 * 2.0**-53)
+
+    @pytest.mark.parametrize("diam, p", [(1e-200, 6.0), (1e-100, 12.0), (1e-160, 2.0)])
+    def test_diameter_rule_keeps_an_underflowing_value(self, diam, p):
+        # deep snowflake levels underflow; their value stays diam / pi_p, unraised
+        bound = _diameter_rule(diam, p, "level-62")
+        assert bound.value == diam / pi_p(p)
+        assert bound.terms[0].value < sys.float_info.min
 
     @pytest.mark.parametrize("power", [sys.float_info.max, math.nextafter(sys.float_info.max, 0)])
     def test_root_of_largest_float_refused(self, power):
