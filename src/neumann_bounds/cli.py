@@ -384,7 +384,12 @@ def _run_bound_snowflake(config: RunConfig) -> dict:
     report = _new_report(config)
     report["certificates"].append(_certificate("snowflake-finite-tree", "poincare", finite.to_dict()))
     report["certificates"].append(_certificate("snowflake-infinite", "poincare", full.to_dict()))
-    tail_relative = (full.value ** config.p - finite.value ** config.p) / finite.value ** config.p
+    # from the certificates' terms (their B^p before the root), the difference in
+    # one exact sum, so neither the roots nor the cancellation round it; a tail
+    # below the terms' own rounding (depth >= 30 or so) can leave it negative, read as 0
+    finite_terms = [t.value for t in finite.terms]
+    tail_relative = max(0.0, math.fsum([t.value for t in full.terms] + [-v for v in finite_terms])
+                        / math.fsum(finite_terms))
     tail_data = {"start_level": config.depth + 1, "tail_bound": tail,
                  "tail_relative_increment": tail_relative, "p": config.p}
     report["certificates"].append(_certificate("snowflake-tail", "series-tail", tail_data))

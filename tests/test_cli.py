@@ -146,6 +146,24 @@ class TestBoundCommands:
         assert tail["tail_relative_increment"] < 1e-6
         assert any("no oracle" in n for n in report["notes"])
 
+    @pytest.mark.parametrize("depth, p, a, c", [
+        (4, 2.0, 1.0, 0.25), (12, 1.3, 1.1, 0.33), (16, 4.2, 0.61, 0.22), (20, 1.7, 1.37, 0.27),
+        (20, 2.9, 1.9, 0.16), (24, 2.3, 0.83, 0.19), (24, 3.1, 1.61, 0.31), (40, 2.0, 1.0, 0.25),
+        (62, 1.2, 0.7, 0.3)])
+    def test_tail_increment_from_term_sums(self, tmp_path, depth, p, a, c):
+        # the increment of B^p is the exact difference of the two term sums, read
+        # as 0 where rounding leaves the infinite tree's sum below the finite one
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.prec = 300
+        out = tmp_path / "snow.json"
+        assert run_cli(["bound-snowflake", "--a", a, "--depth", depth, "--p", p,
+                        "--overlap-fraction", c, "--out", out]) == 0
+        finite, full, tail = (c["data"] for c in json.loads(out.read_text())["certificates"])
+        finite_power, full_power = (mpmath.fsum(mpmath.mpf(t["value"]) for t in c["terms"])
+                                    for c in (finite, full))
+        exact = max(0, (full_power - finite_power) / finite_power)
+        assert tail["tail_relative_increment"] == pytest.approx(float(exact), rel=4 * 2.0**-53, abs=0)
+
 
 class TestTransferCommand:
     def test_identity_transfer_returns_base(self, tmp_path):
