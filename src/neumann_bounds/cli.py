@@ -177,19 +177,13 @@ def _axis_aligned_rect(cell: ConvexCell) -> tuple[float, float, float, float] | 
     return (float(lo[0]), float(lo[1]), float(hi[0]), float(hi[1]))
 
 
-# the 7 non-empty subsets of a triple's three cells, as membership rows
-_SUBSETS_OF_3 = np.array([[i >> k & 1 for k in range(3)] for i in range(1, 8)], dtype=bool)
-
-
 def rect_cover_multiplicity(triples: list[WhitneyTriple]) -> int:
     """Exact cover multiplicity for triples of axis-aligned rectangles.
 
     Evaluates coverage on the rectangle arrangement, where membership is
     constant per arrangement cell: at each cell midpoint, count the triples
-    with a rectangle strictly containing it. By inclusion-exclusion over the
-    7 sub-intersections S of each triple, that count is the sum over all
-    (triple, S) of (-1)^(|S|+1) [x in S's x-range] [y in S's y-range], one
-    product of an x-strip by a y-strip indicator matrix.
+    with a rectangle strictly containing it. By inclusion-exclusion over each triple's 7
+    sub-intersections S, that is one product of x- by y-strip indicators of the S, signed.
     """
     rects = []
     for t in triples:
@@ -203,16 +197,15 @@ def rect_cover_multiplicity(triples: list[WhitneyTriple]) -> int:
     ys = np.unique(rects[..., [1, 3]])
     cx = 0.5 * (xs[:-1] + xs[1:])
     cy = 0.5 * (ys[:-1] + ys[1:])
-    member = _SUBSETS_OF_3[:, :, None]
+    member = np.array([[i >> k & 1 for k in range(3)] for i in range(1, 8)], bool)[..., None]
     lo = np.where(member, rects[..., :2], -np.inf).max(axis=2).reshape(-1, 2)  # (7T, [x, y])
     hi = np.where(member, rects[..., 2:], np.inf).min(axis=2).reshape(-1, 2)
-    sign = np.tile(1.0 - 2.0 * (_SUBSETS_OF_3.sum(axis=1) % 2 == 0), len(triples))
+    sign = np.tile(member.sum(axis=(1, 2)) % 2 * 2.0 - 1.0, len(triples))
     in_y = ((lo[:, 1] < cy[:, None]) & (cy[:, None] < hi[:, 1])).astype(float)  # (Y, 7T)
     best = 0
     # x strips in blocks keep the work arrays O(Y T), like the y-strip matrix
     step = max(len(cy), 64)
-    for start in range(0, len(cx), step):
-        x = cx[start:start + step, None]
+    for x in (cx[start:start + step, None] for start in range(0, len(cx), step)):
         in_x = ((lo[:, 0] < x) & (x < hi[:, 0])) * sign
         best = max(best, int((in_x @ in_y.T).max(initial=0)))
     return max(best, 1)
@@ -384,12 +377,9 @@ def _run_bound_snowflake(config: RunConfig) -> dict:
     report = _new_report(config)
     report["certificates"].append(_certificate("snowflake-finite-tree", "poincare", finite.to_dict()))
     report["certificates"].append(_certificate("snowflake-infinite", "poincare", full.to_dict()))
-    # from the certificates' terms (their B^p before the root), the difference in
-    # one exact sum, so neither the roots nor the cancellation round it; a tail
-    # below the terms' own rounding (depth >= 30 or so) can leave it negative, read as 0
-    finite_terms = [t.value for t in finite.terms]
-    tail_relative = max(0.0, math.fsum([t.value for t in full.terms] + [-v for v in finite_terms])
-                        / math.fsum(finite_terms))
+    # term sums (B^p before the root) subtracted exactly; below their rounding it reads 0
+    increment = math.fsum([t.value for t in full.terms] + [-t.value for t in finite.terms])
+    tail_relative = max(0.0, increment / math.fsum(t.value for t in finite.terms))
     tail_data = {"start_level": config.depth + 1, "tail_bound": tail,
                  "tail_relative_increment": tail_relative, "p": config.p}
     report["certificates"].append(_certificate("snowflake-tail", "series-tail", tail_data))

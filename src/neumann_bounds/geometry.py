@@ -131,6 +131,10 @@ class ConvexCell:
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         return np.array(self._box[0]), np.array(self._box[1])
 
+    def _box_apart(self, other: "ConvexCell") -> bool:
+        """Whether the bounding boxes are strictly apart on some axis, so the cells are disjoint."""
+        return any(h1 < l2 or h2 < l1 for l1, h1, l2, h2 in zip(*self._box, *other._box))
+
     def scaled(self, factor: float) -> "ConvexCell":
         return ConvexCell(self.vertices * factor)
 
@@ -140,30 +144,14 @@ def cell_volume(cell: ConvexCell) -> float:
     return cell._volume
 
 
-def _boxes_apart(c1: ConvexCell, c2: ConvexCell) -> bool:
-    """Whether the cells' bounding boxes are strictly apart on some axis, so the cells are disjoint."""
-    (lo1, hi1), (lo2, hi2) = c1._box, c2._box
-    return any(h1 < l2 or h2 < l1 for l1, h1, l2, h2 in zip(lo1, hi1, lo2, hi2))
-
-
 def cell_diameter(cell: ConvexCell) -> float:
-    """Diameter of the polytope; attained at a vertex pair.
-
-    Blocks of 32 vertices meet the vertices from their own index on, so each
-    pair is measured once in O(m) memory. Squared distances add the axes left
-    to right, as a sum over the last axis does; sqrt is monotone, so the root
-    of the largest is the largest root.
-    """
-    verts = cell._hull_vertices
-    cols = verts.T
-    best = 0.0
+    """Diameter of the polytope; attained at a vertex pair. Blocks of 32 vertices
+    meet the vertices from their own index on: each pair once, in O(m) memory."""
+    verts, best = cell._hull_vertices, 0.0
     for start in range(0, len(verts), 32):
-        block, rest = verts[start:start + 32], cols[:, start:]
-        diff = block[:, 0, None] - rest[0]
-        d2 = diff * diff
-        for k in range(1, cell.n):
-            np.subtract(block[:, k, None], rest[k], out=diff)
-            d2 += diff * diff
+        block, rest = verts[start:start + 32], verts[start:].T
+        # the axes added left to right, as a sum over the last axis adds them
+        d2 = sum((block[:, k, None] - rest[k]) ** 2 for k in range(cell.n))
         best = max(best, float(d2.max()))
     return math.sqrt(best)
 
@@ -204,7 +192,6 @@ def clip_polygon(subject: np.ndarray, clipper: np.ndarray) -> np.ndarray:
 def _chebyshev_center(halfspaces: np.ndarray) -> tuple[np.ndarray, float] | None:
     """Interior point of the polytope {a.x + b <= 0} maximizing facet clearance, and that clearance."""
     from scipy.optimize import linprog  # imported on use: it costs the CLI's start-up
-
     a = halfspaces[:, :-1]
     b = halfspaces[:, -1]
     norms = np.linalg.norm(a, axis=1)
@@ -230,7 +217,7 @@ def intersection_volume(c1: ConvexCell, c2: ConvexCell) -> float:
     """
     if c1.n != c2.n:
         raise GeometryError(f"dimension mismatch: {c1.n} vs {c2.n}")
-    if _boxes_apart(c1, c2):
+    if c1._box_apart(c2):
         return 0.0
     if c1.n == 2:
         clipped = clip_polygon(c1.hull_polygon(), c2.hull_polygon())
@@ -339,7 +326,7 @@ def triple_link_volume(t1: WhitneyTriple, t2: WhitneyTriple) -> float:
         for b in t2.cells:
             if a.n != 2:
                 raise GeometryError("triple link volumes are implemented for 2D cells")
-            if _boxes_apart(a, b):
+            if a._box_apart(b):
                 continue
             clipped = clip_polygon(a.hull_polygon(), b.hull_polygon())
             if len(clipped) >= 3 and polygon_area(clipped) > VOLUME_TOL * min(map(cell_volume, (a, b))):

@@ -240,7 +240,6 @@ def pi_p_quadrature(p: float) -> float:
     the integrable endpoint singularity is flagged to the quadrature rule.
     """
     from scipy.integrate import quad  # imported on use: it costs the CLI's start-up
-
     check_exponent(p)
     upper = (p - 1.0) ** (1.0 / p)
 
@@ -256,11 +255,9 @@ def _diameter_rule(diam: float, p: float, label: str) -> PoincareBound:
     that B^p is not below its one term; the certificate records the diameter
     and pi_p so the value can be recomputed from them."""
     pip = pi_p(p)
-    value = diam / pip
-    term = value**p
-    if term >= sys.float_info.min:  # deep snowflake levels underflow; none is reported
-        value = _raised_root(value, term, p)
-    return PoincareBound(value, p, FORM_DEVIATION, (CertTerm(label, "convex-diameter", term),),
+    term = (diam / pip) ** p
+    return PoincareBound(_raised_root(diam / pip, term, p), p, FORM_DEVIATION,
+                         (CertTerm(label, "convex-diameter", term),),
                          details=(("diameter", diam), ("pi_p", pip)))
 
 
@@ -283,11 +280,10 @@ def _require_deviation_form(bounds, p: float) -> None:
 
 
 def _raised_root(value: float, power: float, p: float) -> float:
-    """value raised until B**p, whose pow error is below one ulp, lies two ulp
-    above the normal float power, so that B^p >= power exactly. OverflowError
-    when power lies within a few ulp of the largest float."""
+    """Raise value until B**p (pow errs < 1 ulp) is 2 ulp above power: B^p >= power exactly.
+    OverflowError near the largest float; a subnormal power (deep snowflake levels) stays."""
     floor = math.nextafter(math.nextafter(power, math.inf), math.inf)
-    while value**p < floor:
+    while power >= sys.float_info.min and value**p < floor:
         value = math.nextafter(value, math.inf)
     return value
 

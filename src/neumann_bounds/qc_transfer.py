@@ -396,7 +396,6 @@ def ball_lower_bound(n: int, p: float) -> EigenBound:
         )
     if p == 2.0 and n == 3:
         from scipy.optimize import brentq  # imported on use: it costs the CLI's start-up
-
         zero = brentq(_ball3_radial_stationarity, 1.0, 3.0, xtol=1e-14)
         return EigenBound(
             mu_lower=zero**2,

@@ -162,7 +162,8 @@ class TestBoundCommands:
         finite_power, full_power = (mpmath.fsum(mpmath.mpf(t["value"]) for t in c["terms"])
                                     for c in (finite, full))
         exact = max(0, (full_power - finite_power) / finite_power)
-        assert tail["tail_relative_increment"] == pytest.approx(float(exact), rel=4 * 2.0**-53, abs=0)
+        increment = tail["tail_relative_increment"]
+        assert increment == pytest.approx(float(exact), rel=4 * 2.0**-53, abs=0)
 
 
 class TestTransferCommand:

@@ -387,7 +387,8 @@ class TestKernelsMatchPrevious:
                             + rng.normal(size=2) * np.ptp(c1.vertices))
             for a, b in ((c1, c2), (c2, c1), (c1, c1)):
                 clipped = geometry.clip_polygon(a.hull_polygon(), b.hull_polygon())
-                assert bitwise_equal(clipped, previous_clip_polygon(a.hull_polygon(), b.hull_polygon()))
+                previous = previous_clip_polygon(a.hull_polygon(), b.hull_polygon())
+                assert bitwise_equal(clipped, previous)
                 if len(clipped) >= 3:
                     assert geometry.polygon_area(clipped) == previous_polygon_area(clipped)
                 assert intersection_volume(a, b) == previous_intersection_area(a, b)
@@ -445,18 +446,18 @@ class TestKernelsMatchPrevious:
         a, b = unit_square(), unit_square(*shift)
         for c1, c2 in ((a, b), (b, a)):
             assert intersection_volume(c1, c2) == expected == previous_intersection_area(c1, c2)
-        assert geometry._boxes_apart(a, b) == (shift == (2.0, 0.0))
+        assert a._box_apart(b) == (shift == (2.0, 0.0))
 
     def test_box_test_nested_and_inside_box_but_disjoint(self):
         big = unit_square()
         small = ConvexCell([(0.2, 0.2), (0.4, 0.2), (0.4, 0.4), (0.2, 0.4)])
-        assert not geometry._boxes_apart(big, small)
+        assert not big._box_apart(small)
         assert intersection_volume(big, small) == previous_intersection_area(big, small)
         assert intersection_volume(small, big) == pytest.approx(0.04, rel=1e-12)
         # the boxes overlap but the triangles do not: the clip decides
         lower = ConvexCell([(0, 0), (1, 0), (0, 1)])
         upper = ConvexCell([(1, 0.5), (1, 1), (0.5, 1)])
-        assert not geometry._boxes_apart(lower, upper)
+        assert not lower._box_apart(upper)
         assert intersection_volume(lower, upper) == 0.0
 
     @pytest.mark.parametrize("shift, expected", [(2.0, 0.0), (1.0, 0.0), (0.5, 0.5)])
@@ -464,7 +465,7 @@ class TestKernelsMatchPrevious:
         def cube(dx):
             return ConvexCell([(x + dx, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
 
-        assert geometry._boxes_apart(cube(0.0), cube(shift)) == (shift == 2.0)
+        assert cube(0.0)._box_apart(cube(shift)) == (shift == 2.0)
         assert intersection_volume(cube(0.0), cube(shift)) == pytest.approx(expected, abs=1e-12)
 
     def test_triple_link_skips_only_disjoint_boxes(self):
