@@ -182,8 +182,8 @@ def rect_cover_multiplicity(triples: list[WhitneyTriple]) -> int:
 
     Evaluates coverage on the rectangle arrangement, where membership is
     constant per arrangement cell: at each cell midpoint, count the triples
-    with a rectangle strictly containing it. By inclusion-exclusion over each triple's 7
-    sub-intersections S, that is one product of x- by y-strip indicators of the S, signed.
+    with a rectangle strictly containing it. Inclusion-exclusion over each triple's 7
+    sub-intersections S gives all counts as one product: signed [x in S] times [y in S].
     """
     rects = []
     for t in triples:

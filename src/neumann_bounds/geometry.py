@@ -23,7 +23,7 @@ DISJOINT_REL_TOL = 1e-9
 # maximum snowflake depth such that the level cell count 3*2^(j-1) still
 # fits an int64 (serialization safety)
 MAX_TREE_DEPTH = 62
-# largest 3D star cross-section; the overlap polytope and its hull grow with it
+# largest 3D star cross-section; a 3D bound-star peaks near 0.2 GB of RSS at 1024
 MAX_MGON = 1024
 
 SQRT3 = math.sqrt(3.0)
