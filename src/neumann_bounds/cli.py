@@ -377,9 +377,9 @@ def _run_bound_snowflake(config: RunConfig) -> dict:
     report = _new_report(config)
     report["certificates"].append(_certificate("snowflake-finite-tree", "poincare", finite.to_dict()))
     report["certificates"].append(_certificate("snowflake-infinite", "poincare", full.to_dict()))
-    # term sums (B^p before the root) subtracted exactly; below their rounding it reads 0
+    # term sums (B^p before the root) subtracted exactly
     increment = math.fsum([t.value for t in full.terms] + [-t.value for t in finite.terms])
-    tail_relative = max(0.0, increment / math.fsum(t.value for t in finite.terms))
+    tail_relative = increment / math.fsum(t.value for t in finite.terms)
     tail_data = {"start_level": config.depth + 1, "tail_bound": tail,
                  "tail_relative_increment": tail_relative, "p": config.p}
     report["certificates"].append(_certificate("snowflake-tail", "series-tail", tail_data))

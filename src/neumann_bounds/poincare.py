@@ -554,8 +554,11 @@ def snowflake_bound(
     for j, r in enumerate(_downstream_ratios(tree, p)):
         u = 1.5 * (1.0 + c) * sigma if j == 0 else 4.5**j * sigma
         own = pref * cell_bounds[j].bound_power()
-        coeffs.append(own * (1.0 + r + u))
-        parts.append(((f"level-{j}-finite", "tree-aggregation", coeffs[-1] - own * u),
+        coeffs.append(own * (1.0 + r) + own * u)
+        # the tree rule's two terms and the tail: where the winners agree, the
+        # terms exceed the finite tree's by the tail term exactly
+        parts.append(((f"level-{j}-own", "tree-aggregation", own),
+                      (f"level-{j}-downstream", "tree-aggregation", own * r),
                       (f"level-{j}-tail", "tail-ratio-test", own * u)))
 
     # envelope for the weights of levels beyond the stored depth:

@@ -666,13 +666,14 @@ def reference_snowflake_bound(
     t_tail = t_explicit + t_rem
 
     coeffs = []
-    tail_parts = []
+    split = []  # per level: own, downstream and tail weight
     for j, level in enumerate(tree.levels):
         s_finite = _tree_downstream_weight(tree, j, p, depth)
         share = 1.5 if j == 0 else 2.0**-j
         s_total = s_finite + share * t_tail
-        coeffs.append(pref * cell_bounds[j].bound_power() * (1.0 + s_total / level.star_area))
-        tail_parts.append(pref * cell_bounds[j].bound_power() * share * t_tail / level.star_area)
+        own = pref * cell_bounds[j].bound_power()
+        coeffs.append(own * (1.0 + s_total / level.star_area))
+        split.append((own, own * s_finite / level.star_area, own * share * t_tail / level.star_area))
 
     # envelope for the weights of levels beyond the stored depth:
     # E(j) = 2^(p-1) B^p(Δ_j*) (1 + j^(p-1) Z), decreasing by a factor
@@ -690,11 +691,10 @@ def reference_snowflake_bound(
     best = max(range(len(candidates)), key=lambda i: candidates[i])
     value = certified_root(m * candidates[best], p)
     if best < len(coeffs):
-        tail_power = m * tail_parts[best]
-        terms = (
-            CertTerm(f"level-{best}-finite", "tree-aggregation", m * coeffs[best] - tail_power),
-            CertTerm(f"level-{best}-tail", "tail-ratio-test", tail_power),
-        )
+        own, downstream, tail_power = (m * v for v in split[best])
+        terms = tuple(CertTerm(f"level-{best}-{label}", rule, v) for label, rule, v in (
+            ("own", "tree-aggregation", own), ("downstream", "tree-aggregation", downstream),
+            ("tail", "tail-ratio-test", tail_power)) if label == "own" or v > 0.0)
     else:
         tail_power = m * envelope
         terms = (CertTerm(f"level-{j_next}-envelope", "tail-ratio-test", tail_power),)
