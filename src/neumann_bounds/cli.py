@@ -41,6 +41,7 @@ from .poincare import (
     PoincareBound,
     SeriesError,
     SpectralParams,
+    _diameter_rule,
     chain_constant,
     convex_cell_constant,
     pair_constant,
@@ -228,7 +229,7 @@ def _cells_bound(spec: dict, p: float) -> tuple[PoincareBound, list[ConvexCell],
         overlap = intersection_volume(cells[0], cells[1])
         if overlap <= 0.0:
             raise CliError("pair cells do not overlap")
-        return pair_constant(cells[0], cells[1], overlap, per_cell[0], per_cell[1], p), cells, "pair"
+        return pair_constant(*map(cell_volume, cells), overlap, *per_cell, p), cells, "pair"
     if structure == "triple":
         if len(cells) != 3:
             raise CliError("triple structure needs exactly three cells")
@@ -340,24 +341,16 @@ def _run_bound_cells(config: RunConfig) -> dict:
 def _run_bound_star(config: RunConfig) -> dict:
     _override_from_domain(config, "star", ("delta", "dim", "mgon"))
     spec = StarDomainSpec(delta=config.delta, n=config.dim, mgon=config.mgon)
-    omega1, omega2 = build_star_domain(spec)
-    params = SpectralParams(p=config.p, n=config.dim)
-    b1 = convex_cell_constant(omega1, params)
-    b2 = convex_cell_constant(omega2, params)
-    overlap = intersection_volume(omega1, omega2)
-    bound = pair_constant(omega1, omega2, overlap, b1, b2, config.p)
-    notes = list(bound.notes)
-    notes.append(
-        "overlap volume is the literal set intersection of the two pieces "
-        "(the shared slab is not attributed to either piece alone)"
-    )
+    volume, overlap, diameter = build_star_domain(spec)
+    piece = _diameter_rule(diameter, config.p, "cell")  # the two pieces are congruent
+    bound = pair_constant(volume, volume, overlap, piece, piece, config.p)
+    notes = ["overlap volume is the literal set intersection of the two pieces "
+             "(the shared slab is not attributed to either piece alone)"]
     details = list(bound.details)
     if config.dim == 3:
         details.append(("cross-section-volume-deficit", star_discretization_error(config.mgon)))
-        notes.append(
-            f"3D pieces use an inscribed {config.mgon}-gon cross-section; volumes carry the "
-            "recorded relative deficit bound"
-        )
+        notes.append(f"3D pieces use an inscribed {config.mgon}-gon cross-section; volumes carry "
+                     "the recorded relative deficit bound")
     bound = replace(bound, details=tuple(details), notes=tuple(notes), domain=f"star{config.dim}d")
     report = _new_report(config)
     report["certificates"].append(_certificate("star-union", "poincare", bound.to_dict()))
@@ -379,9 +372,8 @@ def _run_bound_snowflake(config: RunConfig) -> dict:
     report["certificates"].append(_certificate("snowflake-infinite", "poincare", full.to_dict()))
     # term sums (B^p before the root) subtracted exactly
     increment = math.fsum([t.value for t in full.terms] + [-t.value for t in finite.terms])
-    tail_relative = increment / math.fsum(t.value for t in finite.terms)
-    tail_data = {"start_level": config.depth + 1, "tail_bound": tail,
-                 "tail_relative_increment": tail_relative, "p": config.p}
+    tail_data = {"start_level": config.depth + 1, "tail_bound": tail, "p": config.p,
+                 "tail_relative_increment": increment / math.fsum(t.value for t in finite.terms)}
     report["certificates"].append(_certificate("snowflake-tail", "series-tail", tail_data))
     report["notes"].append("no oracle available for the fractal domain; certificates only")
     return report

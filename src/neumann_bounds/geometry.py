@@ -3,8 +3,8 @@
 Everything downstream (constant aggregation, eigenvalue transfer, oracle
 verification) consumes the primitives defined here: convex polytopes with
 exact volumes/diameters, pairwise intersection volumes, overlapping
-triple/chain containers, the two-piece star-shaped domain, and the
-snowflake triangle tree with per-level analytic metadata.
+triple/chain containers, the closed-form measures of the two-piece star
+domain, and the snowflake triangle tree with per-level analytic metadata.
 """
 
 from __future__ import annotations
@@ -23,8 +23,11 @@ DISJOINT_REL_TOL = 1e-9
 # maximum snowflake depth such that the level cell count 3*2^(j-1) still
 # fits an int64 (serialization safety)
 MAX_TREE_DEPTH = 62
-# largest 3D star cross-section; a 3D bound-star peaks near 0.2 GB of RSS at 1024
+# largest 3D star cross-section in m-gon vertices; the star's closed forms cost no memory
 MAX_MGON = 1024
+# nextafter steps that move each closed-form star measure outward; its roundings (sin and
+# cos taken at 1 ulp, each scaled by the steps after it) add up to below 18 * 2^-53 relative
+STAR_OUTWARD_STEPS = 20
 
 SQRT3 = math.sqrt(3.0)
 # largest |coordinate| such that (2 * |coordinate|)**n stays finite
@@ -403,28 +406,36 @@ def star_discretization_error(mgon: int) -> float:
     return 2.0 * math.pi**2 / (3.0 * mgon**2)
 
 
-def build_star_domain(spec: StarDomainSpec) -> tuple[ConvexCell, ConvexCell]:
-    """The two convex pieces of the star-shaped domain.
+def build_star_domain(spec: StarDomainSpec) -> tuple[float, float, float]:
+    """The closed-form measures the pair rule reads, rounded outward: (volume
+    of each piece, volume of their overlap, diameter of a piece).
 
-    Piece 1 occupies max(|x'| - delta, -alpha) < x_n < alpha; piece 2 is
-    its mirror image in x_n. In 2D each piece is an explicit trapezoid;
-    in 3D each is a convex frustum-like polytope with a regular m-gon
-    cross-section.
+    Piece 1 occupies max(|x'| - delta, -alpha) < x_n < alpha: cross-sections
+    omega r^(n-1) of radius r = delta + x_n, with omega = 2 in 2D and in 3D
+    the area of the regular m-gon of circumradius 1, inscribed in the solid
+    of revolution. Piece 2 is its mirror image in x_n; their overlap has
+    radius delta - |x_n|.
     """
-    d, a = spec.delta, spec.alpha
-    if spec.n == 2:
-        omega1 = ConvexCell([(-(d + a), a), (d + a, a), (d - a, -a), (-(d - a), -a)])
-        omega2 = ConvexCell([(-(d + a), -a), (d + a, -a), (d - a, a), (-(d - a), a)])
-        return omega1, omega2
-    angles = 2.0 * math.pi * np.arange(spec.mgon) / spec.mgon
-    ring = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-
-    def piece(r_bottom: float, r_top: float) -> ConvexCell:
-        bottom = np.hstack([r_bottom * ring, np.full((spec.mgon, 1), -a)])
-        top = np.hstack([r_top * ring, np.full((spec.mgon, 1), a)])
-        return ConvexCell(np.vstack([bottom, top]))
-
-    return piece(d - a, d + a), piece(d + a, d - a)
+    d, a, n, m = spec.delta, spec.alpha, spec.n, spec.mgon
+    if d + a > MAX_COORDINATE[n]:
+        raise GeometryError(f"star delta {d:g} too large: degree-{n} products overflow")
+    f, e = d + a, d - a  # top and bottom radius of piece 1
+    omega = 2.0 if n == 2 else 0.5 * m * math.sin(2.0 * math.pi / m)
+    # omega times the integral of r^(n-1), over the piece from r = e to f and over the overlap
+    # twice from e to d: (x^n - y^n) / n = (x - y)(x + y) / 2 or (x - y)(x^2 + xy + y^2) / 3
+    quotients = (f + e, d + e) if n == 2 else (f * f + f * e + e * e, d * d + d * e + e * e)
+    volume, overlap = (2.0 * omega * a * q / n for q in quotients)
+    diameter = 2.0 * f  # the top rim, across the axis
+    if n == 3 and m % 2:  # odd m: a narrower top chord, or a top vertex to a bottom one
+        diameter = max(diameter * math.cos(math.pi / (2 * m)),
+                       math.sqrt(f * f + e * e + 2.0 * f * e * math.cos(math.pi / m) + 4.0 * a * a))
+    for _ in range(STAR_OUTWARD_STEPS):  # the volume and diameter up, the overlap down
+        volume, overlap = math.nextafter(volume, math.inf), math.nextafter(overlap, 0.0)
+        diameter = math.nextafter(diameter, math.inf)
+    if overlap < sys.float_info.min:  # subnormal, as it is where the volume is: accuracy lost
+        raise GeometryError(f"star overlap {overlap:g} is below the smallest normal float "
+                            f"{sys.float_info.min:g}")
+    return volume, overlap, diameter
 
 
 @dataclass(frozen=True)

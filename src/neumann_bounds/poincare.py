@@ -307,23 +307,17 @@ def _rule_bound(terms, power: float, p: float, form: str, details=(), notes=(),
                          details=tuple(details), notes=tuple(notes))
 
 
-def pair_constant(
-    q1: ConvexCell,
-    q2: ConvexCell,
-    overlap: float,
-    b1: PoincareBound,
-    b2: PoincareBound,
-    p: float,
-) -> PoincareBound:
-    """Two-cell union rule: B^p = (2^(2p-1)/|Q1 ∩ Q2|) * sum |Q_j| B^p(Q_j)."""
+def pair_constant(v1: float, v2: float, overlap: float, b1: PoincareBound, b2: PoincareBound,
+                  p: float) -> PoincareBound:
+    """Two-cell union rule: B^p = (2^(2p-1)/|Q1 ∩ Q2|) * sum v_j B^p(Q_j), v_j = |Q_j|."""
     if overlap <= 0.0:
         raise ValueError("overlap volume must be positive")
     _require_deviation_form((b1, b2), p)
     pref = 2.0 ** (2.0 * p - 1.0) / overlap
-    t1 = pref * cell_volume(q1) * b1.bound_power()
-    t2 = pref * cell_volume(q2) * b2.bound_power()
+    t1 = pref * v1 * b1.bound_power()
+    t2 = pref * v2 * b2.bound_power()
     terms = (CertTerm("cell-1", "two-cell-union", t1), CertTerm("cell-2", "two-cell-union", t2))
-    details = (("overlap", overlap), ("volume-1", cell_volume(q1)), ("volume-2", cell_volume(q2)))
+    details = (("overlap", overlap), ("volume-1", v1), ("volume-2", v2))
     return _rule_bound(terms, t1 + t2, p, FORM_DEVIATION, details)
 
 
@@ -555,8 +549,7 @@ def snowflake_bound(
         u = 1.5 * (1.0 + c) * sigma if j == 0 else 4.5**j * sigma
         own = pref * cell_bounds[j].bound_power()
         coeffs.append(own * (1.0 + r) + own * u)
-        # the tree rule's two terms and the tail: where the winners agree, the
-        # terms exceed the finite tree's by the tail term exactly
+        # the tree rule's two terms, then the tail: the terms exceed the tree's by the tail
         parts.append(((f"level-{j}-own", "tree-aggregation", own),
                       (f"level-{j}-downstream", "tree-aggregation", own * r),
                       (f"level-{j}-tail", "tail-ratio-test", own * u)))

@@ -175,11 +175,12 @@ def test_criterion_5_domination_suite():
             mesh = mesh_domain({"kind": "rect_union", "rects": [list(r) for r in rect_subset]}, h)
             return neumann_mu2(mesh).mu2 ** -0.5
 
-        from neumann_bounds.geometry import intersection_volume, triple_link_volume
+        from neumann_bounds.geometry import cell_volume, intersection_volume, triple_link_volume
         from neumann_bounds.cli import rect_cover_multiplicity
 
         overlap01 = intersection_volume(cells[0], cells[1])
-        pair = pair_constant(cells[0], cells[1], overlap01, bounds[0], bounds[1], 2.0)
+        pair = pair_constant(cell_volume(cells[0]), cell_volume(cells[1]), overlap01, bounds[0],
+                             bounds[1], 2.0)
         if pair.value < fem_constant(rects[:2]):
             violations.append((config, "pair"))
 

@@ -9,6 +9,7 @@ directory is not a package) and check its names against the library.
 import importlib
 import importlib.util
 import inspect
+import json
 from pathlib import Path
 
 from neumann_bounds import cli, oracle
@@ -42,11 +43,17 @@ def test_installed_tracer_records_the_oracle_layers(tmp_path):
     # the wrappers only see calls made through the module bindings they patch
     tracing = load_tracing()
     tracer = tracing.Tracer()
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps({"type": "cells", "cells": [
+        {"vertices": [[x, 0], [x + 1, 0], [x + 1, 1], [x, 1]]} for x in (0.0, 0.5)]}))
     with tracer.installed():
         for p in ("2", "3"):
             out = tmp_path / f"star{p}.json"
             assert cli.main(["bound-star", "--delta", "1.0", "--p", p, "--h", "0.4",
                              "--out", str(out)]) == 0
+        # the star's measures are closed forms; a cell pair builds and clips cells
+        assert cli.main(["bound-cells", "--domain", str(pair), "--no-verify",
+                         "--out", str(tmp_path / "pair_out.json")]) == 0
     assert tracer.missing == []
     names = {span[0] for span in tracer.spans}
     for layer in ("cli.main", "cli.render_report", "geometry.build_star_domain",

@@ -21,7 +21,7 @@ from neumann_bounds.cli import (
     main,
     rect_cover_multiplicity,
 )
-from neumann_bounds.geometry import ConvexCell, WhitneyTriple
+from neumann_bounds.geometry import ConvexCell, StarDomainSpec, WhitneyTriple, build_star_domain
 from neumann_bounds.oracle import TriangleMesh, mesh_domain
 from neumann_bounds.poincare import CertTerm, PoincareBound
 from neumann_bounds.qc_transfer import ChainFactor, EigenBound, QCMapData, SampledDerivative
@@ -71,6 +71,16 @@ def test_import_defers_optimize_and_integrate():
     assert fresh.stdout.strip() == "[]"
 
 
+def test_3d_star_loads_no_optimize(tmp_path):
+    """The star's measures are closed forms: no linprog Chebyshev centre."""
+    code = ("import sys; from neumann_bounds import cli; "
+            f"code = cli.main(['bound-star', '--dim', '3', '--out', {str(tmp_path / 's.json')!r}]); "
+            "print(code, 'scipy.optimize' in sys.modules)")
+    fresh = run_fresh_process([], module=("-c", code))
+    assert fresh.returncode == 0, fresh.stderr
+    assert fresh.stdout.strip() == "0 False"
+
+
 class TestBoundCommands:
     def test_bound_star_passes_oracle(self, tmp_path):
         out = tmp_path / "star.json"
@@ -88,6 +98,9 @@ class TestBoundCommands:
         assert report["checks"] == []
         details = report["certificates"][0]["data"]["details"]
         assert "cross-section-volume-deficit" in details
+        volume, overlap, _ = build_star_domain(StarDomainSpec(delta=1.0, n=3))
+        assert (details["volume-1"], details["volume-2"], details["overlap"]) == (
+            volume, volume, overlap)
 
     def test_bound_cells_pair(self, tmp_path):
         out = tmp_path / "pair.json"
@@ -396,6 +409,11 @@ class TestErrorPaths:
         assert proc.returncode == 1
         err = proc.stderr.strip().splitlines()
         assert len(err) == 1 and "too large" in err[0]
+
+    @pytest.mark.parametrize("dim, delta", [(2, 1e-160), (3, 1e-105)])
+    def test_tiny_delta_exit_1_one_line(self, capsys, dim, delta):
+        line = one_line_error(["bound-star", "--dim", dim, "--delta", delta, "--no-verify"], capsys)
+        assert "star overlap" in line and "below the smallest normal float" in line
 
     def test_oversized_oracle_mesh_exit_1_one_line(self, monkeypatch, capsys):
         def unreachable(*args, **kwargs):
@@ -774,12 +792,15 @@ class TestChainInputs:
         assert certificates[0][0]["data"]["multiplicity"] == 2
 
 
-def test_3d_overlap_construction_failure_one_line(monkeypatch, capsys):
+def test_3d_overlap_construction_failure_one_line(tmp_path, monkeypatch, capsys):
     def failing(*args, **kwargs):
         raise QhullError("QH6271 qhull topology error\nsecond line of the option dump")
 
     monkeypatch.setattr(geometry, "HalfspaceIntersection", failing)
-    line = one_line_error(["bound-star", "--dim", 3, "--mgon", 8], capsys)
+    cubes = write_json(tmp_path / "cubes.json", {"type": "cells", "cells": [
+        {"vertices": [[x + dx, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)]}
+        for dx in (0.0, 0.25)]})
+    line = one_line_error(["bound-cells", "--domain", cubes, "--no-verify"], capsys)
     assert line.endswith("overlap polytope construction failed: QH6271 qhull topology error")
 
 

@@ -66,6 +66,25 @@ def star_membership(points, spec):
     return (np.abs(height) < spec.alpha) & (radial < spec.delta + np.abs(height))
 
 
+def star_pieces(spec):
+    """The two star pieces as polytopes: trapezoids in 2D, frusta over the regular
+    m-gon in 3D. The reference model of build_star_domain's closed forms."""
+    d, a = spec.delta, spec.alpha
+    if spec.n == 2:
+        omega1 = ConvexCell([(-(d + a), a), (d + a, a), (d - a, -a), (-(d - a), -a)])
+        omega2 = ConvexCell([(-(d + a), -a), (d + a, -a), (d - a, a), (-(d - a), a)])
+        return omega1, omega2
+    angles = 2.0 * math.pi * np.arange(spec.mgon) / spec.mgon
+    ring = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+
+    def piece(r_bottom, r_top):
+        bottom = np.hstack([r_bottom * ring, np.full((spec.mgon, 1), -a)])
+        top = np.hstack([r_top * ring, np.full((spec.mgon, 1), a)])
+        return ConvexCell(np.vstack([bottom, top]))
+
+    return piece(d - a, d + a), piece(d + a, d - a)
+
+
 def unit_square(dx=0.0, dy=0.0):
     return ConvexCell([(dx, dy), (1 + dx, dy), (1 + dx, 1 + dy), (dx, 1 + dy)])
 
@@ -258,7 +277,7 @@ class TestHullVolume3D:
     @pytest.mark.parametrize("mgon", [8, 9, 16, 31, 64, 100, 128, 200, 256])
     @pytest.mark.parametrize("delta", [0.3, 1.0, 2.7])
     def test_star_pieces_and_their_overlap(self, mgon, delta):
-        pieces = build_star_domain(StarDomainSpec(delta=delta, n=3, mgon=mgon))
+        pieces = star_pieces(StarDomainSpec(delta=delta, n=3, mgon=mgon))
         for piece in pieces:
             assert cell_volume(piece) == reference_hull_volume_3d(piece.vertices, piece._hull)
         points, hull = intersection_polytope(*pieces)
@@ -409,7 +428,7 @@ class TestKernelsMatchPrevious:
     @pytest.mark.parametrize("mgon", [8, 16, 17, 64, 256, 512, 1024])
     @pytest.mark.parametrize("delta", [0.3, 2.7])
     def test_diameter_3d_prisms(self, mgon, delta):
-        for piece in build_star_domain(StarDomainSpec(delta=delta, n=3, mgon=mgon)):
+        for piece in star_pieces(StarDomainSpec(delta=delta, n=3, mgon=mgon)):
             assert cell_diameter(piece) == previous_cell_diameter(piece)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -528,13 +547,13 @@ class TestStarDomain:
 
     def test_vertical_extent(self):
         spec = StarDomainSpec(delta=1.0, n=2)
-        omega1, _ = build_star_domain(spec)
+        omega1, _ = star_pieces(spec)
         ys = omega1.vertices[:, 1]
         assert ys.max() - ys.min() == pytest.approx(SQRT3 - 1.0, rel=1e-14)
 
     def test_piece_volume_formula(self):
         spec = StarDomainSpec(delta=1.0, n=2)
-        omega1, omega2 = build_star_domain(spec)
+        omega1, omega2 = star_pieces(spec)
         expected = 4.0 * spec.alpha * spec.delta  # 2 (sqrt3 - 1)
         assert cell_volume(omega1) == pytest.approx(expected, rel=1e-12)
         assert cell_volume(omega2) == pytest.approx(expected, rel=1e-12)
@@ -543,7 +562,7 @@ class TestStarDomain:
     def test_piece_volume_against_monte_carlo(self):
         # oracle: membership sampling of the defining inequalities, 1e7 points
         spec = StarDomainSpec(delta=1.0, n=2)
-        omega1, _ = build_star_domain(spec)
+        omega1, _ = star_pieces(spec)
         rng = np.random.default_rng(7)
         lo = np.array([-(spec.delta + spec.alpha), -spec.alpha])
         hi = np.array([spec.delta + spec.alpha, spec.alpha])
@@ -557,7 +576,7 @@ class TestStarDomain:
     def test_union_volume_against_monte_carlo(self):
         # oracle: membership sampling of the union inequalities, 1e7 points
         spec = StarDomainSpec(delta=1.0, n=2)
-        omega1, omega2 = build_star_domain(spec)
+        omega1, omega2 = star_pieces(spec)
         union = (
             cell_volume(omega1)
             + cell_volume(omega2)
@@ -574,13 +593,13 @@ class TestStarDomain:
         assert union == pytest.approx(estimate, abs=2e-3)
 
     def test_delta_scaling(self):
-        one = build_star_domain(StarDomainSpec(delta=1.0, n=2))
-        two = build_star_domain(StarDomainSpec(delta=2.0, n=2))
+        one = star_pieces(StarDomainSpec(delta=1.0, n=2))
+        two = star_pieces(StarDomainSpec(delta=2.0, n=2))
         assert cell_volume(two[0]) == pytest.approx(4.0 * cell_volume(one[0]), rel=1e-12)
 
     def test_3d_piece_volume_within_discretization_error(self):
         spec = StarDomainSpec(delta=1.0, n=3, mgon=64)
-        omega1, omega2 = build_star_domain(spec)
+        omega1, omega2 = star_pieces(spec)
         d, a = spec.delta, spec.alpha
         frustum = 2 * a / 3 * ((d + a) ** 2 + (d + a) * (d - a) + (d - a) ** 2) * math.pi
         deficit = 1.0 - cell_volume(omega1) / frustum
@@ -590,6 +609,62 @@ class TestStarDomain:
     def test_invalid_dimension(self):
         with pytest.raises(GeometryError):
             StarDomainSpec(delta=1.0, n=4)
+
+
+def exact_star_measures(spec, mpmath):
+    """(piece volume, overlap, diameter) of the star model in mpmath arithmetic."""
+    d = mpmath.mpf(spec.delta)
+    a = d * (mpmath.sqrt(3) - 1) / 2
+    n, m = spec.n, spec.mgon
+    f, e = d + a, d - a
+    omega = 2 if n == 2 else m * mpmath.sin(2 * mpmath.pi / m) / 2
+    diameter = 2 * f
+    if n == 3 and m % 2:
+        diameter = max(diameter * mpmath.cos(mpmath.pi / (2 * m)),
+                       mpmath.sqrt(f**2 + e**2 + 2 * f * e * mpmath.cos(mpmath.pi / m) + 4 * a**2))
+    return omega * (f**n - e**n) / n, 2 * omega * (d**n - e**n) / n, diameter
+
+
+class TestStarClosedForms:
+    """build_star_domain measures the polytope model in closed form, rounded outward."""
+
+    @pytest.mark.parametrize("n, mgon", [(2, 64)] + [(3, m) for m in
+                                                    (8, 9, 16, 17, 31, 64, 100, 255, 256, 1024)])
+    @pytest.mark.parametrize("delta", [0.3, 1.0, 2.7])
+    def test_match_polytopes(self, n, mgon, delta):
+        spec = StarDomainSpec(delta=delta, n=n, mgon=mgon)
+        volume, overlap, diameter = build_star_domain(spec)
+        pieces = star_pieces(spec)
+        for piece in pieces:
+            assert cell_volume(piece) == pytest.approx(volume, rel=2e-14, abs=0)
+            assert cell_diameter(piece) == pytest.approx(diameter, rel=2e-14, abs=0)
+        assert intersection_volume(*pieces) == pytest.approx(overlap, rel=2e-14, abs=0)
+
+    def test_outward_within_budget_against_mpmath(self):
+        # volumes and diameter never below the exact value, the overlap never above;
+        # evaluation error and steps together stay within twice the steps
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 50
+        rng = np.random.default_rng(5)
+        for _ in range(2000):
+            spec = StarDomainSpec(delta=float(10.0 ** rng.uniform(-100, 100)),
+                                  n=int(rng.integers(2, 4)),
+                                  mgon=int(rng.integers(8, geometry.MAX_MGON + 1)))
+            measures = zip(build_star_domain(spec), exact_star_measures(spec, mpmath), (1, -1, 1))
+            for got, exact, outward in measures:
+                offset = outward * (mpmath.mpf(got) - exact)
+                budget = 2 * geometry.STAR_OUTWARD_STEPS * math.ulp(max(got, float(exact)))
+                assert 0 <= offset <= budget, (spec, got, exact)
+
+    @pytest.mark.parametrize("n, delta", [(2, 1e-160), (3, 1e-105)])
+    def test_subnormal_overlap_refused(self, n, delta):
+        with pytest.raises(GeometryError, match=r"star overlap \S+ is below the smallest normal"):
+            build_star_domain(StarDomainSpec(delta=delta, n=n))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_huge_delta_refused(self, n):
+        with pytest.raises(GeometryError, match=f"star delta 1e\\+300 too large: degree-{n}"):
+            build_star_domain(StarDomainSpec(delta=1e300, n=n))
 
 
 class TestSnowflakeTree:

@@ -119,7 +119,7 @@ class TestPairConstant:
         q1, q2 = unit_square(), unit_square(dx=0.5)
         params = SpectralParams(p=2.0, n=2)
         b = convex_cell_constant(q1, params)
-        pair = pair_constant(q1, q2, 0.5, b, b, 2.0)
+        pair = pair_constant(cell_volume(q1), cell_volume(q2), 0.5, b, b, 2.0)
         assert pair.value**2 == pytest.approx(64.0 / math.pi**2, rel=1e-12)
         assert pair.value == pytest.approx(2.5464790894703255, rel=1e-12)
 
@@ -127,19 +127,19 @@ class TestPairConstant:
     def test_identical_cells_collapse(self, p):
         q = unit_square()
         b = deviation_bound(0.37, p)
-        pair = pair_constant(q, q, cell_volume(q), b, b, p)
+        pair = pair_constant(cell_volume(q), cell_volume(q), cell_volume(q), b, b, p)
         assert pair.value**p == pytest.approx(2.0 ** (2 * p) * 0.37**p, rel=1e-12)
 
     def test_nonpositive_overlap(self):
         q = unit_square()
         b = deviation_bound(0.3, 2.0)
         with pytest.raises(ValueError):
-            pair_constant(q, q, 0.0, b, b, 2.0)
+            pair_constant(cell_volume(q), cell_volume(q), 0.0, b, b, 2.0)
 
     def test_certificate_sum(self):
         q1, q2 = unit_square(), unit_square(dx=0.25)
         b = deviation_bound(0.4, 2.0)
-        pair = pair_constant(q1, q2, 0.75, b, b, 2.0)
+        pair = pair_constant(cell_volume(q1), cell_volume(q2), 0.75, b, b, 2.0)
         assert sum(t.value for t in pair.terms) == pytest.approx(pair.value**2, rel=1e-12)
 
     def test_scaling_homogeneity(self):
@@ -147,10 +147,10 @@ class TestPairConstant:
         q1, q2 = unit_square(), unit_square(dx=0.5)
         params = SpectralParams(p=2.0, n=2)
         b1 = convex_cell_constant(q1, params)
-        small = pair_constant(q1, q2, 0.5, b1, b1, 2.0)
+        small = pair_constant(cell_volume(q1), cell_volume(q2), 0.5, b1, b1, 2.0)
         q1s, q2s = q1.scaled(lam), q2.scaled(lam)
         b1s = convex_cell_constant(q1s, params)
-        big = pair_constant(q1s, q2s, 0.5 * lam**2, b1s, b1s, 2.0)
+        big = pair_constant(cell_volume(q1s), cell_volume(q2s), 0.5 * lam**2, b1s, b1s, 2.0)
         assert big.value == pytest.approx(lam * small.value, rel=1e-12)
 
 

@@ -475,14 +475,15 @@ class TestWhitneyQcBound:
 
     def test_stretched_union_against_fem(self):
         # pair bound for two overlapping unit squares, image under diag(2,1)
-        from neumann_bounds.geometry import ConvexCell, intersection_volume
+        from neumann_bounds.geometry import ConvexCell, cell_volume, intersection_volume
         from neumann_bounds.poincare import SpectralParams, convex_cell_constant, pair_constant
 
         q1 = ConvexCell([(0, 0), (1, 0), (1, 1), (0, 1)])
         q2 = ConvexCell([(0.5, 0), (1.5, 0), (1.5, 1), (0.5, 1)])
         params = SpectralParams(p=2.0, n=2)
         b = convex_cell_constant(q1, params)
-        chain_bound = pair_constant(q1, q2, intersection_volume(q1, q2), b, b, 2.0)
+        chain_bound = pair_constant(cell_volume(q1), cell_volume(q2), intersection_volume(q1, q2), b, b,
+                                    2.0)
         m = QCMapData.from_linear([[2.0, 0.0], [0.0, 1.0]], 1.5)
         out = whitney_qc_bound(chain_bound, m, 2.0)
         image = mesh_domain(
