@@ -25,8 +25,8 @@ DISJOINT_REL_TOL = 1e-9
 MAX_TREE_DEPTH = 62
 # largest 3D star cross-section in m-gon vertices; the star's closed forms cost no memory
 MAX_MGON = 1024
-# nextafter steps that move each closed-form star measure outward; its roundings (sin and
-# cos taken at 1 ulp, each scaled by the steps after it) add up to below 18 * 2^-53 relative
+# nextafter steps that move each closed-form star measure outward: its roundings, each scaled
+# by what later operations make of it (sin and cos taken at 1 ulp), sum to below 18 * 2^-53
 STAR_OUTWARD_STEPS = 20
 
 SQRT3 = math.sqrt(3.0)
@@ -432,7 +432,7 @@ def build_star_domain(spec: StarDomainSpec) -> tuple[float, float, float]:
     for _ in range(STAR_OUTWARD_STEPS):  # the volume and diameter up, the overlap down
         volume, overlap = math.nextafter(volume, math.inf), math.nextafter(overlap, 0.0)
         diameter = math.nextafter(diameter, math.inf)
-    if overlap < sys.float_info.min:  # subnormal, as it is where the volume is: accuracy lost
+    if overlap < sys.float_info.min:  # subnormal (the volume is larger): its accuracy is lost
         raise GeometryError(f"star overlap {overlap:g} is below the smallest normal float "
                             f"{sys.float_info.min:g}")
     return volume, overlap, diameter
