@@ -429,7 +429,7 @@ def build_star_domain(spec: StarDomainSpec) -> tuple[float, float, float]:
     if n == 3 and m % 2:  # odd m: a narrower top chord, or a top vertex to a bottom one
         diameter = max(diameter * math.cos(math.pi / (2 * m)),
                        math.sqrt(f * f + e * e + 2.0 * f * e * math.cos(math.pi / m) + 4.0 * a * a))
-    for _ in range(STAR_OUTWARD_STEPS):  # the volume and diameter up, the overlap down
+    for _ in range(STAR_OUTWARD_STEPS):
         volume, overlap = math.nextafter(volume, math.inf), math.nextafter(overlap, 0.0)
         diameter = math.nextafter(diameter, math.inf)
     if overlap < sys.float_info.min:  # subnormal (the volume is larger): its accuracy is lost
