@@ -4,8 +4,7 @@ Reads domain and map specifications from JSON, runs the requested bound
 pipeline, verifies the result against the oracle where a mesh is
 available, and writes a report whose every number traces to a certificate
 term. Reports are deterministic for a fixed config and seed: floats
-serialize round-trip exactly and timing is kept out of the payload unless
-explicitly requested.
+serialize round-trip exactly.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ import io
 import json
 import math
 import sys
-import time
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -91,11 +89,10 @@ class RunConfig:
     fmt: str = "json"
     out: str | None = None
     verify: bool = True
-    timing: bool = False
 
     def public_dict(self) -> dict:
-        """Every field but the output path and the timing switch."""
-        return {k: getattr(self, k) for k in _FIELD_TYPES if k not in ("out", "timing")}
+        """Every field but the output path."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "out"}
 
 
 class CliError(ValueError):
@@ -339,7 +336,6 @@ def _run_bound_cells(config: RunConfig) -> dict:
 
 
 def _run_bound_star(config: RunConfig) -> dict:
-    _override_from_domain(config, "star", ("delta", "dim", "mgon"))
     spec = StarDomainSpec(delta=config.delta, n=config.dim, mgon=config.mgon)
     volume, overlap, diameter = build_star_domain(spec)
     piece = _diameter_rule(diameter, config.p, "cell")  # the two pieces are congruent
@@ -360,7 +356,6 @@ def _run_bound_star(config: RunConfig) -> dict:
 
 
 def _run_bound_snowflake(config: RunConfig) -> dict:
-    _override_from_domain(config, "snowflake", ("a", "depth", "overlap_fraction"))
     spec = FractalTreeSpec(a=config.a, depth=config.depth, overlap_fraction=config.overlap_fraction)
     tree = build_snowflake_tree(spec)
     level_bounds = snowflake_level_bounds(tree, config.p)
@@ -521,7 +516,6 @@ _PIPELINES = {
 
 def run(config: RunConfig) -> tuple[dict | str, int]:
     """Execute one pipeline; returns (report payload, exit code)."""
-    started = time.perf_counter()
     if config.command not in _PIPELINES:
         raise CliError(f"unknown command {config.command!r}")
     try:
@@ -530,8 +524,6 @@ def run(config: RunConfig) -> tuple[dict | str, int]:
         raise CliError(f"{config.command} at p = {config.p:g}: a value exceeds float range") from None
     if isinstance(report, str):  # a rendered table
         return report, 0
-    if config.timing:
-        report["timing_seconds"] = time.perf_counter() - started
     failed = any(not c["passed"] for c in report["checks"])
     return report, 2 if failed else 0
 
@@ -554,8 +546,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-# allowed values of the RunConfig fields whose flags take choices; config and
-# domain files are held to the same table
+# allowed values of the RunConfig fields whose flags take choices
 _CHOICES = {
     "fmt": ("json", "csv"),
     "dim": (2, 3),
@@ -566,7 +557,6 @@ _CHOICES = {
 _OPTIONAL_FLAGS = {
     "--p": {"type": float, "help": "integrability exponent"},
     "--h": {"type": float, "help": "oracle mesh target edge length"},
-    "--timing": {"action": "store_true", "help": "embed wall-clock timing (breaks byte-determinism)"},
     "--no-verify": {"dest": "verify", "action": "store_false"},
 }
 
@@ -579,7 +569,6 @@ def _build_parser() -> _Parser:
                                 parser_class=functools.partial(_Parser, allow_abbrev=False))
 
     def common(sp, *flags):
-        sp.add_argument("--config", help="JSON file with defaults for this command")
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--format", dest="fmt", choices=_CHOICES["fmt"], default=None)
         sp.add_argument("--out", default=None, help="output path (stdout if omitted)")
@@ -588,33 +577,31 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("bound-cells", help="aggregate constants over a cell complex")
     sp.add_argument("--domain", help="cells domain JSON")
-    common(sp, "--p", "--h", "--timing", "--no-verify")
+    common(sp, "--p", "--h", "--no-verify")
 
     sp = sub.add_parser("bound-star", help="bound for the two-piece star domain")
-    sp.add_argument("--domain", help='optional domain JSON of type "star"')
     sp.add_argument("--delta", type=float, default=None)
     sp.add_argument("--dim", type=int, choices=_CHOICES["dim"], default=None)
     sp.add_argument("--mgon", type=int, default=None)
-    common(sp, "--p", "--h", "--timing", "--no-verify")
+    common(sp, "--p", "--h", "--no-verify")
 
     sp = sub.add_parser("bound-snowflake", help="bound for the snowflake tree")
-    sp.add_argument("--domain", help='optional domain JSON of type "snowflake"')
     sp.add_argument("--a", type=float, default=None, help="root side length")
     sp.add_argument("--depth", type=int, default=None)
     sp.add_argument("--overlap-fraction", dest="overlap_fraction", type=float, default=None)
-    common(sp, "--p", "--timing")
+    common(sp, "--p")
 
     sp = sub.add_parser("transfer", help="push a bound through a quasiconformal map")
     sp.add_argument("--map", dest="map_path", help="map specification JSON")
     sp.add_argument("--base", help="base certificate or report JSON")
     sp.add_argument("--mode", choices=_CHOICES["mode"], default=None)
     sp.add_argument("--r", type=float, default=None, help="base deviation exponent override")
-    common(sp, "--p", "--timing")
+    common(sp, "--p")
 
     sp = sub.add_parser("verify", help="check a certificate against the oracle")
     sp.add_argument("--bound", help="certificate or report JSON")
     sp.add_argument("--domain", help="domain JSON (or a mesh file)")
-    common(sp, "--h", "--timing")
+    common(sp, "--h")
 
     sp = sub.add_parser("report", help="tabulate one or more reports")
     sp.add_argument("inputs", nargs="*", help="report JSON files")
@@ -623,51 +610,14 @@ def _build_parser() -> _Parser:
     return parser
 
 
-# value kind of a config-file or domain-file value, by RunConfig field annotation
-_CONFIG_KINDS = {"int": "integer", "float": "finite number", "str": "string", "bool": "flag",
-                 "list[str]": "strings"}
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-
-
-def _read_config_value(data: dict, key: str, attr: str, config: RunConfig, what: str):
-    """data[key] as a value of field attr's kind and one of its choices, or attr's
-    current value if absent (null if None)."""
-    kind = _CONFIG_KINDS[_FIELD_TYPES[attr].removesuffix(" | None")]
-    value = read_field(data, key, kind, getattr(config, attr), what=what, error=CliError)
-    choices = _CHOICES.get(attr)
-    if choices is not None and value not in choices:
-        raise CliError(
-            f"{what} key {key!r} must be one of {', '.join(map(str, choices))}, got {value!r}"
-        )
-    return value
-
-
-def _override_from_domain(config: RunConfig, kind: str, keys: tuple[str, ...]) -> None:
-    """Values of the given keys in the optional --domain file override the
-    config; each is read like a config-file value."""
-    if not config.domain:
-        return
-    data = _load_json(config.domain)
-    if data.get("type") != kind:
-        raise CliError(f'{config.command} expects a domain of type "{kind}"')
-    for key in keys:
-        setattr(config, key, _read_config_value(data, key, key, config, "domain"))
-
-
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     config = RunConfig(command=args.command)
-    file_values = _load_json(args.config) if getattr(args, "config", None) else {}
-    for key in file_values:
-        attr = {"map": "map_path", "format": "fmt"}.get(key, key)
-        if not hasattr(config, attr):
-            raise CliError(f"unknown config key {key!r}")
-        setattr(config, attr, _read_config_value(file_values, key, attr, config, "config"))
     for attr in vars(config):
         if hasattr(args, attr) and getattr(args, attr) is not None:
             setattr(config, attr, getattr(args, attr))
-    for name in ("p", "h", "delta", "a"):  # flags may give nan or inf
+    for name in ("p", "h", "delta", "a", "r"):  # flags may give nan or inf
         value = getattr(config, name)
-        if not math.isfinite(value):
+        if value is not None and not math.isfinite(value):
             raise CliError(f"{name} must be a finite number, got {value!r}")
     if config.p <= 1.0:
         raise CliError("exponent p must exceed 1")

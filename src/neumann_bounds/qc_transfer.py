@@ -304,6 +304,8 @@ def eigen_transfer(map_data: QCMapData, base: PoincareBound, p: float) -> EigenB
     """
     n = map_data.n
     r = base.r_exponent
+    if not math.isfinite(r):
+        raise TransferError(f"base exponent r must be a finite number, got {r!r}")
     if r <= p:
         raise TransferError(f"need r > p, got r={r}, p={p}")
     alpha_req = n * r / (r - p)

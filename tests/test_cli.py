@@ -24,9 +24,20 @@ from neumann_bounds.cli import (
 from neumann_bounds.geometry import ConvexCell, StarDomainSpec, WhitneyTriple, build_star_domain
 from neumann_bounds.oracle import TriangleMesh, mesh_domain
 from neumann_bounds.poincare import CertTerm, PoincareBound
-from neumann_bounds.qc_transfer import ChainFactor, EigenBound, QCMapData, SampledDerivative
+from neumann_bounds.qc_transfer import (
+    ChainFactor,
+    EigenBound,
+    QCMapData,
+    SampledDerivative,
+    eigen_transfer,
+)
 
 PI2 = math.pi**2
+
+# a sampled map with alpha = 8 and a Poincare base at r = 4, which the eigen transfer accepts
+SAMPLED_R4 = ({"kind": "sampled", "weights": [0.5, 0.5], "dphi": [1.0, 1.2], "jac": [1.0, 1.0],
+               "K": 1.5, "alpha": 8.0, "n": 2},
+              {"bound": 0.5, "p": 2.0, "r": 4.0, "form": "deviation-from-mean"})
 
 
 def write_json(path, payload):
@@ -131,22 +142,6 @@ class TestBoundCommands:
         assert report["certificates"][0]["data"]["multiplicity"] == 2
         assert report["checks"][0]["passed"] is True
 
-    def test_star_domain_file(self, tmp_path):
-        domain = write_json(tmp_path / "star.json", {"type": "star", "delta": 2.0, "dim": 2})
-        out = tmp_path / "star_report.json"
-        code = run_cli(["bound-star", "--domain", domain, "--p", 2, "--h", 0.15, "--out", out])
-        assert code == 0
-        assert json.loads(out.read_text())["config"]["delta"] == 2.0
-
-    def test_snowflake_domain_file(self, tmp_path):
-        domain = write_json(
-            tmp_path / "snow.json", {"type": "snowflake", "a": 1.0, "depth": 6}
-        )
-        out = tmp_path / "snow_report.json"
-        code = run_cli(["bound-snowflake", "--domain", domain, "--p", 2, "--out", out])
-        assert code == 0
-        assert json.loads(out.read_text())["config"]["depth"] == 6
-
     def test_bound_snowflake(self, tmp_path):
         out = tmp_path / "snow.json"
         code = run_cli(["bound-snowflake", "--a", 1.0, "--depth", 12, "--p", 2, "--out", out])
@@ -202,22 +197,8 @@ class TestTransferCommand:
         )
 
     def test_sampled_map_and_poincare_mode(self, tmp_path):
-        map_path = write_json(
-            tmp_path / "sampled.json",
-            {
-                "kind": "sampled",
-                "weights": [0.5, 0.5],
-                "dphi": [1.0, 1.2],
-                "jac": [1.0, 1.0],
-                "K": 1.5,
-                "alpha": 8.0,
-                "n": 2,
-            },
-        )
-        base_path = write_json(
-            tmp_path / "base.json",
-            {"bound": 0.5, "p": 2.0, "r": 4.0, "form": "deviation-from-mean"},
-        )
+        map_path = write_json(tmp_path / "sampled.json", SAMPLED_R4[0])
+        base_path = write_json(tmp_path / "base.json", SAMPLED_R4[1])
         out = tmp_path / "tr.json"
         code = run_cli(["transfer", "--map", map_path, "--base", base_path,
                         "--mode", "poincare", "--p", 2, "--out", out])
@@ -227,6 +208,33 @@ class TestTransferCommand:
         assert data["bound"] == pytest.approx(
             math.prod(f["value"] for f in data["chain"]), rel=1e-12
         )
+
+
+    @pytest.mark.parametrize("r", [None, 4.0, 6.5])
+    def test_eigen_mode_matches_library(self, tmp_path, r):
+        # --r replaces the base certificate's deviation exponent
+        spec, base_data = SAMPLED_R4
+        map_path = write_json(tmp_path / "map.json", spec)
+        base_path = write_json(tmp_path / "base.json", base_data)
+        out = tmp_path / "t.json"
+        flags = [] if r is None else ["--r", r]
+        assert run_cli(["transfer", "--map", map_path, "--base", base_path, "--mode", "eigen",
+                        "--p", 2, *flags, "--out", out]) == 0
+        cert = json.loads(out.read_text())["certificates"][0]
+        map_data = QCMapData(n=2, K=1.5, alpha=8.0, derivative_field=SampledDerivative(
+            np.array([0.5, 0.5]), np.array([1.0, 1.2]), np.array([1.0, 1.0])))
+        base = PoincareBound.from_dict(base_data)
+        expected = eigen_transfer(map_data, base if r is None else dataclasses.replace(base, r=r), 2.0)
+        assert cert["label"] == "transfer-eigen"
+        assert cert["data"] == json.loads(json.dumps(expected.to_dict()))
+
+    @pytest.mark.parametrize("mode", ["eigen", "poincare"])
+    def test_eigen_base_needs_poincare_base(self, tmp_path, capsys, mode):
+        map_path = write_json(tmp_path / "map.json", SAMPLED_R4[0])
+        base = write_json(tmp_path / "base.json", {"mu_lower": 1.0, "p": 2.0})
+        line = one_line_error(["transfer", "--map", map_path, "--base", base, "--mode", mode],
+                              capsys)
+        assert f"{mode} transfer needs a Poincare base certificate" in line
 
 
 class TestVerifyCommand:
@@ -312,6 +320,8 @@ class TestErrorPaths:
             ["bound-star", "--h", "inf"],
             ["bound-star", "--delta=-inf"],
             ["bound-snowflake", "--a", "nan"],
+            ["transfer", "--mode", "lipschitz", "--r", "nan"],
+            ["transfer", "--mode", "eigen", "--r", "inf"],
         ],
     )
     def test_non_finite_number_one_line(self, args, capsys):
@@ -319,72 +329,13 @@ class TestErrorPaths:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "must be a finite number" in err[0]
 
-    def test_non_finite_config_value_one_line(self, tmp_path, capsys):
-        config = tmp_path / "config.json"
-        config.write_text('{"p": NaN}')
-        assert run_cli(["bound-star", "--config", config]) == 1
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and "config key 'p' must be a finite number" in err[0]
-
-    @pytest.mark.parametrize(
-        "text, message",
-        [
-            ('{"depth": "x"}', "config key 'depth' must be an integer"),
-            ('{"mgon": 12.5}', "config key 'mgon' must be an integer"),
-            ('{"seed": true}', "config key 'seed' must be an integer"),
-            ('{"overlap_fraction": "a"}', "config key 'overlap_fraction' must be a finite number"),
-            ('{"r": Infinity}', "config key 'r' must be a finite number"),
-            ('{"overlap_fraction": 1' + "0" * 400 + "}",
-             "config key 'overlap_fraction' must be a finite number"),
-            ('{"p": -1' + "0" * 400 + "}", "config key 'p' must be a finite number"),
-            ('{"h": false}', "config key 'h' must be a finite number"),
-            ('{"mode": 3}', "config key 'mode' must be a string"),
-            ('{"map": ["m.json"]}', "config key 'map' must be a string"),
-            ('{"inputs": "a.json"}', "config key 'inputs' must be a list of strings"),
-            ('{"inputs": ["a.json", 1]}', "config key 'inputs' must be a list of strings"),
-            ('{"verify": "yes"}', "config key 'verify' must be true or false"),
-        ],
-    )
-    def test_config_value_of_wrong_type_one_line(self, tmp_path, capsys, text, message):
-        config = tmp_path / "config.json"
-        config.write_text(text)
-        assert run_cli(["bound-snowflake", "--depth", 4, "--config", config]) == 1
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and message in err[0]
-
-    def test_config_values_of_right_type_accepted(self, tmp_path):
-        config = write_json(
-            tmp_path / "config.json",
-            {"depth": 5, "a": 1, "p": 2.5, "r": None, "overlap_fraction": 0.25,
-             "mode": "auto", "inputs": [], "verify": False},
-        )
-        out = tmp_path / "snow.json"
-        assert run_cli(["bound-snowflake", "--config", config, "--out", out]) == 0
-        report = json.loads(out.read_text())
-        assert report["config"]["depth"] == 5 and report["config"]["a"] == 1
-
-    @pytest.mark.parametrize(
-        "command, text, message",
-        [
-            ("bound-snowflake", '{"format": "xml"}',
-             "config key 'format' must be one of json, csv, got 'xml'"),
-            ("report", '{"format": "JSON"}',
-             "config key 'format' must be one of json, csv, got 'JSON'"),
-            ("bound-snowflake", '{"mode": "bogus"}',
-             "config key 'mode' must be one of auto, lipschitz, eigen, poincare, got 'bogus'"),
-            ("bound-star", '{"dim": 4}', "config key 'dim' must be one of 2, 3, got 4"),
-        ],
-    )
-    def test_config_value_outside_flag_choices_one_line(self, tmp_path, capsys, command, text,
-                                                        message):
-        # a config file is held to the choices of the flag it stands for
-        config = tmp_path / "config.json"
-        config.write_text(text)
-        out = tmp_path / "out.txt"
-        assert run_cli([command, "--config", config, "--out", out]) == 1
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and message in err[0]
-        assert not out.exists()
+    @pytest.mark.parametrize("r", [math.nan, math.inf])
+    def test_non_finite_r_certificate_one_line(self, tmp_path, capsys, r):
+        map_path = write_json(tmp_path / "map.json", SAMPLED_R4[0])
+        base = write_json(tmp_path / "base.json", {**SAMPLED_R4[1], "r": r})
+        line = one_line_error(["transfer", "--map", map_path, "--base", base, "--mode", "eigen"],
+                              capsys)
+        assert f"base exponent r must be a finite number, got {r}" in line
 
     def test_deeply_nested_json_one_line(self, tmp_path, capsys):
         depth = 100_000
@@ -423,51 +374,6 @@ class TestErrorPaths:
         assert run_cli(["bound-star", "--delta", 1.0, "--p", 2, "--h", 1e-9]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "mesh too large" in err[0]
-
-
-class TestDomainFileOverrides:
-    @pytest.mark.parametrize(
-        "command, domain, message",
-        [
-            ("bound-snowflake", {"depth": None}, "domain key 'depth' must be an integer"),
-            ("bound-snowflake", {"depth": 3.7}, "domain key 'depth' must be an integer"),
-            ("bound-snowflake", {"a": "1"}, "domain key 'a' must be a finite number"),
-            ("bound-star", {"delta": [1]}, "domain key 'delta' must be a finite number"),
-            ("bound-star", {"mgon": 64.0}, "domain key 'mgon' must be an integer"),
-            ("bound-star", {"dim": True}, "domain key 'dim' must be an integer"),
-            ("bound-star", {"dim": 4}, "domain key 'dim' must be one of 2, 3, got 4"),
-        ],
-    )
-    def test_bad_override_exit_1_one_line(self, tmp_path, capsys, command, domain, message):
-        kind = command.removeprefix("bound-")
-        path = write_json(tmp_path / "domain.json", {"type": kind, **domain})
-        assert run_cli([command, "--domain", path]) == 1
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and message in err[0]
-
-    @pytest.mark.parametrize(
-        "command, domain, flags",
-        [
-            ("bound-star", {"type": "star", "delta": 2, "mgon": 16},
-             ["--delta", "2.0", "--mgon", 16]),
-            ("bound-snowflake", {"type": "snowflake", "a": 1, "overlap_fraction": 0.5},
-             ["--a", "1.0", "--overlap-fraction", "0.5"]),
-        ],
-    )
-    def test_integer_float_override_matches_flag(self, tmp_path, command, domain, flags):
-        # a float field given as a JSON integer is stored as a float, so the
-        # report equals the one from the corresponding flags
-        from_file, from_flags = tmp_path / "file.json", tmp_path / "flags.json"
-        path = write_json(tmp_path / "domain.json", domain)
-        assert run_cli([command, "--domain", path, "--out", from_file]) == 0
-        assert run_cli([command, *flags, "--out", from_flags]) == 0
-        file_report = json.loads(from_file.read_text())
-        flag_report = json.loads(from_flags.read_text())
-        assert file_report["certificates"] == flag_report["certificates"]
-        for key in domain:
-            if key != "type":
-                assert file_report["config"][key] == flag_report["config"][key]
-                assert type(file_report["config"][key]) is type(flag_report["config"][key])
 
 
 def one_line_error(args, capsys):
@@ -704,13 +610,22 @@ class TestFlagsPerCommand:
             ("verify", ["--p", "3"]),
             ("report", ["--p", "3"]),
             ("report", ["--timing"]),
+            # flags are the only way to set a run: no config file, no domain
+            # file over bound-star or bound-snowflake, no timing in the report
+            *((command, ["--config", "c.json"]) for command in
+              ("bound-cells", "bound-star", "bound-snowflake", "transfer", "verify", "report")),
+            *((command, ["--timing"]) for command in
+              ("bound-cells", "bound-star", "bound-snowflake", "transfer", "verify")),
+            ("bound-star", ["--domain", "star.json"]),
+            ("bound-snowflake", ["--domain", "snow.json"]),
         ],
     )
     def test_unread_flag_rejected(self, command, flag, capsys):
         with pytest.raises(SystemExit) as err:
             run_cli([command, *flag])
         assert err.value.code == 1
-        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and f"unrecognized arguments: {flag[0]}" in lines[0]
 
     @pytest.mark.parametrize(
         "args, message",
@@ -1055,6 +970,15 @@ class TestReportAndTables:
         assert float(rows[0]["oracle_value"]) == report["checks"][0]["oracle_value"]
         assert float(rows[0]["margin"]) == report["checks"][0]["margin"]
 
+    def test_bound_csv_equals_report_of_its_json(self, tmp_path):
+        args = ["bound-star", "--delta", 1.0, "--p", 2, "--h", 0.12]
+        direct, report, table = tmp_path / "star.csv", tmp_path / "star.json", tmp_path / "t.csv"
+        assert run_cli([*args, "--format", "csv", "--out", direct]) == 0
+        assert run_cli([*args, "--out", report]) == 0
+        assert run_cli(["report", report, "--format", "csv", "--out", table]) == 0
+        assert direct.read_bytes() == table.read_bytes()
+        assert len(direct.read_text().splitlines()) == 2
+
     def test_empty_report_list_rejected(self):
         with pytest.raises(Exception):
             emit_table([], "csv")
@@ -1067,26 +991,6 @@ class TestDeterminism:
             run_cli(["bound-star", "--delta", 1.0, "--p", 2, "--h", 0.12,
                      "--seed", 7, "--out", out])
         assert a.read_bytes() == b.read_bytes()
-
-    def test_timing_flag_breaks_nothing_but_adds_field(self, tmp_path):
-        out = tmp_path / "t.json"
-        run_cli(["bound-snowflake", "--a", 1.0, "--depth", 4, "--p", 2,
-                 "--timing", "--out", out])
-        assert "timing_seconds" in json.loads(out.read_text())
-        out2 = tmp_path / "t2.json"
-        run_cli(["bound-snowflake", "--a", 1.0, "--depth", 4, "--p", 2, "--out", out2])
-        assert "timing_seconds" not in json.loads(out2.read_text())
-
-    def test_config_file_with_flag_override(self, tmp_path):
-        config = write_json(tmp_path / "cfg.json", {"delta": 1.0, "p": 2.0, "h": 0.12})
-        out = tmp_path / "from_config.json"
-        code = run_cli(["bound-star", "--config", config, "--out", out])
-        assert code == 0
-        report = json.loads(out.read_text())
-        assert report["config"]["delta"] == 1.0
-        out2 = tmp_path / "override.json"
-        run_cli(["bound-star", "--config", config, "--delta", 2.0, "--out", out2])
-        assert json.loads(out2.read_text())["config"]["delta"] == 2.0
 
 
 class TestCellCoverScale:
@@ -1191,16 +1095,6 @@ def read_mesh(path):
     return mesh_domain(cli._load_json(path), 0.25)
 
 
-def read_config(path):
-    return cli.config_from_args(cli._build_parser().parse_args(["bound-snowflake", "--config", path]))
-
-
-def read_domain_overrides(path):
-    config = cli.RunConfig(command="bound-snowflake", domain=path)
-    cli._override_from_domain(config, "snowflake", ("a", "depth", "overlap_fraction"))
-    return config
-
-
 def floats(rows):
     return np.array(rows, dtype=float)
 
@@ -1244,16 +1138,6 @@ WELL_TYPED_INPUTS = {
         ' "notes": [], "domain": "d"}',
         lambda path: cli.load_bound(cli._load_json(path)),
         lambda: EigenBound(1.0, 3.0, (ChainFactor("r", 1.0, (("q", 2.0),)),), (), "d")),
-    "config file": (
-        '{"p": 2.5, "depth": 5, "a": 1.5, "r": null, "mode": "auto", "inputs": ["x.json"],'
-        ' "verify": false}',
-        read_config,
-        lambda: cli.RunConfig(command="bound-snowflake", p=2.5, depth=5, a=1.5, mode="auto",
-                              inputs=["x.json"], verify=False)),
-    "domain file": ('{"type": "snowflake", "a": 2, "depth": 5, "overlap_fraction": 0.5}',
-                    read_domain_overrides,
-                    lambda: cli.RunConfig(command="bound-snowflake", domain="input.json", a=2.0,
-                                          depth=5, overlap_fraction=0.5)),
 }
 
 
