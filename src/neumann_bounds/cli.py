@@ -22,16 +22,15 @@ import numpy as np
 
 from . import __version__
 from .geometry import (
+    CellCover,
     ConvexCell,
     FractalTreeSpec,
     GeometryError,
+    RectCover,
     StarDomainSpec,
     WhitneyChain,
-    WhitneyTriple,
     build_snowflake_tree,
     build_star_domain,
-    cell_volume,
-    intersection_volume,
     star_discretization_error,
 )
 from .oracle import MeshError, SolveError, TriangleMesh, check_domination, mesh_domain
@@ -153,44 +152,23 @@ def load_bound(data: dict):
 # ---------------------------------------------------------------------------
 
 
-def _cells_from_spec(spec: dict) -> list[ConvexCell]:
+def _cover_from_spec(spec: dict) -> RectCover | CellCover:
     vertex_lists = read_field(spec, "cells", lambda es: [read_entry(e, "vertices", "array") for e in es],
                               [], what="cells domain", error=CliError)
     if not vertex_lists:
         raise CliError('cells domain needs "cells": [{"vertices": [[x, y], ...]}, ...]')
-    return [ConvexCell(vertices) for vertices in vertex_lists]
+    return RectCover.detect(vertex_lists) or CellCover(list(map(ConvexCell, vertex_lists)))
 
 
-def _axis_aligned_rect(cell: ConvexCell) -> tuple[float, float, float, float] | None:
-    """Bounding rectangle if the cell is exactly an axis-aligned rectangle."""
-    if cell.n != 2:
-        return None
-    poly = cell.hull_polygon()
-    if len(poly) != 4:
-        return None
-    lo, hi = cell.bounding_box()
-    box_area = float((hi[0] - lo[0]) * (hi[1] - lo[1]))
-    if abs(box_area - cell_volume(cell)) > 1e-12 * box_area:
-        return None
-    return (float(lo[0]), float(lo[1]), float(hi[0]), float(hi[1]))
-
-
-def rect_cover_multiplicity(triples: list[WhitneyTriple]) -> int:
-    """Exact cover multiplicity for triples of axis-aligned rectangles.
+def rect_cover_multiplicity(triples) -> int:
+    """Exact cover multiplicity of triples of axis-aligned rectangles (x0, y0, x1, y1).
 
     Evaluates coverage on the rectangle arrangement, where membership is
     constant per arrangement cell: at each cell midpoint, count the triples
     with a rectangle strictly containing it. Inclusion-exclusion over each triple's 7
     sub-intersections S gives all counts as one product: signed [x in S] times [y in S].
     """
-    rects = []
-    for t in triples:
-        for cell in t.cells:
-            r = _axis_aligned_rect(cell)
-            if r is None:
-                raise CliError("multiplicity must be given explicitly for non-rectangle cells")
-            rects.append(r)
-    rects = np.array(rects).reshape(len(triples), 1, 3, 4)  # (T, 1, 3, [x0, y0, x1, y1])
+    rects = np.array(triples, dtype=float).reshape(len(triples), 1, 3, 4)  # (T, 1, 3, [x0, y0, x1, y1])
     xs = np.unique(rects[..., [0, 2]])
     ys = np.unique(rects[..., [1, 3]])
     cx = 0.5 * (xs[:-1] + xs[1:])
@@ -209,76 +187,82 @@ def rect_cover_multiplicity(triples: list[WhitneyTriple]) -> int:
     return max(best, 1)
 
 
-def _cells_bound(spec: dict, p: float) -> tuple[PoincareBound, list[ConvexCell], str]:
-    cells = _cells_from_spec(spec)
-    params = SpectralParams(p=p, n=cells[0].n)
-    per_cell = [convex_cell_constant(c, params) for c in cells]
+def _cells_bound(spec: dict, p: float) -> tuple[PoincareBound, RectCover | CellCover, str]:
+    """The bound of a cells domain. Both kinds of cover give the same measures to the
+    same rules; a RectCover's are exact, rounded outward once."""
+    cover = _cover_from_spec(spec)
+    params = SpectralParams(p=p, n=cover.n)
+    if isinstance(cover, RectCover):
+        per_cell = [_diameter_rule(cover.diameter(i), p, "cell") for i in range(len(cover.rects))]
+    else:
+        per_cell = [convex_cell_constant(c, params) for c in cover.cells]
+    count = len(per_cell)
     structure = read_field(spec, "structure", "string", "auto", what="cells domain", error=CliError)
     if structure == "auto":
-        structure = {1: "single", 2: "pair", 3: "triple"}.get(len(cells), "chain")
+        structure = {1: "single", 2: "pair", 3: "triple"}.get(count, "chain")
     if structure == "single":
-        if len(cells) != 1:
+        if count != 1:
             raise CliError("single structure needs exactly one cell")
-        return per_cell[0], cells, "single"
+        return per_cell[0], cover, "single"
     if structure == "pair":
-        if len(cells) != 2:
+        if count != 2:
             raise CliError("pair structure needs exactly two cells")
-        overlap = intersection_volume(cells[0], cells[1])
+        overlap = cover.overlap(0, 1)
         if overlap <= 0.0:
             raise CliError("pair cells do not overlap")
-        return pair_constant(*map(cell_volume, cells), overlap, *per_cell, p), cells, "pair"
+        return pair_constant(cover.volume(0), cover.volume(1), overlap, *per_cell, p), cover, "pair"
     if structure == "triple":
-        if len(cells) != 3:
+        if count != 3:
             raise CliError("triple structure needs exactly three cells")
-        t = WhitneyTriple.from_cells(*cells)
-        return triple_constant(t, *per_cell, p), cells, "triple"
+        return triple_constant(cover.triple((0, 1, 2)).measures(), *per_cell, p), cover, "triple"
     if structure == "chain":
         index_triples = spec.get("triples")
         if index_triples is None:
-            if len(cells) < 3 or len(cells) % 2 == 0:
+            if count < 3 or count % 2 == 0:
                 raise CliError("default chain grouping needs an odd cell count >= 3")
-            index_triples = [[i, i + 1, i + 2] for i in range(0, len(cells) - 2, 2)]
+            index_triples = [[i, i + 1, i + 2] for i in range(0, count - 2, 2)]
         elif not isinstance(index_triples, list) or not all(
             isinstance(idx, list) and len(idx) == 3
-            and all(type(i) is int and 0 <= i < len(cells) for i in idx)
+            and all(type(i) is int and 0 <= i < count for i in idx)
             for idx in index_triples
         ):
             raise CliError(f'chain "triples" must be a list of [i, j, k] cell indices, '
-                           f"each an integer in [0, {len(cells)})")
-        left_out = sorted(set(range(len(cells))) - {i for idx in index_triples for i in idx})
+                           f"each an integer in [0, {count})")
+        left_out = sorted(set(range(count)) - {i for idx in index_triples for i in idx})
         if left_out:
             raise CliError(f"chain triples leave out cell {left_out[0]}; a chain bound covers "
                            "only the cells of its triples")
-        triples = [WhitneyTriple.from_cells(*(cells[i] for i in idx)) for idx in index_triples]
+        triples = [cover.triple(idx) for idx in index_triples]
         multiplicity = read_field(spec, "multiplicity", "integer", None,
                                   what="cells domain", error=CliError)
-        if multiplicity is None:
-            multiplicity = rect_cover_multiplicity(triples)
-        elif all(_axis_aligned_rect(c) is not None for c in cells):
-            exact = rect_cover_multiplicity(triples)
-            if multiplicity < exact:
+        if None not in cover.rects:
+            exact = rect_cover_multiplicity([[cover.rects[i] for i in idx] for idx in index_triples])
+            if multiplicity is None:
+                multiplicity = exact
+            elif multiplicity < exact:
                 raise CliError(f"chain multiplicity {multiplicity} is below the cover multiplicity "
                                f"{exact} of the rectangle triples")
-        chain = WhitneyChain.from_triples(triples, multiplicity)
-        bounds = [triple_constant(t, *(per_cell[i] for i in idx), p)
+        elif multiplicity is None:
+            raise CliError("multiplicity must be given explicitly for non-rectangle cells")
+        chain = WhitneyChain.from_triples(triples, multiplicity, cover.link)
+        bounds = [triple_constant(t.measures(), *(per_cell[i] for i in idx), p)
                   for t, idx in zip(triples, index_triples)]
-        return chain_constant(chain, bounds, p), cells, "chain"
+        return chain_constant(chain.volumes(), chain.link_volumes, multiplicity, bounds, p), cover, "chain"
     raise CliError(f"unknown cells structure {structure!r}")
 
 
-def _cells_mesh_spec(cells: list[ConvexCell]) -> dict | None:
+def _cells_mesh_spec(cover: RectCover | CellCover) -> dict | None:
     """Oracle mesh description of a cover by axis-aligned rectangles."""
-    rects = [_axis_aligned_rect(cell) for cell in cells]
-    if None in rects:
+    if None in cover.rects:
         return None
-    return {"kind": "rect_union", "rects": [list(r) for r in rects]}
+    return {"kind": "rect_union", "rects": [list(r) for r in cover.rects]}
 
 
 def _mesh_spec_for_domain(spec: dict) -> dict | None:
     """Translate a domain description into an oracle mesh description."""
     kind = spec.get("type") or spec.get("kind")
     if kind == "cells":
-        return _cells_mesh_spec(_cells_from_spec(spec))
+        return _cells_mesh_spec(_cover_from_spec(spec))
     if kind == "star" and read_field(spec, "dim", "integer", 2, what="star domain", error=CliError) != 2:
         return None
     if kind in ("rectangle", "rect_union", "polygon", "star", "disk"):
@@ -328,10 +312,11 @@ def _run_bound_cells(config: RunConfig) -> dict:
     spec = _load_json(config.domain)
     if spec.get("type") != "cells":
         raise CliError('bound-cells expects a domain of type "cells"')
-    bound, cells, structure = _cells_bound(spec, config.p)
+    bound, cover, structure = _cells_bound(spec, config.p)
     report = _new_report(config)
     report["certificates"].append(_certificate(f"cells-{structure}", "poincare", bound.to_dict()))
-    _maybe_verify(report, bound, _cells_mesh_spec(cells), config, f"cells-{structure}")
+    mesh_spec = _cells_mesh_spec(cover) if config.verify else None
+    _maybe_verify(report, bound, mesh_spec, config, f"cells-{structure}")
     return report
 
 
@@ -402,6 +387,8 @@ def _run_transfer(config: RunConfig) -> dict:
     mode = config.mode
     if mode == "auto":
         mode = "lipschitz" if map_data.lipschitz else "eigen"
+    if config.r is not None and mode != "eigen":
+        raise CliError(f"--r is read only by an eigen transfer; this one runs in {mode} mode")
     report = _new_report(config)
     if mode == "lipschitz":
         if isinstance(base, PoincareBound):

@@ -2,16 +2,20 @@
 
 Everything downstream (constant aggregation, eigenvalue transfer, oracle
 verification) consumes the primitives defined here: convex polytopes with
-exact volumes/diameters, pairwise intersection volumes, overlapping
-triple/chain containers, the closed-form measures of the two-piece star
-domain, and the snowflake triangle tree with per-level analytic metadata.
+their volumes/diameters, pairwise intersection volumes, overlapping
+triple/chain containers, the two kinds of cell cover (exact integer
+measures of axis-aligned rectangles, or hull measures of convex cells), the
+closed-form measures of the two-piece star domain, and the snowflake
+triangle tree with per-level analytic metadata.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import cached_property, partial
 
 import numpy as np
 from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
@@ -64,6 +68,23 @@ def _hull_volume_3d(points: np.ndarray, hull: ConvexHull) -> float:
     return float(np.cumsum(terms)[-1])
 
 
+def _check_magnitude(magnitude: float, n: int) -> None:
+    """Qhull's determinants and the shoelace take degree-n products of coordinates;
+    past float range Qhull fails or crashes (segfault in 3D). The bound also keeps
+    extent**n finite."""
+    if magnitude > MAX_COORDINATE[n]:
+        raise GeometryError(f"vertex coordinate {magnitude:g} too large: degree-{n} products overflow")
+
+
+def _check_volume(volume: float, scale: float, n: int) -> None:
+    """A cell volume must be a normal float above VOLUME_TOL times the cell's extent to the n."""
+    if volume < sys.float_info.min:  # subnormal: its relative accuracy is lost
+        raise GeometryError(f"cell volume {volume:g} is below the smallest normal float "
+                            f"{sys.float_info.min:g}")
+    if volume <= VOLUME_TOL * scale**n:
+        raise GeometryError(f"degenerate cell: volume {volume:g} below tolerance")
+
+
 class ConvexCell:
     """A bounded convex polytope in R^2 or R^3 given by its vertex list.
 
@@ -84,27 +105,16 @@ class ConvexCell:
             raise GeometryError(f"dimension must be 2 or 3, got {n}")
         if not np.all(np.isfinite(verts)):
             raise GeometryError("vertices must be finite")
-        # Qhull's determinants and the shoelace take degree-n products of
-        # coordinates; past float range Qhull fails or crashes (segfault in
-        # 3D). The bound also keeps extent**n finite.
-        magnitude = float(np.abs(verts).max())
-        if magnitude > MAX_COORDINATE[n]:
-            raise GeometryError(
-                f"vertex coordinate {magnitude:g} too large: degree-{n} products overflow"
-            )
+        _check_magnitude(float(np.abs(verts).max()), n)
         try:
             hull = ConvexHull(verts)
         except QhullError as exc:
             raise GeometryError(f"degenerate cell: {_first_line(exc)}") from None
         hull_vertices = verts[hull.vertices]
         volume = polygon_area(hull_vertices) if n == 2 else _hull_volume_3d(verts, hull)
-        if volume < sys.float_info.min:  # subnormal: its relative accuracy is lost
-            raise GeometryError(f"cell volume {volume:g} is below the smallest normal float "
-                                f"{sys.float_info.min:g}")
         lo, hi = verts.min(axis=0), verts.max(axis=0)
         scale = float((hi - lo).max())
-        if volume <= VOLUME_TOL * scale**n:
-            raise GeometryError(f"degenerate cell: volume {volume:g} below tolerance")
+        _check_volume(volume, scale, n)
         # convexity audit: no input vertex may sit strictly inside the hull
         dist = verts @ hull.equations[:, :-1].T + hull.equations[:, -1]
         if np.any(dist.max(axis=1) < -1e-9 * scale):
@@ -212,8 +222,10 @@ def _chebyshev_center(halfspaces: np.ndarray) -> tuple[np.ndarray, float] | None
 def intersection_volume(c1: ConvexCell, c2: ConvexCell) -> float:
     """Volume of the intersection of two convex cells of equal dimension.
 
-    2D uses exact polygon clipping; 3D intersects the facet half-space
-    lists and measures the resulting polytope. A failed 3D construction
+    2D clips the hull polygons and takes the shoelace; 3D intersects the
+    facet half-space lists and measures the resulting polytope. Both round
+    to nearest, so the result may lie on either side of the exact volume
+    (RectCover measures rectangles exactly). A failed 3D construction
     raises GeometryError: overlaps serve as lower bounds (combination-rule
     denominators) and as upper bounds (WhitneyTriple's disjointness test),
     so no one-sided estimate can stand in.
@@ -275,6 +287,12 @@ def union_volume_2d(polygons: list[np.ndarray]) -> float:
     return max(total, 0.0)
 
 
+# what the triple rule reads: the cell volumes |Q1|, |R2|, |Q3|, the unions |Q1 ∪ R2|,
+# |Q3 ∪ R2| and the overlaps |Q1 ∩ R2|, |R2 ∩ Q3|; the rule has |Q1|, |Q3| and the
+# unions in numerators, |R2| and the overlaps in denominators
+TripleMeasures = namedtuple("TripleMeasures", "v1 v2 v3 u12 u32 o12 o23")
+
+
 @dataclass(frozen=True)
 class WhitneyTriple:
     """Three overlapping convex cells Q1, R2, Q3 with disjoint outer cells.
@@ -308,13 +326,14 @@ class WhitneyTriple:
 
     def volume(self) -> float:
         """|Q1 ∪ R2 ∪ Q3|; outer cells are disjoint, so two overlap terms suffice."""
-        return (
-            cell_volume(self.q1)
-            + cell_volume(self.r2)
-            + cell_volume(self.q3)
-            - self.v_q1r2
-            - self.v_r2q3
-        )
+        m = self.measures()
+        return m.v1 + m.v2 + m.v3 - m.o12 - m.o23
+
+    def measures(self) -> TripleMeasures:
+        """The triple rule's measures, the unions taken as |Q| + |R| - overlap."""
+        v1, v2, v3 = map(cell_volume, self.cells)
+        return TripleMeasures(v1, v2, v3, v1 + v2 - self.v_q1r2, v3 + v2 - self.v_r2q3,
+                              self.v_q1r2, self.v_r2q3)
 
 
 def triple_link_volume(t1: WhitneyTriple, t2: WhitneyTriple) -> float:
@@ -343,7 +362,7 @@ class WhitneyChain:
 
     link_volumes[j] = |A_{j+1} ∩ A_{j+2}| (0-based storage of the J-1
     consecutive overlaps); multiplicity is the maximum number of triples
-    containing any single point.
+    containing any single point. A triple is a WhitneyTriple or a RectCover's.
     """
 
     triples: tuple[WhitneyTriple, ...]
@@ -362,14 +381,156 @@ class WhitneyChain:
             raise GeometryError(f"multiplicity must lie in [1, {j}]")
 
     @classmethod
-    def from_triples(cls, triples: list[WhitneyTriple], multiplicity: int) -> "WhitneyChain":
-        links = tuple(
-            triple_link_volume(triples[i], triples[i + 1]) for i in range(len(triples) - 1)
-        )
+    def from_triples(cls, triples: list, multiplicity: int, link=triple_link_volume) -> "WhitneyChain":
+        links = tuple(link(triples[i], triples[i + 1]) for i in range(len(triples) - 1))
         return cls(tuple(triples), links, multiplicity)
 
     def volumes(self) -> list[float]:
         return [t.volume() for t in self.triples]
+
+
+def _axis_aligned_rect(cell: ConvexCell) -> tuple[float, float, float, float] | None:
+    """Bounding rectangle if the cell's hull is that rectangle to 1e-12 of its area."""
+    if cell.n != 2 or len(cell.hull_polygon()) != 4:
+        return None
+    (x0, y0), (x1, y1) = cell._box
+    box_area = (x1 - x0) * (y1 - y0)
+    return None if abs(box_area - cell_volume(cell)) > 1e-12 * box_area else (x0, y0, x1, y1)
+
+
+class CellCover:
+    """A cover by convex cells, measured on their hulls and rounded to nearest: every
+    cover that is no RectCover. rects holds each cell's rectangle, None where it is none."""
+
+    link = staticmethod(triple_link_volume)
+
+    def __init__(self, cells: list[ConvexCell]) -> None:
+        self.cells, self.n = cells, cells[0].n
+
+    @cached_property
+    def rects(self) -> list[tuple[float, float, float, float] | None]:
+        return [_axis_aligned_rect(cell) for cell in self.cells]
+
+    def volume(self, i: int) -> float:
+        return cell_volume(self.cells[i])
+
+    def overlap(self, i: int, j: int) -> float:
+        return intersection_volume(self.cells[i], self.cells[j])
+
+    def triple(self, idx) -> WhitneyTriple:
+        return WhitneyTriple.from_cells(*(self.cells[i] for i in idx))
+
+
+def _outward(num: int, scale: int, up: bool) -> float:
+    """num / scale (integers, num >= 0) as the nearest float above it, or below it if not
+    up: the division rounds to nearest, so one step at most moves it to that side."""
+    value = num / scale
+    low, den = value.as_integer_ratio()
+    excess = low * scale - num * den  # the sign of value - num / scale
+    return math.nextafter(value, math.inf if up else 0.0) if (excess < 0 if up else excess > 0) else value
+
+
+def _meet(a: tuple, b: tuple) -> tuple | None:
+    """The intersection of two boxes (x0, y0, x1, y1), or None if it has no area."""
+    box = (max(a[0], b[0]), max(a[1], b[1]), min(a[2], b[2]), min(a[3], b[3]))
+    return box if box[0] < box[2] and box[1] < box[3] else None
+
+
+def _area(box: tuple | None) -> int:
+    return (box[2] - box[0]) * (box[3] - box[1]) if box else 0
+
+
+class _RectTriple(namedtuple("_RectTriple", "idx rule union")):
+    """A triple of RectCover cells, read as a WhitneyTriple is."""
+
+    def measures(self) -> TripleMeasures:
+        return self.rule
+
+    def volume(self) -> float:
+        return self.union
+
+
+class RectCover:
+    """A cover by exact axis-aligned rectangles (x0, y0, x1, y1), measured in integers.
+
+    Every coordinate is an integer times 2^-k for one k, so areas, overlaps,
+    unions and links are integers times 4^-k. Each measure is rounded to a
+    float once, to the side its rule needs: volumes in numerators, unions
+    and diameters up; overlaps, links and the triple rule's |R2| down.
+    CellCover's refusals and tolerances stay, the triple's DISJOINT_REL_TOL
+    and the link pieces' VOLUME_TOL evaluated on the exact values.
+    """
+
+    n = 2
+
+    def __init__(self, rects: list[tuple[float, float, float, float]]) -> None:
+        ratios = [c.as_integer_ratio() for rect in rects for c in rect]
+        k = max(den for _, den in ratios).bit_length() - 1
+        ints = [num << k - den.bit_length() + 1 for num, den in ratios]
+        self.rects, self._scale = rects, 1 << 2 * k
+        self._up, self._down = (partial(_outward, scale=self._scale, up=up) for up in (True, False))
+        self._boxes = [tuple(ints[i:i + 4]) for i in range(0, len(ints), 4)]
+        self._areas = list(map(_area, self._boxes))
+        for (x0, y0, x1, y1), area in zip(rects, self._areas):
+            _check_magnitude(max(abs(x0), abs(y0), abs(x1), abs(y1)), 2)
+            _check_volume(area / self._scale, max(x1 - x0, y1 - y0), 2)
+
+    @classmethod
+    def detect(cls, vertex_lists: list[np.ndarray]) -> "RectCover | None":
+        """The cover if each vertex list is the four corners of an axis-aligned
+        rectangle, each once and in any order; None otherwise."""
+        rects = []
+        for verts in vertex_lists:
+            corners = verts.tolist() if verts.shape == (4, 2) else []
+            xs, ys = sorted({x for x, _ in corners}), sorted({y for _, y in corners})
+            if len(xs) != 2 or len(ys) != 2 or len(set(map(tuple, corners))) != 4:
+                return None
+            rects.append((xs[0], ys[0], xs[1], ys[1]))
+        return cls(rects)
+
+    def volume(self, i: int) -> float:
+        return self._up(self._areas[i])
+
+    def diameter(self, i: int) -> float:
+        """The diagonal: the root of the float nearest its exact square lies on one of the
+        two floats around it, so one step up at most moves it above."""
+        x0, y0, x1, y1 = self._boxes[i]
+        square = (x1 - x0) ** 2 + (y1 - y0) ** 2
+        value = math.sqrt(square / self._scale)
+        num, den = value.as_integer_ratio()
+        return math.nextafter(value, math.inf) if num * num * self._scale < square * den * den else value
+
+    def overlap(self, i: int, j: int) -> float:
+        return self._down(_area(_meet(self._boxes[i], self._boxes[j])))
+
+    def triple(self, idx) -> _RectTriple:
+        """The triple of cells idx = (q1, r2, q3), refused where a WhitneyTriple is."""
+        (a1, a2, a3), (b1, b2, b3) = ([seq[i] for i in idx] for seq in (self._areas, self._boxes))
+        o12, o23, o13 = (_area(_meet(*pair)) for pair in ((b1, b2), (b2, b3), (b1, b3)))
+        if not (o12 and o23):
+            raise GeometryError("triple overlap volumes must be positive")
+        num, den = DISJOINT_REL_TOL.as_integer_ratio()
+        if o13 * den >= num * min(a1, a3):
+            raise GeometryError(f"outer cells are not disjoint: |Q1 ∩ Q3| = {o13 / self._scale:g} "
+                                f"exceeds {DISJOINT_REL_TOL * (min(a1, a3) / self._scale):g}")
+        up, down = self._up, self._down
+        rule = TripleMeasures(up(a1), down(a2), up(a3), up(a1 + a2 - o12), up(a3 + a2 - o23),
+                              down(o12), down(o23))
+        return _RectTriple(tuple(idx), rule, up(a1 + a2 + a3 - o12 - o23))
+
+    def link(self, t1: _RectTriple, t2: _RectTriple) -> float:
+        """|A_1 ∩ A_2| rounded down: the pairwise cell intersections less the pieces that
+        triple_link_volume drops, united by inclusion-exclusion that grows a subset only
+        from a non-empty intersection."""
+        num, den = VOLUME_TOL.as_integer_ratio()
+        pieces = [box for i in t1.idx for j in t2.idx if (box := _meet(self._boxes[i], self._boxes[j]))
+                  and _area(box) * den > num * min(self._areas[i], self._areas[j])]
+        total, stack = 0, [(i, box, 1) for i, box in enumerate(pieces)]
+        while stack:
+            i, box, sign = stack.pop()
+            total += sign * _area(box)
+            stack += [(j, meet, -sign) for j in range(i + 1, len(pieces)) if (meet := _meet(box, pieces[j]))]
+        return self._down(total)
 
 
 @dataclass(frozen=True)

@@ -512,7 +512,10 @@ def _shifted_solve(mesh: TriangleMesh, count: int):
     coords = mesh.nodes - (ones_mass @ mesh.nodes) / total
     energy = (coords * (stiffness @ coords)).sum(axis=0)
     sigma = -1e-2 * float((energy / (coords * (mass @ coords)).sum(axis=0)).min())
-    lu = spla.splu((stiffness - sigma * mass).tocsc(), permc_spec="MMD_AT_PLUS_A")
+    # K - sigma M is symmetric positive definite, so diagonal pivots are stable; partial
+    # pivoting would break the symmetric ordering's fill on unstructured or renumbered meshes
+    lu = spla.splu((stiffness - sigma * mass).tocsc(), permc_spec="MMD_AT_PLUS_A",
+                   diag_pivot_thresh=0.0, options={"SymmetricMode": True})
 
     def deflated_solve(x):
         y = lu.solve(x)
@@ -559,11 +562,6 @@ def neumann_mu2(mesh: TriangleMesh) -> EigenResult:
 # ---------------------------------------------------------------------------
 # discrete integrals (three-edge-midpoint rule) and Rayleigh quotients
 # ---------------------------------------------------------------------------
-
-
-def midpoint_values(mesh: TriangleMesh, values: np.ndarray) -> np.ndarray:
-    """Values of the P1 interpolant at the three edge midpoints per element."""
-    return (mesh.midpoint_operator @ values).reshape(-1, 3)
 
 
 def _midpoint_integral(mesh: TriangleMesh, g: np.ndarray, element_mask=None) -> float:

@@ -27,10 +27,8 @@ from .geometry import (
     ConvexCell,
     FractalTree,
     FractalTreeSpec,
-    WhitneyChain,
-    WhitneyTriple,
+    TripleMeasures,
     cell_diameter,
-    cell_volume,
     snowflake_level,
 )
 
@@ -321,32 +319,23 @@ def pair_constant(v1: float, v2: float, overlap: float, b1: PoincareBound, b2: P
     return _rule_bound(terms, t1 + t2, p, FORM_DEVIATION, details)
 
 
-def triple_constant(
-    t: WhitneyTriple,
-    b1: PoincareBound,
-    b2: PoincareBound,
-    b3: PoincareBound,
-    p: float,
-) -> PoincareBound:
-    """Whitney-triple rule for A = Q1 ∪ R2 ∪ Q3.
+def triple_constant(m: TripleMeasures, b1: PoincareBound, b2: PoincareBound, b3: PoincareBound,
+                    p: float) -> PoincareBound:
+    """Whitney-triple rule for A = Q1 ∪ R2 ∪ Q3, from the measures of the triple.
 
     B^p(A) <= 2^(4p-1) [ (|Q1∪R2|/|R2|)(|Q1|/|Q1∩R2|) B^p(Q1)
                         + (|Q1∪R2|/|Q1∩R2| + |Q3∪R2|/|Q3∩R2|) B^p(R2)
-                        + (|Q3∪R2|/|R2|)(|Q3|/|Q3∩R2|) B^p(Q3) ],
-    with union volumes evaluated as |Q| + |R| - overlap.
+                        + (|Q3∪R2|/|R2|)(|Q3|/|Q3∩R2|) B^p(Q3) ].
     """
     _require_deviation_form((b1, b2, b3), p)
-    v1, v2, v3 = (cell_volume(c) for c in t.cells)
-    u12 = v1 + v2 - t.v_q1r2
-    u32 = v3 + v2 - t.v_r2q3
     pref = 2.0 ** (4.0 * p - 1.0)
-    t_q1 = pref * (u12 / v2) * (v1 / t.v_q1r2) * b1.bound_power()
-    t_r2 = pref * (u12 / t.v_q1r2 + u32 / t.v_r2q3) * b2.bound_power()
-    t_q3 = pref * (u32 / v2) * (v3 / t.v_r2q3) * b3.bound_power()
+    t_q1 = pref * (m.u12 / m.v2) * (m.v1 / m.o12) * b1.bound_power()
+    t_r2 = pref * (m.u12 / m.o12 + m.u32 / m.o23) * b2.bound_power()
+    t_q3 = pref * (m.u32 / m.v2) * (m.v3 / m.o23) * b3.bound_power()
     terms = tuple(CertTerm(label, "triple-union", v)
                   for label, v in (("q1", t_q1), ("r2", t_r2), ("q3", t_q3)))
-    details = (("union-q1r2", u12), ("union-r2q3", u32),
-               ("overlap-q1r2", t.v_q1r2), ("overlap-r2q3", t.v_r2q3))
+    details = (("union-q1r2", m.u12), ("union-r2q3", m.u32),
+               ("overlap-q1r2", m.o12), ("overlap-r2q3", m.o23))
     return _rule_bound(terms, t_q1 + t_r2 + t_q3, p, FORM_DEVIATION, details)
 
 
@@ -387,28 +376,26 @@ def _chain_coefficients(
     return [first + second for first, second in parts], parts
 
 
-def chain_constant(
-    chain: WhitneyChain, triple_bounds: list[PoincareBound], p: float
-) -> PoincareBound:
-    """Chain rule over Whitney triples A_1..A_J.
+def chain_constant(volumes, links, multiplicity: int, triple_bounds: list[PoincareBound],
+                   p: float) -> PoincareBound:
+    """Chain rule over Whitney triples A_1..A_J, from their volumes |A_i|, the
+    links |A_i ∩ A_{i+1}| and the cover multiplicity m.
 
     The weighted-gradient estimate is collapsed to a single constant with
-    the cover multiplicity m: B^p(W) = m * max_i C_i, valid against the
-    choice c = f_{A_1} (inf-over-constants form).
+    m: B^p(W) = m * max_i C_i, valid against the choice c = f_{A_1}
+    (inf-over-constants form).
     """
-    if len(triple_bounds) != len(chain.triples):
+    if len(triple_bounds) != len(volumes):
         raise ValueError("need one triple bound per chain element")
     _require_deviation_form(triple_bounds, p)
-    volumes = chain.volumes()
-    links = list(chain.link_volumes)
     bounds_pow = [b.bound_power() for b in triple_bounds]
-    coeffs, splits = _chain_coefficients(volumes, links, bounds_pow, p)
+    coeffs, splits = _chain_coefficients(list(volumes), list(links), bounds_pow, p)
     notes = ("final cell reuses its trailing link; single-triple chains drop the link term",)
     parts = [((f"cell-{i + 1}-own", "chain-aggregation", first),
               (f"cell-{i + 1}-links", "chain-aggregation", second))
              for i, (first, second) in enumerate(splits)]
     details = ((f"C_{i + 1}", c) for i, c in enumerate(coeffs))
-    return _max_weight_bound(coeffs, parts, chain.multiplicity, p, details, notes)
+    return _max_weight_bound(coeffs, parts, multiplicity, p, details, notes)
 
 
 def _downstream_ratios(tree: FractalTree, p: float) -> list[float]:
@@ -480,21 +467,12 @@ def _power_series_tail(p: float, x: float, start: int) -> float:
 
 
 def _envelope_base(spec: FractalTreeSpec, p: float) -> float:
-    """(3/2) Z(p) (extended side of the root cell / pi_p)^p."""
+    """(3/2) Z(p) (extended side of the root cell / pi_p)^p: the level-j envelope
+    e_j = base * j^(p-1) (2/3^p)^j, with Z(p) a certified polynomial-geometric
+    constant, dominates the number of level-j cells times their per-cell
+    downstream weight."""
     z = 4.5 * _power_series_tail(p, 2.0 / 9.0, 1)
     return 1.5 * z * (math.sqrt(1.0 + spec.overlap_fraction) * spec.a / pi_p(p)) ** p
-
-
-def snowflake_envelope_term(spec: FractalTreeSpec, p: float, level: int) -> float:
-    """Envelope e_j of the total level-j downstream weight of the tree rule.
-
-    e_j = (3/2) Z(p) (extended side of the root cell / pi_p)^p
-          * j^(p-1) * (2/3^p)^j,
-    with Z(p) a certified polynomial-geometric constant; e_j dominates the
-    number of level-j cells times their per-cell downstream weight.
-    """
-    check_exponent(p)
-    return _envelope_base(spec, p) * level ** (p - 1.0) * (2.0 / 3.0**p) ** level
 
 
 def snowflake_tail(spec: FractalTreeSpec, p: float, start_level: int) -> float:

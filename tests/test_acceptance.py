@@ -13,7 +13,7 @@ import time
 import numpy as np
 
 from neumann_bounds.cli import main as cli_main
-from neumann_bounds.geometry import WhitneyChain, WhitneyTriple, ConvexCell
+from neumann_bounds.geometry import WhitneyTriple, ConvexCell
 from neumann_bounds.oracle import (
     integrate_abs_power,
     mesh_domain,
@@ -185,18 +185,15 @@ def test_criterion_5_domination_suite():
             violations.append((config, "pair"))
 
         t1 = WhitneyTriple.from_cells(cells[0], cells[1], cells[2])
-        triple = triple_constant(t1, bounds[0], bounds[1], bounds[2], 2.0)
+        triple = triple_constant(t1.measures(), bounds[0], bounds[1], bounds[2], 2.0)
         if triple.value < fem_constant(rects[:3]):
             violations.append((config, "triple"))
 
         t2 = WhitneyTriple.from_cells(cells[2], cells[3], cells[4])
-        chain = WhitneyChain(
-            triples=(t1, t2),
-            link_volumes=(triple_link_volume(t1, t2),),
-            multiplicity=rect_cover_multiplicity([t1, t2]),
-        )
-        triple_bounds = [triple, triple_constant(t2, bounds[2], bounds[3], bounds[4], 2.0)]
-        chained = chain_constant(chain, triple_bounds, 2.0)
+        triple_bounds = [triple, triple_constant(t2.measures(), bounds[2], bounds[3], bounds[4], 2.0)]
+        m = rect_cover_multiplicity([rects[:3], rects[2:]])
+        chained = chain_constant([t1.volume(), t2.volume()], [triple_link_volume(t1, t2)], m,
+                                 triple_bounds, 2.0)
         if chained.value < fem_constant(rects):
             violations.append((config, "chain"))
     elapsed = time.perf_counter() - started

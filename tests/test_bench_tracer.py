@@ -45,13 +45,14 @@ def test_installed_tracer_records_the_oracle_layers(tmp_path):
     tracer = tracing.Tracer()
     pair = tmp_path / "pair.json"
     pair.write_text(json.dumps({"type": "cells", "cells": [
-        {"vertices": [[x, 0], [x + 1, 0], [x + 1, 1], [x, 1]]} for x in (0.0, 0.5)]}))
+        {"vertices": [[x, 0], [x + 1, 0], [x + 1, 1], [x + 0.2, 1]]} for x in (0.0, 0.5)]}))
     with tracer.installed():
         for p in ("2", "3"):
             out = tmp_path / f"star{p}.json"
             assert cli.main(["bound-star", "--delta", "1.0", "--p", p, "--h", "0.4",
                              "--out", str(out)]) == 0
-        # the star's measures are closed forms; a cell pair builds and clips cells
+        # the star's measures are closed forms; a pair of trapezoids builds and clips
+        # cells (rectangle covers are measured in integers, without cells)
         assert cli.main(["bound-cells", "--domain", str(pair), "--no-verify",
                          "--out", str(tmp_path / "pair_out.json")]) == 0
     assert tracer.missing == []

@@ -16,12 +16,17 @@ import neumann_bounds
 from neumann_bounds import cli, geometry, oracle
 from neumann_bounds.cli import (
     CliError,
-    _axis_aligned_rect,
     emit_table,
     main,
     rect_cover_multiplicity,
 )
-from neumann_bounds.geometry import ConvexCell, StarDomainSpec, WhitneyTriple, build_star_domain
+from neumann_bounds.geometry import (
+    ConvexCell,
+    StarDomainSpec,
+    WhitneyTriple,
+    build_star_domain,
+    cell_volume,
+)
 from neumann_bounds.oracle import TriangleMesh, mesh_domain
 from neumann_bounds.poincare import CertTerm, PoincareBound
 from neumann_bounds.qc_transfer import (
@@ -227,6 +232,18 @@ class TestTransferCommand:
         expected = eigen_transfer(map_data, base if r is None else dataclasses.replace(base, r=r), 2.0)
         assert cert["label"] == "transfer-eigen"
         assert cert["data"] == json.loads(json.dumps(expected.to_dict()))
+
+    @pytest.mark.parametrize("mode, lipschitz, resolved", [
+        ("poincare", False, "poincare"), ("lipschitz", True, "lipschitz"), ("auto", True, "lipschitz")])
+    def test_r_outside_eigen_mode_exit_1(self, tmp_path, capsys, mode, lipschitz, resolved):
+        # only an eigen transfer reads --r; elsewhere it would be echoed unread
+        spec, base_data = SAMPLED_R4
+        map_path = write_json(tmp_path / "map.json", {**spec, "lipschitz": lipschitz})
+        base_path = write_json(tmp_path / "base.json", base_data)
+        args = ["transfer", "--map", map_path, "--base", base_path, "--mode", mode, "--p", 2]
+        assert run_cli([*args, "--out", tmp_path / "t.json"]) == 0
+        line = one_line_error([*args, "--r", 6], capsys)
+        assert line.endswith(f"--r is read only by an eigen transfer; this one runs in {resolved} mode")
 
     @pytest.mark.parametrize("mode", ["eigen", "poincare"])
     def test_eigen_base_needs_poincare_base(self, tmp_path, capsys, mode):
@@ -789,6 +806,26 @@ class TestParserReuse:
         assert json.loads((tmp_path / "in_process_2.json").read_text())["checks"]
 
 
+def axis_aligned_rect(cell):
+    """Bounding rectangle if the cell is exactly an axis-aligned rectangle (the
+    cover test the multiplicity references were written against)."""
+    if cell.n != 2:
+        return None
+    poly = cell.hull_polygon()
+    if len(poly) != 4:
+        return None
+    lo, hi = cell.bounding_box()
+    box_area = float((hi[0] - lo[0]) * (hi[1] - lo[1]))
+    if abs(box_area - cell_volume(cell)) > 1e-12 * box_area:
+        return None
+    return (float(lo[0]), float(lo[1]), float(hi[0]), float(hi[1]))
+
+
+def multiplicity(triples):
+    """rect_cover_multiplicity of triples of rectangle cells, read as rectangles."""
+    return rect_cover_multiplicity([[axis_aligned_rect(cell) for cell in t.cells] for t in triples])
+
+
 def reference_rect_cover_multiplicity(triples):
     """Arrangement-cell loop that rect_cover_multiplicity vectorizes."""
     rects_per_triple = []
@@ -796,7 +833,7 @@ def reference_rect_cover_multiplicity(triples):
     for t in triples:
         rects = []
         for cell in t.cells:
-            r = _axis_aligned_rect(cell)
+            r = axis_aligned_rect(cell)
             if r is None:
                 raise CliError("multiplicity must be given explicitly for non-rectangle cells")
             rects.append(r)
@@ -822,7 +859,7 @@ def previous_rect_cover_multiplicity(triples):
     rects = []
     for t in triples:
         for cell in t.cells:
-            r = _axis_aligned_rect(cell)
+            r = axis_aligned_rect(cell)
             if r is None:
                 raise CliError("multiplicity must be given explicitly for non-rectangle cells")
             rects.append(r)
@@ -864,7 +901,7 @@ class TestRectCoverMultiplicity:
         for _ in range(3):
             cells = [rect_cell(*r) for r in bench_row(rng, count)]
             triples = [WhitneyTriple.from_cells(*cells[i:i + 3]) for i in range(0, count - 2, 2)]
-            assert rect_cover_multiplicity(triples) == reference_rect_cover_multiplicity(triples)
+            assert multiplicity(triples) == reference_rect_cover_multiplicity(triples)
 
     @pytest.mark.parametrize("seed", range(100))
     def test_lattice_arrangements_match_reference(self, seed):
@@ -880,7 +917,7 @@ class TestRectCoverMultiplicity:
                 w, h = rng.integers(1, 4, size=2)
                 cells.append(rect_cell(x0 * step, y0 * step, (x0 + w) * step, (y0 + h) * step))
             triples.append(SimpleNamespace(cells=tuple(cells)))
-        assert rect_cover_multiplicity(triples) == reference_rect_cover_multiplicity(triples)
+        assert multiplicity(triples) == reference_rect_cover_multiplicity(triples)
 
     @pytest.mark.parametrize("count", [3, 5, 41, 81, 161])
     @pytest.mark.parametrize("flat", [False, True])
@@ -892,7 +929,7 @@ class TestRectCoverMultiplicity:
             rects = [(x0, 0.0, x1, 1.0) for x0, _, x1, _ in rects]
         cells = [rect_cell(*r) for r in rects]
         triples = [SimpleNamespace(cells=tuple(cells[i:i + 3])) for i in range(0, count - 2, 2)]
-        assert rect_cover_multiplicity(triples) == previous_rect_cover_multiplicity(triples)
+        assert multiplicity(triples) == previous_rect_cover_multiplicity(triples)
 
     @pytest.mark.parametrize("where", [0, 63, 64, 199])
     def test_overlap_in_one_strip(self, where):
@@ -902,8 +939,8 @@ class TestRectCoverMultiplicity:
         first = SimpleNamespace(cells=(rect_cell(0, 0, 200, 1), row[0], row[1]))
         second = SimpleNamespace(cells=(row[where], rect_cell(where, 5, where + 1, 6),
                                         rect_cell(where, 7, where + 1, 8)))
-        assert rect_cover_multiplicity([first, second]) == 2
-        assert rect_cover_multiplicity([first, second]) == previous_rect_cover_multiplicity(
+        assert multiplicity([first, second]) == 2
+        assert multiplicity([first, second]) == previous_rect_cover_multiplicity(
             [first, second])
 
     @pytest.mark.parametrize("seed", range(40))
@@ -918,7 +955,7 @@ class TestRectCoverMultiplicity:
                 w, h = rng.integers(1, 12, size=2)
                 cells.append(rect_cell(x0 * step, y0 * step, (x0 + w) * step, (y0 + h) * step))
             triples.append(SimpleNamespace(cells=tuple(cells)))
-        assert rect_cover_multiplicity(triples) == previous_rect_cover_multiplicity(triples)
+        assert multiplicity(triples) == previous_rect_cover_multiplicity(triples)
 
     def test_nested_and_touching(self):
         nested = SimpleNamespace(cells=(rect_cell(0, 0, 4, 4), rect_cell(1, 1, 2, 2),
@@ -927,16 +964,18 @@ class TestRectCoverMultiplicity:
                                           rect_cell(4, 1, 5, 2)))
         inner = SimpleNamespace(cells=(rect_cell(1, 1, 2, 2), rect_cell(2, 2, 3, 3),
                                        rect_cell(3, 3, 4, 4)))
-        assert rect_cover_multiplicity([nested, touching]) == 1
-        assert rect_cover_multiplicity([nested, touching, inner]) == 2
+        assert multiplicity([nested, touching]) == 1
+        assert multiplicity([nested, touching, inner]) == 2
         for triples in ([nested, touching], [nested, touching, inner]):
-            assert rect_cover_multiplicity(triples) == reference_rect_cover_multiplicity(triples)
+            assert multiplicity(triples) == reference_rect_cover_multiplicity(triples)
 
-    def test_non_rectangle_rejected(self):
-        tri = SimpleNamespace(cells=(rect_cell(0, 0, 1, 1), ConvexCell([(0, 0), (1, 0), (0, 1)]),
-                                     rect_cell(2, 0, 3, 1)))
-        with pytest.raises(CliError):
-            rect_cover_multiplicity([tri])
+    def test_non_rectangle_rejected(self, tmp_path, capsys):
+        chain = {"type": "cells", "structure": "chain", "cells": [
+            {"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}, {"vertices": [[0.5, 0], [1.5, 0], [0.5, 1]]},
+            {"vertices": [[1, 0], [2, 0], [2, 1], [1, 1]]}]}
+        domain = write_json(tmp_path / "chain.json", chain)
+        assert "multiplicity must be given explicitly for non-rectangle cells" in one_line_error(
+            ["bound-cells", "--domain", domain, "--no-verify"], capsys)
 
 
 class TestReportAndTables:
@@ -1066,7 +1105,9 @@ def test_bound_cells_builds_each_cell_once(tmp_path, monkeypatch):
         build(self, vertices)
 
     monkeypatch.setattr(ConvexCell, "__init__", counted)
-    domain = write_json(tmp_path / "row.json", ROW5)
+    # closed vertex loops (the first corner repeated) are rectangles to the convex-cell path only
+    domain = write_json(tmp_path / "row.json", {**ROW5, "cells": [
+        {"vertices": [*c["vertices"], c["vertices"][0]]} for c in ROW5["cells"]]})
     for flags in ([], ["--no-verify"]):
         builds.clear()
         out = tmp_path / "row_out.json"
@@ -1124,8 +1165,8 @@ WELL_TYPED_INPUTS = {
                     lambda: QCMapData(2, 2.0, SampledDerivative(*map(floats, ([1, 2], [1, 0.5], [1, 1]))),
                                       8.0, True)),
     "cells": ('{"type": "cells", "cells": [{"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}]}',
-              lambda path: cli._cells_from_spec(cli._load_json(path)),
-              lambda: [ConvexCell(floats([[0, 0], [1, 0], [1, 1], [0, 1]]))]),
+              lambda path: cli._cover_from_spec(cli._load_json(path)).rects,
+              lambda: [(0.0, 0.0, 1.0, 1.0)]),
     "poincare certificate": (
         '{"bound": 2, "p": 2, "form": "deviation-from-mean", "r": null, "multiplicity": 1,'
         ' "terms": [{"label": "a", "rule": "r", "value": 4}], "details": {"x": 1}, "notes": ["n"],'

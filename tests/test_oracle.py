@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,7 +21,6 @@ from neumann_bounds.oracle import (
     gradient_integral,
     integrate_abs_power,
     mesh_domain,
-    midpoint_values,
     minimize_rayleigh_p,
     neumann_mu2,
     p1_matrices,
@@ -400,6 +400,21 @@ class TestNeumannEigenvalue:
     def test_poincare_constant_disk(self):
         mesh = mesh_domain({"kind": "disk", "radius": 1.0}, 0.05)
         assert poincare_constant_p2(mesh) == pytest.approx(0.54323, rel=0.02)
+
+    def test_shuffled_disk_solves_as_fast_as_mesher_order(self):
+        # K - sigma M is factored with diagonal pivots; SuperLU's default partial
+        # pivoting took over a second on this 7,651-node disk once its nodes were shuffled
+        mesh = mesh_domain({"kind": "disk", "radius": 1.0}, 0.02)
+        perm = np.random.default_rng(0).permutation(mesh.node_count)
+        inverse = np.empty_like(perm)
+        inverse[perm] = np.arange(len(perm))
+        shuffled = TriangleMesh(mesh.nodes[perm], inverse[mesh.elements])
+        expected = neumann_mu2(mesh).mu2
+        started = time.perf_counter()
+        mu2 = neumann_mu2(shuffled).mu2
+        elapsed = time.perf_counter() - started
+        assert mu2 == pytest.approx(expected, rel=1e-9, abs=0)
+        assert elapsed < 0.6
 
 
 class TestRayleighQuotient:
@@ -1149,7 +1164,7 @@ class TestDescentOperatorsMatchReference:
     def test_midpoints_and_gradients_bit_identical(self, spec, h):
         mesh = mesh_domain(spec, h)
         values = np.random.default_rng(3).standard_normal(mesh.node_count)
-        assert np.array_equal(midpoint_values(mesh, values), reference_midpoint_values(mesh, values))
+        assert np.array_equal((mesh.midpoint_operator @ values).reshape(-1, 3), reference_midpoint_values(mesh, values))
         assert np.array_equal(
             (mesh.gradient_operator @ values).reshape(-1, 2),
             np.einsum("eid,ei->ed", mesh.grads, values[mesh.elements]),
@@ -1206,7 +1221,7 @@ class TestExactZeroMidpoints:
     def test_finite_at_zero_midpoints(self, p):
         mesh = square_mesh(0.1)
         values = mesh.nodes[:, 0] - 0.5
-        assert np.any(midpoint_values(mesh, values) == 0.0)
+        assert np.any((mesh.midpoint_operator @ values).reshape(-1, 3) == 0.0)
         assert math.isfinite(constraint_residual(mesh, values, p))
         value, grad = _rayleigh_gradient(mesh, values, p)
         assert math.isfinite(value) and np.all(np.isfinite(grad))

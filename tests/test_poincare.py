@@ -23,6 +23,7 @@ from neumann_bounds.poincare import (
     _chain_coefficients,
     _diameter_rule,
     _downstream_ratios,
+    _envelope_base,
     _require_deviation_form,
     _rule_bound,
     CertTerm,
@@ -36,7 +37,6 @@ from neumann_bounds.poincare import (
     pi_p_quadrature,
     ratio_test_tail,
     snowflake_bound,
-    snowflake_envelope_term,
     snowflake_level_bounds,
     snowflake_tail,
     tree_constant,
@@ -162,14 +162,14 @@ class TestTripleConstant:
     def test_three_squares_in_a_row(self):
         t = self.make_row_triple()
         b = convex_cell_constant(t.q1, SpectralParams(p=2.0, n=2))
-        trip = triple_constant(t, b, b, b, 2.0)
+        trip = triple_constant(t.measures(), b, b, b, 2.0)
         assert trip.value**2 == pytest.approx(3072.0 / math.pi**2, rel=1e-12)
         assert trip.value == pytest.approx(17.642524653497347, rel=1e-12)
 
     def test_symmetric_triple_terms_equal(self):
         t = self.make_row_triple()
         b = deviation_bound(0.5, 2.0)
-        trip = triple_constant(t, b, b, b, 2.0)
+        trip = triple_constant(t.measures(), b, b, b, 2.0)
         t_q1 = next(x for x in trip.terms if x.label == "q1")
         t_q3 = next(x for x in trip.terms if x.label == "q3")
         assert abs(t_q1.value - t_q3.value) <= 1e-12 * t_q1.value
@@ -182,7 +182,7 @@ class TestTripleConstant:
         t = WhitneyTriple.from_cells(q1, r2, q3)
         p = 2.0
         b1, b2, b3 = (deviation_bound(v, p) for v in (0.3, 0.5, 0.4))
-        trip = triple_constant(t, b1, b2, b3, p)
+        trip = triple_constant(t.measures(), b1, b2, b3, p)
         v1, v2, v3 = cell_volume(q1), cell_volume(r2), cell_volume(q3)
         u12, u32 = v1 + v2 - t.v_q1r2, v3 + v2 - t.v_r2q3
         expected = 2.0 ** (4 * p - 1) * (
@@ -191,6 +191,11 @@ class TestTripleConstant:
             + (u32 / v2) * (v3 / t.v_r2q3) * 0.4**p
         )
         assert trip.value**p == pytest.approx(expected, rel=1e-12)
+
+
+def chain_rule(chain, triple_bounds, p):
+    """chain_constant on the measures of a WhitneyChain."""
+    return chain_constant(chain.volumes(), chain.link_volumes, chain.multiplicity, triple_bounds, p)
 
 
 def make_chain(num_triples=2, overlap=0.5):
@@ -212,7 +217,7 @@ class TestChainConstant:
         chain = WhitneyChain(triples=(t,), link_volumes=(), multiplicity=1)
         p = 2.0
         b = deviation_bound(0.6, p)
-        bound = chain_constant(chain, [b], p)
+        bound = chain_rule(chain, [b], p)
         assert bound.value**p == pytest.approx(2.0 ** (p - 1) * 0.6**p, rel=1e-12)
 
     def test_two_identical_triples_hand_value(self):
@@ -230,7 +235,7 @@ class TestChainConstant:
         )
         assert tiny1.volume() == pytest.approx(1.0, rel=1e-12)
         chain = WhitneyChain(triples=(tiny1, tiny2), link_volumes=(1.0,), multiplicity=2)
-        bound = chain_constant(chain, [b, b], 2.0)
+        bound = chain_rule(chain, [b, b], 2.0)
         c1 = (2.0 + 16.0 * (1.0 * 1.0 + 2.0 * 1.0)) * b_val**2
         c2 = (2.0 + 16.0 * 2.0 * 1.0) * b_val**2
         assert c1 == 50.0 * b_val**2 and c2 == 34.0 * b_val**2
@@ -240,14 +245,14 @@ class TestChainConstant:
     def test_certificate_sum_and_multiplicity(self):
         chain = make_chain(3)
         b = deviation_bound(0.45, 2.0)
-        bound = chain_constant(chain, [b] * 3, 2.0)
+        bound = chain_rule(chain, [b] * 3, 2.0)
         assert bound.multiplicity == 2
         assert sum(t.value for t in bound.terms) == pytest.approx(bound.value**2, rel=1e-12)
 
     def test_monotone_in_link_volumes(self):
         chain = make_chain(2)
         b = deviation_bound(0.45, 2.0)
-        base = chain_constant(chain, [b, b], 2.0).value
+        base = chain_rule(chain, [b, b], 2.0).value
         shrunk = WhitneyChain(
             triples=chain.triples,
             link_volumes=tuple(v * 0.5 for v in chain.link_volumes),
@@ -258,8 +263,8 @@ class TestChainConstant:
             link_volumes=tuple(v * 2.0 for v in chain.link_volumes),
             multiplicity=chain.multiplicity,
         )
-        assert chain_constant(shrunk, [b, b], 2.0).value >= base
-        assert chain_constant(grown, [b, b], 2.0).value <= base
+        assert chain_rule(shrunk, [b, b], 2.0).value >= base
+        assert chain_rule(grown, [b, b], 2.0).value <= base
 
     def test_monotone_in_cell_volumes(self):
         rng = np.random.default_rng(3)
@@ -276,7 +281,7 @@ class TestChainConstant:
                 t2 = WhitneyTriple(cells[2], cells[3], cells[4],
                                    0.5 * min(hs[2], hs[3]), 0.5 * min(hs[3], hs[4]))
                 chain = WhitneyChain(triples=(t1, t2), link_volumes=(1.0,), multiplicity=2)
-                return chain_constant(chain, [b, b], 2.0).value
+                return chain_rule(chain, [b, b], 2.0).value
 
             assert build(taller) >= build(heights) - 1e-12
 
@@ -284,10 +289,10 @@ class TestChainConstant:
         chain = make_chain(2)
         params = SpectralParams(p=2.0, n=2)
         bounds = [
-            triple_constant(t, *(convex_cell_constant(c, params) for c in t.cells), 2.0)
+            triple_constant(t.measures(), *(convex_cell_constant(c, params) for c in t.cells), 2.0)
             for t in chain.triples
         ]
-        small = chain_constant(chain, bounds, 2.0)
+        small = chain_rule(chain, bounds, 2.0)
         lam = 0.5
         scaled_triples = tuple(
             WhitneyTriple(
@@ -302,17 +307,17 @@ class TestChainConstant:
             multiplicity=chain.multiplicity,
         )
         scaled_bounds = [
-            triple_constant(t, *(convex_cell_constant(c, params) for c in t.cells), 2.0)
+            triple_constant(t.measures(), *(convex_cell_constant(c, params) for c in t.cells), 2.0)
             for t in scaled_triples
         ]
-        big = chain_constant(scaled_chain, scaled_bounds, 2.0)
+        big = chain_rule(scaled_chain, scaled_bounds, 2.0)
         assert big.value == pytest.approx(lam * small.value, rel=1e-12)
 
     def test_empty_chain_rejected(self):
         chain = make_chain(2)
         b = deviation_bound(0.45, 2.0)
         with pytest.raises(ValueError):
-            chain_constant(chain, [b], 2.0)  # wrong number of bounds
+            chain_rule(chain, [b], 2.0)  # wrong number of bounds
 
     @pytest.mark.parametrize("p", [1.2, 2.0, 3.5, 6.0])
     def test_weights_match_double_sum(self, p):
@@ -364,10 +369,15 @@ class TestTreeConstant:
             tree_constant(tree, [], 2.0)
 
 
+def envelope_term(spec, p, level):
+    """Envelope e_j of the total level-j downstream weight of the tree rule."""
+    return _envelope_base(spec, p) * level ** (p - 1.0) * (2.0 / 3.0**p) ** level
+
+
 class TestSnowflakeTail:
     def test_tail_small_versus_finite_part(self):
         spec = FractalTreeSpec(a=1.0, depth=12)
-        finite_part = sum(snowflake_envelope_term(spec, 2.0, j) for j in range(1, 20))
+        finite_part = sum(envelope_term(spec, 2.0, j) for j in range(1, 20))
         tail = snowflake_tail(spec, 2.0, start_level=20)
         assert 0.0 < tail < 1e-6 * finite_part
 
@@ -375,7 +385,7 @@ class TestSnowflakeTail:
         spec = FractalTreeSpec(a=1.0, depth=12)
         # level terms behave like j * (2/9)^j at p = 2: ratio -> 2/9
         ratios = [
-            snowflake_envelope_term(spec, 2.0, j + 1) / snowflake_envelope_term(spec, 2.0, j)
+            envelope_term(spec, 2.0, j + 1) / envelope_term(spec, 2.0, j)
             for j in range(10, 15)
         ]
         for j, r in zip(range(10, 15), ratios):
@@ -762,7 +772,7 @@ class TestMaxWeightAggregationMatchesReference:
             for overlap in (0.1, 0.25, 0.4, 0.5):
                 chain, bounds = random_chain(rng, num_triples, overlap)
                 bounds = [deviation_bound(b.value, p) for b in bounds]
-                assert (chain_constant(chain, bounds, p).to_dict()
+                assert (chain_rule(chain, bounds, p).to_dict()
                         == reference_chain_constant(chain, bounds, p).to_dict())
 
     @pytest.mark.parametrize("p", [1.2, 1.5, 2.0, 3.0, 4.0, 6.0])
