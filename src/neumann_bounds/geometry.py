@@ -455,8 +455,9 @@ class RectCover:
 
     Every coordinate is an integer times 2^-k for one k, so areas, overlaps,
     unions and links are integers times 4^-k. Each measure is rounded to a
-    float once, to the side its rule needs: volumes in numerators, unions
-    and diameters up; overlaps, links and the triple rule's |R2| down.
+    float once, to the side its rule needs: volumes in numerators, unions,
+    triple volumes and diameters up; overlaps, links and the triple rule's
+    |R2| down.
     CellCover's refusals and tolerances stay, the triple's DISJOINT_REL_TOL
     and the link pieces' VOLUME_TOL evaluated on the exact values.
     """

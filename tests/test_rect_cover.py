@@ -218,3 +218,14 @@ def test_outer_overlap_below_tolerance_accepted(tmp_path):
     cells = [rect(0, 0, 1, 1), rect(0.5, 0, 1.5, 1), rect(1 - 1e-10, 0, 2, 1)]
     assert cli.main(["bound-cells", "--domain", write_cells(tmp_path, cells), "--no-verify",
                      "--out", str(tmp_path / "out.json")]) == 0
+
+
+def test_thin_rectangle_measured_alike_anywhere(tmp_path):
+    # Qhull refused it away from the origin ("initial simplex is flat"); its own extent passes
+    bounds = []
+    for x in (0.0, 1e6):
+        out = tmp_path / f"thin{x:g}.json"
+        domain = write_cells(tmp_path, [rect(x, 0, x + 1, 1e-9)])
+        assert cli.main(["bound-cells", "--domain", domain, "--no-verify", "--out", str(out)]) == 0
+        bounds.append(json.loads(out.read_text())["certificates"][0]["data"]["bound"])
+    assert bounds[0] == bounds[1]
