@@ -1116,6 +1116,17 @@ def test_bound_cells_builds_each_cell_once(tmp_path, monkeypatch):
         assert len(builds) == 5
 
 
+@pytest.mark.parametrize("cells", [ROW5["cells"], ROW5["cells"][:2] + [
+    {"vertices": [[1.2, 0], [2.2, 0], [2.2, 1], [1.4, 1]]}]], ids=["rectangles", "mixed"])
+def test_no_verify_builds_no_mesh_spec(tmp_path, monkeypatch, cells):
+    def refuse(cover):
+        raise AssertionError("mesh spec built for an unverified run")
+
+    monkeypatch.setattr(cli, "_cells_mesh_spec", refuse)
+    domain = write_json(tmp_path / "cells.json", {"type": "cells", "cells": cells})
+    assert run_cli(["bound-cells", "--domain", domain, "--no-verify", "--out", tmp_path / "o.json"]) == 0
+
+
 def canonical(obj):
     """A form of obj whose == tells ints from floats, lists from tuples and
     arrays apart by dtype, shape and bytes."""
