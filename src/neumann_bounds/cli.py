@@ -3,7 +3,7 @@
 Reads domain and map specifications from JSON, runs the requested bound
 pipeline, verifies the result against the oracle where a mesh is
 available, and writes a report whose every number traces to a certificate
-term. Reports are deterministic for a fixed config and seed: floats
+term. Reports are deterministic for fixed flags and inputs: floats
 serialize round-trip exactly.
 """
 
@@ -16,7 +16,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -37,10 +37,8 @@ from .oracle import MeshError, SolveError, TriangleMesh, check_domination, mesh_
 from .poincare import (
     PoincareBound,
     SeriesError,
-    SpectralParams,
     _diameter_rule,
     chain_constant,
-    convex_cell_constant,
     pair_constant,
     read_entry,
     read_field,
@@ -62,36 +60,6 @@ from .qc_transfer import (
 )
 
 TOOL_NAME = "neumann-bounds"
-
-
-@dataclass
-class RunConfig:
-    """Everything one pipeline invocation depends on."""
-
-    command: str
-    domain: str | None = None
-    map_path: str | None = None
-    base: str | None = None
-    bound: str | None = None
-    inputs: list[str] = field(default_factory=list)
-    p: float = 2.0
-    r: float | None = None
-    depth: int = 12
-    h: float = 0.05
-    seed: int = 0
-    delta: float = 1.0
-    a: float = 1.0
-    dim: int = 2
-    mgon: int = 64
-    overlap_fraction: float = 0.25
-    mode: str = "auto"
-    fmt: str = "json"
-    out: str | None = None
-    verify: bool = True
-
-    def public_dict(self) -> dict:
-        """Every field but the output path."""
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "out"}
 
 
 class CliError(ValueError):
@@ -164,25 +132,27 @@ def rect_cover_multiplicity(triples) -> int:
     """Exact cover multiplicity of triples of axis-aligned rectangles (x0, y0, x1, y1).
 
     Evaluates coverage on the rectangle arrangement, where membership is
-    constant per arrangement cell: at each cell midpoint, count the triples
-    with a rectangle strictly containing it. Inclusion-exclusion over each triple's 7
-    sub-intersections S gives all counts as one product: signed [x in S] times [y in S].
+    constant per arrangement cell: count the triples with a rectangle
+    containing the open cell, which holds when it contains both end points of
+    the cell's x and y strips. End points are read as floats, so a strip one
+    ulp wide counts too (its midpoint would round onto an end). Inclusion-exclusion
+    over each triple's 7 sub-intersections S gives all counts as one product:
+    signed [x in S] times [y in S].
     """
     rects = np.array(triples, dtype=float).reshape(len(triples), 1, 3, 4)  # (T, 1, 3, [x0, y0, x1, y1])
     xs = np.unique(rects[..., [0, 2]])
     ys = np.unique(rects[..., [1, 3]])
-    cx = 0.5 * (xs[:-1] + xs[1:])
-    cy = 0.5 * (ys[:-1] + ys[1:])
     member = np.array([[i >> k & 1 for k in range(3)] for i in range(1, 8)], bool)[..., None]
     lo = np.where(member, rects[..., :2], -np.inf).max(axis=2).reshape(-1, 2)  # (7T, [x, y])
     hi = np.where(member, rects[..., 2:], np.inf).min(axis=2).reshape(-1, 2)
     sign = np.tile(member.sum(axis=(1, 2)) % 2 * 2.0 - 1.0, len(triples))
-    in_y = ((lo[:, 1] < cy[:, None]) & (cy[:, None] < hi[:, 1])).astype(float)  # (Y, 7T)
+    in_y = ((lo[:, 1] <= ys[:-1, None]) & (ys[1:, None] <= hi[:, 1])).astype(float)  # (Y, 7T)
     best = 0
     # x strips in blocks keep the work arrays O(Y T), like the y-strip matrix
-    step = max(len(cy), 64)
-    for x in (cx[start:start + step, None] for start in range(0, len(cx), step)):
-        in_x = ((lo[:, 0] < x) & (x < hi[:, 0])) * sign
+    step = max(len(ys) - 1, 64)
+    for start in range(0, len(xs) - 1, step):
+        x = xs[start:start + step + 1, None]  # the end points of up to step x strips
+        in_x = ((lo[:, 0] <= x[:-1]) & (x[1:] <= hi[:, 0])) * sign
         best = max(best, int((in_x @ in_y.T).max(initial=0)))
     return max(best, 1)
 
@@ -191,11 +161,7 @@ def _cells_bound(spec: dict, p: float) -> tuple[PoincareBound, RectCover | CellC
     """The bound of a cells domain. Both kinds of cover give the same measures to the
     same rules; a RectCover's are exact, rounded outward once."""
     cover = _cover_from_spec(spec)
-    params = SpectralParams(p=p, n=cover.n)
-    if isinstance(cover, RectCover):
-        per_cell = [_diameter_rule(cover.diameter(i), p, "cell") for i in range(len(cover.rects))]
-    else:
-        per_cell = [convex_cell_constant(c, params) for c in cover.cells]
+    per_cell = [_diameter_rule(cover.diameter(i), p, "cell") for i in range(len(cover))]
     count = len(per_cell)
     structure = read_field(spec, "structure", "string", "auto", what="cells domain", error=CliError)
     if structure == "auto":
@@ -281,13 +247,14 @@ def _append_check(report: dict, bound, mesh: TriangleMesh, label: str) -> dict:
     return entry
 
 
-def _maybe_verify(report: dict, bound, mesh_spec: dict | None, config: RunConfig, label: str) -> None:
-    if not config.verify:
+def _maybe_verify(report: dict, bound, mesh_spec: dict | None, args: argparse.Namespace,
+                  label: str) -> None:
+    if not args.verify:
         return
     if mesh_spec is None:
         report["notes"].append(f"{label}: no oracle available for this domain kind")
         return
-    _append_check(report, bound, mesh_domain(mesh_spec, config.h), label)
+    _append_check(report, bound, mesh_domain(mesh_spec, args.h), label)
 
 
 # ---------------------------------------------------------------------------
@@ -295,64 +262,64 @@ def _maybe_verify(report: dict, bound, mesh_spec: dict | None, config: RunConfig
 # ---------------------------------------------------------------------------
 
 
-def _new_report(config: RunConfig) -> dict:
+def _new_report(args: argparse.Namespace) -> dict:
     return {
         "tool": {"name": TOOL_NAME, "version": __version__},
-        "command": config.command,
-        "config": config.public_dict(),
+        "command": args.command,
+        "config": {k: v for k, v in vars(args).items() if k not in ("out", "pipeline")},
         "certificates": [],
         "checks": [],
         "notes": [],
     }
 
 
-def _run_bound_cells(config: RunConfig) -> dict:
-    if not config.domain:
+def _run_bound_cells(args: argparse.Namespace) -> dict:
+    if not args.domain:
         raise CliError("bound-cells needs --domain")
-    spec = _load_json(config.domain)
+    spec = _load_json(args.domain)
     if spec.get("type") != "cells":
         raise CliError('bound-cells expects a domain of type "cells"')
-    bound, cover, structure = _cells_bound(spec, config.p)
-    report = _new_report(config)
+    bound, cover, structure = _cells_bound(spec, args.p)
+    report = _new_report(args)
     report["certificates"].append(_certificate(f"cells-{structure}", "poincare", bound.to_dict()))
-    mesh_spec = _cells_mesh_spec(cover) if config.verify else None
-    _maybe_verify(report, bound, mesh_spec, config, f"cells-{structure}")
+    mesh_spec = _cells_mesh_spec(cover) if args.verify else None
+    _maybe_verify(report, bound, mesh_spec, args, f"cells-{structure}")
     return report
 
 
-def _run_bound_star(config: RunConfig) -> dict:
-    spec = StarDomainSpec(delta=config.delta, n=config.dim, mgon=config.mgon)
+def _run_bound_star(args: argparse.Namespace) -> dict:
+    spec = StarDomainSpec(delta=args.delta, n=args.dim, mgon=args.mgon)
     volume, overlap, diameter = build_star_domain(spec)
-    piece = _diameter_rule(diameter, config.p, "cell")  # the two pieces are congruent
-    bound = pair_constant(volume, volume, overlap, piece, piece, config.p)
+    piece = _diameter_rule(diameter, args.p, "cell")  # the two pieces are congruent
+    bound = pair_constant(volume, volume, overlap, piece, piece, args.p)
     notes = ["overlap volume is the literal set intersection of the two pieces "
              "(the shared slab is not attributed to either piece alone)"]
     details = list(bound.details)
-    if config.dim == 3:
-        details.append(("cross-section-volume-deficit", star_discretization_error(config.mgon)))
-        notes.append(f"3D pieces use an inscribed {config.mgon}-gon cross-section; volumes carry "
+    if args.dim == 3:
+        details.append(("cross-section-volume-deficit", star_discretization_error(args.mgon)))
+        notes.append(f"3D pieces use an inscribed {args.mgon}-gon cross-section; volumes carry "
                      "the recorded relative deficit bound")
-    bound = replace(bound, details=tuple(details), notes=tuple(notes), domain=f"star{config.dim}d")
-    report = _new_report(config)
+    bound = replace(bound, details=tuple(details), notes=tuple(notes), domain=f"star{args.dim}d")
+    report = _new_report(args)
     report["certificates"].append(_certificate("star-union", "poincare", bound.to_dict()))
-    mesh_spec = {"kind": "star", "delta": config.delta} if config.dim == 2 else None
-    _maybe_verify(report, bound, mesh_spec, config, "star-union")
+    mesh_spec = {"kind": "star", "delta": args.delta} if args.dim == 2 else None
+    _maybe_verify(report, bound, mesh_spec, args, "star-union")
     return report
 
 
-def _run_bound_snowflake(config: RunConfig) -> dict:
-    spec = FractalTreeSpec(a=config.a, depth=config.depth, overlap_fraction=config.overlap_fraction)
+def _run_bound_snowflake(args: argparse.Namespace) -> dict:
+    spec = FractalTreeSpec(a=args.a, depth=args.depth, overlap_fraction=args.overlap_fraction)
     tree = build_snowflake_tree(spec)
-    level_bounds = snowflake_level_bounds(tree, config.p)
-    finite = tree_constant(tree, level_bounds, config.p)
-    full = snowflake_bound(tree, config.p, level_bounds)
-    tail = snowflake_tail(spec, config.p, start_level=config.depth + 1)
-    report = _new_report(config)
+    level_bounds = snowflake_level_bounds(tree, args.p)
+    finite = tree_constant(tree, level_bounds, args.p)
+    full = snowflake_bound(tree, args.p, level_bounds)
+    tail = snowflake_tail(spec, args.p, start_level=args.depth + 1)
+    report = _new_report(args)
     report["certificates"].append(_certificate("snowflake-finite-tree", "poincare", finite.to_dict()))
     report["certificates"].append(_certificate("snowflake-infinite", "poincare", full.to_dict()))
     # term sums (B^p before the root) subtracted exactly
     increment = math.fsum([t.value for t in full.terms] + [-t.value for t in finite.terms])
-    tail_data = {"start_level": config.depth + 1, "tail_bound": tail, "p": config.p,
+    tail_data = {"start_level": args.depth + 1, "tail_bound": tail, "p": args.p,
                  "tail_relative_increment": increment / math.fsum(t.value for t in finite.terms)}
     report["certificates"].append(_certificate("snowflake-tail", "series-tail", tail_data))
     report["notes"].append("no oracle available for the fractal domain; certificates only")
@@ -379,53 +346,53 @@ def _map_from_spec(spec: dict) -> QCMapData:
     raise CliError(f"unknown map kind {kind!r}")
 
 
-def _run_transfer(config: RunConfig) -> dict:
-    if not config.map_path or not config.base:
+def _run_transfer(args: argparse.Namespace) -> dict:
+    if not args.map_path or not args.base:
         raise CliError("transfer needs --map and --base")
-    map_data = _map_from_spec(_load_json(config.map_path))
-    base = load_bound(_load_json(config.base))
-    mode = config.mode
+    map_data = _map_from_spec(_load_json(args.map_path))
+    base = load_bound(_load_json(args.base))
+    mode = args.mode
     if mode == "auto":
         mode = "lipschitz" if map_data.lipschitz else "eigen"
-    if config.r is not None and mode != "eigen":
+    if args.r is not None and mode != "eigen":
         raise CliError(f"--r is read only by an eigen transfer; this one runs in {mode} mode")
-    report = _new_report(config)
+    report = _new_report(args)
     if mode == "lipschitz":
         if isinstance(base, PoincareBound):
-            result = whitney_qc_bound(base, map_data, config.p)
+            result = whitney_qc_bound(base, map_data, args.p)
         else:
-            result = eigen_transfer_lipschitz(map_data, base, config.p)
+            result = eigen_transfer_lipschitz(map_data, base, args.p)
         report["certificates"].append(_certificate("transfer-lipschitz", "eigen", result.to_dict()))
     elif mode == "eigen":
         if not isinstance(base, PoincareBound):
             raise CliError("eigen transfer needs a Poincare base certificate")
-        if config.r is not None:
-            base = replace(base, r=config.r)
-        result = eigen_transfer(map_data, base, config.p)
+        if args.r is not None:
+            base = replace(base, r=args.r)
+        result = eigen_transfer(map_data, base, args.p)
         report["certificates"].append(_certificate("transfer-eigen", "eigen", result.to_dict()))
     elif mode == "poincare":
         if not isinstance(base, PoincareBound):
             raise CliError("poincare transfer needs a Poincare base certificate")
-        result = poincare_transfer(map_data, base, config.p)
+        result = poincare_transfer(map_data, base, args.p)
         report["certificates"].append(_certificate("transfer-poincare", "transfer", result.to_dict()))
     else:
         raise CliError(f"unknown transfer mode {mode!r}")
     return report
 
 
-def _run_verify(config: RunConfig) -> dict:
-    if not config.bound or not config.domain:
+def _run_verify(args: argparse.Namespace) -> dict:
+    if not args.bound or not args.domain:
         raise CliError("verify needs --bound and --domain")
-    bound = load_bound(_load_json(config.bound))
-    spec = _load_json(config.domain)
+    bound = load_bound(_load_json(args.bound))
+    spec = _load_json(args.domain)
     if "nodes" in spec and "elements" in spec:
         mesh = TriangleMesh.from_dict(spec)
     else:
         mesh_spec = _mesh_spec_for_domain(spec)
         if mesh_spec is None:
             raise CliError("domain kind has no oracle mesh")
-        mesh = mesh_domain(mesh_spec, config.h)
-    report = _new_report(config)
+        mesh = mesh_domain(mesh_spec, args.h)
+    report = _new_report(args)
     entry = _append_check(report, bound, mesh, "verified-bound")
     report["certificates"].append(_certificate("verified-bound", entry["kind"], bound.to_dict()))
     return report
@@ -487,28 +454,17 @@ def emit_table(reports: list[dict], fmt: str = "csv") -> str:
     return buf.getvalue()
 
 
-def _run_report(config: RunConfig) -> str:
-    return emit_table([_load_json(path) for path in config.inputs], config.fmt)
+def _run_report(args: argparse.Namespace) -> str:
+    return emit_table([_load_json(path) for path in args.inputs], args.fmt)
 
 
-_PIPELINES = {
-    "bound-cells": _run_bound_cells,
-    "bound-star": _run_bound_star,
-    "bound-snowflake": _run_bound_snowflake,
-    "transfer": _run_transfer,
-    "verify": _run_verify,
-    "report": _run_report,
-}
-
-
-def run(config: RunConfig) -> tuple[dict | str, int]:
-    """Execute one pipeline; returns (report payload, exit code)."""
-    if config.command not in _PIPELINES:
-        raise CliError(f"unknown command {config.command!r}")
+def run(args: argparse.Namespace) -> tuple[dict | str, int]:
+    """Execute the pipeline of a parsed command line; returns (report payload, exit code)."""
     try:
-        report = _PIPELINES[config.command](config)
+        report = args.pipeline(args)
     except OverflowError:
-        raise CliError(f"{config.command} at p = {config.p:g}: a value exceeds float range") from None
+        at_p = f" at p = {args.p:g}" if "p" in args else ""
+        raise CliError(f"{args.command}{at_p}: a value exceeds float range") from None
     if isinstance(report, str):  # a rendered table
         return report, 0
     failed = any(not c["passed"] for c in report["checks"])
@@ -533,97 +489,88 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-# allowed values of the RunConfig fields whose flags take choices
-_CHOICES = {
-    "fmt": ("json", "csv"),
-    "dim": (2, 3),
-    "mode": ("auto", "lipschitz", "eigen", "poincare"),
-}
-
 # flags that only the subcommands reading them accept
-_OPTIONAL_FLAGS = {
-    "--p": {"type": float, "help": "integrability exponent"},
-    "--h": {"type": float, "help": "oracle mesh target edge length"},
+_SHARED_FLAGS = {
+    "--p": {"type": float, "default": 2.0, "help": "integrability exponent"},
+    "--h": {"type": float, "default": 0.05, "help": "oracle mesh target edge length"},
     "--no-verify": {"dest": "verify", "action": "store_false"},
 }
 
 
 @functools.cache  # parse_args returns a fresh Namespace, so calls share no state
 def _build_parser() -> _Parser:
+    """The one declaration of every run parameter: a command's flags, with their
+    defaults, are its configuration, and set_defaults names its pipeline."""
     parser = _Parser(prog=TOOL_NAME, description=__doc__)
     # no prefix matching, so that a flag a command lacks (--h) is not read as --help
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=functools.partial(_Parser, allow_abbrev=False))
 
-    def common(sp, *flags):
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--format", dest="fmt", choices=_CHOICES["fmt"], default=None)
-        sp.add_argument("--out", default=None, help="output path (stdout if omitted)")
+    def common(sp, pipeline, *flags):
+        sp.set_defaults(pipeline=pipeline)
+        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
+        sp.add_argument("--out", help="output path (stdout if omitted)")
         for flag in flags:
-            sp.add_argument(flag, default=None, **_OPTIONAL_FLAGS[flag])
+            sp.add_argument(flag, **_SHARED_FLAGS[flag])
 
     sp = sub.add_parser("bound-cells", help="aggregate constants over a cell complex")
     sp.add_argument("--domain", help="cells domain JSON")
-    common(sp, "--p", "--h", "--no-verify")
+    common(sp, _run_bound_cells, "--p", "--h", "--no-verify")
 
     sp = sub.add_parser("bound-star", help="bound for the two-piece star domain")
-    sp.add_argument("--delta", type=float, default=None)
-    sp.add_argument("--dim", type=int, choices=_CHOICES["dim"], default=None)
-    sp.add_argument("--mgon", type=int, default=None)
-    common(sp, "--p", "--h", "--no-verify")
+    sp.add_argument("--delta", type=float, default=1.0)
+    sp.add_argument("--dim", type=int, choices=(2, 3), default=2)
+    sp.add_argument("--mgon", type=int, default=64)
+    common(sp, _run_bound_star, "--p", "--h", "--no-verify")
 
     sp = sub.add_parser("bound-snowflake", help="bound for the snowflake tree")
-    sp.add_argument("--a", type=float, default=None, help="root side length")
-    sp.add_argument("--depth", type=int, default=None)
-    sp.add_argument("--overlap-fraction", dest="overlap_fraction", type=float, default=None)
-    common(sp, "--p")
+    sp.add_argument("--a", type=float, default=1.0, help="root side length")
+    sp.add_argument("--depth", type=int, default=12)
+    sp.add_argument("--overlap-fraction", dest="overlap_fraction", type=float, default=0.25)
+    common(sp, _run_bound_snowflake, "--p")
 
     sp = sub.add_parser("transfer", help="push a bound through a quasiconformal map")
     sp.add_argument("--map", dest="map_path", help="map specification JSON")
     sp.add_argument("--base", help="base certificate or report JSON")
-    sp.add_argument("--mode", choices=_CHOICES["mode"], default=None)
-    sp.add_argument("--r", type=float, default=None, help="base deviation exponent override")
-    common(sp, "--p")
+    sp.add_argument("--mode", choices=("auto", "lipschitz", "eigen", "poincare"), default="auto")
+    sp.add_argument("--r", type=float, help="base deviation exponent override")
+    common(sp, _run_transfer, "--p")
 
     sp = sub.add_parser("verify", help="check a certificate against the oracle")
     sp.add_argument("--bound", help="certificate or report JSON")
     sp.add_argument("--domain", help="domain JSON (or a mesh file)")
-    common(sp, "--h")
+    common(sp, _run_verify, "--h")
 
     sp = sub.add_parser("report", help="tabulate one or more reports")
     sp.add_argument("inputs", nargs="*", help="report JSON files")
-    common(sp)
+    common(sp, _run_report)
 
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(command=args.command)
-    for attr in vars(config):
-        if hasattr(args, attr) and getattr(args, attr) is not None:
-            setattr(config, attr, getattr(args, attr))
-    for name in ("p", "h", "delta", "a", "r"):  # flags may give nan or inf
-        value = getattr(config, name)
-        if value is not None and not math.isfinite(value):
+def _check_args(args: argparse.Namespace) -> None:
+    """The refusals a flag's type cannot express: finite numbers and p > 1."""
+    for name, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):  # flags may give nan or inf
             raise CliError(f"{name} must be a finite number, got {value!r}")
-    if config.p <= 1.0:
+    if "p" in args and args.p <= 1.0:
         raise CliError("exponent p must exceed 1")
-    return config
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = config_from_args(args)
-        payload, code = run(config)
-        text = render_report(payload, config.fmt)
+        _check_args(args)
+        payload, code = run(args)
+        text = render_report(payload, args.fmt)
     except (CliError, GeometryError, MeshError, TransferError, SeriesError,
             SolveError, ValueError, OSError) as exc:
         print(f"{TOOL_NAME}: error: {exc}", file=sys.stderr)
         return 1
-    if config.out:
+    if args.out:
         try:
-            with open(config.out, "w", encoding="utf-8") as fh:
+            with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
             print(f"{TOOL_NAME}: error: {exc}", file=sys.stderr)

@@ -36,6 +36,9 @@ STAR_OUTWARD_STEPS = 20
 SQRT3 = math.sqrt(3.0)
 # largest |coordinate| such that (2 * |coordinate|)**n stays finite
 MAX_COORDINATE = {n: 0.5 * sys.float_info.max ** (1.0 / n) for n in (2, 3)}
+# largest |coordinate| of a cell vertex: the squared diagonal of the cell's box,
+# n * (2 * |coordinate|)**2, stays finite too (the star's measures square no diagonal)
+MAX_CELL_COORDINATE = {2: 0.5 * math.sqrt(sys.float_info.max / 2.0), 3: MAX_COORDINATE[3]}
 
 
 class GeometryError(ValueError):
@@ -71,8 +74,8 @@ def _hull_volume_3d(points: np.ndarray, hull: ConvexHull) -> float:
 def _check_magnitude(magnitude: float, n: int) -> None:
     """Qhull's determinants and the shoelace take degree-n products of coordinates;
     past float range Qhull fails or crashes (segfault in 3D). The bound also keeps
-    extent**n finite."""
-    if magnitude > MAX_COORDINATE[n]:
+    extent**n and the squared diagonal finite."""
+    if magnitude > MAX_CELL_COORDINATE[n]:
         raise GeometryError(f"vertex coordinate {magnitude:g} too large: degree-{n} products overflow")
 
 
@@ -411,8 +414,14 @@ class CellCover:
     def rects(self) -> list[tuple[float, float, float, float] | None]:
         return [_axis_aligned_rect(cell) for cell in self.cells]
 
+    def __len__(self) -> int:
+        return len(self.cells)
+
     def volume(self, i: int) -> float:
         return cell_volume(self.cells[i])
+
+    def diameter(self, i: int) -> float:
+        return cell_diameter(self.cells[i])
 
     def overlap(self, i: int, j: int) -> float:
         return intersection_volume(self.cells[i], self.cells[j])
@@ -488,6 +497,9 @@ class RectCover:
                 return None
             rects.append((xs[0], ys[0], xs[1], ys[1]))
         return cls(rects)
+
+    def __len__(self) -> int:
+        return len(self.rects)
 
     def volume(self, i: int) -> float:
         return self._up(self._areas[i])

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import json
@@ -5,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -551,6 +553,18 @@ class TestOverflowOneLine:
         line = one_line_error(["bound-star", "--p", 1e6, "--no-verify"], capsys)
         assert "p = 1e+06" in line
 
+    @pytest.mark.parametrize("command, patched", [("verify", "check_domination"),
+                                                  ("report", "emit_table")])
+    def test_command_without_p_names_no_p(self, tmp_path, monkeypatch, capsys, command, patched):
+        def overflow(*args, **kwargs):
+            raise OverflowError("(34, 'Numerical result out of range')")
+
+        monkeypatch.setattr(cli, patched, overflow)
+        cert = write_json(tmp_path / "cert.json", {"bound": 1.0, "p": 4.0})
+        args = {"verify": ["verify", "--bound", cert, "--domain", write_json(tmp_path / "sq.json", SQUARE)],
+                "report": ["report", cert]}[command]
+        assert one_line_error(args, capsys) == f"neumann-bounds: error: {command}: a value exceeds float range"
+
     def test_linear_map_distortion_overflow(self, tmp_path, capsys):
         map_path = write_json(tmp_path / "map.json",
                               {"kind": "linear", "matrix": [[1e200, 0], [0, 1e-200]]})
@@ -675,6 +689,116 @@ class TestFlagsPerCommand:
         assert run_cli(["verify", "--bound", cert, "--domain", domain, "--h", 0.5, "--seed", 3,
                         "--out", tmp_path / "v.json"]) == 0
         assert run_cli(["report", snow, "--seed", 3, "--out", tmp_path / "r.csv"]) == 0
+
+
+def subparser(command):
+    parser = cli._build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices[command]
+
+
+def command_flags(command):
+    """A command's parameters, read off the parser: the command name, which the parser
+    stores as "command", and the destination of each of its flags."""
+    return {"command"} | {a.dest for a in subparser(command)._actions if a.dest != "help"}
+
+
+def echo_inputs(tmp_path):
+    """Input files of the config-echo tests, by name."""
+    spec, base = SAMPLED_R4
+    payloads = {
+        "row": ROW5, "map": spec, "map_k2": {**spec, "K": 2.0},
+        "base": base, "base_small": {**base, "bound": 0.25},
+        "cert": {"bound": 1.0, "p": 2.0}, "cert_small": {"bound": 0.5, "p": 2.0},
+        "square": SQUARE, "rect21": {"kind": "rectangle", "bounds": [0, 0, 2, 1]},
+    }
+    paths = {name: write_json(tmp_path / f"{name}.json", data) for name, data in payloads.items()}
+    return {"pair": pair_domain(tmp_path), **paths}
+
+
+# (command and its flags at default values but for the inputs, a flag, another value):
+# one case per flag a report echoes, but --seed and --format
+ECHOED_FLAG_CHANGES = [
+    (["bound-cells", "--domain", "pair"], "--domain", "row"),
+    (["bound-cells", "--domain", "pair"], "--p", "3"),
+    (["bound-cells", "--domain", "pair"], "--h", "0.25"),
+    (["bound-cells", "--domain", "pair"], "--no-verify", None),
+    (["bound-star", "--no-verify"], "--delta", "2"),
+    (["bound-star", "--no-verify"], "--dim", "3"),
+    (["bound-star", "--no-verify", "--dim", "3"], "--mgon", "8"),  # no 2D star reads it
+    (["bound-star", "--no-verify"], "--p", "3"),
+    (["bound-star"], "--h", "0.25"),
+    (["bound-star"], "--no-verify", None),
+    (["bound-snowflake"], "--a", "2"),
+    (["bound-snowflake"], "--depth", "4"),
+    (["bound-snowflake"], "--overlap-fraction", "0.3"),
+    (["bound-snowflake"], "--p", "3"),
+    (["transfer", "--map", "map", "--base", "base"], "--map", "map_k2"),
+    (["transfer", "--map", "map", "--base", "base"], "--base", "base_small"),
+    (["transfer", "--map", "map", "--base", "base"], "--mode", "poincare"),
+    (["transfer", "--map", "map", "--base", "base"], "--r", "6"),
+    (["transfer", "--map", "map", "--base", "base"], "--p", "3"),
+    (["verify", "--bound", "cert", "--domain", "square"], "--bound", "cert_small"),
+    (["verify", "--bound", "cert", "--domain", "square"], "--domain", "rect21"),
+    (["verify", "--bound", "cert", "--domain", "square"], "--h", "0.25"),
+]
+
+
+# every command but report, which writes a table without a config block
+REPORTING_COMMANDS = ["bound-cells", "bound-star", "bound-snowflake", "transfer", "verify"]
+
+
+class TestConfigEcho:
+    """A report's config holds the flags of its command, defaults included, and
+    every one of them but --seed and --format is read by some run."""
+
+    def run_report(self, tmp_path, args):
+        inputs = echo_inputs(tmp_path)
+        out = tmp_path / "out.json"
+        code = run_cli([inputs.get(a, a) for a in args] + ["--out", out])
+        return code, json.loads(out.read_text()) if code == 0 else None
+
+    @pytest.mark.parametrize("command", REPORTING_COMMANDS)
+    def test_echoed_keys_are_the_command_flags(self, tmp_path, command):
+        args = next(base for base, _, _ in ECHOED_FLAG_CHANGES if base[0] == command)
+        code, report = self.run_report(tmp_path, args)
+        assert code == 0
+        assert set(report["config"]) == command_flags(command) - {"out"}
+
+    def test_verify_echoes_no_exponent(self, tmp_path):
+        cert = write_json(tmp_path / "cert_p4.json", {"bound": 1.0, "p": 4.0})
+        domain = write_json(tmp_path / "sq.json", SQUARE)
+        code, report = self.run_report(tmp_path, ["verify", "--bound", cert, "--domain", domain,
+                                                  "--h", "0.25"])
+        assert code == 0
+        assert "p" not in report["config"]
+        assert report["certificates"][0]["data"]["p"] == 4.0  # the check runs at the certificate's p
+
+    @pytest.mark.parametrize("command", REPORTING_COMMANDS)
+    def test_cases_change_every_echoed_flag(self, command):
+        changed = {subparser(command)._option_string_actions[flag].dest
+                   for base, flag, _ in ECHOED_FLAG_CHANGES if base[0] == command}
+        assert changed == command_flags(command) - {"command", "seed", "fmt", "out"}
+
+    @pytest.mark.parametrize("base, flag, value", ECHOED_FLAG_CHANGES,
+                             ids=[f"{b[0]}{f}" for b, f, _ in ECHOED_FLAG_CHANGES])
+    def test_changed_flag_moves_the_report(self, tmp_path, base, flag, value):
+        # a refusal with one line would do too; each of these changes is accepted
+        reports = []
+        for args in (base, [*base, flag] + ([] if value is None else [value])):
+            code, report = self.run_report(tmp_path, args)
+            assert code == 0
+            report.pop("config")
+            reports.append(report)
+        assert reports[0] != reports[1]
+
+    def test_poincare_transfer_table_shows_its_p(self, tmp_path):
+        inputs = echo_inputs(tmp_path)
+        out, table = tmp_path / "t.json", tmp_path / "table.json"
+        assert run_cli(["transfer", "--map", inputs["map"], "--base", inputs["base"],
+                        "--mode", "poincare", "--p", 3, "--out", out]) == 0
+        assert "p" not in json.loads(out.read_text())["certificates"][0]["data"]
+        assert run_cli(["report", out, "--format", "json", "--out", table]) == 0
+        assert [row["p"] for row in json.loads(table.read_text())] == [3.0]
 
 
 def test_oversized_3d_cross_section_one_line(capsys):
@@ -956,6 +1080,48 @@ class TestRectCoverMultiplicity:
                 cells.append(rect_cell(x0 * step, y0 * step, (x0 + w) * step, (y0 + h) * step))
             triples.append(SimpleNamespace(cells=tuple(cells)))
         assert multiplicity(triples) == previous_rect_cover_multiplicity(triples)
+
+    # a 7-rectangle row whose x strip (3, nextafter(3, 4)) lies in all three triples; the
+    # float midpoint of that strip rounds onto one of its ends
+    ULP_ROW = [(0, 1), (0.8, 1.8), (1.6, math.nextafter(3, 4)), (2, 4), (3, 4.5), (4.3, 5.3),
+               (5.1, 6.1)]
+
+    def test_one_ulp_strip_counted(self):
+        rects = [(x0, 0.0, x1, 1.0) for x0, x1 in self.ULP_ROW]
+        assert rect_cover_multiplicity([rects[i:i + 3] for i in (0, 2, 4)]) == 3
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_float_sum_corners_match_exact_midpoints(self, seed):
+        # corners summed from 0.1, 0.2, 0.3 and 0.7 land ulps apart; the reference takes
+        # the arrangement cells' midpoints in exact rationals
+        rng = np.random.default_rng(3000 + seed)
+
+        def coordinate(steps):
+            return sum(rng.choice(steps, size=rng.integers(1, 6)))
+
+        triples = []
+        for _ in range(rng.integers(3, 9)):
+            triples.append([])
+            for _ in range(3):
+                x0, y0 = coordinate([0.1, 0.2, 0.3, 0.7]), coordinate([0.1, 0.2, 0.3, 0.7])
+                triples[-1].append((x0, y0, x0 + coordinate([0.1, 0.2, 0.3]),
+                                    y0 + coordinate([0.1, 0.2, 0.3])))
+        xs, ys = ([Fraction(c) for c in sorted({r[k] for t in triples for r in t for k in ks})]
+                  for ks in ((0, 2), (1, 3)))
+        exact = max(sum(any(r[0] < x < r[2] and r[1] < y < r[3] for r in t) for t in triples)
+                    for x in ((a + b) / 2 for a, b in zip(xs, xs[1:]))
+                    for y in ((a + b) / 2 for a, b in zip(ys, ys[1:])))
+        assert rect_cover_multiplicity(triples) == max(exact, 1)
+
+    def test_one_ulp_strip_in_bound_cells(self, tmp_path, capsys):
+        cells = [{"vertices": [[x0, 0], [x1, 0], [x1, 1], [x0, 1]]} for x0, x1 in self.ULP_ROW]
+        out = tmp_path / "row.json"
+        domain = write_json(tmp_path / "ulp.json", {"type": "cells", "cells": cells})
+        assert run_cli(["bound-cells", "--domain", domain, "--no-verify", "--out", out]) == 0
+        assert json.loads(out.read_text())["certificates"][0]["data"]["multiplicity"] == 3
+        domain = write_json(tmp_path / "ulp.json", {"type": "cells", "cells": cells, "multiplicity": 2})
+        assert one_line_error(["bound-cells", "--domain", domain, "--no-verify"], capsys).endswith(
+            "chain multiplicity 2 is below the cover multiplicity 3 of the rectangle triples")
 
     def test_nested_and_touching(self):
         nested = SimpleNamespace(cells=(rect_cell(0, 0, 4, 4), rect_cell(1, 1, 2, 2),

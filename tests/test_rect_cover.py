@@ -229,3 +229,21 @@ def test_thin_rectangle_measured_alike_anywhere(tmp_path):
         assert cli.main(["bound-cells", "--domain", domain, "--no-verify", "--out", str(out)]) == 0
         bounds.append(json.loads(out.read_text())["certificates"][0]["data"]["bound"])
     assert bounds[0] == bounds[1]
+
+
+@pytest.mark.parametrize("closed", [False, True], ids=["rect-cover", "cell-cover"])
+def test_square_at_the_coordinate_bound(tmp_path, capsys, closed):
+    # the bound keeps the squared diagonal finite: a square just inside it is measured on
+    # both paths (a closed vertex loop takes the convex-cell path), one just outside refused
+    inside = geometry.MAX_CELL_COORDINATE[2]
+    for m in (inside, math.nextafter(inside, math.inf)):
+        square = rect(-m, -m, m, m)
+        if closed:
+            square["vertices"].append(square["vertices"][0])
+        args = ["bound-cells", "--domain", write_cells(tmp_path, [square]), "--no-verify"]
+        if m == inside:
+            assert cli.main([*args, "--out", str(tmp_path / "out.json")]) == 0
+        else:
+            assert cli.main(args) == 1
+            assert capsys.readouterr().err.strip() == (
+                f"neumann-bounds: error: vertex coordinate {m:g} too large: degree-2 products overflow")
