@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 
 import numpy as np
-from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
 VOLUME_TOL = 1e-12  # cut-off of degenerate cells and empty overlaps, relative to their scale
 # |Q1 ∩ Q3| below this fraction of the smaller cell counts as disjoint
@@ -109,17 +108,20 @@ class ConvexCell:
         if not np.all(np.isfinite(verts)):
             raise GeometryError("vertices must be finite")
         _check_magnitude(float(np.abs(verts).max()), n)
+        lo, hi = verts.min(axis=0), verts.max(axis=0)
+        # Qhull's flatness test scales with the coordinates: it sees the cell from its box corner
+        local = verts - lo
+        from scipy.spatial import ConvexHull, QhullError  # imported on use: it costs start-up
         try:
-            hull = ConvexHull(verts)
+            hull = ConvexHull(local)
         except QhullError as exc:
             raise GeometryError(f"degenerate cell: {_first_line(exc)}") from None
         hull_vertices = verts[hull.vertices]
         volume = polygon_area(hull_vertices) if n == 2 else _hull_volume_3d(verts, hull)
-        lo, hi = verts.min(axis=0), verts.max(axis=0)
         scale = float((hi - lo).max())
         _check_volume(volume, scale, n)
         # convexity audit: no input vertex may sit strictly inside the hull
-        dist = verts @ hull.equations[:, :-1].T + hull.equations[:, -1]
+        dist = local @ hull.equations[:, :-1].T + hull.equations[:, -1]
         if np.any(dist.max(axis=1) < -1e-9 * scale):
             raise GeometryError("vertex strictly inside the convex hull of the vertex set")
         self.vertices = verts
@@ -136,7 +138,12 @@ class ConvexCell:
     @property
     def halfspaces(self) -> np.ndarray:
         """Facet inequalities as rows (a, b) with a.x + b <= 0 inside."""
-        return self._hull.equations
+        return self._halfspaces_from(0.0)
+
+    def _halfspaces_from(self, origin) -> np.ndarray:
+        """Rows (a, b) with a.(x - origin) + b <= 0 inside; Qhull's are box-corner relative."""
+        a, b = self._hull.equations[:, :-1], self._hull.equations[:, -1]
+        return np.column_stack((a, b - a @ np.subtract(self._box[0], origin)))
 
     def hull_polygon(self) -> np.ndarray:
         """2D only: hull vertices in counterclockwise order."""
@@ -226,12 +233,13 @@ def intersection_volume(c1: ConvexCell, c2: ConvexCell) -> float:
     """Volume of the intersection of two convex cells of equal dimension.
 
     2D clips the hull polygons and takes the shoelace; 3D intersects the
-    facet half-space lists and measures the resulting polytope. Both round
-    to nearest, so the result may lie on either side of the exact volume
-    (RectCover measures rectangles exactly). A failed 3D construction
-    raises GeometryError: overlaps serve as lower bounds (combination-rule
-    denominators) and as upper bounds (WhitneyTriple's disjointness test),
-    so no one-sided estimate can stand in.
+    facet half-space lists, written relative to c1's box corner so that the
+    cells' offset costs no accuracy, and measures the resulting polytope.
+    Both round to nearest, so the result may lie on either side of the
+    exact volume (RectCover measures rectangles exactly). A failed 3D
+    construction raises GeometryError: overlaps serve as lower bounds
+    (combination-rule denominators) and as upper bounds (WhitneyTriple's
+    disjointness test), so no one-sided estimate can stand in.
     """
     if c1.n != c2.n:
         raise GeometryError(f"dimension mismatch: {c1.n} vs {c2.n}")
@@ -242,11 +250,12 @@ def intersection_volume(c1: ConvexCell, c2: ConvexCell) -> float:
         if len(clipped) < 3:
             return 0.0
         return polygon_area(clipped)
-    halfspaces = np.vstack([c1.halfspaces, c2.halfspaces])
+    halfspaces = np.vstack([c1._halfspaces_from(c1._box[0]), c2._halfspaces_from(c1._box[0])])
     center = _chebyshev_center(halfspaces)
     # an overlap thinner than VOLUME_TOL times the smaller cell's length scale is empty
     if center is None or center[1] <= VOLUME_TOL * min(map(cell_volume, (c1, c2))) ** (1.0 / 3.0):
         return 0.0
+    from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError  # imported on use
     try:
         hs = HalfspaceIntersection(halfspaces, center[0])
         hull = ConvexHull(hs.intersections)

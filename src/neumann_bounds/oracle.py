@@ -34,9 +34,6 @@ from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.spatial import Delaunay, cKDTree
 
 from .geometry import ConvexCell, StarDomainSpec, cell_volume, polygon_area
 from .poincare import PoincareBound, check_exponent, read_field
@@ -131,6 +128,7 @@ class TriangleMesh:
     def midpoint_operator(self) -> sp.csr_matrix:
         """(3E, N) P1 interpolation at edge midpoints; row 3e + i averages
         nodes elements[e, i] and elements[e, (i + 1) % 3]."""
+        import scipy.sparse as sp  # imported on use: it costs the CLI's start-up
         m = 3 * len(self.elements)
         cols = np.stack([self.elements, self.elements[:, [1, 2, 0]]], axis=2).ravel()
         return sp.csr_matrix(
@@ -146,6 +144,7 @@ class TriangleMesh:
     def gradient_operator(self) -> sp.csr_matrix:
         """(2E, N) constant element gradients; row 2e + d holds grads[e, :, d]
         at columns elements[e, 0..2], in that order."""
+        import scipy.sparse as sp
         m = 2 * len(self.elements)
         return sp.csr_matrix(
             (
@@ -183,6 +182,7 @@ class TriangleMesh:
         return [tuple(e) for e in edges[counts == 1].tolist()]
 
     def _audit_edges(self) -> None:
+        from scipy.spatial import cKDTree
         edges, counts = self._edge_counts()
         if np.any(counts > 2):
             raise MeshError("an edge is shared by more than two elements")
@@ -211,11 +211,12 @@ class TriangleMesh:
             raise MeshError("hanging node detected on a boundary edge")
 
     def _audit_connected(self) -> None:
+        from scipy.sparse import coo_matrix, csgraph
         n = self.node_count
         rows = self.elements[:, [0, 1, 2]].ravel()
         cols = self.elements[:, [1, 2, 0]].ravel()
-        graph = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-        ncomp = sp.csgraph.connected_components(graph, directed=False, return_labels=False)
+        graph = coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+        ncomp = csgraph.connected_components(graph, directed=False, return_labels=False)
         if ncomp != 1:
             raise MeshError(f"mesh is not connected ({ncomp} components)")
 
@@ -309,6 +310,7 @@ def _rect_union_mesh(rects: np.ndarray, h: float) -> TriangleMesh:
 
 def _convex_polygon_mesh(vertices: np.ndarray, h: float) -> TriangleMesh:
     """Delaunay mesh of a convex polygon (boundary resolved to spacing h)."""
+    from scipy.spatial import Delaunay
     verts = np.asarray(vertices, dtype=float)
     signed2 = float(
         np.dot(verts[:, 0], np.roll(verts[:, 1], -1)) - np.dot(verts[:, 1], np.roll(verts[:, 0], -1))
@@ -477,6 +479,7 @@ def p1_matrices(mesh: TriangleMesh) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     Element contributions are emitted in element-index order, so assembly
     is bit-reproducible for a fixed mesh.
     """
+    import scipy.sparse as sp
     ke = np.einsum("eid,ejd,e->eij", mesh.grads, mesh.grads, mesh.areas)
     me_ref = (np.ones((3, 3)) + np.eye(3)) / 12.0
     me = mesh.areas[:, None, None] * me_ref
@@ -505,6 +508,7 @@ def _shifted_solve(mesh: TriangleMesh, count: int):
     that reads one eigenvector pays for one. The eigenvectors come back as
     columns in ascending eigenvalue order.
     """
+    import scipy.sparse.linalg as spla
     stiffness, mass = p1_matrices(mesh)
     n = mesh.node_count
     ones_mass = np.asarray(mass.sum(axis=0)).ravel()  # M @ 1

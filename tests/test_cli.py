@@ -12,6 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import scipy.spatial
 from scipy.spatial import QhullError
 
 import neumann_bounds
@@ -80,23 +81,73 @@ def run_fresh_process(args, module=("-m", "neumann_bounds.cli")):
     )
 
 
-def test_import_defers_optimize_and_integrate():
-    """linprog, brentq and quad load where they are used, not with the CLI."""
-    code = ("import sys, neumann_bounds.cli; "
-            "print([m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules])")
-    fresh = run_fresh_process([], module=("-c", code))
+def run_fresh_commands(*stages):
+    """Each stage's CLI commands in one fresh interpreter: per stage, the exit
+    codes and the scipy modules loaded once they ran. The first stage is the
+    package import and runs no command."""
+    code = ("import json, sys\n"
+            "def scipy_modules():\n"
+            "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+            "import neumann_bounds\n"
+            "stages = [([], scipy_modules())]\n"
+            "from neumann_bounds import cli\n"
+            "for commands in json.loads(sys.argv[1]):\n"
+            "    stages.append(([cli.main(args) for args in commands], scipy_modules()))\n"
+            "print(json.dumps(stages))\n")
+    stages = [[[str(a) for a in args] for args in commands] for commands in stages]
+    fresh = run_fresh_process([json.dumps(stages)], module=("-c", code))
     assert fresh.returncode == 0, fresh.stderr
-    assert fresh.stdout.strip() == "[]"
+    return json.loads(fresh.stdout)
 
 
-def test_3d_star_loads_no_optimize(tmp_path):
-    """The star's measures are closed forms: no linprog Chebyshev centre."""
-    code = ("import sys; from neumann_bounds import cli; "
-            f"code = cli.main(['bound-star', '--dim', '3', '--out', {str(tmp_path / 's.json')!r}]); "
-            "print(code, 'scipy.optimize' in sys.modules)")
-    fresh = run_fresh_process([], module=("-c", code))
-    assert fresh.returncode == 0, fresh.stderr
-    assert fresh.stdout.strip() == "0 False"
+def test_certificate_only_commands_load_no_scipy(tmp_path):
+    """scipy loads where it is used: certificates need none of it, the oracle does."""
+    linear = write_json(tmp_path / "linear.json", {"kind": "linear", "matrix": [[2, 0], [0, 1]]})
+    sampled = write_json(tmp_path / "sampled.json", SAMPLED_R4[0])
+    base = write_json(tmp_path / "base.json", SAMPLED_R4[1])
+    outs = [tmp_path / f"{name}.json" for name in
+            ("snow", "star2", "star3", "cells", "linear", "sampled")]
+    certificates = [
+        ["bound-snowflake", "--out", outs[0]],
+        ["bound-star", "--dim", 2, "--no-verify", "--out", outs[1]],
+        ["bound-star", "--dim", 3, "--out", outs[2]],
+        ["bound-cells", "--domain", pair_domain(tmp_path), "--no-verify", "--out", outs[3]],
+        ["transfer", "--map", linear, "--base", base, "--out", outs[4]],
+        ["transfer", "--map", sampled, "--base", base, "--out", outs[5]],
+        ["report", *outs, "--out", tmp_path / "table.json"],
+    ]
+    square = write_json(tmp_path / "square.json", SQUARE)
+    verify = [["verify", "--bound", outs[1], "--domain", square, "--h", 0.25,
+               "--out", tmp_path / "checked.json"]]
+    imported, certified, verified = run_fresh_commands(certificates, verify)
+    assert imported == [[], []]
+    assert certified == [[0] * len(certificates), []]
+    assert verified[0] == [0]
+    assert "scipy.sparse.linalg" in verified[1]
+
+
+def test_on_use_imports_serve_qhull_and_the_mesh_paths(tmp_path):
+    """Qhull alone for a triangle cover; Delaunay, the cKDTree audit and the
+    solve for a polygon domain and for a raw mesh file."""
+    triangles = write_json(tmp_path / "triangles.json", {"type": "cells", "cells": [
+        {"vertices": [[0, 0], [1, 0], [0.5, 1]]}, {"vertices": [[0.5, 0], [1.5, 0], [1, 1]]}]})
+    cert = tmp_path / "cert.json"
+    polygon = write_json(tmp_path / "polygon.json", {
+        "kind": "polygon", "vertices": [[0, 0], [2, 0], [2.5, 1], [1, 1.8], [-0.4, 1]]})
+    mesh = write_json(tmp_path / "mesh.json", {
+        "nodes": [[0, 0], [1, 0], [2, 0], [0, 1], [1, 1], [2, 1]],
+        "elements": [[0, 1, 4], [0, 4, 3], [1, 2, 5], [1, 5, 4]]})
+    bound = write_json(tmp_path / "bound.json", {"bound": 1.0, "p": 2.0})
+    covered, verified = run_fresh_commands(
+        [["bound-cells", "--domain", triangles, "--no-verify", "--out", cert]],
+        [["verify", "--bound", bound, "--domain", domain, "--h", 0.3, "--out", f"{domain}.out"]
+         for domain in (polygon, mesh)],
+    )[1:]
+    assert covered[0] == [0]
+    assert "scipy.spatial" in covered[1]
+    assert "scipy.sparse.linalg" not in covered[1]
+    assert verified[0] == [0, 0]
+    assert {"scipy.sparse.csgraph", "scipy.sparse.linalg"} <= set(verified[1])
 
 
 class TestBoundCommands:
@@ -852,7 +903,7 @@ def test_3d_overlap_construction_failure_one_line(tmp_path, monkeypatch, capsys)
     def failing(*args, **kwargs):
         raise QhullError("QH6271 qhull topology error\nsecond line of the option dump")
 
-    monkeypatch.setattr(geometry, "HalfspaceIntersection", failing)
+    monkeypatch.setattr(scipy.spatial, "HalfspaceIntersection", failing)
     cubes = write_json(tmp_path / "cubes.json", {"type": "cells", "cells": [
         {"vertices": [[x + dx, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)]}
         for dx in (0.0, 0.25)]})

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.spatial
 from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
 from neumann_bounds import geometry
@@ -172,6 +173,24 @@ class TestCellBasics:
         cube = [tuple(lam * x for x in corner) for corner in np.ndindex(*(2,) * n)]
         assert cell_volume(ConvexCell(cube)) == pytest.approx(lam**n, rel=1e-12)
 
+    @pytest.mark.parametrize("x", [0.0, 1e3, 1e6, 1e9])
+    def test_thin_trapezoid_judged_by_shape_not_position(self, x):
+        # Qhull's flatness test scales with the coordinates, but a cell must be
+        # judged by its shape wherever it sits
+        verts = np.array([[x, 0], [x + 1, 0], [x + 1, 1e-9], [x + 0.5, 1e-9]])
+        cell = ConvexCell(verts)
+        assert sorted(cell._hull.vertices) == [0, 1, 2, 3]
+        assert cell_volume(cell) == geometry.polygon_area(verts[cell._hull.vertices])
+        # that area is the shoelace of the input coordinates: far from the origin its
+        # products of size (x + 1) 1e-9 cancel, so there it holds to 8 ulp of each
+        rel = 1e-12 if x <= 1e3 else 8 * np.finfo(float).eps * (x + 1) / 0.75
+        assert cell_volume(cell) == pytest.approx(geometry.polygon_area(verts - [x, 0]), rel=rel)
+
+    @pytest.mark.parametrize("x", [0.0, 1e3, 1e6, 1e9])
+    def test_thin_box_judged_by_shape_not_position(self, x):
+        cell = ConvexCell([(x + i, j, 1e-9 * k) for i in (0, 1) for j in (0, 1) for k in (0, 1)])
+        assert cell_volume(cell) == pytest.approx(1e-9, rel=1e-12)
+
     def test_qhull_error_condensed_to_one_line(self):
         with pytest.raises(GeometryError) as err:
             ConvexCell([(0, 0), (1, 0), (2, 0)])
@@ -236,12 +255,27 @@ class TestIntersection:
         c2 = ConvexCell([(x + 0.25, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
         assert intersection_volume(c1, c2) == pytest.approx(0.75, rel=1e-9)
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_3d_overlap_independent_of_offset(self, seed):
+        # dyadic cells moved by exact offsets bound the same polytope each time,
+        # so their overlap must not depend on the offset
+        rng = np.random.default_rng(seed)
+        points = np.round(rng.normal(size=(int(rng.integers(5, 12)), 3)) * 1024) / 1024
+        points = points[ConvexHull(points).vertices]
+        moved = points + np.round(rng.normal(size=3) * 256) / 1024
+        at_origin = intersection_volume(ConvexCell(points), ConvexCell(moved))
+        assert at_origin > 0.0
+        for offset in (2.0**10, 2.0**20, 2.0**30):
+            shift = offset * np.array([1.0, -1.0, 0.5])
+            got = intersection_volume(ConvexCell(points + shift), ConvexCell(moved + shift))
+            assert got == pytest.approx(at_origin, rel=1e-12)
+
     def test_3d_construction_failure_raises(self, monkeypatch):
         # no sampling fallback: the overlap feeds lower- and upper-bound uses
         def failing(*args, **kwargs):
             raise QhullError("QH6271 qhull topology error\nsecond line of the option dump")
 
-        monkeypatch.setattr(geometry, "HalfspaceIntersection", failing)
+        monkeypatch.setattr(scipy.spatial, "HalfspaceIntersection", failing)
         c1 = ConvexCell([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
         c2 = ConvexCell([(x + 0.25, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
         with pytest.raises(GeometryError, match=r"QH6271 qhull topology error$"):
@@ -265,7 +299,8 @@ def reference_hull_volume_3d(points, hull):
 
 def intersection_polytope(c1, c2):
     """Vertices and hull of the polytope that intersection_volume measures in 3D."""
-    halfspaces = np.vstack([c1.halfspaces, c2.halfspaces])
+    origin = c1.bounding_box()[0]
+    halfspaces = np.vstack([c1._halfspaces_from(origin), c2._halfspaces_from(origin)])
     center, _ = _chebyshev_center(halfspaces)
     points = HalfspaceIntersection(halfspaces, center).intersections
     return points, ConvexHull(points)

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.spatial
 
 from neumann_bounds import cli, geometry
 from neumann_bounds.geometry import VOLUME_TOL, CellCover, ConvexCell, RectCover
@@ -173,8 +174,10 @@ def refuse_cells(*args, **kwargs):
 @pytest.mark.parametrize("count", [1, 2, 3, 5, 9])
 @pytest.mark.parametrize("verify", [False, True], ids=["no-verify", "verified"])
 def test_rectangle_covers_build_no_cells(tmp_path, monkeypatch, count, verify):
-    for name in ("ConvexHull", "HalfspaceIntersection", "clip_polygon", "polygon_area",
-                 "intersection_volume", "triple_link_volume", "union_volume_2d"):
+    for name in ("ConvexHull", "HalfspaceIntersection"):
+        monkeypatch.setattr(scipy.spatial, name, refuse_cells)
+    for name in ("clip_polygon", "polygon_area", "intersection_volume", "triple_link_volume",
+                 "union_volume_2d"):
         monkeypatch.setattr(geometry, name, refuse_cells)
     monkeypatch.setattr(ConvexCell, "__init__", refuse_cells)
     out = tmp_path / "out.json"
