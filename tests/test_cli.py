@@ -81,6 +81,25 @@ def run_fresh_process(args, module=("-m", "neumann_bounds.cli")):
     )
 
 
+def test_import_defers_optimize_and_integrate():
+    """linprog, brentq and quad load where they are used, not with the CLI."""
+    code = ("import sys, neumann_bounds.cli; "
+            "print([m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules])")
+    fresh = run_fresh_process([], module=("-c", code))
+    assert fresh.returncode == 0, fresh.stderr
+    assert fresh.stdout.strip() == "[]"
+
+
+def test_3d_star_loads_no_optimize(tmp_path):
+    """The star's measures are closed forms: no linprog Chebyshev centre."""
+    code = ("import sys; from neumann_bounds import cli; "
+            f"code = cli.main(['bound-star', '--dim', '3', '--out', {str(tmp_path / 's.json')!r}]); "
+            "print(code, 'scipy.optimize' in sys.modules)")
+    fresh = run_fresh_process([], module=("-c", code))
+    assert fresh.returncode == 0, fresh.stderr
+    assert fresh.stdout.strip() == "0 False"
+
+
 def run_fresh_commands(*stages):
     """Each stage's CLI commands in one fresh interpreter: per stage, the exit
     codes and the scipy modules loaded once they ran. The first stage is the
