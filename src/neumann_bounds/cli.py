@@ -140,8 +140,8 @@ def rect_cover_multiplicity(triples) -> int:
     signed [x in S] times [y in S].
     """
     rects = np.array(triples, dtype=float).reshape(len(triples), 1, 3, 4)  # (T, 1, 3, [x0, y0, x1, y1])
-    xs = np.unique(rects[..., [0, 2]])
-    ys = np.unique(rects[..., [1, 3]])
+    # the distinct strip ends in order (the first np.unique of a process imports numpy.ma)
+    xs, ys = (np.array(sorted(set(rects[..., [d, d + 2]].ravel().tolist()))) for d in (0, 1))
     member = np.array([[i >> k & 1 for k in range(3)] for i in range(1, 8)], bool)[..., None]
     lo = np.where(member, rects[..., :2], -np.inf).max(axis=2).reshape(-1, 2)  # (7T, [x, y])
     hi = np.where(member, rects[..., 2:], np.inf).min(axis=2).reshape(-1, 2)

@@ -51,8 +51,9 @@ def _first_line(exc: Exception) -> str:
 
 
 def polygon_area(poly: np.ndarray) -> float:
-    """Area of a simple polygon given as an (m, 2) vertex loop."""
-    x, y = poly[:, 0], poly[:, 1]
+    """Area of a simple polygon given as an (m, 2) vertex loop. The shoelace is
+    taken from the loop's box corner: its products cancel far from the origin."""
+    x, y = (poly - poly.min(axis=0)).T
     # the shift np.roll(., -1), without its overhead on 4-8 vertex loops
     return float(0.5 * abs(np.dot(x, np.concatenate((y[1:], y[:1])))
                            - np.dot(y, np.concatenate((x[1:], x[:1])))))
@@ -233,8 +234,8 @@ def intersection_volume(c1: ConvexCell, c2: ConvexCell) -> float:
     """Volume of the intersection of two convex cells of equal dimension.
 
     2D clips the hull polygons and takes the shoelace; 3D intersects the
-    facet half-space lists, written relative to c1's box corner so that the
-    cells' offset costs no accuracy, and measures the resulting polytope.
+    facet half-space lists and measures the resulting polytope. Both work
+    relative to c1's box corner, so that the cells' offset costs no accuracy.
     Both round to nearest, so the result may lie on either side of the
     exact volume (RectCover measures rectangles exactly). A failed 3D
     construction raises GeometryError: overlaps serve as lower bounds
@@ -246,7 +247,8 @@ def intersection_volume(c1: ConvexCell, c2: ConvexCell) -> float:
     if c1._box_apart(c2):
         return 0.0
     if c1.n == 2:
-        clipped = clip_polygon(c1.hull_polygon(), c2.hull_polygon())
+        corner = c1._box[0]
+        clipped = clip_polygon(c1.hull_polygon() - corner, c2.hull_polygon() - corner)
         if len(clipped) < 3:
             return 0.0
         return polygon_area(clipped)
@@ -353,16 +355,17 @@ def triple_link_volume(t1: WhitneyTriple, t2: WhitneyTriple) -> float:
 
     The intersection of the two three-cell unions is a union of up to nine
     convex pieces (pairwise cell intersections), measured exactly by
-    inclusion-exclusion.
+    inclusion-exclusion. The pieces are clipped relative to the box corner
+    of t1's first cell.
     """
-    pieces = []
+    pieces, corner = [], t1.q1._box[0]
     for a in t1.cells:
         for b in t2.cells:
             if a.n != 2:
                 raise GeometryError("triple link volumes are implemented for 2D cells")
             if a._box_apart(b):
                 continue
-            clipped = clip_polygon(a.hull_polygon(), b.hull_polygon())
+            clipped = clip_polygon(a.hull_polygon() - corner, b.hull_polygon() - corner)
             if len(clipped) >= 3 and polygon_area(clipped) > VOLUME_TOL * min(map(cell_volume, (a, b))):
                 pieces.append(clipped)
     return union_volume_2d(pieces)

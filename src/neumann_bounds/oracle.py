@@ -5,17 +5,17 @@ desk scale: deterministic 2D triangulations of the supported domain kinds,
 stiffness/mass assembly with consistent (non-lumped) mass, the smallest
 nonzero Neumann eigenvalue with a residual certificate, and discrete
 Rayleigh-quotient evaluation for general p. All |f|-type integrals use the
-three-edge-midpoint rule, which is exact for quadratics, so at p = 2 the
-quotient machinery reproduces the assembled mass forms to rounding.
+three-edge-midpoint rule, which is exact for quadratics.
 
-The general-p path works on two sparse operators that each mesh builds
-once, on first use: the midpoint operator P (3E x N) maps nodal values to
-the three edge midpoints of every element, and the gradient operator G
-(2E x N) maps them to the constant element gradients. Integrals, the
-zero-mean constraint and the Rayleigh functional are products with P and
-G, and their transposes scatter the functional's gradient back to the
-nodes. The constraint projection finds its shift by safeguarded Newton on
-the closed-form derivative of the constraint.
+Each mesh builds two sparse operators with itself: the midpoint operator P
+(3E x N) maps nodal values to the three edge midpoints of every element,
+and the gradient operator G (2E x N) maps them to the constant element
+gradients. They are the oracle's one quadrature: the P1 matrices are
+K = G^T diag(area) G and M = P^T diag(area / 3) P, and the general-p
+integrals, the zero-mean constraint and the Rayleigh functional are
+products with P and G, whose transposes scatter the functional's gradient
+back to the nodes. The constraint projection finds its shift by
+safeguarded Newton on the closed-form derivative of the constraint.
 
 Each oracle call factors its mesh once (_shifted_solve): the p = 2
 eigensolve uses the LU of K - sigma M as its shift-invert operator, and the
@@ -81,9 +81,10 @@ def _degenerate(nodes: np.ndarray, areas: np.ndarray) -> np.ndarray:
 class TriangleMesh:
     """Conforming P1 triangulation with pure Neumann (implicit) boundary.
 
-    Construction normalizes element orientation and audits the invariants:
-    positive areas, connectivity, no edge shared by more than two elements,
-    and no node hanging on the interior of a boundary edge.
+    Construction normalizes element orientation, audits the invariants
+    (positive areas, connectivity, no edge shared by more than two elements,
+    and no node hanging on the interior of a boundary edge) and builds the
+    gradient and midpoint operators.
     """
 
     def __init__(self, nodes, elements) -> None:
@@ -106,57 +107,34 @@ class TriangleMesh:
         self.nodes = nodes
         self.elements = elements
         self.areas = signed
-        coords = nodes[elements]
-        # constant P1 basis gradients per element
-        grads = np.empty((len(elements), 3, 2))
-        for i in range(3):
-            j, k = (i + 1) % 3, (i + 2) % 3
-            grads[:, i, 0] = coords[:, j, 1] - coords[:, k, 1]
-            grads[:, i, 1] = coords[:, k, 0] - coords[:, j, 0]
-        self.grads = grads / (2.0 * self.areas)[:, None, None]
-
         self._audit_edges()
         self._audit_connected()
+        import scipy.sparse as sp  # imported on use: it costs the CLI's start-up
+        e = len(elements)
+        # gradient operator G (2E, N): row 2e + d holds the d-th derivative of the
+        # three basis functions of element e at columns elements[e, 0..2]; the
+        # derivative of basis i is the edge opposite node i, turned a quarter
+        coords = nodes[elements]
+        edges = coords[:, [2, 0, 1]] - coords[:, [1, 2, 0]]
+        grads = np.stack([-edges[..., 1], edges[..., 0]], axis=1) / (2.0 * signed)[:, None, None]
+        self.gradient_operator = sp.csr_matrix(
+            (grads.ravel(), np.repeat(elements, 2, axis=0).ravel(), np.arange(0, 6 * e + 1, 3)),
+            shape=(2 * e, len(nodes)),
+        )
+        # midpoint operator P (3E, N): row 3e + i averages nodes elements[e, i]
+        # and elements[e, (i + 1) % 3]; the midpoint rule weighs each row area / 3
+        cols = np.stack([elements, elements[:, [1, 2, 0]]], axis=2).ravel()
+        self.midpoint_operator = sp.csr_matrix(
+            (np.full(6 * e, 0.5), cols, np.arange(0, 6 * e + 1, 2)), shape=(3 * e, len(nodes))
+        )
+        self.midpoint_weights = np.repeat(signed / 3.0, 3)
 
     @property
     def node_count(self) -> int:
         return len(self.nodes)
 
-    # sparse operators of the general-p functionals, built on first use
-
-    @cached_property
-    def midpoint_operator(self) -> sp.csr_matrix:
-        """(3E, N) P1 interpolation at edge midpoints; row 3e + i averages
-        nodes elements[e, i] and elements[e, (i + 1) % 3]."""
-        import scipy.sparse as sp  # imported on use: it costs the CLI's start-up
-        m = 3 * len(self.elements)
-        cols = np.stack([self.elements, self.elements[:, [1, 2, 0]]], axis=2).ravel()
-        return sp.csr_matrix(
-            (np.full(2 * m, 0.5), cols, np.arange(0, 2 * m + 1, 2)), shape=(m, self.node_count)
-        )
-
-    @cached_property
-    def midpoint_weights(self) -> np.ndarray:
-        """Midpoint-rule weight area / 3 of each row of the midpoint operator."""
-        return np.repeat(self.areas / 3.0, 3)
-
-    @cached_property
-    def gradient_operator(self) -> sp.csr_matrix:
-        """(2E, N) constant element gradients; row 2e + d holds grads[e, :, d]
-        at columns elements[e, 0..2], in that order."""
-        import scipy.sparse as sp
-        m = 2 * len(self.elements)
-        return sp.csr_matrix(
-            (
-                self.grads.transpose(0, 2, 1).ravel(),
-                np.repeat(self.elements, 2, axis=0).ravel(),
-                np.arange(0, 3 * m + 1, 3),
-            ),
-            shape=(m, self.node_count),
-        )
-
-    # the transposes scatter midpoint and gradient terms back to the nodes;
-    # scipy rebuilds a transpose on every .T, so they are kept as well
+    # the descent scatters midpoint and gradient terms back to the nodes through
+    # the transposes; scipy rebuilds a transpose on every .T, so they are kept
 
     @cached_property
     def midpoint_transpose(self) -> sp.csr_matrix:
@@ -473,22 +451,16 @@ def mesh_domain(spec: dict, h: float) -> TriangleMesh:
 # ---------------------------------------------------------------------------
 
 
-def p1_matrices(mesh: TriangleMesh) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """Stiffness and consistent mass (exact quadratic quadrature, not lumped).
+def p1_matrices(mesh: TriangleMesh) -> tuple[sp.csc_matrix, sp.csc_matrix]:
+    """Stiffness G^T diag(area) G and consistent mass P^T diag(area / 3) P.
 
-    Element contributions are emitted in element-index order, so assembly
-    is bit-reproducible for a fixed mesh.
+    The midpoint rule is exact for the quadratic products of P1 functions,
+    so the mass is the consistent one, not lumped.
     """
     import scipy.sparse as sp
-    ke = np.einsum("eid,ejd,e->eij", mesh.grads, mesh.grads, mesh.areas)
-    me_ref = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    me = mesh.areas[:, None, None] * me_ref
-    rows = np.repeat(mesh.elements, 3, axis=1).ravel()
-    cols = np.tile(mesh.elements, (1, 3)).ravel()
-    n = mesh.node_count
-    stiffness = sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    mass = sp.coo_matrix((me.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    return stiffness, mass
+    g, p = mesh.gradient_operator, mesh.midpoint_operator
+    return (g.T @ sp.diags(np.repeat(mesh.areas, 2)) @ g,
+            p.T @ sp.diags(mesh.midpoint_weights) @ p)
 
 
 def _shifted_solve(mesh: TriangleMesh, count: int):

@@ -205,7 +205,7 @@ def q_grid(p: float) -> np.ndarray:
     top = p - 1e-6
     if top <= 1.0:
         raise TransferError("empty q-grid: p is too close to 1")
-    return np.unique(np.concatenate([[1.0], np.geomspace(1.0, top, Q_GRID_SIZE)]))
+    return np.geomspace(1.0, top, Q_GRID_SIZE)
 
 
 def q_pq_norm(map_data: QCMapData, p: float, q: float) -> float:

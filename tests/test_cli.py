@@ -102,11 +102,12 @@ def test_3d_star_loads_no_optimize(tmp_path):
 
 def run_fresh_commands(*stages):
     """Each stage's CLI commands in one fresh interpreter: per stage, the exit
-    codes and the scipy modules loaded once they ran. The first stage is the
-    package import and runs no command."""
+    codes and the scipy modules and numpy.ma loaded once they ran. The first
+    stage is the package import and runs no command."""
     code = ("import json, sys\n"
             "def scipy_modules():\n"
-            "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+            "    return sorted(m for m in sys.modules\n"
+            "                  if m in ('scipy', 'numpy.ma') or m.startswith('scipy.'))\n"
             "import neumann_bounds\n"
             "stages = [([], scipy_modules())]\n"
             "from neumann_bounds import cli\n"
@@ -120,19 +121,26 @@ def run_fresh_commands(*stages):
 
 
 def test_certificate_only_commands_load_no_scipy(tmp_path):
-    """scipy loads where it is used: certificates need none of it, the oracle does."""
+    """scipy loads where it is used: certificates need none of it, the oracle does.
+    numpy.ma stays unloaded too: the chain's strip ends and the eigen transfer's
+    q-grid are sorted without np.unique, whose first call imports it."""
     linear = write_json(tmp_path / "linear.json", {"kind": "linear", "matrix": [[2, 0], [0, 1]]})
     sampled = write_json(tmp_path / "sampled.json", SAMPLED_R4[0])
     base = write_json(tmp_path / "base.json", SAMPLED_R4[1])
+    chain = write_json(tmp_path / "chain.json", {"type": "cells", "cells": [
+        {"vertices": [[0.75 * i, 0], [0.75 * i + 1, 0], [0.75 * i + 1, 1], [0.75 * i, 1]]}
+        for i in range(5)]})
     outs = [tmp_path / f"{name}.json" for name in
-            ("snow", "star2", "star3", "cells", "linear", "sampled")]
+            ("snow", "star2", "star3", "cells", "chain", "via_linear", "via_sampled", "eigen")]
     certificates = [
         ["bound-snowflake", "--out", outs[0]],
         ["bound-star", "--dim", 2, "--no-verify", "--out", outs[1]],
         ["bound-star", "--dim", 3, "--out", outs[2]],
         ["bound-cells", "--domain", pair_domain(tmp_path), "--no-verify", "--out", outs[3]],
-        ["transfer", "--map", linear, "--base", base, "--out", outs[4]],
-        ["transfer", "--map", sampled, "--base", base, "--out", outs[5]],
+        ["bound-cells", "--domain", chain, "--no-verify", "--out", outs[4]],
+        ["transfer", "--map", linear, "--base", base, "--out", outs[5]],
+        ["transfer", "--map", sampled, "--base", base, "--out", outs[6]],
+        ["transfer", "--map", sampled, "--base", base, "--mode", "eigen", "--out", outs[7]],
         ["report", *outs, "--out", tmp_path / "table.json"],
     ]
     square = write_json(tmp_path / "square.json", SQUARE)

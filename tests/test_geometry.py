@@ -181,15 +181,13 @@ class TestCellBasics:
         cell = ConvexCell(verts)
         assert sorted(cell._hull.vertices) == [0, 1, 2, 3]
         assert cell_volume(cell) == geometry.polygon_area(verts[cell._hull.vertices])
-        # that area is the shoelace of the input coordinates: far from the origin its
-        # products of size (x + 1) 1e-9 cancel, so there it holds to 8 ulp of each
-        rel = 1e-12 if x <= 1e3 else 8 * np.finfo(float).eps * (x + 1) / 0.75
-        assert cell_volume(cell) == pytest.approx(geometry.polygon_area(verts - [x, 0]), rel=rel)
+        # the shoelace is taken from the box corner, so no product of size x cancels
+        assert cell_volume(cell) == pytest.approx(0.75e-9, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("x", [0.0, 1e3, 1e6, 1e9])
     def test_thin_box_judged_by_shape_not_position(self, x):
         cell = ConvexCell([(x + i, j, 1e-9 * k) for i in (0, 1) for j in (0, 1) for k in (0, 1)])
-        assert cell_volume(cell) == pytest.approx(1e-9, rel=1e-12)
+        assert cell_volume(cell) == pytest.approx(1e-9, rel=1e-12, abs=0)
 
     def test_qhull_error_condensed_to_one_line(self):
         with pytest.raises(GeometryError) as err:
@@ -269,6 +267,28 @@ class TestIntersection:
             shift = offset * np.array([1.0, -1.0, 0.5])
             got = intersection_volume(ConvexCell(points + shift), ConvexCell(moved + shift))
             assert got == pytest.approx(at_origin, rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_2d_measures_independent_of_offset(self, seed):
+        # dyadic cells moved by exact offsets are the same cells in their box-corner
+        # frames, so area, overlap and triple link must keep their bits
+        rng = np.random.default_rng(seed)
+        points = np.round(rng.normal(size=(8, 2)) * 1024) / 1024
+        polygon = points[ConvexHull(points).vertices]
+        moved = polygon + np.round(rng.normal(size=2) * 256) / 1024
+        # five quadrilaterals in a row, each overlapping its neighbours only
+        row = [np.round(np.array([(x, 0), (x + 1, rng.uniform(-0.1, 0.1)), (x + 1, 1),
+                                  (x + rng.uniform(-0.1, 0.1), 1)]) * 1024) / 1024
+               for x in 0.75 * np.arange(5)]
+        measures = []
+        for offset in (0.0, 2.0**20, 2.0**30):
+            shift = offset * np.array([1.0, -1.0])
+            c1, c2 = ConvexCell(polygon + shift), ConvexCell(moved + shift)
+            cells = [ConvexCell(quad + shift) for quad in row]
+            t1, t2 = WhitneyTriple.from_cells(*cells[:3]), WhitneyTriple.from_cells(*cells[2:])
+            measures.append((cell_volume(c1), intersection_volume(c1, c2), triple_link_volume(t1, t2)))
+        assert min(measures[0]) > 0.0
+        assert measures[1] == measures[0] and measures[2] == measures[0]
 
     def test_3d_construction_failure_raises(self, monkeypatch):
         # no sampling fallback: the overlap feeds lower- and upper-bound uses
@@ -400,17 +420,25 @@ def previous_clip_polygon(subject, clipper):
     return np.array(output, dtype=float).reshape(-1, 2)
 
 
+# the current kernels measure in box-corner frames: the shoelace from its own
+# loop's corner, a clip from the first cell's. The previous kernels get the
+# polygons in those frames.
+def corner_area(poly):
+    return previous_polygon_area(poly - poly.min(axis=0))
+
+
 def previous_intersection_area(c1, c2):
-    clipped = previous_clip_polygon(c1.hull_polygon(), c2.hull_polygon())
-    return previous_polygon_area(clipped) if len(clipped) >= 3 else 0.0
+    corner = c1.bounding_box()[0]
+    clipped = previous_clip_polygon(c1.hull_polygon() - corner, c2.hull_polygon() - corner)
+    return corner_area(clipped) if len(clipped) >= 3 else 0.0
 
 
 def previous_triple_link_volume(t1, t2):
-    pieces = []
+    pieces, corner = [], t1.q1.bounding_box()[0]
     for a in t1.cells:
         for b in t2.cells:
-            clipped = previous_clip_polygon(a.hull_polygon(), b.hull_polygon())
-            if len(clipped) >= 3 and previous_polygon_area(clipped) > (
+            clipped = previous_clip_polygon(a.hull_polygon() - corner, b.hull_polygon() - corner)
+            if len(clipped) >= 3 and corner_area(clipped) > (
                     geometry.VOLUME_TOL * min(map(cell_volume, (a, b)))):
                 pieces.append(clipped)
     return union_volume_2d(pieces)
@@ -444,9 +472,9 @@ class TestKernelsMatchPrevious:
                 previous = previous_clip_polygon(a.hull_polygon(), b.hull_polygon())
                 assert bitwise_equal(clipped, previous)
                 if len(clipped) >= 3:
-                    assert geometry.polygon_area(clipped) == previous_polygon_area(clipped)
+                    assert geometry.polygon_area(clipped) == corner_area(clipped)
                 assert intersection_volume(a, b) == previous_intersection_area(a, b)
-            assert cell_volume(c1) == previous_polygon_area(c1.vertices[c1._hull.vertices])
+            assert cell_volume(c1) == corner_area(c1.vertices[c1._hull.vertices])
 
     @pytest.mark.parametrize("seed", range(5))
     def test_diameter_2d(self, seed):

@@ -1101,10 +1101,41 @@ class TestMeshAuditMatchesReference:
 
 
 # ---------------------------------------------------------------------------
-# reference implementations: the gather/scatter midpoint rule, the einsum
-# gradient and the brentq projection that the sparse operators and the
-# Newton projection replaced, kept verbatim to pin the results
+# reference implementations: the gather/scatter midpoint rule, the stored
+# element gradients, the einsum gradient, the element-matrix assembly and the
+# brentq projection that the sparse operators and the Newton projection
+# replaced, kept verbatim to pin the results
 # ---------------------------------------------------------------------------
+
+
+def reference_grads(mesh):
+    """The (E, 3, 2) basis gradients the mesh stored before G held them."""
+    coords = mesh.nodes[mesh.elements]
+    # constant P1 basis gradients per element
+    grads = np.empty((len(mesh.elements), 3, 2))
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        grads[:, i, 0] = coords[:, j, 1] - coords[:, k, 1]
+        grads[:, i, 1] = coords[:, k, 0] - coords[:, j, 0]
+    return grads / (2.0 * mesh.areas)[:, None, None]
+
+
+def reference_p1_matrices(mesh):
+    """Stiffness and consistent mass (exact quadratic quadrature, not lumped).
+
+    Element contributions are emitted in element-index order, so assembly
+    is bit-reproducible for a fixed mesh.
+    """
+    grads = reference_grads(mesh)
+    ke = np.einsum("eid,ejd,e->eij", grads, grads, mesh.areas)
+    me_ref = (np.ones((3, 3)) + np.eye(3)) / 12.0
+    me = mesh.areas[:, None, None] * me_ref
+    rows = np.repeat(mesh.elements, 3, axis=1).ravel()
+    cols = np.tile(mesh.elements, (1, 3)).ravel()
+    n = mesh.node_count
+    stiffness = scipy.sparse.coo_matrix((ke.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    mass = scipy.sparse.coo_matrix((me.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    return stiffness, mass
 
 
 def reference_midpoint_values(mesh, values):
@@ -1127,7 +1158,8 @@ def reference_project_constraint(mesh, values, p):
 
 
 def reference_rayleigh_gradient(mesh, values, p):
-    grads_vec = np.einsum("eid,ei->ed", mesh.grads, values[mesh.elements])
+    grads = reference_grads(mesh)
+    grads_vec = np.einsum("eid,ei->ed", grads, values[mesh.elements])
     gmag = np.sqrt((grads_vec**2).sum(axis=1))
     num = float((mesh.areas * gmag**p).sum())
     mids = reference_midpoint_values(mesh, values)
@@ -1135,7 +1167,7 @@ def reference_rayleigh_gradient(mesh, values, p):
 
     dnum = np.zeros(mesh.node_count)
     weight = mesh.areas * p * np.where(gmag > 0.0, gmag ** (p - 2.0), 0.0)
-    contrib = np.einsum("e,eid,ed->ei", weight, mesh.grads, grads_vec)
+    contrib = np.einsum("e,eid,ed->ei", weight, grads, grads_vec)
     np.add.at(dnum, mesh.elements, contrib)
 
     dden = np.zeros(mesh.node_count)
@@ -1168,8 +1200,21 @@ class TestDescentOperatorsMatchReference:
         assert np.array_equal((mesh.midpoint_operator @ values).reshape(-1, 3), reference_midpoint_values(mesh, values))
         assert np.array_equal(
             (mesh.gradient_operator @ values).reshape(-1, 2),
-            np.einsum("eid,ei->ed", mesh.grads, values[mesh.elements]),
+            np.einsum("eid,ei->ed", reference_grads(mesh), values[mesh.elements]),
         )
+        # G holds the stored gradients bit for bit, row 2e + d at columns elements[e]
+        assert np.array_equal(mesh.gradient_operator.data,
+                              reference_grads(mesh).transpose(0, 2, 1).ravel())
+
+    @pytest.mark.parametrize("spec, h", [*((spec, 0.05) for spec in SOLVE_SPECS.values()),
+                                         *DESCENT_MESHES])
+    def test_operator_products_match_element_assembly(self, spec, h):
+        # K = G^T diag(area) G and M = P^T diag(area / 3) P sum the element
+        # contributions in another order, so they agree to rounding
+        mesh = mesh_domain(spec, h)
+        for got, want in zip(p1_matrices(mesh), reference_p1_matrices(mesh)):
+            assert got.shape == want.shape
+            assert abs(got - want).max() <= 1e-15 * abs(want).max()
 
     @pytest.mark.parametrize("spec, h", DESCENT_MESHES)
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
