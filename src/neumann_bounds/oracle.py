@@ -14,15 +14,15 @@ gradients. They are the oracle's one quadrature: the P1 matrices are
 K = G^T diag(area) G and M = P^T diag(area / 3) P, and the general-p
 integrals, the zero-mean constraint and the Rayleigh functional are
 products with P and G, whose transposes scatter the functional's gradient
-back to the nodes. The constraint projection finds its shift by
-safeguarded Newton on the closed-form derivative of the constraint.
+back to the nodes. The constraint shift is safeguarded Newton on midpoint
+values, with the closed-form derivative of the constraint.
 
 Each oracle call factors its mesh once (_shifted_solve): the p = 2
 eigensolve uses the LU of K - sigma M as its shift-invert operator, and the
-general-p descent starts from the eigenvectors of that solve and uses the
-same LU as its Sobolev-gradient preconditioner. The solve deflates the
-known constant null vector instead of computing it, and computes only the
-eigenpairs its caller reads: one at p = 2, one per descent start.
+general-p descent, conjugate gradients preconditioned by the same LU, starts
+from the eigenvectors of that solve; its trials carry their P and G values.
+The solve deflates the constant null vector instead of computing it, and
+computes only the eigenpairs its caller reads: one at p = 2, one per start.
 """
 
 from __future__ import annotations
@@ -561,15 +561,15 @@ def subset_average(mesh: TriangleMesh, values: np.ndarray, element_mask=None) ->
     return _midpoint_integral(mesh, mesh.midpoint_operator @ values, element_mask) / total
 
 
-def _gradient_squares(mesh: TriangleMesh, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Element gradients as (E, 2) rows, and their squared lengths."""
-    g = (mesh.gradient_operator @ values).reshape(-1, 2)
-    return g, g[:, 0] * g[:, 0] + g[:, 1] * g[:, 1]
+def _gradient_powers(grads: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """Squared lengths and p-th powers of the element gradients grads = G f."""
+    gsq = (grads * grads).reshape(-1, 2).sum(axis=1)
+    return gsq, gsq ** (0.5 * p)
 
 
 def gradient_integral(mesh: TriangleMesh, values: np.ndarray, p: float, element_mask=None) -> float:
     """int |grad f|^p with the exact per-element constant gradients."""
-    contrib = mesh.areas * np.sqrt(_gradient_squares(mesh, values)[1]) ** p
+    contrib = mesh.areas * _gradient_powers(mesh.gradient_operator @ values, p)[1]
     if element_mask is not None:
         contrib = contrib[element_mask]
     return float(contrib.sum())
@@ -588,6 +588,43 @@ def constraint_residual(mesh: TriangleMesh, values: np.ndarray, p: float) -> flo
     return abs(value) / scale if scale > 0.0 else 0.0
 
 
+def _constraint_shift(mids: np.ndarray, weights: np.ndarray, p: float, lo: float, hi: float):
+    """The shift c of project_constraint from m = P f, its weights and the range
+    [lo, hi] of f, with r = m - c and sign(r) |r|^(p-1) of the last Newton step."""
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("cannot project a function with non-finite values")
+    if hi - lo <= 0.0:
+        raise ValueError("cannot project a constant function")
+    c, last_step = min(max(float(weights @ mids) / float(weights.sum()), lo), hi), hi - lo
+    r, u, t2 = np.empty_like(mids), np.empty_like(mids), np.empty_like(mids)
+    # u = |r|^(p-1) from one power, then sign(r) |r|^(p-1); t2 = |r|^(p-2) is NaN
+    # at a zero of r with p < 2, and the step below falls back to bisection
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            np.subtract(mids, c, out=r)
+            np.abs(r, out=u)
+            if p >= 2.0:
+                np.power(u, p - 2.0, out=t2)
+                u *= t2
+            else:
+                np.power(u, p - 1.0, out=u)
+            scale = float(weights @ u)
+            np.copysign(u, r, out=u)
+            value = float(weights @ u)
+            if abs(value) <= 1e-13 * scale:
+                break
+            lo, hi = (c, hi) if value > 0.0 else (lo, c)
+            if hi - lo <= 4.0 * np.spacing(max(abs(lo), abs(hi))):
+                break
+            if p < 2.0:
+                np.divide(u, r, out=t2)
+            step = value / ((p - 1.0) * float(weights @ t2))
+            ok = math.isfinite(step) and lo < c + step < hi and abs(step) <= 0.5 * last_step
+            c_next = c + step if ok else 0.5 * (lo + hi)
+            last_step, c = abs(c_next - c), c_next
+    return c, r, u
+
+
 def project_constraint(mesh: TriangleMesh, values: np.ndarray, p: float) -> np.ndarray:
     """Shift by the unique constant that zeroes the constraint functional.
 
@@ -599,7 +636,8 @@ def project_constraint(mesh: TriangleMesh, values: np.ndarray, p: float) -> np.n
     bracket, that fails to halve the previous step, or that meets a
     non-finite F' (a zero m_k - c at p < 2) is replaced by bisection. The
     iteration stops when |F| <= 1e-13 sum_k w_k |m_k - c|^(p-1), or when the
-    bracket is a few ulps wide.
+    bracket is a few ulps wide. The descent's trials call this Newton
+    (_constraint_shift) on the midpoint values they carry.
 
     Floating-point limit: as p approaches 1, |m - c|^(p-1) gets unbounded
     slope at every midpoint value, so the ulp-wide bracket can still leave
@@ -608,43 +646,8 @@ def project_constraint(mesh: TriangleMesh, values: np.ndarray, p: float) -> np.n
     1.2e-5; at p >= 1.25 below 1e-13). minimize_rayleigh_p then reports the
     estimate as not converged.
     """
-    lo, hi = float(values.min()), float(values.max())
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError("cannot project a function with non-finite values")
-    if hi - lo <= 0.0:
-        raise ValueError("cannot project a constant function")
-    mids = mesh.midpoint_operator @ values
-    weights = mesh.midpoint_weights
-    c = min(max(float(weights @ mids) / float(weights.sum()), lo), hi)
-    last_step = hi - lo
-    while True:
-        r = mids - c
-        a = np.abs(r)
-        # t = |r|^(p-1) and t2 = |r|^(p-2) from one power; at a zero of r
-        # with p < 2, t2 is NaN and the step below falls back to bisection
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if p >= 2.0:
-                t2 = a ** (p - 2.0)
-                t = a * t2
-            else:
-                t = a ** (p - 1.0)
-                t2 = t / a
-        value = float(weights @ np.copysign(t, r))
-        if abs(value) <= 1e-13 * float(weights @ t):
-            break
-        if value > 0.0:
-            lo = c
-        else:
-            hi = c
-        if hi - lo <= 4.0 * np.spacing(max(abs(lo), abs(hi))):
-            break
-        step = value / ((p - 1.0) * float(weights @ t2))
-        if math.isfinite(step) and lo < c + step < hi and abs(step) <= 0.5 * last_step:
-            c_next = c + step
-        else:
-            c_next = 0.5 * (lo + hi)
-        last_step, c = abs(c_next - c), c_next
-    return values - c
+    mids, lo, hi = mesh.midpoint_operator @ values, float(values.min()), float(values.max())
+    return values - _constraint_shift(mids, mesh.midpoint_weights, p, lo, hi)[0]
 
 
 def rayleigh_quotient(
@@ -670,22 +673,36 @@ def rayleigh_quotient(
     return gradient_integral(mesh, values, p) / integrate_abs_power(mesh, values, p)
 
 
-def _rayleigh_gradient(mesh: TriangleMesh, values: np.ndarray, p: float):
-    """Value and nodal gradient of the Rayleigh functional."""
-    grads_vec, gsq = _gradient_squares(mesh, values)
-    gmag = np.sqrt(gsq)
-    num = float((mesh.areas * gmag**p).sum())
-    mids = mesh.midpoint_operator @ values
-    abs_mids = np.abs(mids)
-    mid_pow = abs_mids ** (p - 1.0)
-    den = float(mesh.midpoint_weights @ (abs_mids * mid_pow))
+def _rayleigh_gradient(mesh: TriangleMesh, values, p: float, terms=None):
+    """Value and nodal gradient of the Rayleigh functional at f = values, or at the f
+    of the terms P f, sign(P f) |P f|^(p-1), G f, |G f|^2 and |G f|^p (per element)."""
+    if terms is None:
+        mids, grads = mesh.midpoint_operator @ values, mesh.gradient_operator @ values
+        terms = (mids, np.copysign(np.abs(mids) ** (p - 1.0), mids), grads, *_gradient_powers(grads, p))
+    mids, signed, grads, gsq, gpow = terms
+    num, den = float(mesh.areas @ gpow), float(mesh.midpoint_weights @ (mids * signed))
+    # |grad f|^(p-2), taken as 0 on an element where grad f = 0
+    weight = p * mesh.areas * np.divide(gpow, gsq, out=np.zeros_like(gsq), where=gsq > 0.0)
+    dnum = mesh.gradient_transpose @ (weight[:, None] * grads.reshape(-1, 2)).ravel()
+    dden = mesh.midpoint_transpose @ (p * mesh.midpoint_weights * signed)
+    return num / den, (dnum - num / den * dden) / den
 
-    weight = mesh.areas * p * np.where(gmag > 0.0, gmag ** (p - 2.0), 0.0)
-    dnum = mesh.gradient_transpose @ (weight[:, None] * grads_vec).ravel()
-    dden = mesh.midpoint_transpose @ (p * mesh.midpoint_weights * np.copysign(mid_pow, mids))
 
-    quotient = num / den
-    return quotient, (dnum - quotient * dden) / den
+def _shifted_trial(mesh: TriangleMesh, p: float, x, mids, grads):
+    """Rayleigh value of the projected trial f = x - c from mids = P x and
+    grads = G x (= G f); with x, c, int |f|^p and f's _rayleigh_gradient terms."""
+    c, r, signed = _constraint_shift(mids, mesh.midpoint_weights, p, float(x.min()), float(x.max()))
+    gsq, gpow = _gradient_powers(grads, p)
+    den = float(mesh.midpoint_weights @ (r * signed))
+    return float(mesh.areas @ gpow) / den, (x, c, den, (r, signed, grads, gsq, gpow))
+
+
+def _normalized(mesh: TriangleMesh, p: float, x, c: float, den: float, terms):
+    """v = (x - c) / |x - c|_p of an accepted trial (_shifted_trial), P v, G v, and the
+    Rayleigh value and nodal gradient at v: |x - c|_p times the gradient at x - c."""
+    norm = den ** (1.0 / p)
+    value, grad = _rayleigh_gradient(mesh, None, p, terms)
+    return (x - c) / norm, terms[0] / norm, terms[2] / norm, value, grad * norm
 
 
 def minimize_rayleigh_p(
@@ -697,18 +714,23 @@ def minimize_rayleigh_p(
 ):
     """Best-effort upper estimate of the discrete first nontrivial mu_p.
 
-    Backtracking descent along the Sobolev gradient LU^-1 g (unit M-norm)
-    from the first `starts` non-constant P1 eigenvectors (2 and 3 by
-    default; a 3-node mesh has only one), with the constraint re-projected
-    after every step. Each start ends on the stopping test (STOP_WINDOW) or
-    after `iterations` steps. Converged: the best start ended on the test
-    with the constraint met to FEASIBILITY_TOL.
+    Backtracking descent from the first `starts` non-constant P1
+    eigenvectors (2 and 3 by default; a 3-node mesh has only one) along the
+    Sobolev gradient z = LU^-1 g, made Polak-Ribiere+ conjugate in the LU
+    metric (restarted at each start and wherever it is no descent direction)
+    and scaled to unit M-norm. A trial is projected and valued from the
+    carried P v - s P d and G v - s G d without a sparse product; only an
+    accepted one is normalized and builds the gradient. Each start ends on
+    the stopping test (STOP_WINDOW) or after `iterations` trials, and its
+    final iterate is valued afresh. Converged: the best start ended on the
+    test with a fresh P v meeting FEASIBILITY_TOL.
     An estimate, not a certificate: a claimed lower bound must not exceed it.
     """
     check_exponent(p)
     if starts < 1:
         raise ValueError(f"starts must be at least 1, got {starts!r}")
-    _, mass, _, lu, vecs = _shifted_solve(mesh, starts)
+    _, _, _, lu, vecs = _shifted_solve(mesh, starts)
+    mid_op, grad_op, weights = mesh.midpoint_operator, mesh.gradient_operator, mesh.midpoint_weights
     best, total_iters, converged = math.inf, 0, False
     for v in vecs.T:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -717,31 +739,39 @@ def minimize_rayleigh_p(
         if not 0.0 < norm < math.inf:
             raise SolveError(f"general-p oracle at p = {p:g}: int |f|^p leaves float range")
         v /= norm ** (1.0 / p)
-        step, history, direction, stopped = 0.5, [], None, False
+        pv, gv = mid_op @ v, grad_op @ v
         value, grad = _rayleigh_gradient(mesh, v, p)
+        step, history, z, z_prev, stopped = 0.5, [], None, None, False
         for _ in range(iterations):
             history.append(value)
-            if direction is None:  # recomputed only after an accepted step
-                direction = lu.solve(grad)
-                direction /= math.sqrt(direction @ (mass @ direction))
-                slope = float(grad @ direction) * math.sqrt(v @ (mass @ v))
+            if z is None:  # a new direction after each accepted step
+                z = lu.solve(grad)
+                pz, gz, gz_dot = mid_op @ z, grad_op @ z, float(grad @ z)
+                # M-norms as w.(P x)^2, exact since M = P^T diag(w) P
+                slope = gz_dot * math.sqrt((weights @ (pv * pv)) / (weights @ (pz * pz)))
+                beta = 0.0 if z_prev is None else max(0.0, (gz_dot - float(grad @ z_prev)) / gz_dot_prev)
+                if beta > 0.0 and gz_dot + beta * float(grad @ d) > 0.0:
+                    d, pd, gd = z + beta * d, pz + beta * pd, gz + beta * gd
+                else:
+                    d, pd, gd = z, pz, gz
+                d_norm, z_prev, gz_dot_prev = math.sqrt(weights @ (pd * pd)), z, gz_dot
             window = history[-1 - STOP_WINDOW] - value if len(history) > STOP_WINDOW else math.inf
             stopped = not (slope > STOP_SLOPE * value and window > STOP_DECREASE * value)
             if stopped:
                 break
             total_iters += 1
+            s = step / d_norm
             try:
-                trial = project_constraint(mesh, v - step * direction, p)
+                t_value, trial = _shifted_trial(mesh, p, v - s * d, pv - s * pd, gv - s * gd)
             except ValueError:
                 step *= 0.5
                 continue
-            trial /= integrate_abs_power(mesh, trial, p) ** (1.0 / p)
-            t_value, t_grad = _rayleigh_gradient(mesh, trial, p)
             if t_value < value:
-                v, value, grad, direction = trial, t_value, t_grad, None
-                step = min(step * 1.3, 1.0)
+                v, pv, gv, value, grad = _normalized(mesh, p, *trial)
+                z, step = None, min(step * 1.3, 1.0)
             else:
                 step *= 0.5
+        value = gradient_integral(mesh, v, p) / integrate_abs_power(mesh, v, p)
         if value < best:
             best, converged = value, stopped and constraint_residual(mesh, v, p) <= FEASIBILITY_TOL
     info = {"iterations": total_iters, "converged": converged, "final_step": step}

@@ -171,7 +171,7 @@ class TestCellBasics:
     @pytest.mark.parametrize("lam, n", [(1e-153, 2), (1e-102, 3)])
     def test_small_normal_volume_accepted(self, lam, n):
         cube = [tuple(lam * x for x in corner) for corner in np.ndindex(*(2,) * n)]
-        assert cell_volume(ConvexCell(cube)) == pytest.approx(lam**n, rel=1e-12)
+        assert cell_volume(ConvexCell(cube)) == pytest.approx(lam**n, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("x", [0.0, 1e3, 1e6, 1e9])
     def test_thin_trapezoid_judged_by_shape_not_position(self, x):

@@ -595,6 +595,125 @@ class TestPreconditionedDescent:
         assert info["converged"] == (iterations == 200)
 
 
+def carried_trials(mesh, p):
+    """Trials from the descent's first start v (projected, unit L^p norm) along
+    its Sobolev gradient d = LU^-1 g and along a seeded random d, at three
+    steps of M-norm 1, 0.3 and 0.05: (direction, x = v - s d, _shifted_trial of x)."""
+    _, _, _, lu, vecs = oracle._shifted_solve(mesh, 1)
+    v = project_constraint(mesh, vecs[:, 0], p)
+    v /= integrate_abs_power(mesh, v, p) ** (1.0 / p)
+    pv, gv = mesh.midpoint_operator @ v, mesh.gradient_operator @ v
+    sobolev = lu.solve(_rayleigh_gradient(mesh, v, p)[1])
+    random = np.random.default_rng(5).standard_normal(mesh.node_count)
+    for name, d in (("sobolev", sobolev), ("random", random)):
+        pd, gd = mesh.midpoint_operator @ d, mesh.gradient_operator @ d
+        for step in (1.0, 0.3, 0.05):
+            s = step / math.sqrt(mesh.midpoint_weights @ (pd * pd))
+            x = v - s * d
+            yield name, x, oracle._shifted_trial(mesh, p, x, pv - s * pd, gv - s * gd)
+
+
+def reference_steepest_descent(mesh, p, iterations=200, starts=2):
+    """The steepest Sobolev-gradient descent that the conjugate one with carried
+    trial values replaced, copied verbatim except for the module prefixes."""
+    _, mass, _, lu, vecs = oracle._shifted_solve(mesh, starts)
+    best, total_iters, converged = math.inf, 0, False
+    for v in vecs.T:
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = project_constraint(mesh, v, p)
+            norm = integrate_abs_power(mesh, v, p)
+        if not 0.0 < norm < math.inf:
+            raise oracle.SolveError(f"general-p oracle at p = {p:g}: int |f|^p leaves float range")
+        v /= norm ** (1.0 / p)
+        step, history, direction, stopped = 0.5, [], None, False
+        value, grad = _rayleigh_gradient(mesh, v, p)
+        for _ in range(iterations):
+            history.append(value)
+            if direction is None:  # recomputed only after an accepted step
+                direction = lu.solve(grad)
+                direction /= math.sqrt(direction @ (mass @ direction))
+                slope = float(grad @ direction) * math.sqrt(v @ (mass @ v))
+            window = history[-1 - oracle.STOP_WINDOW] - value if len(history) > oracle.STOP_WINDOW else math.inf
+            stopped = not (slope > oracle.STOP_SLOPE * value and window > oracle.STOP_DECREASE * value)
+            if stopped:
+                break
+            total_iters += 1
+            try:
+                trial = project_constraint(mesh, v - step * direction, p)
+            except ValueError:
+                step *= 0.5
+                continue
+            trial /= integrate_abs_power(mesh, trial, p) ** (1.0 / p)
+            t_value, t_grad = _rayleigh_gradient(mesh, trial, p)
+            if t_value < value:
+                v, value, grad, direction = trial, t_value, t_grad, None
+                step = min(step * 1.3, 1.0)
+            else:
+                step *= 0.5
+        if value < best:
+            best, converged = value, stopped and constraint_residual(mesh, v, p) <= oracle.FEASIBILITY_TOL
+    info = {"iterations": total_iters, "converged": converged, "final_step": step}
+    return best, info
+
+
+class TestCarriedTrialSteps:
+    """Trial steps valued from carried midpoint and gradient values, and the
+    conjugate direction."""
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+    @pytest.mark.parametrize("name", sorted(WARM_START_MESHES))
+    def test_trial_value_is_the_projected_quotient(self, name, p):
+        spec, h = WARM_START_MESHES[name]
+        mesh = mesh_domain(spec, h)
+        for _, x, (value, (_, c, den, _)) in carried_trials(mesh, p):
+            projected = project_constraint(mesh, x, p)
+            assert value == pytest.approx(rayleigh_quotient(mesh, x, p, project=True), rel=1e-12, abs=0)
+            assert relative_gap(x - c, projected) <= 1e-12
+            assert den == pytest.approx(integrate_abs_power(mesh, projected, p), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+    @pytest.mark.parametrize("name", sorted(WARM_START_MESHES))
+    def test_accepted_step_gradient_is_the_fresh_gradient(self, name, p):
+        spec, h = WARM_START_MESHES[name]
+        mesh = mesh_domain(spec, h)
+        for direction, _, (value, trial) in carried_trials(mesh, p):
+            v, pv, gv, accepted_value, grad = oracle._normalized(mesh, p, *trial)
+            assert integrate_abs_power(mesh, v, p) == pytest.approx(1.0, rel=1e-12, abs=0)
+            assert relative_gap(pv, mesh.midpoint_operator @ v) <= 1e-14
+            assert relative_gap(gv, mesh.gradient_operator @ v) <= 1e-14
+            fresh_value, fresh_grad = _rayleigh_gradient(mesh, v, p)
+            assert accepted_value == value
+            assert accepted_value == pytest.approx(fresh_value, rel=1e-12, abs=0)
+            # the 2x1 rectangle's start is odd about x = 1, so along its Sobolev
+            # direction the midpoint values on that line stay at rounding level,
+            # where sign(m) |m|^(p-1) has unbounded slope for p < 2: the carried
+            # and the fresh values of such an m differ by an ulp of the function's
+            # scale, which moves the gradient by up to 1.5e-11 relative
+            odd_line = name == "rect21" and direction == "sobolev" and p < 2.0
+            assert relative_gap(grad, fresh_grad) <= (1e-10 if odd_line else 1e-12)
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+    @pytest.mark.parametrize("name", sorted(WARM_START_MESHES))
+    def test_value_within_the_stopping_tolerance_of_steepest_descent(self, name, p):
+        # both stop on the same test, where the value falls by at most 1e-8
+        # (relative) over 10 trials; across the 12 cases they differ by at most 5.4e-9
+        spec, h = WARM_START_MESHES[name]
+        mesh = mesh_domain(spec, h)
+        value, info = minimize_rayleigh_p(mesh, p, return_info=True)
+        steepest, steepest_info = reference_steepest_descent(mesh, p)
+        assert info["converged"] and steepest_info["converged"]
+        assert value == pytest.approx(steepest, rel=2.0 * oracle.STOP_DECREASE, abs=0)
+
+    def test_conjugate_direction_cuts_trials_at_p_1_5(self):
+        # on the star, 162 trials with the steepest direction and 113 with the
+        # conjugate one (both starts). At p = 3 the count can rise on these
+        # small meshes (star: 142 -> 164), so no count is asserted there.
+        mesh = mesh_domain(*WARM_START_MESHES["star"])
+        _, info = minimize_rayleigh_p(mesh, 1.5, return_info=True)
+        _, steepest_info = reference_steepest_descent(mesh, 1.5)
+        assert info["iterations"] <= 0.8 * steepest_info["iterations"]
+
+
 class TestProjectionNearPOne:
     """Floating-point limit of the constraint projection as p approaches 1."""
 
@@ -612,23 +731,28 @@ class TestProjectionNearPOne:
     def test_infeasible_final_iterate_is_not_converged(self, monkeypatch):
         # a window test that always passes stops every start after
         # STOP_WINDOW steps, so only the constraint check decides `converged`;
-        # a projection that adds a fixed shift leaves every iterate infeasible
+        # a shift kernel that misses its root by a fixed amount leaves the
+        # start projections and every trial, hence every iterate, infeasible
         monkeypatch.setattr(oracle, "STOP_DECREASE", 1.0)
         checked = []
         real = oracle.constraint_residual
-        real_project = oracle.project_constraint
+        real_shift = oracle._constraint_shift
 
         def spy(mesh, values, p):
             checked.append(real(mesh, values, p))
             return checked[-1]
+
+        def missed_shift(mids, weights, p, lo, hi, s):
+            c = real_shift(mids, weights, p, lo, hi)[0] - s
+            return c, mids - c, np.copysign(np.abs(mids - c) ** (p - 1.0), mids - c)
 
         monkeypatch.setattr(oracle, "constraint_residual", spy)
         for spec, h, shift, feasible in (
             ({"kind": "rectangle", "bounds": [0, 0, 2, 1]}, 0.34, 1e-3, False),
             ({"kind": "star", "delta": 1.0}, 0.25, 0.0, True),
         ):
-            monkeypatch.setattr(oracle, "project_constraint",
-                                lambda mesh, values, p, s=shift: real_project(mesh, values, p) + s)
+            monkeypatch.setattr(oracle, "_constraint_shift",
+                                lambda *args, s=shift: missed_shift(*args, s))
             checked.clear()
             _, info = minimize_rayleigh_p(mesh_domain(spec, h), 1.1, return_info=True)
             assert (checked[-1] <= 1e-8) is feasible

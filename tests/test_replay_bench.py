@@ -5,6 +5,7 @@ tool the same way and check its lines against the workload's commands.
 """
 
 import hashlib
+import json
 import importlib.util
 from pathlib import Path
 
@@ -30,3 +31,48 @@ def test_replay_digests_and_copies_every_output(tmp_path, capsys):
         assert (code, stderr) == ("0", "-")
         copy = tmp_path / "certify-batch" / "11" / cmd.out
         assert hashlib.sha256(copy.read_bytes()).hexdigest() == digest
+
+
+def write_report(path, checks, **rest):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps({"command": "verify", "checks": checks, **rest}))
+
+
+def check(value, iterations, passed=True, converged=True):
+    return {"kind": "eigen", "claimed": 1.0, "oracle_value": value, "margin": value - 1.0,
+            "iterations": iterations, "passed": passed, "converged": converged}
+
+
+def test_diff_lists_each_check_and_every_other_difference(tmp_path, capsys):
+    old, new = tmp_path / "old", tmp_path / "new"
+    write_report(old / "w/1/out/a.json", [check(2.0, 100), check(4.0, 50)])
+    write_report(new / "w/1/out/a.json", [check(2.0 * (1 + 3e-9), 80), check(4.0, 60, converged=False)])
+    # a report that differs in a certificate number, not only in its oracle numbers
+    write_report(old / "w/1/out/b.json", [check(3.0, 10)], bound=1.5)
+    write_report(new / "w/1/out/b.json", [check(3.0, 10)], bound=1.25)
+    (old / "w/1/out/t.csv").write_text("x\n")
+    (new / "w/1/out/t.csv").write_text("x\n")
+    # a `report` table row carries an oracle_value column but is no check
+    for root in (old, new):
+        (root / "w/1/out/table.json").write_text(json.dumps([{"bound": 2.0, "oracle_value": ""}]))
+    (new / "w/1/out/extra.json.stderr").write_text("warning\n")
+    assert load_tool().main(["--diff", str(old), str(new)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        "w/1/out/a.json#0 oracle_value 3.00e-09 iterations 100 -> 80",
+        "w/1/out/a.json#1 oracle_value 0.00e+00 iterations 50 -> 60 FLIP converged True -> False",
+        "w/1/out/b.json#0 oracle_value 0.00e+00 iterations 10 -> 10",
+        "w/1/out/b.json differs besides its checks' oracle numbers",
+        f"w/1/out/extra.json.stderr only in {new}",
+        "summary: max relative oracle_value change 3.00e-09 (w/1/out/a.json#0), "
+        "iterations 160 -> 150, flips 1, other differing outputs 2",
+    ]
+
+
+def test_diff_of_a_tree_with_itself_is_empty(tmp_path):
+    write_report(tmp_path / "w/1/out/a.json", [check(2.0, 100)])
+    assert load_tool().diff_trees(tmp_path, tmp_path) == [
+        "w/1/out/a.json#0 oracle_value 0.00e+00 iterations 100 -> 100",
+        "summary: max relative oracle_value change 0.00e+00 (-), "
+        "iterations 100 -> 100, flips 0, other differing outputs 0",
+    ]

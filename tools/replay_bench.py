@@ -4,6 +4,7 @@ Usage, from the root of a checkout, with the library to replay on the path:
 
     PYTHONPATH=src python tools/replay_bench.py --seeds 11 301
     PYTHONPATH=src python tools/replay_bench.py --workloads fem-verify --json outs
+    python tools/replay_bench.py --diff old_outs new_outs
 
 For each workload and seed the tool builds the inputs with
 ``bench/workloads.py`` (loaded by path, so the benchmark itself is not
@@ -15,6 +16,13 @@ nothing). Two versions of the library replay identically when their lines
 are equal. ``--json DIR`` also copies each output, and each non-empty
 standard error as ``<path>.stderr``, to DIR/<workload>/<seed>/, for a
 numeric diff.
+
+``--diff OLD NEW`` compares two such trees instead of replaying. For each
+domination check (a report entry with ``oracle_value`` and ``iterations``;
+a ``report`` table row has no ``iterations``) it prints the
+relative change of ``oracle_value``, the change of ``iterations`` and any
+flip of ``passed`` or ``converged``; it names each output that differs in
+anything else, or exists in one tree only, and ends with a summary line.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ import contextlib
 import hashlib
 import importlib.util
 import io
+import json
 import os
 import shutil
 import sys
@@ -84,13 +93,87 @@ def replay(cli, built, copy_to: Path | None) -> list[str]:
     return lines
 
 
+# the numbers of a domination check that follow the oracle; ``passed`` and
+# ``converged`` are compared as flips
+ORACLE_NUMBERS = ("oracle_value", "margin", "iterations", "passed", "converged")
+
+
+def is_check(node) -> bool:
+    return isinstance(node, dict) and "oracle_value" in node and "iterations" in node
+
+
+def checks_of(node):
+    """The domination checks of a parsed report, in document order."""
+    if isinstance(node, dict):
+        if is_check(node):
+            yield node
+            return
+        node = list(node.values())
+    if isinstance(node, list):
+        for item in node:
+            yield from checks_of(item)
+
+
+def without_oracle_numbers(node):
+    """A parsed report with the oracle numbers of its checks left out."""
+    if isinstance(node, dict):
+        skip = ORACLE_NUMBERS if is_check(node) else ()
+        return {k: without_oracle_numbers(v) for k, v in node.items() if k not in skip}
+    if isinstance(node, list):
+        return [without_oracle_numbers(item) for item in node]
+    return node
+
+
+def diff_trees(old: Path, new: Path) -> list[str]:
+    """One line per domination check and per otherwise differing output of two
+    ``--json`` trees, then a summary line."""
+    lines, worst, where, iterations, flips, others = [], 0.0, "-", [0, 0], 0, 0
+    files = sorted({p.relative_to(root) for root in (old, new) for p in root.rglob("*") if p.is_file()})
+    for rel in files:
+        a, b = old / rel, new / rel
+        if not (a.is_file() and b.is_file()):
+            lines.append(f"{rel} only in {old if a.is_file() else new}")
+            others += 1
+            continue
+        if rel.suffix != ".json":
+            if a.read_bytes() != b.read_bytes():
+                lines.append(f"{rel} differs")
+                others += 1
+            continue
+        ra, rb = json.loads(a.read_text()), json.loads(b.read_text())
+        for i, (x, y) in enumerate(zip(checks_of(ra), checks_of(rb))):
+            change = abs(y["oracle_value"] - x["oracle_value"]) / abs(x["oracle_value"])
+            flipped = [k for k in ("passed", "converged") if x[k] != y[k]]
+            lines.append(f"{rel}#{i} oracle_value {change:.2e} iterations "
+                         f"{x['iterations']} -> {y['iterations']}"
+                         + "".join(f" FLIP {k} {x[k]} -> {y[k]}" for k in flipped))
+            if change > worst:
+                worst, where = change, f"{rel}#{i}"
+            iterations[0] += x["iterations"]
+            iterations[1] += y["iterations"]
+            flips += len(flipped)
+        if without_oracle_numbers(ra) != without_oracle_numbers(rb):
+            lines.append(f"{rel} differs besides its checks' oracle numbers")
+            others += 1
+    lines.append(f"summary: max relative oracle_value change {worst:.2e} ({where}), "
+                 f"iterations {iterations[0]} -> {iterations[1]}, flips {flips}, "
+                 f"other differing outputs {others}")
+    return lines
+
+
 def main(argv=None) -> int:
     workloads = load_workloads()
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workloads", nargs="+", choices=workloads.WORKLOADS, default=workloads.WORKLOADS)
     ap.add_argument("--seeds", nargs="+", type=int, default=[11])
     ap.add_argument("--json", type=Path, help="copy the outputs under this directory")
+    ap.add_argument("--diff", nargs=2, type=Path, metavar=("OLD", "NEW"),
+                    help="compare two --json trees instead of replaying")
     args = ap.parse_args(argv)
+    if args.diff:
+        for line in diff_trees(*args.diff):
+            print(line)
+        return 0
 
     from neumann_bounds import cli
 
