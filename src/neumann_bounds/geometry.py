@@ -136,11 +136,6 @@ class ConvexCell:
     def __repr__(self) -> str:  # pragma: no cover
         return f"ConvexCell(n={self.n}, vertices={len(self.vertices)}, volume={self._volume:.6g})"
 
-    @property
-    def halfspaces(self) -> np.ndarray:
-        """Facet inequalities as rows (a, b) with a.x + b <= 0 inside."""
-        return self._halfspaces_from(0.0)
-
     def _halfspaces_from(self, origin) -> np.ndarray:
         """Rows (a, b) with a.(x - origin) + b <= 0 inside; Qhull's are box-corner relative."""
         a, b = self._hull.equations[:, :-1], self._hull.equations[:, -1]
@@ -152,15 +147,9 @@ class ConvexCell:
             raise GeometryError("hull_polygon is 2D only")
         return self._hull_vertices
 
-    def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.array(self._box[0]), np.array(self._box[1])
-
     def _box_apart(self, other: "ConvexCell") -> bool:
         """Whether the bounding boxes are strictly apart on some axis, so the cells are disjoint."""
         return any(h1 < l2 or h2 < l1 for l1, h1, l2, h2 in zip(*self._box, *other._box))
-
-    def scaled(self, factor: float) -> "ConvexCell":
-        return ConvexCell(self.vertices * factor)
 
 
 def cell_volume(cell: ConvexCell) -> float:

@@ -1,11 +1,11 @@
 """Ground-truth verification: P1 Neumann eigenvalues and Rayleigh quotients.
 
 Everything needed to check that emitted bounds are genuine lower bounds at
-desk scale: deterministic 2D triangulations of the supported domain kinds,
-stiffness/mass assembly with consistent (non-lumped) mass, the smallest
-nonzero Neumann eigenvalue with a residual certificate, and discrete
-Rayleigh-quotient evaluation for general p. All |f|-type integrals use the
-three-edge-midpoint rule, which is exact for quadratics.
+desk scale: deterministic 2D triangulations (one masked triangle grid for
+all kinds but the convex polygon), stiffness/mass assembly with consistent
+(non-lumped) mass, the smallest nonzero Neumann eigenvalue with a residual
+certificate, and discrete Rayleigh-quotient evaluation for general p. All
+|f|-type integrals use the three-edge-midpoint rule, exact for quadratics.
 
 Each mesh builds two sparse operators with itself: the midpoint operator P
 (3E x N) maps nodal values to the three edge midpoints of every element,
@@ -155,10 +155,6 @@ class TriangleMesh:
         keys, counts = np.unique(pairs[:, 0] * n + pairs[:, 1], return_counts=True)
         return np.stack([keys // n, keys % n], axis=1), counts
 
-    def boundary_edges(self) -> list[tuple[int, int]]:
-        edges, counts = self._edge_counts()
-        return [tuple(e) for e in edges[counts == 1].tolist()]
-
     def _audit_edges(self) -> None:
         from scipy.spatial import cKDTree
         edges, counts = self._edge_counts()
@@ -238,19 +234,20 @@ class EigenResult:
 
 
 def _quad_grid_mesh(grid: np.ndarray, covered: np.ndarray) -> TriangleMesh:
-    """Mesh of the covered cells of a (ny+1, nx+1, 2) node grid.
+    """Mesh of the covered triangles of a (ny+1, nx+1, 2) node grid.
 
-    Each cell (j, i) with covered[j, i] splits into (a, b, d), (a, d, c),
-    cells swept row by row; the nodes those cells touch keep their
-    row-major grid order.
+    Cell (j, i), corners a = grid[j, i], b = grid[j, i+1], c = grid[j+1, i]
+    and d = grid[j+1, i+1], holds (a, b, d) where covered[j, i, 0] and
+    (a, d, c) where covered[j, i, 1], swept row by row; the nodes the
+    triangles touch keep their row-major grid order.
     """
     nx = grid.shape[1] - 1
     nodes = grid.reshape(-1, 2)
-    jj, ii = np.nonzero(covered)
+    jj, ii, second = np.nonzero(covered)
     a = jj * (nx + 1) + ii
     b, c = a + 1, a + (nx + 1)
     d = c + 1
-    elements = np.stack([a, b, d, a, d, c], axis=1).reshape(-1, 3)
+    elements = np.stack([a, np.where(second, d, b), np.where(second, c, d)], axis=1)
     used = np.zeros(len(nodes), dtype=bool)
     used[elements] = True
     renumber = np.cumsum(used) - 1
@@ -283,7 +280,7 @@ def _rect_union_mesh(rects: np.ndarray, h: float) -> TriangleMesh:
         covered |= ((r[1] <= cy) & (cy <= r[3]))[:, None] & ((r[0] <= cx) & (cx <= r[2]))[None, :]
     if not covered.any():
         raise MeshError("rectangle union is empty")
-    return _quad_grid_mesh(np.stack(np.meshgrid(xs, ys), axis=-1), covered)
+    return _quad_grid_mesh(np.stack(np.meshgrid(xs, ys), axis=-1), np.stack([covered, covered], axis=-1))
 
 
 def _convex_polygon_mesh(vertices: np.ndarray, h: float) -> TriangleMesh:
@@ -296,19 +293,17 @@ def _convex_polygon_mesh(vertices: np.ndarray, h: float) -> TriangleMesh:
     if signed2 < 0.0:
         verts = verts[::-1]
     spacing = 0.72 * h
-    boundary = []
-    m = len(verts)
-    for i in range(m):
-        a, b = verts[i], verts[(i + 1) % m]
-        k = max(1, math.ceil(np.linalg.norm(b - a) / spacing))
-        for t in range(k):
-            boundary.append(a + (b - a) * (t / k))
-    boundary = np.array(boundary)
+    edges = np.roll(verts, -1, axis=0) - verts
+    # edge i carries k_i samples verts[i] + edges[i] * (t / k_i), t = 0 .. k_i - 1
+    counts = np.array([max(1, math.ceil(np.linalg.norm(e) / spacing)) for e in edges])
+    edge = np.repeat(np.arange(len(verts)), counts)
+    t = np.arange(len(edge)) - np.repeat(np.cumsum(counts) - counts, counts)
+    boundary = verts[edge] + edges[edge] * (t / counts[edge])[:, None]
     lo, hi = verts.min(axis=0), verts.max(axis=0)
     g = spacing
     gx = np.arange(lo[0] + g / 2, hi[0], g)
     gy = np.arange(lo[1] + g / 2, hi[1], g)
-    grid = np.array([(x, y) for y in gy for x in gx])
+    grid = np.stack(np.meshgrid(gx, gy), axis=-1).reshape(-1, 2)
     if len(grid):
         # deterministic jitter breaks cocircular grid squares
         idx = np.arange(len(grid))
@@ -318,9 +313,7 @@ def _convex_polygon_mesh(vertices: np.ndarray, h: float) -> TriangleMesh:
         grid = grid + jit
         # keep points with a clearance margin inside every edge
         keep = np.ones(len(grid), dtype=bool)
-        for i in range(m):
-            a, b = verts[i], verts[(i + 1) % m]
-            e = b - a
+        for a, e in zip(verts, edges):
             # signed area cross(e, p - a): positive strictly left of a ccw edge
             off = e[0] * (grid[:, 1] - a[1]) - e[1] * (grid[:, 0] - a[0])
             keep &= off > 0.45 * g * np.linalg.norm(e)
@@ -353,40 +346,28 @@ def _star_mesh(delta: float, h: float) -> TriangleMesh:
     ny += ny % 2  # keep the pinch row y = 0 in the lattice
     x, y = np.meshgrid(np.linspace(-1.0, 1.0, nx + 1), np.linspace(-alpha, alpha, ny + 1))
     grid = np.stack([x * (delta + np.abs(y)), y], axis=-1)
-    return _quad_grid_mesh(grid, np.ones((ny, nx), dtype=bool))
+    return _quad_grid_mesh(grid, np.ones((ny, nx, 2), dtype=bool))
 
 
 def _disk_mesh(radius: float, h: float, center=(0.0, 0.0)) -> TriangleMesh:
-    """Polar structured mesh: ring k carries 6k nodes at radius k * R / K."""
+    """Polar structured mesh: ring k carries 6k nodes at radius k * R / K.
+
+    It is the lattice i (1, 0) + j (-1/2, sqrt(3)/2) inside the hexagon of K
+    rings k = max(|i|, |j|, |i - j|), mapped radially: place t on ring k goes
+    to angle 2 pi t / (6k). A triangle is kept when its vertices have k <= K.
+    """
     rings = max(2, round(radius / h))
     dr = radius / rings
     cx, cy = center
-    nodes = [(cx, cy)]
-    ring_start = [0]
-    for k in range(1, rings + 1):
-        m = 6 * k
-        ring_start.append(len(nodes))
-        ang = 2.0 * math.pi * np.arange(m) / m
-        nodes.extend(zip(cx + k * dr * np.cos(ang), cy + k * dr * np.sin(ang)))
-    elements = []
-    for j in range(6):  # center fan
-        elements.append((0, 1 + j, 1 + (j + 1) % 6))
-    for k in range(2, rings + 1):
-        m_prev, m_cur = 6 * (k - 1), 6 * k
-        start_prev, start_cur = ring_start[k - 1], ring_start[k]
-        i = j = 0
-        for _ in range(m_prev + m_cur):
-            next_prev = (i + 1) / m_prev
-            next_cur = (j + 1) / m_cur
-            pi_, ci_ = start_prev + i % m_prev, start_cur + j % m_cur
-            # ties advance the coarse ring first, keeping the rings aligned
-            if next_cur < next_prev:
-                elements.append((pi_, ci_, start_cur + (j + 1) % m_cur))
-                j += 1
-            else:
-                elements.append((pi_, ci_, start_prev + (i + 1) % m_prev))
-                i += 1
-    return TriangleMesh(np.array(nodes), np.array(elements))
+    j, i = np.mgrid[-rings:rings + 1, -rings:rings + 1]
+    k = np.maximum(np.maximum(np.abs(i), np.abs(j)), np.abs(i - j))
+    # place t counterclockwise from (k, 0): j, 2k - i, 2k - i, 3k - j, 5k + i, 5k + i on the six sides
+    place = np.select([i == k, (j == k) | (j - i == k), i == -k], [j, 2 * k - i, 3 * k - j], 5 * k + i)
+    ang = 2.0 * math.pi * place / np.maximum(6 * k, 1)
+    grid = np.stack([cx + k * dr * np.cos(ang), cy + k * dr * np.sin(ang)], axis=-1)
+    inside = k <= rings
+    kept = inside[:-1, :-1] & inside[1:, 1:]
+    return _quad_grid_mesh(grid, np.stack([kept & inside[:-1, 1:], kept & inside[1:, :-1]], axis=-1))
 
 
 def mesh_domain(spec: dict, h: float) -> TriangleMesh:

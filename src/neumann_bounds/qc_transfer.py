@@ -21,11 +21,6 @@ Q_GRID_SIZE = 64
 # scale-free, and absorbs the few-ulp rounding of K |J| for a map's own K
 QC_SLACK = 1e-12
 
-# first positive zero of the derivative of the first-kind Bessel function
-# of order one; its square is the first nontrivial Neumann eigenvalue of
-# the planar unit disk
-BESSEL_J1_PRIME_FIRST_ZERO = 1.84118
-
 
 class TransferError(ValueError):
     """Invalid transfer input (exponent ranges, missing derivative data, ...)."""
@@ -368,43 +363,15 @@ def eigen_transfer_lipschitz(map_data: QCMapData, base_mu: EigenBound, p: float)
     )
 
 
-def _ball3_radial_stationarity(t: float) -> float:
-    """Vanishes where the radial derivative of the first 3D ball mode does.
-
-    Equals t^2 sin t + 2 t cos t - 2 sin t, proportional to t^3 times the
-    derivative of sin(t)/t^2 - cos(t)/t.
-    """
-    return t * t * math.sin(t) + 2.0 * t * math.cos(t) - 2.0 * math.sin(t)
-
-
 def ball_lower_bound(n: int, p: float) -> EigenBound:
     """Lower bound for the first nontrivial Neumann eigenvalue of the unit ball.
 
-    p = 2 uses the exact values: the squared first zero of the radial mode
-    derivative (the stored planar Bessel-derivative zero for n = 2, a
-    bracketed root for n = 3). p > 2 uses the convex-domain bound
-    (pi_p / 2)^p, which is also the fallback at p = 2 for n > 3. No bound
-    is available for p < 2.
+    The ball is convex with diameter 2, so every p >= 2 and every dimension
+    n takes the convex-domain bound (pi_p / 2)^p. No bound is available for
+    p < 2.
     """
     if p < 2.0:
         raise TransferError("no ball lower bound implemented for p < 2")
-    if p == 2.0 and n == 2:
-        zero = BESSEL_J1_PRIME_FIRST_ZERO
-        return EigenBound(
-            mu_lower=zero**2,
-            p=p,
-            provenance=(ChainFactor("disk-radial-derivative-zero", zero),),
-            notes=("exact planar value: squared first zero of the radial mode derivative",),
-        )
-    if p == 2.0 and n == 3:
-        from scipy.optimize import brentq  # imported on use: it costs the CLI's start-up
-        zero = brentq(_ball3_radial_stationarity, 1.0, 3.0, xtol=1e-14)
-        return EigenBound(
-            mu_lower=zero**2,
-            p=p,
-            provenance=(ChainFactor("ball3-radial-derivative-zero", float(zero)),),
-            notes=("exact 3D value: squared bracketed root of the radial stationarity equation",),
-        )
     value = (pi_p(p) / 2.0) ** p
     return EigenBound(
         mu_lower=value,

@@ -82,7 +82,7 @@ def run_fresh_process(args, module=("-m", "neumann_bounds.cli")):
 
 
 def test_import_defers_optimize_and_integrate():
-    """linprog, brentq and quad load where they are used, not with the CLI."""
+    """linprog and quad load where they are used, not with the CLI."""
     code = ("import sys, neumann_bounds.cli; "
             "print([m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules])")
     fresh = run_fresh_process([], module=("-c", code))
@@ -1016,7 +1016,7 @@ def axis_aligned_rect(cell):
     poly = cell.hull_polygon()
     if len(poly) != 4:
         return None
-    lo, hi = cell.bounding_box()
+    lo, hi = cell.vertices.min(axis=0), cell.vertices.max(axis=0)
     box_area = float((hi[0] - lo[0]) * (hi[1] - lo[1]))
     if abs(box_area - cell_volume(cell)) > 1e-12 * box_area:
         return None

@@ -30,6 +30,10 @@ from neumann_bounds.geometry import (
 SQRT3 = math.sqrt(3.0)
 
 
+def bounding_box(cell):
+    return cell.vertices.min(axis=0), cell.vertices.max(axis=0)
+
+
 def monte_carlo_intersection_volume(c1, c2, samples, seed):
     """Membership-sampling estimate of |c1 ∩ c2| with its standard error.
 
@@ -37,11 +41,12 @@ def monte_carlo_intersection_volume(c1, c2, samples, seed):
     generator, so results are reproducible for a given seed.
     """
     def contains(cell, pts):
-        dist = pts @ cell.halfspaces[:, :-1].T + cell.halfspaces[:, -1]
+        halfspaces = cell._halfspaces_from(0.0)
+        dist = pts @ halfspaces[:, :-1].T + halfspaces[:, -1]
         return np.all(dist <= 1e-12, axis=1)
 
-    lo = np.maximum(c1.bounding_box()[0], c2.bounding_box()[0])
-    hi = np.minimum(c1.bounding_box()[1], c2.bounding_box()[1])
+    lo = np.maximum(bounding_box(c1)[0], bounding_box(c2)[0])
+    hi = np.minimum(bounding_box(c1)[1], bounding_box(c2)[1])
     if np.any(hi <= lo):
         return 0.0, 0.0
     box_vol = float(np.prod(hi - lo))
@@ -201,14 +206,14 @@ class TestCellBasics:
     @pytest.mark.parametrize("lam", [0.5, 2.0, 3.0])
     def test_scaling_homogeneity_2d(self, lam):
         cell = equilateral(side=1.3, dx=0.2, dy=-0.4)
-        scaled = cell.scaled(lam)
+        scaled = ConvexCell(cell.vertices * lam)
         assert cell_volume(scaled) == pytest.approx(lam**2 * cell_volume(cell), rel=1e-12)
         assert cell_diameter(scaled) == pytest.approx(lam * cell_diameter(cell), rel=1e-12)
 
     @pytest.mark.parametrize("lam", [0.5, 2.0, 3.0])
     def test_scaling_homogeneity_3d(self, lam):
         cube = ConvexCell([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
-        scaled = cube.scaled(lam)
+        scaled = ConvexCell(cube.vertices * lam)
         assert cell_volume(scaled) == pytest.approx(lam**3, rel=1e-12)
         assert cell_diameter(scaled) == pytest.approx(lam * math.sqrt(3.0), rel=1e-12)
 
@@ -319,7 +324,7 @@ def reference_hull_volume_3d(points, hull):
 
 def intersection_polytope(c1, c2):
     """Vertices and hull of the polytope that intersection_volume measures in 3D."""
-    origin = c1.bounding_box()[0]
+    origin = bounding_box(c1)[0]
     halfspaces = np.vstack([c1._halfspaces_from(origin), c2._halfspaces_from(origin)])
     center, _ = _chebyshev_center(halfspaces)
     points = HalfspaceIntersection(halfspaces, center).intersections
@@ -428,13 +433,13 @@ def corner_area(poly):
 
 
 def previous_intersection_area(c1, c2):
-    corner = c1.bounding_box()[0]
+    corner = bounding_box(c1)[0]
     clipped = previous_clip_polygon(c1.hull_polygon() - corner, c2.hull_polygon() - corner)
     return corner_area(clipped) if len(clipped) >= 3 else 0.0
 
 
 def previous_triple_link_volume(t1, t2):
-    pieces, corner = [], t1.q1.bounding_box()[0]
+    pieces, corner = [], bounding_box(t1.q1)[0]
     for a in t1.cells:
         for b in t2.cells:
             clipped = previous_clip_polygon(a.hull_polygon() - corner, b.hull_polygon() - corner)

@@ -100,7 +100,7 @@ class TestConvexCellConstant:
     def test_diameter_homogeneity(self, lam):
         cell = unit_square()
         b1 = convex_cell_constant(cell, SpectralParams(p=2.0, n=2))
-        b2 = convex_cell_constant(cell.scaled(lam), SpectralParams(p=2.0, n=2))
+        b2 = convex_cell_constant(ConvexCell(cell.vertices * lam), SpectralParams(p=2.0, n=2))
         assert b2.value == pytest.approx(lam * b1.value, rel=1e-12)
 
     def test_dimension_mismatch(self):
@@ -148,7 +148,7 @@ class TestPairConstant:
         params = SpectralParams(p=2.0, n=2)
         b1 = convex_cell_constant(q1, params)
         small = pair_constant(cell_volume(q1), cell_volume(q2), 0.5, b1, b1, 2.0)
-        q1s, q2s = q1.scaled(lam), q2.scaled(lam)
+        q1s, q2s = ConvexCell(q1.vertices * lam), ConvexCell(q2.vertices * lam)
         b1s = convex_cell_constant(q1s, params)
         big = pair_constant(cell_volume(q1s), cell_volume(q2s), 0.5 * lam**2, b1s, b1s, 2.0)
         assert big.value == pytest.approx(lam * small.value, rel=1e-12)
@@ -296,7 +296,7 @@ class TestChainConstant:
         lam = 0.5
         scaled_triples = tuple(
             WhitneyTriple(
-                t.q1.scaled(lam), t.r2.scaled(lam), t.q3.scaled(lam),
+                *(ConvexCell(c.vertices * lam) for c in (t.q1, t.r2, t.q3)),
                 t.v_q1r2 * lam**2, t.v_r2q3 * lam**2,
             )
             for t in chain.triples

@@ -2,12 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import spherical_jn
+from scipy.special import jnp_zeros, spherical_jn
 
 from neumann_bounds.oracle import mesh_domain, neumann_mu2
 from neumann_bounds.poincare import FORM_DEVIATION, CertTerm, PoincareBound, pi_p, pi_p_quadrature
 from neumann_bounds.qc_transfer import (
-    BESSEL_J1_PRIME_FIRST_ZERO,
     EigenBound,
     QCMapData,
     SampledDerivative,
@@ -399,25 +398,26 @@ class TestEigenTransferLipschitz:
 
 
 class TestBallLowerBound:
-    def test_planar_exact_value(self):
+    # the exact p = 2 eigenvalue of the unit ball is the squared first zero of
+    # the radial mode's derivative: of J_1 in 2D, of the spherical j_1 in 3D
+    def test_planar_bound_below_exact_value(self):
         out = ball_lower_bound(2, 2.0)
-        assert out.mu_lower == pytest.approx(BESSEL_J1_PRIME_FIRST_ZERO**2, rel=1e-14)
-        assert out.mu_lower == pytest.approx(3.38994, abs=1e-4)
+        assert out.mu_lower == pytest.approx((math.pi / 2.0) ** 2, rel=1e-14)
+        assert out.mu_lower < jnp_zeros(1, 1)[0] ** 2
 
-    def test_three_dimensional_root_cross_checked(self):
+    def test_three_dimensional_bound_below_exact_value(self):
         out = ball_lower_bound(3, 2.0)
-        zero = math.sqrt(out.mu_lower)
-        # independent oracle: derivative of the first spherical radial mode
         from scipy.optimize import brentq
 
-        reference = brentq(lambda t: spherical_jn(1, t, derivative=True), 1.0, 3.0)
-        assert zero == pytest.approx(reference, rel=1e-10)
+        zero = brentq(lambda t: spherical_jn(1, t, derivative=True), 1.0, 3.0)
+        assert out.mu_lower == pytest.approx((math.pi / 2.0) ** 2, rel=1e-14)
+        assert out.mu_lower < zero**2
 
-    def test_convex_branch_consistency(self):
-        exact = ball_lower_bound(2, 2.0).mu_lower
-        generic = ball_lower_bound(5, 2.0).mu_lower
-        assert generic == pytest.approx((math.pi / 2.0) ** 2, rel=1e-12)
-        assert generic <= exact
+    def test_every_dimension_takes_the_half_period_power(self):
+        for p in (2.0, 3.0):
+            bounds = [ball_lower_bound(n, p) for n in (2, 3, 5)]
+            assert all(b == bounds[0] for b in bounds)
+            assert [f.rule for f in bounds[0].provenance] == ["convex-half-period-power"]
 
     def test_p3_uses_half_period(self):
         out = ball_lower_bound(2, 3.0)
