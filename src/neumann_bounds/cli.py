@@ -125,7 +125,11 @@ def _cover_from_spec(spec: dict) -> RectCover | CellCover:
                               [], what="cells domain", error=CliError)
     if not vertex_lists:
         raise CliError('cells domain needs "cells": [{"vertices": [[x, y], ...]}, ...]')
-    return RectCover.detect(vertex_lists) or CellCover(list(map(ConvexCell, vertex_lists)))
+    cover = RectCover.detect(vertex_lists)
+    if cover is None:  # cells whose exact hulls are axis-aligned rectangles make a RectCover too
+        cells = list(map(ConvexCell, vertex_lists))
+        cover = RectCover.detect([cell._hull_vertices for cell in cells]) or CellCover(cells)
+    return cover
 
 
 def rect_cover_multiplicity(triples) -> int:
@@ -201,7 +205,7 @@ def _cells_bound(spec: dict, p: float) -> tuple[PoincareBound, RectCover | CellC
         triples = [cover.triple(idx) for idx in index_triples]
         multiplicity = read_field(spec, "multiplicity", "integer", None,
                                   what="cells domain", error=CliError)
-        if None not in cover.rects:
+        if isinstance(cover, RectCover):
             exact = rect_cover_multiplicity([[cover.rects[i] for i in idx] for idx in index_triples])
             if multiplicity is None:
                 multiplicity = exact
@@ -219,9 +223,8 @@ def _cells_bound(spec: dict, p: float) -> tuple[PoincareBound, RectCover | CellC
 
 def _cells_mesh_spec(cover: RectCover | CellCover) -> dict | None:
     """Oracle mesh description of a cover by axis-aligned rectangles."""
-    if None in cover.rects:
-        return None
-    return {"kind": "rect_union", "rects": [list(r) for r in cover.rects]}
+    return ({"kind": "rect_union", "rects": [list(r) for r in cover.rects]}
+            if isinstance(cover, RectCover) else None)
 
 
 def _mesh_spec_for_domain(spec: dict) -> dict | None:

@@ -3,10 +3,12 @@
 Everything downstream (constant aggregation, eigenvalue transfer, oracle
 verification) consumes the primitives defined here: convex polytopes with
 their volumes/diameters, pairwise intersection volumes, overlapping
-triple/chain containers, the two kinds of cell cover (exact integer
-measures of axis-aligned rectangles, or hull measures of convex cells), the
-closed-form measures of the two-piece star domain, and the snowflake
-triangle tree with per-level analytic metadata.
+triple/chain containers, the two kinds of cell cover (axis-aligned
+rectangles, or convex cells), the closed-form measures of the two-piece
+star domain, and the snowflake triangle tree with per-level analytic
+metadata. Every 2D measure is exact: coordinates are integers times 2^-k,
+hulls, areas and clips are taken in integers, and each measure is rounded
+once to the side its rule needs. 3D cells are measured on Qhull hulls.
 """
 
 from __future__ import annotations
@@ -14,14 +16,13 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
-from dataclasses import dataclass
-from functools import cached_property, partial
+from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 VOLUME_TOL = 1e-12  # cut-off of degenerate cells and empty overlaps, relative to their scale
 # |Q1 ∩ Q3| below this fraction of the smaller cell counts as disjoint
-# (clipping noise allowance).
 DISJOINT_REL_TOL = 1e-9
 # maximum snowflake depth such that the level cell count 3*2^(j-1) still
 # fits an int64 (serialization safety)
@@ -50,13 +51,66 @@ def _first_line(exc: Exception) -> str:
     return lines[0] if lines else type(exc).__name__
 
 
-def polygon_area(poly: np.ndarray) -> float:
-    """Area of a simple polygon given as an (m, 2) vertex loop. The shoelace is
-    taken from the loop's box corner: its products cancel far from the origin."""
-    x, y = (poly - poly.min(axis=0)).T
-    # the shift np.roll(., -1), without its overhead on 4-8 vertex loops
-    return float(0.5 * abs(np.dot(x, np.concatenate((y[1:], y[:1])))
-                           - np.dot(y, np.concatenate((x[1:], x[:1])))))
+def _integers(values) -> tuple[list[int], int]:
+    """Floats as integers times 2^-k, for the least k that serves them all."""
+    ratios = [v.as_integer_ratio() for v in values]
+    k = max(den for _, den in ratios).bit_length() - 1
+    return [num << k - den.bit_length() + 1 for num, den in ratios], k
+
+
+def _cross(o: tuple, a: tuple, b: tuple) -> int:
+    """Twice the signed area of the triangle o, a, b: positive if b lies left of o -> a."""
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _hull_2d(points: list[tuple[int, int]]) -> list[int]:
+    """Andrew's monotone chain: the indices of the hull's corners, counterclockwise, none on an edge."""
+    order, hull = sorted(range(len(points)), key=points.__getitem__), []
+    for chain in (order, order[::-1]):  # the lower hull, then the upper
+        start = len(hull)
+        for i in chain:
+            while len(hull) >= start + 2 and _cross(points[hull[-2]], points[hull[-1]], points[i]) <= 0:
+                hull.pop()
+            hull.append(i)
+        hull.pop()  # the chain's last point starts the other chain
+    return hull
+
+
+def _shoelace(points: list[tuple[int, int]]) -> int:
+    """Twice the signed area of an integer vertex loop."""
+    return sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(points, points[1:] + points[:1]))
+
+
+def _loop_area(poly: list[tuple[int, int, int]]):
+    """The area of a counterclockwise loop of homogeneous integer vertices (X, Y, W), W > 0,
+    as a Fraction: the shoelace on their common denominator. An empty loop has none."""
+    from fractions import Fraction  # imported on use: it costs start-up
+    den = math.lcm(*(w for _, _, w in poly))
+    return Fraction(_shoelace([(x * (den // w), y * (den // w)) for x, y, w in poly]), 2 * den * den)
+
+
+def _clip(poly: list[tuple[int, int, int]], cells) -> list[tuple[int, int, int]]:
+    """A convex homogeneous loop with area clipped to each 2D cell's edge lines: a loop with
+    area, or [] if none is left. A line keeps side(P) = A X + B Y + C W >= 0; the crossing of
+    an edge S -> E is side(S) E - side(E) S, signed so that W > 0 and reduced by its gcd.
+    A line that cuts the loop leaves a corner strictly inside and a chord of it."""
+    for a, b, c in (line for cell in cells for line in cell._lines):
+        sides = [a * x + b * y + c * w for x, y, w in poly]
+        if min(sides) >= 0:
+            continue
+        if max(sides) <= 0:
+            return []
+        out, s, s_side = [], poly[-1], sides[-1]
+        for e, e_side in zip(poly, sides):
+            if s_side * e_side < 0:
+                cut = [abs(s_side) * ec + abs(e_side) * sc for ec, sc in zip(e, s)]
+                g = math.gcd(*cut)
+                out.append((cut[0] // g, cut[1] // g, cut[2] // g))
+            if e_side >= 0:
+                out.append(e)
+            s, s_side = e, e_side
+        poly = out
+    return poly
 
 
 def _hull_volume_3d(points: np.ndarray, hull: ConvexHull) -> float:
@@ -72,20 +126,20 @@ def _hull_volume_3d(points: np.ndarray, hull: ConvexHull) -> float:
 
 
 def _check_magnitude(magnitude: float, n: int) -> None:
-    """Qhull's determinants and the shoelace take degree-n products of coordinates;
-    past float range Qhull fails or crashes (segfault in 3D). The bound also keeps
-    extent**n and the squared diagonal finite."""
+    """Qhull's determinants take degree-n products of coordinates; past float range
+    Qhull fails or crashes (segfault in 3D). The bound also keeps extent**n, the
+    float measures and the squared diagonal finite."""
     if magnitude > MAX_CELL_COORDINATE[n]:
         raise GeometryError(f"vertex coordinate {magnitude:g} too large: degree-{n} products overflow")
 
 
 def _check_volume(volume: float, scale: float, n: int) -> None:
-    """A cell volume must be a normal float above VOLUME_TOL times the cell's extent to the n."""
+    """A cell volume must be above VOLUME_TOL times the cell's extent to the n, and a normal float."""
+    if volume <= VOLUME_TOL * scale**n:
+        raise GeometryError(f"degenerate cell: volume {volume:g} below tolerance")
     if volume < sys.float_info.min:  # subnormal: its relative accuracy is lost
         raise GeometryError(f"cell volume {volume:g} is below the smallest normal float "
                             f"{sys.float_info.min:g}")
-    if volume <= VOLUME_TOL * scale**n:
-        raise GeometryError(f"degenerate cell: volume {volume:g} below tolerance")
 
 
 class ConvexCell:
@@ -94,10 +148,12 @@ class ConvexCell:
     Degenerate inputs (volume below tolerance) and vertex lists containing
     points strictly inside the hull are rejected at construction, so a
     constructed cell always satisfies cell_volume(cell) > 0 and has every
-    vertex on its hull boundary.
+    vertex on its hull boundary. A 2D cell's hull and area are exact, in
+    integers; a 3D cell is measured on its Qhull hull, rounded to nearest.
     """
 
-    __slots__ = ("vertices", "n", "_hull", "_volume", "_hull_vertices", "_box")
+    __slots__ = ("vertices", "n", "_hull", "_points", "_loop", "_lines", "_exact", "_volume",
+                 "_hull_vertices", "_box")
 
     def __init__(self, vertices) -> None:
         verts = np.asarray(vertices, dtype=float)
@@ -110,42 +166,52 @@ class ConvexCell:
             raise GeometryError("vertices must be finite")
         _check_magnitude(float(np.abs(verts).max()), n)
         lo, hi = verts.min(axis=0), verts.max(axis=0)
-        # Qhull's flatness test scales with the coordinates: it sees the cell from its box corner
-        local = verts - lo
-        from scipy.spatial import ConvexHull, QhullError  # imported on use: it costs start-up
-        try:
-            hull = ConvexHull(local)
-        except QhullError as exc:
-            raise GeometryError(f"degenerate cell: {_first_line(exc)}") from None
-        hull_vertices = verts[hull.vertices]
-        volume = polygon_area(hull_vertices) if n == 2 else _hull_volume_3d(verts, hull)
         scale = float((hi - lo).max())
-        _check_volume(volume, scale, n)
-        # convexity audit: no input vertex may sit strictly inside the hull
-        dist = local @ hull.equations[:, :-1].T + hull.equations[:, -1]
-        if np.any(dist.max(axis=1) < -1e-9 * scale):
+        if n == 2:
+            ints, k = _integers(verts.ravel().tolist())
+            self._points = points = list(zip(ints[::2], ints[1::2]))
+            corners, w = _hull_2d(points), 1 << k
+            self._loop = [(*points[i], w) for i in corners]  # homogeneous (X, Y, W)
+            self._exact = (_shoelace([points[i] for i in corners]), 2 << 2 * k)
+            # each edge a -> b as the line A X + B Y + C W = det(a, b, (X, Y, W)), >= 0 inside
+            self._lines = [(w * (a[1] - b[1]), w * (b[0] - a[0]), a[0] * b[1] - a[1] * b[0])
+                           for a, b in zip(self._loop[-1:] + self._loop[:-1], self._loop)]
+            # convexity audit: no input vertex may lie more than 1e-9 of the cell's extent inside
+            # every edge line, at distance side / |(A, B)|, compared squared in integers
+            extent = max(max(ints[d::2]) - min(ints[d::2]) for d in (0, 1))
+            inner = any(all((side := a * x + b * y + c * w) > 0
+                            and (side * 10**9) ** 2 > extent**2 * (a * a + b * b) for a, b, c in self._lines)
+                        for x, y in map(points.__getitem__, set(range(len(points))) - set(corners)))
+        else:
+            # Qhull's flatness test scales with the coordinates: it sees the cell from its box corner
+            local = verts - lo
+            from scipy.spatial import ConvexHull, QhullError  # imported on use: it costs start-up
+            try:
+                self._hull = ConvexHull(local)
+            except QhullError as exc:
+                raise GeometryError(f"degenerate cell: {_first_line(exc)}") from None
+            corners = self._hull.vertices
+            self._exact = _hull_volume_3d(verts, self._hull).as_integer_ratio()
+            # convexity audit: no input vertex may sit strictly inside the hull
+            dist = local @ self._hull.equations[:, :-1].T + self._hull.equations[:, -1]
+            inner = np.any(dist.max(axis=1) < -1e-9 * scale)
+        self._volume = _outward(*self._exact, True)
+        _check_volume(self._volume, scale, n)
+        if inner:
             raise GeometryError("vertex strictly inside the convex hull of the vertex set")
         self.vertices = verts
         self.n = n
-        self._hull = hull
-        self._volume = float(volume)
-        hull_vertices.flags.writeable = False
-        self._hull_vertices = hull_vertices
+        self._hull_vertices = verts[corners]
+        self._hull_vertices.flags.writeable = False
         self._box = (lo.tolist(), hi.tolist())
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"ConvexCell(n={self.n}, vertices={len(self.vertices)}, volume={self._volume:.6g})"
 
     def _halfspaces_from(self, origin) -> np.ndarray:
-        """Rows (a, b) with a.(x - origin) + b <= 0 inside; Qhull's are box-corner relative."""
+        """3D only: rows (a, b) with a.(x - origin) + b <= 0 inside; Qhull's are box-corner relative."""
         a, b = self._hull.equations[:, :-1], self._hull.equations[:, -1]
         return np.column_stack((a, b - a @ np.subtract(self._box[0], origin)))
-
-    def hull_polygon(self) -> np.ndarray:
-        """2D only: hull vertices in counterclockwise order."""
-        if self.n != 2:
-            raise GeometryError("hull_polygon is 2D only")
-        return self._hull_vertices
 
     def _box_apart(self, other: "ConvexCell") -> bool:
         """Whether the bounding boxes are strictly apart on some axis, so the cells are disjoint."""
@@ -153,7 +219,7 @@ class ConvexCell:
 
 
 def cell_volume(cell: ConvexCell) -> float:
-    """Lebesgue measure of the cell (shoelace in 2D, hull tetrahedra in 3D)."""
+    """Lebesgue measure of the cell (the integer shoelace rounded up in 2D, hull tetrahedra in 3D)."""
     return cell._volume
 
 
@@ -167,39 +233,6 @@ def cell_diameter(cell: ConvexCell) -> float:
         d2 = sum((block[:, k, None] - rest[k]) ** 2 for k in range(cell.n))
         best = max(best, float(d2.max()))
     return math.sqrt(best)
-
-
-def clip_polygon(subject: np.ndarray, clipper: np.ndarray) -> np.ndarray:
-    """Sutherland-Hodgman clip of a polygon by a convex polygon.
-
-    Both inputs are (m, 2) counterclockwise vertex loops; returns the
-    clipped loop (possibly empty).
-    """
-    output = subject.tolist()
-    clip = clipper.tolist()
-    x1, y1 = clip[-1]
-    for x2, y2 in clip:
-        if not output:
-            break
-        ex, ey = x2 - x1, y2 - y1
-        inputs, output = output, []
-        # one inside test per vertex: on or left of the edge (x1, y1) -> (x2, y2)
-        inside = [ex * (y - y1) - ey * (x - x1) >= 0.0 for x, y in inputs]
-        s, s_in = inputs[-1], inside[-1]
-        for e, e_in in zip(inputs, inside):
-            if e_in != s_in:  # the edge s -> e crosses the clip line
-                dx, dy = e[0] - s[0], e[1] - s[1]
-                denom = ex * dy - ey * dx
-                if denom == 0.0:
-                    output.append(e)
-                else:
-                    t = (ex * (y1 - s[1]) - ey * (x1 - s[0])) / denom
-                    output.append((s[0] + t * dx, s[1] + t * dy))
-            if e_in:
-                output.append(e)
-            s, s_in = e, e_in
-        x1, y1 = x2, y2
-    return np.array(output, dtype=float).reshape(-1, 2)
 
 
 def _chebyshev_center(halfspaces: np.ndarray) -> tuple[np.ndarray, float] | None:
@@ -219,33 +252,22 @@ def _chebyshev_center(halfspaces: np.ndarray) -> tuple[np.ndarray, float] | None
     return res.x[:-1], float(res.x[-1])
 
 
-def intersection_volume(c1: ConvexCell, c2: ConvexCell) -> float:
-    """Volume of the intersection of two convex cells of equal dimension.
-
-    2D clips the hull polygons and takes the shoelace; 3D intersects the
-    facet half-space lists and measures the resulting polytope. Both work
-    relative to c1's box corner, so that the cells' offset costs no accuracy.
-    Both round to nearest, so the result may lie on either side of the
-    exact volume (RectCover measures rectangles exactly). A failed 3D
-    construction raises GeometryError: overlaps serve as lower bounds
-    (combination-rule denominators) and as upper bounds (WhitneyTriple's
-    disjointness test), so no one-sided estimate can stand in.
-    """
+def _exact_overlap(c1: ConvexCell, c2: ConvexCell):
+    """|c1 ∩ c2|: exact in 2D (a Fraction), the float of the 3D half-space intersection, 0
+    if the boxes are apart. A failed 3D construction raises GeometryError: overlaps serve
+    as lower bounds and as upper bounds (WhitneyTriple's disjointness test), so no one-sided
+    estimate can stand in."""
     if c1.n != c2.n:
         raise GeometryError(f"dimension mismatch: {c1.n} vs {c2.n}")
     if c1._box_apart(c2):
-        return 0.0
+        return 0
     if c1.n == 2:
-        corner = c1._box[0]
-        clipped = clip_polygon(c1.hull_polygon() - corner, c2.hull_polygon() - corner)
-        if len(clipped) < 3:
-            return 0.0
-        return polygon_area(clipped)
+        return _loop_area(_clip(c1._loop, (c2,)))
     halfspaces = np.vstack([c1._halfspaces_from(c1._box[0]), c2._halfspaces_from(c1._box[0])])
     center = _chebyshev_center(halfspaces)
     # an overlap thinner than VOLUME_TOL times the smaller cell's length scale is empty
     if center is None or center[1] <= VOLUME_TOL * min(map(cell_volume, (c1, c2))) ** (1.0 / 3.0):
-        return 0.0
+        return 0
     from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError  # imported on use
     try:
         hs = HalfspaceIntersection(halfspaces, center[0])
@@ -255,39 +277,30 @@ def intersection_volume(c1: ConvexCell, c2: ConvexCell) -> float:
     return _hull_volume_3d(hs.intersections, hull)
 
 
-def _intersect_polygons(polys: list[np.ndarray]) -> np.ndarray:
-    acc = polys[0]
-    for poly in polys[1:]:
-        if len(acc) < 3:
-            break
-        acc = clip_polygon(acc, poly)
-    return acc
+def intersection_volume(c1: ConvexCell, c2: ConvexCell) -> float:
+    """Volume of the intersection of two convex cells of equal dimension, rounded down:
+    exact in 2D, so it lies within 1 ulp below the true overlap; to nearest in 3D."""
+    return _outward(*_exact_overlap(c1, c2).as_integer_ratio(), False)
 
 
-def union_volume_2d(polygons: list[np.ndarray]) -> float:
-    """Area of a union of convex polygons via inclusion-exclusion.
+def _outward(num: int, scale: int, up: bool) -> float:
+    """num / scale (integers, num >= 0) as the nearest float above it, or below it if not
+    up: the division rounds to nearest, so one step at most moves it to that side."""
+    value = num / scale
+    low, den = value.as_integer_ratio()
+    excess = low * scale - num * den  # the sign of value - num / scale
+    return math.nextafter(value, math.inf if up else 0.0) if (excess < 0 if up else excess > 0) else value
 
-    Subsets whose intersection is already empty prune all their supersets,
-    which keeps the 2^k sweep cheap at desk scale.
-    """
-    polys = [np.asarray(p, dtype=float) for p in polygons if len(p) >= 3]
-    k = len(polys)
-    if k == 0:
-        return 0.0
-    empty: set[int] = set()
-    total = 0.0
-    for mask in range(1, 1 << k):
-        if any(mask & e == e for e in empty):
-            continue
-        members = [polys[i] for i in range(k) if mask & (1 << i)]
-        inter = _intersect_polygons(members)
-        area = polygon_area(inter) if len(inter) >= 3 else 0.0
-        if area <= 0.0:
-            empty.add(mask)
-            continue
-        sign = 1.0 if bin(mask).count("1") % 2 == 1 else -1.0
-        total += sign * area
-    return max(total, 0.0)
+
+def _union(shapes: list, cutters: list, meet, measure):
+    """|∪ shapes| by inclusion-exclusion that grows a subset only from a non-empty
+    intersection: meet(shape, cutters[j]) is shape ∩ shapes[j], falsy where it has no area."""
+    total, stack = 0, [(i, shape, 1) for i, shape in enumerate(shapes)]
+    while stack:
+        i, shape, sign = stack.pop()
+        total += sign * measure(shape)
+        stack += [(j, m, -sign) for j in range(i + 1, len(shapes)) if (m := meet(shape, cutters[j]))]
+    return total
 
 
 # what the triple rule reads: the cell volumes |Q1|, |R2|, |Q3|, the unions |Q1 ∪ R2|,
@@ -296,11 +309,30 @@ def union_volume_2d(polygons: list[np.ndarray]) -> float:
 TripleMeasures = namedtuple("TripleMeasures", "v1 v2 v3 u12 u32 o12 o23")
 
 
+def _triple_rule(a1, a2, a3, o12, o23, o13, scale: int) -> tuple[TripleMeasures, float]:
+    """The triple rule's measures and the triple volume |Q1| + |R2| + |Q3| - overlaps from
+    exact cell areas and overlaps, integers over scale, each rounded once to its side.
+    Refused unless both overlaps have area and |Q1 ∩ Q3| stays below DISJOINT_REL_TOL of
+    the smaller outer cell."""
+    if not (o12 > 0 and o23 > 0):
+        raise GeometryError("triple overlap volumes must be positive")
+    num, den = DISJOINT_REL_TOL.as_integer_ratio()
+    if o13 * den >= num * min(a1, a3):
+        raise GeometryError(f"outer cells are not disjoint: |Q1 ∩ Q3| = {o13 / scale:g} "
+                            f"exceeds {DISJOINT_REL_TOL * (min(a1, a3) / scale):g}")
+    up, down = partial(_outward, scale=scale, up=True), partial(_outward, scale=scale, up=False)
+    rule = TripleMeasures(up(a1), down(a2), up(a3), up(a1 + a2 - o12), up(a3 + a2 - o23),
+                          down(o12), down(o23))
+    return rule, up(a1 + a2 + a3 - o12 - o23)
+
+
 @dataclass(frozen=True)
 class WhitneyTriple:
     """Three overlapping convex cells Q1, R2, Q3 with disjoint outer cells.
 
-    Overlap volumes are Lebesgue measures of Q1 ∩ R2 and R2 ∩ Q3.
+    Overlap volumes are Lebesgue measures of Q1 ∩ R2 and R2 ∩ Q3, read as exact
+    rationals (from_cells gives 2D overlaps as Fractions). The rule's measures are
+    rounded from them and the cell volumes once each, as a RectCover's are.
     """
 
     q1: ConvexCell
@@ -308,56 +340,51 @@ class WhitneyTriple:
     q3: ConvexCell
     v_q1r2: float
     v_r2q3: float
+    _rule: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.v_q1r2 <= 0.0 or self.v_r2q3 <= 0.0:
-            raise GeometryError("triple overlap volumes must be positive")
-        v13 = intersection_volume(self.q1, self.q3)
-        limit = DISJOINT_REL_TOL * min(cell_volume(self.q1), cell_volume(self.q3))
-        if v13 >= limit:
-            raise GeometryError(
-                f"outer cells are not disjoint: |Q1 ∩ Q3| = {v13:g} exceeds {limit:g}"
-            )
+        from fractions import Fraction  # imported on use: it costs start-up
+        exact = [Fraction(*cell._exact) for cell in self.cells] + [
+            Fraction(v) for v in (self.v_q1r2, self.v_r2q3, _exact_overlap(self.q1, self.q3))]
+        scale = math.lcm(*(value.denominator for value in exact))
+        rule = _triple_rule(*(value.numerator * (scale // value.denominator) for value in exact), scale)
+        object.__setattr__(self, "_rule", rule)
 
     @classmethod
     def from_cells(cls, q1: ConvexCell, r2: ConvexCell, q3: ConvexCell) -> "WhitneyTriple":
-        return cls(q1, r2, q3, intersection_volume(q1, r2), intersection_volume(r2, q3))
+        return cls(q1, r2, q3, _exact_overlap(q1, r2), _exact_overlap(r2, q3))
 
     @property
     def cells(self) -> tuple[ConvexCell, ConvexCell, ConvexCell]:
         return (self.q1, self.r2, self.q3)
 
     def volume(self) -> float:
-        """|Q1 ∪ R2 ∪ Q3|; outer cells are disjoint, so two overlap terms suffice."""
-        m = self.measures()
-        return m.v1 + m.v2 + m.v3 - m.o12 - m.o23
+        """|Q1 ∪ R2 ∪ Q3| rounded up; outer cells are disjoint, so two overlap terms suffice."""
+        return self._rule[1]
 
     def measures(self) -> TripleMeasures:
         """The triple rule's measures, the unions taken as |Q| + |R| - overlap."""
-        v1, v2, v3 = map(cell_volume, self.cells)
-        return TripleMeasures(v1, v2, v3, v1 + v2 - self.v_q1r2, v3 + v2 - self.v_r2q3,
-                              self.v_q1r2, self.v_r2q3)
+        return self._rule[0]
 
 
 def triple_link_volume(t1: WhitneyTriple, t2: WhitneyTriple) -> float:
-    """|A_j ∩ A_{j+1}| for two triples of 2D cells.
+    """|A_j ∩ A_{j+1}| for two triples of 2D cells, rounded down.
 
-    The intersection of the two three-cell unions is a union of up to nine
-    convex pieces (pairwise cell intersections), measured exactly by
-    inclusion-exclusion. The pieces are clipped relative to the box corner
-    of t1's first cell.
+    The intersection of the two three-cell unions is the union of the nine pairwise
+    cell intersections, less those below VOLUME_TOL of their smaller cell. Every
+    intersection of pieces is one of original cells, clipped by their integer loops.
     """
-    pieces, corner = [], t1.q1._box[0]
+    from fractions import Fraction  # imported on use: it costs start-up
+    if any(cell.n != 2 for cell in t1.cells + t2.cells):
+        raise GeometryError("triple link volumes are implemented for 2D cells")
+    tol, pieces, pairs = Fraction(VOLUME_TOL), [], []
     for a in t1.cells:
         for b in t2.cells:
-            if a.n != 2:
-                raise GeometryError("triple link volumes are implemented for 2D cells")
-            if a._box_apart(b):
-                continue
-            clipped = clip_polygon(a.hull_polygon() - corner, b.hull_polygon() - corner)
-            if len(clipped) >= 3 and polygon_area(clipped) > VOLUME_TOL * min(map(cell_volume, (a, b))):
-                pieces.append(clipped)
-    return union_volume_2d(pieces)
+            piece = [] if a._box_apart(b) else _clip(a._loop, (b,))
+            if piece and _loop_area(piece) > tol * min(Fraction(*a._exact), Fraction(*b._exact)):
+                pieces.append(piece)
+                pairs.append((a, b))
+    return _outward(*_union(pieces, pairs, _clip, _loop_area).as_integer_ratio(), False)
 
 
 @dataclass(frozen=True)
@@ -393,27 +420,14 @@ class WhitneyChain:
         return [t.volume() for t in self.triples]
 
 
-def _axis_aligned_rect(cell: ConvexCell) -> tuple[float, float, float, float] | None:
-    """Bounding rectangle if the cell's hull is that rectangle to 1e-12 of its area."""
-    if cell.n != 2 or len(cell.hull_polygon()) != 4:
-        return None
-    (x0, y0), (x1, y1) = cell._box
-    box_area = (x1 - x0) * (y1 - y0)
-    return None if abs(box_area - cell_volume(cell)) > 1e-12 * box_area else (x0, y0, x1, y1)
-
-
 class CellCover:
-    """A cover by convex cells, measured on their hulls and rounded to nearest: every
-    cover that is no RectCover. rects holds each cell's rectangle, None where it is none."""
+    """A cover by convex cells: every cover that is no RectCover. 2D cells are measured
+    exactly and each measure rounded once to its rule's side; 3D cells on Qhull hulls."""
 
     link = staticmethod(triple_link_volume)
 
     def __init__(self, cells: list[ConvexCell]) -> None:
         self.cells, self.n = cells, cells[0].n
-
-    @cached_property
-    def rects(self) -> list[tuple[float, float, float, float] | None]:
-        return [_axis_aligned_rect(cell) for cell in self.cells]
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -429,15 +443,6 @@ class CellCover:
 
     def triple(self, idx) -> WhitneyTriple:
         return WhitneyTriple.from_cells(*(self.cells[i] for i in idx))
-
-
-def _outward(num: int, scale: int, up: bool) -> float:
-    """num / scale (integers, num >= 0) as the nearest float above it, or below it if not
-    up: the division rounds to nearest, so one step at most moves it to that side."""
-    value = num / scale
-    low, den = value.as_integer_ratio()
-    excess = low * scale - num * den  # the sign of value - num / scale
-    return math.nextafter(value, math.inf if up else 0.0) if (excess < 0 if up else excess > 0) else value
 
 
 def _meet(a: tuple, b: tuple) -> tuple | None:
@@ -468,18 +473,15 @@ class RectCover:
     float once, to the side its rule needs: volumes in numerators, unions,
     triple volumes and diameters up; overlaps, links and the triple rule's
     |R2| down.
-    CellCover's refusals and tolerances stay, the triple's DISJOINT_REL_TOL
+    A ConvexCell's refusals and tolerances stay, the triple's DISJOINT_REL_TOL
     and the link pieces' VOLUME_TOL evaluated on the exact values.
     """
 
     n = 2
 
     def __init__(self, rects: list[tuple[float, float, float, float]]) -> None:
-        ratios = [c.as_integer_ratio() for rect in rects for c in rect]
-        k = max(den for _, den in ratios).bit_length() - 1
-        ints = [num << k - den.bit_length() + 1 for num, den in ratios]
+        ints, k = _integers([c for rect in rects for c in rect])
         self.rects, self._scale = rects, 1 << 2 * k
-        self._up, self._down = (partial(_outward, scale=self._scale, up=up) for up in (True, False))
         self._boxes = [tuple(ints[i:i + 4]) for i in range(0, len(ints), 4)]
         self._areas = list(map(_area, self._boxes))
         for (x0, y0, x1, y1), area in zip(rects, self._areas):
@@ -503,7 +505,7 @@ class RectCover:
         return len(self.rects)
 
     def volume(self, i: int) -> float:
-        return self._up(self._areas[i])
+        return _outward(self._areas[i], self._scale, True)
 
     def diameter(self, i: int) -> float:
         """The diagonal: the root of the float nearest its exact square lies on one of the
@@ -515,36 +517,21 @@ class RectCover:
         return math.nextafter(value, math.inf) if num * num * self._scale < square * den * den else value
 
     def overlap(self, i: int, j: int) -> float:
-        return self._down(_area(_meet(self._boxes[i], self._boxes[j])))
+        return _outward(_area(_meet(self._boxes[i], self._boxes[j])), self._scale, False)
 
     def triple(self, idx) -> _RectTriple:
         """The triple of cells idx = (q1, r2, q3), refused where a WhitneyTriple is."""
         (a1, a2, a3), (b1, b2, b3) = ([seq[i] for i in idx] for seq in (self._areas, self._boxes))
         o12, o23, o13 = (_area(_meet(*pair)) for pair in ((b1, b2), (b2, b3), (b1, b3)))
-        if not (o12 and o23):
-            raise GeometryError("triple overlap volumes must be positive")
-        num, den = DISJOINT_REL_TOL.as_integer_ratio()
-        if o13 * den >= num * min(a1, a3):
-            raise GeometryError(f"outer cells are not disjoint: |Q1 ∩ Q3| = {o13 / self._scale:g} "
-                                f"exceeds {DISJOINT_REL_TOL * (min(a1, a3) / self._scale):g}")
-        up, down = self._up, self._down
-        rule = TripleMeasures(up(a1), down(a2), up(a3), up(a1 + a2 - o12), up(a3 + a2 - o23),
-                              down(o12), down(o23))
-        return _RectTriple(tuple(idx), rule, up(a1 + a2 + a3 - o12 - o23))
+        return _RectTriple(tuple(idx), *_triple_rule(a1, a2, a3, o12, o23, o13, self._scale))
 
     def link(self, t1: _RectTriple, t2: _RectTriple) -> float:
         """|A_1 ∩ A_2| rounded down: the pairwise cell intersections less the pieces that
-        triple_link_volume drops, united by inclusion-exclusion that grows a subset only
-        from a non-empty intersection."""
+        triple_link_volume drops, united as triple_link_volume unites them."""
         num, den = VOLUME_TOL.as_integer_ratio()
         pieces = [box for i in t1.idx for j in t2.idx if (box := _meet(self._boxes[i], self._boxes[j]))
                   and _area(box) * den > num * min(self._areas[i], self._areas[j])]
-        total, stack = 0, [(i, box, 1) for i, box in enumerate(pieces)]
-        while stack:
-            i, box, sign = stack.pop()
-            total += sign * _area(box)
-            stack += [(j, meet, -sign) for j in range(i + 1, len(pieces)) if (meet := _meet(box, pieces[j]))]
-        return self._down(total)
+        return _outward(_union(pieces, pieces, _meet, _area), self._scale, False)
 
 
 @dataclass(frozen=True)

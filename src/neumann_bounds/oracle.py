@@ -35,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import ConvexCell, StarDomainSpec, cell_volume, polygon_area
+from .geometry import ConvexCell, StarDomainSpec, _shoelace
 from .poincare import PoincareBound, check_exponent, read_field
 from .qc_transfer import EigenBound
 
@@ -394,9 +394,12 @@ def mesh_domain(spec: dict, h: float) -> TriangleMesh:
         build = functools.partial(_rect_union_mesh, rects, h)
     elif kind == "polygon":
         vertices = read("vertices", "array")
-        # ConvexCell refuses flat and non-convex sets; the loop must also enclose the hull's area
+        # ConvexCell refuses flat and non-convex sets; the loop must also enclose the hull's
+        # area to 1e-9 relative: twice both areas, integers on the cell's 2^-k grid
         cell = ConvexCell(vertices)
-        if cell.n != 2 or not math.isclose(polygon_area(vertices), cell_volume(cell), rel_tol=1e-9):
+        if cell.n == 2:
+            loop, hull = abs(_shoelace(cell._points)), cell._exact[0]
+        if cell.n != 2 or abs(loop - hull) * 10**9 > max(loop, hull):
             raise MeshError("polygon vertices must run in order around a convex polygon")
         width, height = np.ptp(vertices, axis=0)
         build = functools.partial(_convex_polygon_mesh, vertices, h)

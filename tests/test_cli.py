@@ -130,17 +130,22 @@ def test_certificate_only_commands_load_no_scipy(tmp_path):
     chain = write_json(tmp_path / "chain.json", {"type": "cells", "cells": [
         {"vertices": [[0.75 * i, 0], [0.75 * i + 1, 0], [0.75 * i + 1, 1], [0.75 * i, 1]]}
         for i in range(5)]})
+    # 2D convex cells are measured in integers: no Qhull either
+    polygons = write_json(tmp_path / "polygons.json", {"type": "cells", "cells": [
+        {"vertices": [[0, 0], [1, 0], [0.5, 1]]}, {"vertices": [[0.5, 0], [1.5, 0], [1.5, 1], [0.5, 1]]}]})
     outs = [tmp_path / f"{name}.json" for name in
-            ("snow", "star2", "star3", "cells", "chain", "via_linear", "via_sampled", "eigen")]
+            ("snow", "star2", "star3", "cells", "chain", "polygons", "via_linear", "via_sampled",
+             "eigen")]
     certificates = [
         ["bound-snowflake", "--out", outs[0]],
         ["bound-star", "--dim", 2, "--no-verify", "--out", outs[1]],
         ["bound-star", "--dim", 3, "--out", outs[2]],
         ["bound-cells", "--domain", pair_domain(tmp_path), "--no-verify", "--out", outs[3]],
         ["bound-cells", "--domain", chain, "--no-verify", "--out", outs[4]],
-        ["transfer", "--map", linear, "--base", base, "--out", outs[5]],
-        ["transfer", "--map", sampled, "--base", base, "--out", outs[6]],
-        ["transfer", "--map", sampled, "--base", base, "--mode", "eigen", "--out", outs[7]],
+        ["bound-cells", "--domain", polygons, "--no-verify", "--out", outs[5]],
+        ["transfer", "--map", linear, "--base", base, "--out", outs[6]],
+        ["transfer", "--map", sampled, "--base", base, "--out", outs[7]],
+        ["transfer", "--map", sampled, "--base", base, "--mode", "eigen", "--out", outs[8]],
         ["report", *outs, "--out", tmp_path / "table.json"],
     ]
     square = write_json(tmp_path / "square.json", SQUARE)
@@ -154,10 +159,10 @@ def test_certificate_only_commands_load_no_scipy(tmp_path):
 
 
 def test_on_use_imports_serve_qhull_and_the_mesh_paths(tmp_path):
-    """Qhull alone for a triangle cover; Delaunay, the cKDTree audit and the
-    solve for a polygon domain and for a raw mesh file."""
-    triangles = write_json(tmp_path / "triangles.json", {"type": "cells", "cells": [
-        {"vertices": [[0, 0], [1, 0], [0.5, 1]]}, {"vertices": [[0.5, 0], [1.5, 0], [1, 1]]}]})
+    """Qhull alone for a 3D cell (2D cells are measured in integers); Delaunay, the
+    cKDTree audit and the solve for a polygon domain and for a raw mesh file."""
+    tetrahedron = write_json(tmp_path / "tetrahedron.json", {"type": "cells", "cells": [
+        {"vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]}]})
     cert = tmp_path / "cert.json"
     polygon = write_json(tmp_path / "polygon.json", {
         "kind": "polygon", "vertices": [[0, 0], [2, 0], [2.5, 1], [1, 1.8], [-0.4, 1]]})
@@ -166,7 +171,7 @@ def test_on_use_imports_serve_qhull_and_the_mesh_paths(tmp_path):
         "elements": [[0, 1, 4], [0, 4, 3], [1, 2, 5], [1, 5, 4]]})
     bound = write_json(tmp_path / "bound.json", {"bound": 1.0, "p": 2.0})
     covered, verified = run_fresh_commands(
-        [["bound-cells", "--domain", triangles, "--no-verify", "--out", cert]],
+        [["bound-cells", "--domain", tetrahedron, "--no-verify", "--out", cert]],
         [["verify", "--bound", bound, "--domain", domain, "--h", 0.3, "--out", f"{domain}.out"]
          for domain in (polygon, mesh)],
     )[1:]
@@ -1013,7 +1018,7 @@ def axis_aligned_rect(cell):
     cover test the multiplicity references were written against)."""
     if cell.n != 2:
         return None
-    poly = cell.hull_polygon()
+    poly = cell._hull_vertices
     if len(poly) != 4:
         return None
     lo, hi = cell.vertices.min(axis=0), cell.vertices.max(axis=0)

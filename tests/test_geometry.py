@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,8 +25,9 @@ from neumann_bounds.geometry import (
     snowflake_level_count,
     star_discretization_error,
     triple_link_volume,
-    union_volume_2d,
 )
+# the exact references of the rectangle-cover tests: Fraction clips, areas, unions and sides
+from test_rect_cover import assert_down, assert_up, exact_union, fraction_area, fraction_clip
 
 SQRT3 = math.sqrt(3.0)
 
@@ -41,7 +43,7 @@ def monte_carlo_intersection_volume(c1, c2, samples, seed):
     generator, so results are reproducible for a given seed.
     """
     def contains(cell, pts):
-        halfspaces = cell._halfspaces_from(0.0)
+        halfspaces = ConvexHull(cell.vertices).equations
         dist = pts @ halfspaces[:, :-1].T + halfspaces[:, -1]
         return np.all(dist <= 1e-12, axis=1)
 
@@ -184,10 +186,10 @@ class TestCellBasics:
         # judged by its shape wherever it sits
         verts = np.array([[x, 0], [x + 1, 0], [x + 1, 1e-9], [x + 0.5, 1e-9]])
         cell = ConvexCell(verts)
-        assert sorted(cell._hull.vertices) == [0, 1, 2, 3]
-        assert cell_volume(cell) == geometry.polygon_area(verts[cell._hull.vertices])
-        # the shoelace is taken from the box corner, so no product of size x cancels
-        assert cell_volume(cell) == pytest.approx(0.75e-9, rel=1e-12, abs=0)
+        assert len(cell._hull_vertices) == 4
+        # the shoelace is taken in integers, so no product of size x cancels: the area
+        # 0.75 * 1e-9 rounded up, at every offset
+        assert_up(cell_volume(cell), Fraction(3, 4) * Fraction(1e-9))
 
     @pytest.mark.parametrize("x", [0.0, 1e3, 1e6, 1e9])
     def test_thin_box_judged_by_shape_not_position(self, x):
@@ -275,8 +277,8 @@ class TestIntersection:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_2d_measures_independent_of_offset(self, seed):
-        # dyadic cells moved by exact offsets are the same cells in their box-corner
-        # frames, so area, overlap and triple link must keep their bits
+        # dyadic cells moved by exact offsets are measured exactly, so area, overlap and
+        # triple link must keep their bits
         rng = np.random.default_rng(seed)
         points = np.round(rng.normal(size=(8, 2)) * 1024) / 1024
         polygon = points[ConvexHull(points).vertices]
@@ -364,89 +366,51 @@ class TestHullVolume3D:
         assert intersection_volume(c1, c2) == reference_hull_volume_3d(points, hull)
 
 
+def kernel_union(cells):
+    """|∪ cells| by the exact kernel: the shared inclusion-exclusion over integer clips."""
+    return geometry._union([c._loop for c in cells], [[c] for c in cells], geometry._clip,
+                           geometry._loop_area)
+
+
 class TestUnionVolume:
     def test_two_squares(self):
-        polys = [unit_square().hull_polygon(), unit_square(dx=0.5).hull_polygon()]
-        assert union_volume_2d(polys) == pytest.approx(1.5, rel=1e-12)
+        assert kernel_union([unit_square(), unit_square(dx=0.5)]) == Fraction(3, 2)
 
     def test_three_squares_chain(self):
-        polys = [unit_square(dx=0.5 * i).hull_polygon() for i in range(3)]
-        assert union_volume_2d(polys) == pytest.approx(2.0, rel=1e-12)
+        assert kernel_union([unit_square(dx=0.5 * i) for i in range(3)]) == 2
 
     def test_nested(self):
-        big = unit_square().hull_polygon()
-        small = ConvexCell([(0.2, 0.2), (0.4, 0.2), (0.4, 0.4), (0.2, 0.4)]).hull_polygon()
-        assert union_volume_2d([big, small]) == pytest.approx(1.0, rel=1e-12)
+        small = ConvexCell([(0.25, 0.25), (0.5, 0.25), (0.5, 0.5), (0.25, 0.5)])
+        assert kernel_union([unit_square(), small]) == 1
 
-
-# verbatim copies of the kernels before the box test and the lean rewrites;
-# the current kernels must reproduce them bit for bit
-def previous_polygon_area(poly):
-    x, y = poly[:, 0], poly[:, 1]
-    return float(0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
+    def test_triangles(self):
+        # two unit right triangles across each other's hypotenuse: 1/2 + 1/2 - 1/4
+        lower = ConvexCell([(0, 0), (1, 0), (0, 1)])
+        upper = ConvexCell([(1, 0), (1, 1), (0, 1)])
+        shifted = ConvexCell([(0.5, 0), (1.5, 0), (0.5, 1)])
+        assert kernel_union([lower, upper]) == 1
+        assert kernel_union([lower, shifted]) == Fraction(7, 8)
 
 
 def previous_cell_diameter(cell):
-    verts = cell.vertices[cell._hull.vertices]
+    """The diameter kernel before the box test and the lean rewrites, verbatim but for
+    the hull: 2D cells keep no Qhull hull, so it is rebuilt here."""
+    hull = cell._hull if cell.n == 3 else ConvexHull(cell.vertices)
+    verts = cell.vertices[hull.vertices]
     diff = verts[:, None, :] - verts[None, :, :]
     return float(np.sqrt((diff**2).sum(axis=-1)).max())
 
 
-def previous_clip_polygon(subject, clipper):
-    output = [tuple(p) for p in subject]
-    cp1 = tuple(clipper[-1])
-    for cp2 in map(tuple, clipper):
-        if not output:
-            break
-        ex, ey = cp2[0] - cp1[0], cp2[1] - cp1[1]
-
-        def inside(p):
-            return ex * (p[1] - cp1[1]) - ey * (p[0] - cp1[0]) >= 0.0
-
-        def intersect(s, e):
-            dx, dy = e[0] - s[0], e[1] - s[1]
-            denom = ex * dy - ey * dx
-            if denom == 0.0:
-                return e
-            t = (ex * (cp1[1] - s[1]) - ey * (cp1[0] - s[0])) / denom
-            return (s[0] + t * dx, s[1] + t * dy)
-
-        inputs, output = output, []
-        s = inputs[-1]
-        for e in inputs:
-            if inside(e):
-                if not inside(s):
-                    output.append(intersect(s, e))
-                output.append(e)
-            elif inside(s):
-                output.append(intersect(s, e))
-            s = e
-        cp1 = cp2
-    return np.array(output, dtype=float).reshape(-1, 2)
-
-
-# the current kernels measure in box-corner frames: the shoelace from its own
-# loop's corner, a clip from the first cell's. The previous kernels get the
-# polygons in those frames.
-def corner_area(poly):
-    return previous_polygon_area(poly - poly.min(axis=0))
-
-
-def previous_intersection_area(c1, c2):
-    corner = bounding_box(c1)[0]
-    clipped = previous_clip_polygon(c1.hull_polygon() - corner, c2.hull_polygon() - corner)
-    return corner_area(clipped) if len(clipped) >= 3 else 0.0
-
-
-def previous_triple_link_volume(t1, t2):
-    pieces, corner = [], bounding_box(t1.q1)[0]
-    for a in t1.cells:
-        for b in t2.cells:
-            clipped = previous_clip_polygon(a.hull_polygon() - corner, b.hull_polygon() - corner)
-            if len(clipped) >= 3 and corner_area(clipped) > (
-                    geometry.VOLUME_TOL * min(map(cell_volume, (a, b)))):
-                pieces.append(clipped)
-    return union_volume_2d(pieces)
+def fraction_loop(cell):
+    """The cell's hull corners as Fractions, checked in Fractions to be a strictly convex
+    counterclockwise loop of input vertices with every input vertex on or inside it."""
+    loop = [tuple(map(Fraction, v)) for v in cell._hull_vertices.tolist()]
+    inputs = {tuple(map(Fraction, v)) for v in cell.vertices.tolist()}
+    assert set(loop) <= inputs
+    for (x0, y0), (x1, y1), (x2, y2) in zip(loop[-2:] + loop[:-2], loop[-1:] + loop[:-1], loop):
+        assert (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0) > 0
+        assert all((x2 - x1) * (y - y1) - (y2 - y1) * (x - x1) >= 0 for x, y in inputs)
+    return loop
 
 
 def random_convex_cell(rng):
@@ -462,7 +426,8 @@ def bitwise_equal(a, b):
 
 
 class TestKernelsMatchPrevious:
-    """Area, clip, diameter and the box test reproduce the previous kernels exactly."""
+    """2D areas, overlaps and links lie within 1 ulp of their exact values, on their
+    side; diameters and the box test reproduce the previous kernels exactly."""
 
     @pytest.mark.parametrize("seed", range(20))
     def test_clip_area_and_overlap(self, seed):
@@ -470,16 +435,13 @@ class TestKernelsMatchPrevious:
         for _ in range(50):
             c1 = random_convex_cell(rng)
             # a partner near c1, so the draws mix overlaps, nesting and disjoint pairs
-            c2 = ConvexCell(c1.hull_polygon() * rng.uniform(0.3, 1.5)
+            c2 = ConvexCell(c1._hull_vertices * rng.uniform(0.3, 1.5)
                             + rng.normal(size=2) * np.ptp(c1.vertices))
             for a, b in ((c1, c2), (c2, c1), (c1, c1)):
-                clipped = geometry.clip_polygon(a.hull_polygon(), b.hull_polygon())
-                previous = previous_clip_polygon(a.hull_polygon(), b.hull_polygon())
-                assert bitwise_equal(clipped, previous)
-                if len(clipped) >= 3:
-                    assert geometry.polygon_area(clipped) == corner_area(clipped)
-                assert intersection_volume(a, b) == previous_intersection_area(a, b)
-            assert cell_volume(c1) == corner_area(c1.vertices[c1._hull.vertices])
+                exact = fraction_area(fraction_clip(fraction_loop(a), fraction_loop(b)))
+                assert_down(intersection_volume(a, b), exact)
+                assert intersection_volume(b, a) == intersection_volume(a, b)
+            assert_up(cell_volume(c1), fraction_area(fraction_loop(c1)))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_diameter_2d(self, seed):
@@ -512,14 +474,19 @@ class TestKernelsMatchPrevious:
         rng = np.random.default_rng(seed)
         count = 2 * int(rng.integers(2, 8)) + 1
         widths = rng.uniform(0.8, 1.4, size=count)
-        x, cells = 0.0, []
+        x, cells, boxes = 0.0, [], []
         for w in widths:
             y0 = rng.uniform(-0.2, 0.2)
             cells.append(ConvexCell([(x, y0), (x + w, y0), (x + w, y0 + 1.0), (x, y0 + 1.0)]))
+            boxes.append(tuple(map(Fraction, (x, y0, x + w, y0 + 1.0))))
             x += w - rng.uniform(0.15, 0.35) * w
         triples = [WhitneyTriple.from_cells(*cells[i:i + 3]) for i in range(0, count - 2, 2)]
-        for t1, t2 in zip(triples, triples[1:]):
-            assert triple_link_volume(t1, t2) == previous_triple_link_volume(t1, t2)
+        for i, (t1, t2) in enumerate(zip(triples, triples[1:])):
+            # the rows overlap only neighbours, so the link is the pieces' union
+            pieces = [(max(a[0], b[0]), max(a[1], b[1]), min(a[2], b[2]), min(a[3], b[3]))
+                      for a in boxes[2 * i:2 * i + 3] for b in boxes[2 * i + 2:2 * i + 5]]
+            assert_down(triple_link_volume(t1, t2),
+                        exact_union([p for p in pieces if p[0] < p[2] and p[1] < p[3]]))
 
     # box-test edge cases: only boxes strictly apart skip the clip
     @pytest.mark.parametrize("shift, expected", [
@@ -532,15 +499,15 @@ class TestKernelsMatchPrevious:
     def test_box_test_2d(self, shift, expected):
         a, b = unit_square(), unit_square(*shift)
         for c1, c2 in ((a, b), (b, a)):
-            assert intersection_volume(c1, c2) == expected == previous_intersection_area(c1, c2)
+            assert intersection_volume(c1, c2) == expected
         assert a._box_apart(b) == (shift == (2.0, 0.0))
 
     def test_box_test_nested_and_inside_box_but_disjoint(self):
         big = unit_square()
         small = ConvexCell([(0.2, 0.2), (0.4, 0.2), (0.4, 0.4), (0.2, 0.4)])
         assert not big._box_apart(small)
-        assert intersection_volume(big, small) == previous_intersection_area(big, small)
-        assert intersection_volume(small, big) == pytest.approx(0.04, rel=1e-12)
+        assert intersection_volume(big, small) == intersection_volume(small, big)
+        assert_down(intersection_volume(small, big), Fraction(0.2) ** 2)
         # the boxes overlap but the triangles do not: the clip decides
         lower = ConvexCell([(0, 0), (1, 0), (0, 1)])
         upper = ConvexCell([(1, 0.5), (1, 1), (0.5, 1)])
@@ -559,7 +526,7 @@ class TestKernelsMatchPrevious:
         squares = [unit_square(dx=0.5 * i) for i in range(5)]
         t1 = WhitneyTriple.from_cells(*squares[0:3])
         t2 = WhitneyTriple.from_cells(*squares[2:5])
-        assert triple_link_volume(t1, t2) == previous_triple_link_volume(t1, t2)
+        assert triple_link_volume(t1, t2) == 1.0
         far = [unit_square(dx=10.0 + 0.5 * i) for i in range(3)]
         assert triple_link_volume(t1, WhitneyTriple.from_cells(*far)) == 0.0
 

@@ -1,10 +1,13 @@
-"""Covers of exact axis-aligned rectangles are measured in integers.
+"""Covers are measured in integers: rectangles by RectCover, convex cells on
+their exact 2D hulls.
 
-Every measure of a RectCover must be the float next to the exact rational
+Every measure of a 2D cover must be the float next to the exact rational
 value on the side its rule needs: volumes, unions, triple volumes and
 diameters above it, overlaps, links and the triple rule's |R2| below it.
-The reference here is plain Fraction arithmetic on the bench's own covers,
-rebuilt by bench/workloads.py (loaded by file path: bench is no package).
+The reference here is plain Fraction arithmetic: on the bench's own
+rectangle covers, rebuilt by bench/workloads.py (loaded by file path: bench
+is no package), and on random convex chains clipped by a Fraction
+Sutherland-Hodgman loop.
 """
 
 import importlib.util
@@ -166,6 +169,119 @@ class TestDetection:
         mixed = row(2) + [{"vertices": [[1.2, 0], [2.2, 0], [1.7, 1]]}]
         assert isinstance(cli._cover_from_spec({"cells": mixed}), CellCover)
 
+    @pytest.mark.parametrize("verts", [
+        [[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]],  # a closed loop
+        [[0, 0], [0.5, 0], [1, 0], [1, 1], [0, 1]],  # a vertex on an edge
+        [[1, 1], [0, 0], [1, 0], [0, 1], [1, 0]],  # a corner twice
+    ], ids=["closed-loop", "vertex-on-edge", "repeated-corner"])
+    def test_exact_rectangle_hulls_make_rect_covers(self, verts):
+        cover = cli._cover_from_spec({"cells": [rect(0.5, 0, 1.5, 1), {"vertices": verts}]})
+        assert isinstance(cover, RectCover) and cover.rects[1] == (0.0, 0.0, 1.0, 1.0)
+
+    def test_near_rectangle_takes_the_cell_path(self):
+        # a corner 2^-40 off the box is no rectangle: no oracle mesh and no exact multiplicity
+        near = {"vertices": [[0, 0], [1, 0], [1, 1], [2.0**-40, 1]]}
+        spec = {"cells": [near, rect(0.5, 0, 1.5, 1), rect(1.2, 0, 2.2, 1)], "structure": "chain"}
+        cover = cli._cover_from_spec(spec)
+        assert isinstance(cover, CellCover) and cli._cells_mesh_spec(cover) is None
+        with pytest.raises(cli.CliError, match="multiplicity must be given explicitly"):
+            cli._cells_bound(spec, 2.0)
+
+
+def fraction_clip(subject, clipper):
+    """Sutherland-Hodgman clip of a loop by a counterclockwise convex loop, in Fractions."""
+    output = list(subject)
+    for (x1, y1), (x2, y2) in zip(clipper[-1:] + clipper[:-1], clipper):
+        inputs, output = output, []
+        sides = [(x2 - x1) * (y - y1) - (y2 - y1) * (x - x1) for x, y in inputs]
+        for (s, s_side), (e, e_side) in zip(zip(inputs[-1:] + inputs[:-1], sides[-1:] + sides[:-1]),
+                                            zip(inputs, sides)):
+            if (s_side >= 0) != (e_side >= 0):
+                t = s_side / (s_side - e_side)
+                output.append((s[0] + t * (e[0] - s[0]), s[1] + t * (e[1] - s[1])))
+            if e_side >= 0:
+                output.append(e)
+    return output
+
+
+def fraction_area(loop):
+    return Fraction(abs(sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(loop, loop[1:] + loop[:1])))) / 2
+
+
+def fraction_union(loops):
+    """Area of a union of convex loops by inclusion-exclusion over every subset."""
+    total = Fraction(0)
+    for mask in range(1, 1 << len(loops)):
+        members = [loop for i, loop in enumerate(loops) if mask >> i & 1]
+        meet = members[0]
+        for loop in members[1:]:
+            meet = fraction_clip(meet, loop)
+        total += (-1) ** (len(members) + 1) * fraction_area(meet)
+    return total
+
+
+def convex_chain(rng, count):
+    """count convex polygons on a 2^-20 grid, each overlapping its neighbours only."""
+    cells = []
+    for i in range(count):
+        # 7-10 corners on a circle of radius 0.45-0.55, no two more than 72 degrees apart:
+        # the inradius stays above 0.3, so neighbours 0.6 apart overlap
+        m = int(rng.integers(7, 11))
+        angles = 2 * np.pi * (np.arange(m) + rng.uniform(0, 0.4, size=m)) / m
+        radius = rng.uniform(0.45, 0.55)
+        points = np.stack([0.6 * i + radius * np.cos(angles), radius * np.sin(angles)], axis=1)
+        cells.append(np.round(points * 2**20) / 2**20)
+    return cells
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_convex_cover_measures_on_their_side_at_every_offset(seed):
+    rng = np.random.default_rng(seed)
+    count = 23
+    polygons = convex_chain(rng, count)
+    index_triples = [(i, i + 1, i + 2) for i in range(0, count - 2, 2)]
+    seen = []
+    for offset in (0.0, 2.0**20, 2.0**30):
+        cells = [(p + offset).tolist() for p in polygons]
+        cover = cli._cover_from_spec({"cells": [{"vertices": v} for v in cells]})
+        assert isinstance(cover, CellCover)
+        # the exact reference, each cell as its counterclockwise loop of Fractions
+        loops = [[tuple(map(Fraction, v)) for v in cell] for cell in cells]
+        areas = [fraction_area(loop) for loop in loops]
+        overlaps = {(i, j): fraction_area(fraction_clip(loops[i], loops[j]))
+                    for i in range(count) for j in range(count) if abs(i - j) <= 2}
+        measures = []
+        for i in range(count):
+            assert_up(cover.volume(i), areas[i])
+            measures.append(cover.volume(i))
+        for i in range(count - 1):
+            assert overlaps[i, i + 1] > 0
+            assert_down(cover.overlap(i, i + 1), overlaps[i, i + 1])
+            assert cover.overlap(i + 1, i) == cover.overlap(i, i + 1)
+            measures.append(cover.overlap(i, i + 1))
+        triples = [cover.triple(idx) for idx in index_triples]
+        for (i, j, k), t in zip(index_triples, triples):
+            o12, o23 = overlaps[i, j], overlaps[j, k]
+            m = t.measures()
+            assert_up(m.v1, areas[i])
+            assert_down(m.v2, areas[j])
+            assert_up(m.v3, areas[k])
+            assert_up(m.u12, fraction_union([loops[i], loops[j]]))
+            assert_up(m.u32, fraction_union([loops[k], loops[j]]))
+            assert_down(m.o12, o12)
+            assert_down(m.o23, o23)
+            assert overlaps[i, k] == 0
+            assert_up(t.volume(), fraction_union([loops[i], loops[j], loops[k]]))
+            measures += [*m, t.volume()]
+        tol = Fraction(VOLUME_TOL)
+        for a, b, t1, t2 in zip(index_triples, index_triples[1:], triples, triples[1:]):
+            pieces = [fraction_clip(loops[i], loops[j]) for i in a for j in b
+                      if overlaps.get((i, j), 0) > tol * min(areas[i], areas[j])]
+            assert_down(cover.link(t1, t2), fraction_union(pieces))
+            measures.append(cover.link(t1, t2))
+        seen.append(measures)
+    assert seen[1] == seen[0] and seen[2] == seen[0]
+
 
 def refuse_cells(*args, **kwargs):
     raise AssertionError("no convex cell, hull or clip for a rectangle cover")
@@ -176,8 +292,8 @@ def refuse_cells(*args, **kwargs):
 def test_rectangle_covers_build_no_cells(tmp_path, monkeypatch, count, verify):
     for name in ("ConvexHull", "HalfspaceIntersection"):
         monkeypatch.setattr(scipy.spatial, name, refuse_cells)
-    for name in ("clip_polygon", "polygon_area", "intersection_volume", "triple_link_volume",
-                 "union_volume_2d"):
+    for name in ("_hull_2d", "_shoelace", "_clip", "_loop_area", "_exact_overlap",
+                 "intersection_volume", "triple_link_volume"):
         monkeypatch.setattr(geometry, name, refuse_cells)
     monkeypatch.setattr(ConvexCell, "__init__", refuse_cells)
     out = tmp_path / "out.json"
