@@ -12,7 +12,6 @@ from .geometry import (
     FractalTreeSpec,
     GeometryError,
     StarDomainSpec,
-    WhitneyChain,
     WhitneyTriple,
     build_snowflake_tree,
     build_star_domain,

@@ -28,7 +28,6 @@ from .geometry import (
     GeometryError,
     RectCover,
     StarDomainSpec,
-    WhitneyChain,
     build_snowflake_tree,
     build_star_domain,
     star_discretization_error,
@@ -162,10 +161,10 @@ def rect_cover_multiplicity(triples) -> int:
 
 
 def _cells_bound(spec: dict, p: float) -> tuple[PoincareBound, RectCover | CellCover, str]:
-    """The bound of a cells domain. Both kinds of cover give the same measures to the
-    same rules; a RectCover's are exact, rounded outward once."""
+    """The bound of a cells domain. Both kinds of cover take their measures from one shared
+    layer, each exact and rounded outward once, and hand them to the same rules."""
     cover = _cover_from_spec(spec)
-    per_cell = [_diameter_rule(cover.diameter(i), p, "cell") for i in range(len(cover))]
+    per_cell = [_diameter_rule(cover.diameter(i), p, "cell") for i in range(len(cover.cells))]
     count = len(per_cell)
     structure = read_field(spec, "structure", "string", "auto", what="cells domain", error=CliError)
     if structure == "auto":
@@ -206,7 +205,7 @@ def _cells_bound(spec: dict, p: float) -> tuple[PoincareBound, RectCover | CellC
         multiplicity = read_field(spec, "multiplicity", "integer", None,
                                   what="cells domain", error=CliError)
         if isinstance(cover, RectCover):
-            exact = rect_cover_multiplicity([[cover.rects[i] for i in idx] for idx in index_triples])
+            exact = rect_cover_multiplicity([t.cells for t in triples])
             if multiplicity is None:
                 multiplicity = exact
             elif multiplicity < exact:
@@ -214,16 +213,16 @@ def _cells_bound(spec: dict, p: float) -> tuple[PoincareBound, RectCover | CellC
                                f"{exact} of the rectangle triples")
         elif multiplicity is None:
             raise CliError("multiplicity must be given explicitly for non-rectangle cells")
-        chain = WhitneyChain.from_triples(triples, multiplicity, cover.link)
+        links = [cover.link(a, b) for a, b in zip(triples, triples[1:])]
         bounds = [triple_constant(t.measures(), *(per_cell[i] for i in idx), p)
                   for t, idx in zip(triples, index_triples)]
-        return chain_constant(chain.volumes(), chain.link_volumes, multiplicity, bounds, p), cover, "chain"
+        return chain_constant([t.volume() for t in triples], links, multiplicity, bounds, p), cover, "chain"
     raise CliError(f"unknown cells structure {structure!r}")
 
 
 def _cells_mesh_spec(cover: RectCover | CellCover) -> dict | None:
     """Oracle mesh description of a cover by axis-aligned rectangles."""
-    return ({"kind": "rect_union", "rects": [list(r) for r in cover.rects]}
+    return ({"kind": "rect_union", "rects": [list(r) for r in cover.cells]}
             if isinstance(cover, RectCover) else None)
 
 
@@ -378,8 +377,6 @@ def _run_transfer(args: argparse.Namespace) -> dict:
             raise CliError("poincare transfer needs a Poincare base certificate")
         result = poincare_transfer(map_data, base, args.p)
         report["certificates"].append(_certificate("transfer-poincare", "transfer", result.to_dict()))
-    else:
-        raise CliError(f"unknown transfer mode {mode!r}")
     return report
 
 

@@ -379,13 +379,23 @@ def _chain_coefficients(
 def chain_constant(volumes, links, multiplicity: int, triple_bounds: list[PoincareBound],
                    p: float) -> PoincareBound:
     """Chain rule over Whitney triples A_1..A_J, from their volumes |A_i|, the
-    links |A_i ∩ A_{i+1}| and the cover multiplicity m.
+    J - 1 positive links |A_i ∩ A_{i+1}| and the cover multiplicity m in [1, J],
+    the most triples that contain any one point.
 
     The weighted-gradient estimate is collapsed to a single constant with
     m: B^p(W) = m * max_i C_i, valid against the choice c = f_{A_1}
     (inf-over-constants form).
     """
-    if len(triple_bounds) != len(volumes):
+    j = len(volumes)
+    if j == 0:
+        raise ValueError("chain must contain at least one triple")
+    if len(links) != j - 1:
+        raise ValueError(f"expected {j - 1} link volumes, got {len(links)}")
+    if any(v <= 0.0 for v in links):
+        raise ValueError("all link volumes must be positive")
+    if not (1 <= multiplicity <= j):
+        raise ValueError(f"multiplicity must lie in [1, {j}]")
+    if len(triple_bounds) != j:
         raise ValueError("need one triple bound per chain element")
     _require_deviation_form(triple_bounds, p)
     bounds_pow = [b.bound_power() for b in triple_bounds]

@@ -1425,7 +1425,7 @@ WELL_TYPED_INPUTS = {
                     lambda: QCMapData(2, 2.0, SampledDerivative(*map(floats, ([1, 2], [1, 0.5], [1, 1]))),
                                       8.0, True)),
     "cells": ('{"type": "cells", "cells": [{"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}]}',
-              lambda path: cli._cover_from_spec(cli._load_json(path)).rects,
+              lambda path: cli._cover_from_spec(cli._load_json(path)).cells,
               lambda: [(0.0, 0.0, 1.0, 1.0)]),
     "poincare certificate": (
         '{"bound": 2, "p": 2, "form": "deviation-from-mean", "r": null, "multiplicity": 1,'

@@ -12,7 +12,6 @@ from neumann_bounds.geometry import (
     FractalTreeSpec,
     GeometryError,
     StarDomainSpec,
-    WhitneyChain,
     WhitneyTriple,
     _chebyshev_center,
     _hull_volume_3d,
@@ -393,10 +392,8 @@ class TestUnionVolume:
 
 
 def previous_cell_diameter(cell):
-    """The diameter kernel before the box test and the lean rewrites, verbatim but for
-    the hull: 2D cells keep no Qhull hull, so it is rebuilt here."""
-    hull = cell._hull if cell.n == 3 else ConvexHull(cell.vertices)
-    verts = cell.vertices[hull.vertices]
+    """The 3D diameter kernel before the box test and the lean rewrites, verbatim."""
+    verts = cell.vertices[cell._hull.vertices]
     diff = verts[:, None, :] - verts[None, :, :]
     return float(np.sqrt((diff**2).sum(axis=-1)).max())
 
@@ -426,8 +423,8 @@ def bitwise_equal(a, b):
 
 
 class TestKernelsMatchPrevious:
-    """2D areas, overlaps and links lie within 1 ulp of their exact values, on their
-    side; diameters and the box test reproduce the previous kernels exactly."""
+    """2D areas, overlaps, links and diameters lie within 1 ulp of their exact values, on
+    their side; 3D diameters and the box test reproduce the previous kernels exactly."""
 
     @pytest.mark.parametrize("seed", range(20))
     def test_clip_area_and_overlap(self, seed):
@@ -445,15 +442,23 @@ class TestKernelsMatchPrevious:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_diameter_2d(self, seed):
+        def assert_diameter_up(cell):
+            # the input vertices as integers over one power of two, every pair compared
+            coords = [Fraction(c) for c in cell.vertices.ravel().tolist()]
+            den = max(c.denominator for c in coords)
+            points = list(zip(*[iter(int(c * den) for c in coords)] * 2))
+            square = Fraction(max((x0 - x1) ** 2 + (y0 - y1) ** 2
+                                  for i, (x0, y0) in enumerate(points) for x1, y1 in points[i:]), den * den)
+            d = cell_diameter(cell)
+            assert Fraction(math.nextafter(d, 0.0)) ** 2 < square <= Fraction(d) ** 2
+
         rng = np.random.default_rng(seed)
         for _ in range(40):
-            cell = random_convex_cell(rng)
-            assert cell_diameter(cell) == previous_cell_diameter(cell)
+            assert_diameter_up(random_convex_cell(rng))
         # many-vertex polygons cross the 32-vertex blocks
         for m in (31, 32, 33, 64, 200, 1000):
             angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, size=m))
-            cell = ConvexCell(np.stack([np.cos(angles), 0.4 * np.sin(angles)], axis=1))
-            assert cell_diameter(cell) == previous_cell_diameter(cell)
+            assert_diameter_up(ConvexCell(np.stack([np.cos(angles), 0.4 * np.sin(angles)], axis=1)))
 
     @pytest.mark.parametrize("mgon", [8, 16, 17, 64, 256, 512, 1024])
     @pytest.mark.parametrize("delta", [0.3, 2.7])
@@ -538,9 +543,9 @@ class TestWhitneyContainers:
     def test_triple_from_cells(self):
         q1, r2, q3 = self.row_of_squares(3)
         t = WhitneyTriple.from_cells(q1, r2, q3)
-        assert t.v_q1r2 == pytest.approx(0.5, rel=1e-12)
-        assert t.v_r2q3 == pytest.approx(0.5, rel=1e-12)
-        assert t.volume() == pytest.approx(2.0, rel=1e-12)
+        assert t.cells == (q1, r2, q3)
+        assert t.measures() == (1.0, 1.0, 1.0, 1.5, 1.5, 0.5, 0.5)
+        assert t.volume() == 2.0
 
     def test_triple_rejects_touching_outer_cells(self):
         q1, r2, _ = self.row_of_squares(3)
@@ -549,9 +554,10 @@ class TestWhitneyContainers:
             WhitneyTriple.from_cells(q1, r2, q3)
 
     def test_triple_rejects_nonpositive_overlap(self):
-        q1, r2, q3 = self.row_of_squares(3)
-        with pytest.raises(GeometryError):
-            WhitneyTriple(q1, r2, q3, 0.0, 0.5)
+        # R2 meets Q1 along an edge only
+        q1, r2, q3 = unit_square(), unit_square(dx=1.0), unit_square(dx=1.5)
+        with pytest.raises(GeometryError, match="triple overlap volumes must be positive"):
+            WhitneyTriple.from_cells(q1, r2, q3)
 
     def test_link_volume_shared_cell(self):
         cells = self.row_of_squares(5)
@@ -561,18 +567,15 @@ class TestWhitneyContainers:
         link = triple_link_volume(t1, t2)
         assert link == pytest.approx(1.0, rel=1e-12)
 
-    def test_chain_validation(self):
-        cells = self.row_of_squares(5)
-        t1 = WhitneyTriple.from_cells(*cells[0:3])
-        t2 = WhitneyTriple.from_cells(*cells[2:5])
-        chain = WhitneyChain.from_triples([t1, t2], multiplicity=2)
-        assert len(chain.link_volumes) == 1
-        with pytest.raises(GeometryError):
-            WhitneyChain(triples=(t1, t2), link_volumes=(0.0,), multiplicity=2)
-        with pytest.raises(GeometryError):
-            WhitneyChain(triples=(t1, t2), link_volumes=(1.0,), multiplicity=3)
-        with pytest.raises(GeometryError):
-            WhitneyChain(triples=(), link_volumes=(), multiplicity=1)
+    def test_links_of_3d_cells_refused(self):
+        def cube(dx):
+            return ConvexCell([(x + dx, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
+
+        cubes = [cube(0.5 * i) for i in range(5)]
+        t1, t2 = WhitneyTriple.from_cells(*cubes[0:3]), WhitneyTriple.from_cells(*cubes[2:5])
+        assert t1.volume() == pytest.approx(2.0, rel=1e-12)
+        with pytest.raises(GeometryError, match="triple link volumes are implemented for 2D cells"):
+            triple_link_volume(t1, t2)
 
 
 class TestStarDomain:

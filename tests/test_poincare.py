@@ -9,12 +9,13 @@ from neumann_bounds.geometry import (
     ConvexCell,
     FractalTree,
     FractalTreeSpec,
-    WhitneyChain,
+    TripleMeasures,
     WhitneyTriple,
     build_snowflake_tree,
     cell_volume,
     snowflake_level,
     snowflake_level_count,
+    triple_link_volume,
 )
 from neumann_bounds.poincare import (
     FORM_DEVIATION,
@@ -161,7 +162,7 @@ class TestTripleConstant:
 
     def test_three_squares_in_a_row(self):
         t = self.make_row_triple()
-        b = convex_cell_constant(t.q1, SpectralParams(p=2.0, n=2))
+        b = convex_cell_constant(t.cells[0], SpectralParams(p=2.0, n=2))
         trip = triple_constant(t.measures(), b, b, b, 2.0)
         assert trip.value**2 == pytest.approx(3072.0 / math.pi**2, rel=1e-12)
         assert trip.value == pytest.approx(17.642524653497347, rel=1e-12)
@@ -175,67 +176,70 @@ class TestTripleConstant:
         assert abs(t_q1.value - t_q3.value) <= 1e-12 * t_q1.value
 
     def test_matches_direct_arithmetic(self):
-        # independent spreadsheet-style recomputation of the displayed rule
-        q1 = unit_square(w=1.2, h=0.8)
-        r2 = unit_square(dx=0.9, w=1.0, h=1.1)
-        q3 = unit_square(dx=1.7, w=0.7, h=0.9)
-        t = WhitneyTriple.from_cells(q1, r2, q3)
+        # independent spreadsheet-style recomputation of the displayed rule, on the
+        # hand-taken measures of Q1 = [0, 1.2]x[0, 0.8], R2 = [0.9, 1.9]x[0, 1.1], Q3 = [1.7, 2.4]x[0, 0.9]
+        v1, v2, v3, o12, o23 = 0.96, 1.1, 0.63, 0.24, 0.18
+        u12, u32 = v1 + v2 - o12, v3 + v2 - o23
+        m = TripleMeasures(v1, v2, v3, u12, u32, o12, o23)
+        t = WhitneyTriple.from_cells(unit_square(w=1.2, h=0.8), unit_square(dx=0.9, w=1.0, h=1.1),
+                                     unit_square(dx=1.7, w=0.7, h=0.9))
+        assert t.measures() == pytest.approx(m, rel=1e-12)
         p = 2.0
         b1, b2, b3 = (deviation_bound(v, p) for v in (0.3, 0.5, 0.4))
-        trip = triple_constant(t.measures(), b1, b2, b3, p)
-        v1, v2, v3 = cell_volume(q1), cell_volume(r2), cell_volume(q3)
-        u12, u32 = v1 + v2 - t.v_q1r2, v3 + v2 - t.v_r2q3
+        trip = triple_constant(m, b1, b2, b3, p)
         expected = 2.0 ** (4 * p - 1) * (
-            (u12 / v2) * (v1 / t.v_q1r2) * 0.3**p
-            + (u12 / t.v_q1r2 + u32 / t.v_r2q3) * 0.5**p
-            + (u32 / v2) * (v3 / t.v_r2q3) * 0.4**p
+            (u12 / v2) * (v1 / o12) * 0.3**p
+            + (u12 / o12 + u32 / o23) * 0.5**p
+            + (u32 / v2) * (v3 / o23) * 0.4**p
         )
         assert trip.value**p == pytest.approx(expected, rel=1e-12)
 
 
-def chain_rule(chain, triple_bounds, p):
-    """chain_constant on the measures of a WhitneyChain."""
-    return chain_constant(chain.volumes(), chain.link_volumes, chain.multiplicity, triple_bounds, p)
+def chain_measures(triples):
+    """The chain rule's triple volumes and the links of consecutive triples."""
+    return [t.volume() for t in triples], [triple_link_volume(a, b) for a, b in zip(triples, triples[1:])]
+
+
+def row_triples(cells):
+    """Cells in a row, grouped into triples that share their boundary cell."""
+    return [WhitneyTriple.from_cells(*cells[i:i + 3]) for i in range(0, len(cells) - 2, 2)]
 
 
 def make_chain(num_triples=2, overlap=0.5):
-    shift = 2.0 - 2 * overlap  # consecutive triples share their boundary cell
-    cells = []
-    for j in range(2 * num_triples + 1):
-        cells.append(unit_square(dx=j * (1 - overlap)))
-    triples = [
-        WhitneyTriple.from_cells(cells[2 * i], cells[2 * i + 1], cells[2 * i + 2])
-        for i in range(num_triples)
-    ]
-    return WhitneyChain.from_triples(triples, multiplicity=2)
+    """Volumes and links of a row of unit squares, grouped into triples."""
+    return chain_measures(row_triples([unit_square(dx=j * (1 - overlap))
+                                       for j in range(2 * num_triples + 1)]))
 
 
 class TestChainConstant:
     def test_single_triple_convention(self):
         q1, r2, q3 = unit_square(), unit_square(dx=0.5), unit_square(dx=1.0)
         t = WhitneyTriple.from_cells(q1, r2, q3)
-        chain = WhitneyChain(triples=(t,), link_volumes=(), multiplicity=1)
         p = 2.0
         b = deviation_bound(0.6, p)
-        bound = chain_rule(chain, [b], p)
+        bound = chain_constant([t.volume()], [], 1, [b], p)
         assert bound.value**p == pytest.approx(2.0 ** (p - 1) * 0.6**p, rel=1e-12)
+
+    @pytest.mark.parametrize("volumes, links, m, message", [
+        ([], [], 1, "chain must contain at least one triple"),
+        ([2.0, 2.0], [], 1, "expected 1 link volumes, got 0"),
+        ([2.0, 2.0], [1.0, 1.0], 1, "expected 1 link volumes, got 2"),
+        ([2.0, 2.0], [0.0], 1, "all link volumes must be positive"),
+        ([2.0, 2.0, 2.0], [1.0, -1.0], 1, "all link volumes must be positive"),
+        ([2.0, 2.0], [1.0], 0, "multiplicity must lie in [1, 2]"),
+        ([2.0, 2.0], [1.0], 3, "multiplicity must lie in [1, 2]"),
+    ])
+    def test_chain_refusals(self, volumes, links, m, message):
+        b = deviation_bound(0.45, 2.0)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            chain_constant(volumes, links, m, [b] * len(volumes), 2.0)
 
     def test_two_identical_triples_hand_value(self):
         # synthetic data: triple volumes 1, link 1, per-triple bound b, p = 2,
         # m = 2; recomputed per cell: C1 = (2 + 16*(1+2)) b^2, C2 = (2 + 16*2) b^2
         b_val = 0.7
         b = deviation_bound(b_val, 2.0)
-        tiny1 = WhitneyTriple(
-            unit_square(w=0.4), unit_square(dx=0.3, w=0.4), unit_square(dx=0.6, w=0.4),
-            0.1, 0.1,
-        )
-        tiny2 = WhitneyTriple(
-            unit_square(dx=0.6, w=0.4), unit_square(dx=0.9, w=0.4), unit_square(dx=1.2, w=0.4),
-            0.1, 0.1,
-        )
-        assert tiny1.volume() == pytest.approx(1.0, rel=1e-12)
-        chain = WhitneyChain(triples=(tiny1, tiny2), link_volumes=(1.0,), multiplicity=2)
-        bound = chain_rule(chain, [b, b], 2.0)
+        bound = chain_constant([1.0, 1.0], [1.0], 2, [b, b], 2.0)
         c1 = (2.0 + 16.0 * (1.0 * 1.0 + 2.0 * 1.0)) * b_val**2
         c2 = (2.0 + 16.0 * 2.0 * 1.0) * b_val**2
         assert c1 == 50.0 * b_val**2 and c2 == 34.0 * b_val**2
@@ -243,28 +247,20 @@ class TestChainConstant:
         assert bound.value == pytest.approx(10.0 * b_val, rel=1e-12)
 
     def test_certificate_sum_and_multiplicity(self):
-        chain = make_chain(3)
+        volumes, links = make_chain(3)
         b = deviation_bound(0.45, 2.0)
-        bound = chain_rule(chain, [b] * 3, 2.0)
+        bound = chain_constant(volumes, links, 2, [b] * 3, 2.0)
         assert bound.multiplicity == 2
         assert sum(t.value for t in bound.terms) == pytest.approx(bound.value**2, rel=1e-12)
 
     def test_monotone_in_link_volumes(self):
-        chain = make_chain(2)
+        volumes, links = make_chain(2)
         b = deviation_bound(0.45, 2.0)
-        base = chain_rule(chain, [b, b], 2.0).value
-        shrunk = WhitneyChain(
-            triples=chain.triples,
-            link_volumes=tuple(v * 0.5 for v in chain.link_volumes),
-            multiplicity=chain.multiplicity,
-        )
-        grown = WhitneyChain(
-            triples=chain.triples,
-            link_volumes=tuple(v * 2.0 for v in chain.link_volumes),
-            multiplicity=chain.multiplicity,
-        )
-        assert chain_rule(shrunk, [b, b], 2.0).value >= base
-        assert chain_rule(grown, [b, b], 2.0).value <= base
+        base = chain_constant(volumes, links, 2, [b, b], 2.0).value
+        shrunk = [v * 0.5 for v in links]
+        grown = [v * 2.0 for v in links]
+        assert chain_constant(volumes, shrunk, 2, [b, b], 2.0).value >= base
+        assert chain_constant(volumes, grown, 2, [b, b], 2.0).value <= base
 
     def test_monotone_in_cell_volumes(self):
         rng = np.random.default_rng(3)
@@ -275,49 +271,32 @@ class TestChainConstant:
             taller[rng.integers(0, 5)] *= 1.5
 
             def build(hs):
-                cells = [unit_square(dx=j * 0.5, h=hs[j]) for j in range(5)]
-                t1 = WhitneyTriple(cells[0], cells[1], cells[2],
-                                   0.5 * min(hs[0], hs[1]), 0.5 * min(hs[1], hs[2]))
-                t2 = WhitneyTriple(cells[2], cells[3], cells[4],
-                                   0.5 * min(hs[2], hs[3]), 0.5 * min(hs[3], hs[4]))
-                chain = WhitneyChain(triples=(t1, t2), link_volumes=(1.0,), multiplicity=2)
-                return chain_rule(chain, [b, b], 2.0).value
+                volumes, _ = chain_measures(row_triples([unit_square(dx=j * 0.5, h=hs[j])
+                                                         for j in range(5)]))
+                return chain_constant(volumes, [1.0], 2, [b, b], 2.0).value
 
             assert build(taller) >= build(heights) - 1e-12
 
     def test_scaling_homogeneity(self):
-        chain = make_chain(2)
         params = SpectralParams(p=2.0, n=2)
-        bounds = [
-            triple_constant(t.measures(), *(convex_cell_constant(c, params) for c in t.cells), 2.0)
-            for t in chain.triples
-        ]
-        small = chain_rule(chain, bounds, 2.0)
+
+        def chain_bound(cells):
+            triples = row_triples(cells)
+            bounds = [triple_constant(t.measures(), *(convex_cell_constant(c, params) for c in t.cells), 2.0)
+                      for t in triples]
+            return chain_constant(*chain_measures(triples), 2, bounds, 2.0)
+
+        cells = [unit_square(dx=0.5 * j) for j in range(5)]
+        small = chain_bound(cells)
         lam = 0.5
-        scaled_triples = tuple(
-            WhitneyTriple(
-                *(ConvexCell(c.vertices * lam) for c in (t.q1, t.r2, t.q3)),
-                t.v_q1r2 * lam**2, t.v_r2q3 * lam**2,
-            )
-            for t in chain.triples
-        )
-        scaled_chain = WhitneyChain(
-            triples=scaled_triples,
-            link_volumes=tuple(v * lam**2 for v in chain.link_volumes),
-            multiplicity=chain.multiplicity,
-        )
-        scaled_bounds = [
-            triple_constant(t.measures(), *(convex_cell_constant(c, params) for c in t.cells), 2.0)
-            for t in scaled_triples
-        ]
-        big = chain_rule(scaled_chain, scaled_bounds, 2.0)
+        big = chain_bound([ConvexCell(c.vertices * lam) for c in cells])
         assert big.value == pytest.approx(lam * small.value, rel=1e-12)
 
     def test_empty_chain_rejected(self):
-        chain = make_chain(2)
+        volumes, links = make_chain(2)
         b = deviation_bound(0.45, 2.0)
         with pytest.raises(ValueError):
-            chain_rule(chain, [b], 2.0)  # wrong number of bounds
+            chain_constant(volumes, links, 2, [b], 2.0)  # wrong number of bounds
 
     @pytest.mark.parametrize("p", [1.2, 2.0, 3.5, 6.0])
     def test_weights_match_double_sum(self, p):
@@ -325,9 +304,8 @@ class TestChainConstant:
         rng = np.random.default_rng(round(10 * p))
         for num_triples in range(1, 9):
             for overlap in (0.1, 0.25, 0.5):
-                chain, bounds = random_chain(rng, num_triples, overlap)
-                args = (chain.volumes(), list(chain.link_volumes),
-                        [b.bound_power() for b in bounds], p)
+                (volumes, links, _), bounds = random_chain(rng, num_triples, overlap)
+                args = (volumes, links, [b.bound_power() for b in bounds], p)
                 coeffs, _ = _chain_coefficients(*args)
                 assert coeffs == pytest.approx(chain_coefficients_double_sum(*args), rel=1e-12, abs=0.0)
 
@@ -573,7 +551,7 @@ def _polynomial_geometric_constant(p: float, x: float) -> float:
 
 
 def reference_chain_constant(
-    chain: WhitneyChain, triple_bounds: list[PoincareBound], p: float
+    volumes: list[float], links: list[float], m: int, triple_bounds: list[PoincareBound], p: float
 ) -> PoincareBound:
     """Chain rule over Whitney triples A_1..A_J.
 
@@ -581,14 +559,11 @@ def reference_chain_constant(
     the cover multiplicity m: B^p(W) = m * max_i C_i, valid against the
     choice c = f_{A_1} (inf-over-constants form).
     """
-    if len(triple_bounds) != len(chain.triples):
+    if len(triple_bounds) != len(volumes):
         raise ValueError("need one triple bound per chain element")
     _require_deviation_form(triple_bounds, p)
-    volumes = chain.volumes()
-    links = list(chain.link_volumes)
     bounds_pow = [b.bound_power() for b in triple_bounds]
     coeffs, parts = _chain_coefficients(volumes, links, bounds_pow, p)
-    m = chain.multiplicity
     best = max(range(len(coeffs)), key=lambda i: coeffs[i])
     notes = ["final cell reuses its trailing link; single-triple chains drop the link term"]
     first, second = parts[best]
@@ -735,10 +710,9 @@ def random_chain(rng, num_triples, overlap):
     cells = [unit_square(dx=j * width * (1.0 - overlap), dy=rng.uniform(-0.2, 0.2), w=width,
                          h=rng.uniform(0.7, 1.3))
              for j in range(2 * num_triples + 1)]
-    triples = [WhitneyTriple.from_cells(*cells[2 * i : 2 * i + 3]) for i in range(num_triples)]
-    chain = WhitneyChain.from_triples(triples, multiplicity=min(2, num_triples))
+    triples = row_triples(cells)
     bounds = [deviation_bound(rng.uniform(0.2, 3.0), 2.0) for _ in triples]
-    return chain, bounds
+    return (*chain_measures(triples), min(2, num_triples)), bounds
 
 
 def assert_same_certificate(new, ref, rel):
@@ -772,8 +746,8 @@ class TestMaxWeightAggregationMatchesReference:
             for overlap in (0.1, 0.25, 0.4, 0.5):
                 chain, bounds = random_chain(rng, num_triples, overlap)
                 bounds = [deviation_bound(b.value, p) for b in bounds]
-                assert (chain_rule(chain, bounds, p).to_dict()
-                        == reference_chain_constant(chain, bounds, p).to_dict())
+                assert (chain_constant(*chain, bounds, p).to_dict()
+                        == reference_chain_constant(*chain, bounds, p).to_dict())
 
     @pytest.mark.parametrize("p", [1.2, 1.5, 2.0, 3.0, 4.0, 6.0])
     def test_trees_and_snowflakes(self, p):

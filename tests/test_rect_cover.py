@@ -124,6 +124,26 @@ def test_measures_on_their_side_within_one_ulp(name, cells):
         assert_down(cover.link(t1, t2), exact_union(pieces))
 
 
+def cover_measures(cover):
+    """Every measure the bound rules read of a cover: volumes, diameters, neighbour overlaps
+    and, on an odd row, its triples' measures and volumes and their links."""
+    count = len(cover.cells)
+    measures = [cover.volume(i) for i in range(count)] + [cover.diameter(i) for i in range(count)]
+    measures += [cover.overlap(i, j) for i in range(count) for j in range(i + 1, min(i + 3, count))]
+    if count >= 3 and count % 2:
+        triples = [cover.triple((i, i + 1, i + 2)) for i in range(0, count - 2, 2)]
+        measures += [x for t in triples for x in (*t.measures(), t.volume())]
+        measures += [cover.link(a, b) for a, b in zip(triples, triples[1:])]
+    return measures
+
+
+@pytest.mark.parametrize("name, cells", COVERS, ids=[name for name, _ in COVERS])
+def test_cell_and_rect_covers_measure_rectangles_alike(name, cells):
+    # both kinds round the same exact values once, to the same side
+    as_cells = CellCover([ConvexCell(v) for v in cells])
+    assert cover_measures(as_cells) == cover_measures(RectCover.detect(cells))
+
+
 def rect(x0, y0, x1, y1):
     return {"vertices": [[x0, y0], [x1, y0], [x1, y1], [x0, y1]]}
 
@@ -143,7 +163,7 @@ class TestDetection:
     def test_corners_in_any_order(self, order):
         corners = [[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [0.0, 1.0]]
         cover = RectCover.detect([np.array([corners[i] for i in order])])
-        assert cover is not None and cover.rects == [(0.0, 0.0, 2.0, 1.0)]
+        assert cover is not None and cover.cells == [(0.0, 0.0, 2.0, 1.0)]
 
     @pytest.mark.parametrize("verts", [
         [[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]],  # a closed loop repeats a corner
@@ -176,7 +196,7 @@ class TestDetection:
     ], ids=["closed-loop", "vertex-on-edge", "repeated-corner"])
     def test_exact_rectangle_hulls_make_rect_covers(self, verts):
         cover = cli._cover_from_spec({"cells": [rect(0.5, 0, 1.5, 1), {"vertices": verts}]})
-        assert isinstance(cover, RectCover) and cover.rects[1] == (0.0, 0.0, 1.0, 1.0)
+        assert isinstance(cover, RectCover) and cover.cells[1] == (0.0, 0.0, 1.0, 1.0)
 
     def test_near_rectangle_takes_the_cell_path(self):
         # a corner 2^-40 off the box is no rectangle: no oracle mesh and no exact multiplicity

@@ -56,7 +56,8 @@ def test_diff_lists_each_check_and_every_other_difference(tmp_path, capsys):
     for root in (old, new):
         (root / "w/1/out/table.json").write_text(json.dumps([{"bound": 2.0, "oracle_value": ""}]))
     (new / "w/1/out/extra.json.stderr").write_text("warning\n")
-    assert load_tool().main(["--diff", str(old), str(new)]) == 0
+    # the flip and the two other differences fail the comparison
+    assert load_tool().main(["--diff", str(old), str(new)]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines == [
         "w/1/out/a.json#0 oracle_value 3.00e-09 iterations 100 -> 80",
@@ -71,8 +72,19 @@ def test_diff_lists_each_check_and_every_other_difference(tmp_path, capsys):
 
 def test_diff_of_a_tree_with_itself_is_empty(tmp_path):
     write_report(tmp_path / "w/1/out/a.json", [check(2.0, 100)])
-    assert load_tool().diff_trees(tmp_path, tmp_path) == [
+    assert load_tool().diff_trees(tmp_path, tmp_path) == ([
         "w/1/out/a.json#0 oracle_value 0.00e+00 iterations 100 -> 100",
         "summary: max relative oracle_value change 0.00e+00 (-), "
         "iterations 100 -> 100, flips 0, other differing outputs 0",
-    ]
+    ], 0)
+    assert load_tool().main(["--diff", str(tmp_path), str(tmp_path)]) == 0
+
+
+def test_diff_exits_1_on_a_flip_alone(tmp_path):
+    old, new = tmp_path / "old", tmp_path / "new"
+    write_report(old / "w/1/out/a.json", [check(2.0, 100)])
+    write_report(new / "w/1/out/a.json", [check(2.0 * (1 + 1e-12), 90, passed=False)])
+    assert load_tool().main(["--diff", str(old), str(new)]) == 1
+    # oracle numbers alone may move
+    write_report(new / "w/1/out/a.json", [check(2.0 * (1 + 1e-12), 90)])
+    assert load_tool().main(["--diff", str(old), str(new)]) == 0

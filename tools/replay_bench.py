@@ -22,7 +22,10 @@ domination check (a report entry with ``oracle_value`` and ``iterations``;
 a ``report`` table row has no ``iterations``) it prints the
 relative change of ``oracle_value``, the change of ``iterations`` and any
 flip of ``passed`` or ``converged``; it names each output that differs in
-anything else, or exists in one tree only, and ends with a summary line.
+anything else, or exists in one tree only, and ends with a summary line. It
+exits 1 if a check flips or an output differs besides its checks' oracle
+numbers or exists in one tree only, so an unchanged replay can be checked by
+exit status; changed oracle numbers alone exit 0.
 """
 
 from __future__ import annotations
@@ -124,9 +127,10 @@ def without_oracle_numbers(node):
     return node
 
 
-def diff_trees(old: Path, new: Path) -> list[str]:
+def diff_trees(old: Path, new: Path) -> tuple[list[str], int]:
     """One line per domination check and per otherwise differing output of two
-    ``--json`` trees, then a summary line."""
+    ``--json`` trees, then a summary line; and the count of flips and of otherwise
+    differing outputs."""
     lines, worst, where, iterations, flips, others = [], 0.0, "-", [0, 0], 0, 0
     files = sorted({p.relative_to(root) for root in (old, new) for p in root.rglob("*") if p.is_file()})
     for rel in files:
@@ -158,7 +162,7 @@ def diff_trees(old: Path, new: Path) -> list[str]:
     lines.append(f"summary: max relative oracle_value change {worst:.2e} ({where}), "
                  f"iterations {iterations[0]} -> {iterations[1]}, flips {flips}, "
                  f"other differing outputs {others}")
-    return lines
+    return lines, flips + others
 
 
 def main(argv=None) -> int:
@@ -171,9 +175,10 @@ def main(argv=None) -> int:
                     help="compare two --json trees instead of replaying")
     args = ap.parse_args(argv)
     if args.diff:
-        for line in diff_trees(*args.diff):
+        lines, differences = diff_trees(*args.diff)
+        for line in lines:
             print(line)
-        return 0
+        return 1 if differences else 0
 
     from neumann_bounds import cli
 
