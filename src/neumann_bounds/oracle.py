@@ -7,15 +7,18 @@ all kinds but the convex polygon), stiffness/mass assembly with consistent
 certificate, and discrete Rayleigh-quotient evaluation for general p. All
 |f|-type integrals use the three-edge-midpoint rule, exact for quadratics.
 
-Each mesh builds two sparse operators with itself: the midpoint operator P
-(3E x N) maps nodal values to the three edge midpoints of every element,
-and the gradient operator G (2E x N) maps them to the constant element
-gradients. They are the oracle's one quadrature: the P1 matrices are
-K = G^T diag(area) G and M = P^T diag(area / 3) P, and the general-p
-integrals, the zero-mean constraint and the Rayleigh functional are
-products with P and G, whose transposes scatter the functional's gradient
-back to the nodes. The constraint shift is safeguarded Newton on midpoint
-values, with the closed-form derivative of the constraint.
+Each mesh builds two sparse operators on first use and keeps them: the
+midpoint operator P (3E x N) maps nodal values to the three edge midpoints
+of every element, and the gradient operator G (2E x N) maps them to the
+constant element gradients. They are the oracle's one quadrature: the P1
+matrices are K = G^T diag(area) G and M = P^T diag(area / 3) P, and the
+general-p integrals, the zero-mean constraint and the Rayleigh functional
+are products with P and G, whose transposes scatter the functional's
+gradient back to the nodes. The constraint shift is safeguarded Newton on
+midpoint values, with the closed-form derivative of the constraint. The
+assembly borrows the operators a mesh holds and otherwise builds them for
+its call alone, so a p = 2 check factorizes next to the mesh arrays, K and
+M only, while the descent builds them once before its solve and keeps them.
 
 Each oracle call factors its mesh once (_shifted_solve): the p = 2
 eigensolve uses the LU of K - sigma M as its shift-invert operator, and the
@@ -81,10 +84,10 @@ def _degenerate(nodes: np.ndarray, areas: np.ndarray) -> np.ndarray:
 class TriangleMesh:
     """Conforming P1 triangulation with pure Neumann (implicit) boundary.
 
-    Construction normalizes element orientation, audits the invariants
+    Construction normalizes element orientation and audits the invariants
     (positive areas, connectivity, no edge shared by more than two elements,
-    and no node hanging on the interior of a boundary edge) and builds the
-    gradient and midpoint operators.
+    and no node hanging on the interior of a boundary edge). The gradient
+    and midpoint operators and the midpoint weights are built on first use.
     """
 
     def __init__(self, nodes, elements) -> None:
@@ -109,29 +112,44 @@ class TriangleMesh:
         self.areas = signed
         self._audit_edges()
         self._audit_connected()
-        import scipy.sparse as sp  # imported on use: it costs the CLI's start-up
-        e = len(elements)
-        # gradient operator G (2E, N): row 2e + d holds the d-th derivative of the
-        # three basis functions of element e at columns elements[e, 0..2]; the
-        # derivative of basis i is the edge opposite node i, turned a quarter
-        coords = nodes[elements]
-        edges = coords[:, [2, 0, 1]] - coords[:, [1, 2, 0]]
-        grads = np.stack([-edges[..., 1], edges[..., 0]], axis=1) / (2.0 * signed)[:, None, None]
-        self.gradient_operator = sp.csr_matrix(
-            (grads.ravel(), np.repeat(elements, 2, axis=0).ravel(), np.arange(0, 6 * e + 1, 3)),
-            shape=(2 * e, len(nodes)),
-        )
-        # midpoint operator P (3E, N): row 3e + i averages nodes elements[e, i]
-        # and elements[e, (i + 1) % 3]; the midpoint rule weighs each row area / 3
-        cols = np.stack([elements, elements[:, [1, 2, 0]]], axis=2).ravel()
-        self.midpoint_operator = sp.csr_matrix(
-            (np.full(6 * e, 0.5), cols, np.arange(0, 6 * e + 1, 2)), shape=(3 * e, len(nodes))
-        )
-        self.midpoint_weights = np.repeat(signed / 3.0, 3)
 
     @property
     def node_count(self) -> int:
         return len(self.nodes)
+
+    # p1_matrices builds these for its call alone on a mesh that holds none
+    # (_operator), so a p = 2 check never keeps them
+
+    @cached_property
+    def gradient_operator(self) -> sp.csr_matrix:
+        """G (2E, N): row 2e + d holds the d-th derivative of the three basis
+        functions of element e at columns elements[e, 0..2]; the derivative of
+        basis i is the edge opposite node i, turned a quarter."""
+        import scipy.sparse as sp  # imported on use: it costs the CLI's start-up
+        e = self.element_count
+        coords = self.nodes[self.elements]
+        edges = coords[:, [2, 0, 1]] - coords[:, [1, 2, 0]]
+        grads = np.stack([-edges[..., 1], edges[..., 0]], axis=1) / (2.0 * self.areas)[:, None, None]
+        return sp.csr_matrix(
+            (grads.ravel(), np.repeat(self.elements, 2, axis=0).ravel(), np.arange(0, 6 * e + 1, 3)),
+            shape=(2 * e, self.node_count),
+        )
+
+    @cached_property
+    def midpoint_operator(self) -> sp.csr_matrix:
+        """P (3E, N): row 3e + i averages nodes elements[e, i] and
+        elements[e, (i + 1) % 3]."""
+        import scipy.sparse as sp
+        e = self.element_count
+        cols = np.stack([self.elements, self.elements[:, [1, 2, 0]]], axis=2).ravel()
+        return sp.csr_matrix(
+            (np.full(6 * e, 0.5), cols, np.arange(0, 6 * e + 1, 2)), shape=(3 * e, self.node_count)
+        )
+
+    @cached_property
+    def midpoint_weights(self) -> np.ndarray:
+        """The midpoint rule's weight area / 3 of each row of P."""
+        return np.repeat(self.areas / 3.0, 3)
 
     # the descent scatters midpoint and gradient terms back to the nodes through
     # the transposes; scipy rebuilds a transpose on every .T, so they are kept
@@ -150,9 +168,9 @@ class TriangleMesh:
 
     def _edge_counts(self) -> tuple[np.ndarray, np.ndarray]:
         """Distinct edges as sorted (a, b) rows, and how many elements hold each."""
-        pairs = np.sort(self.elements[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+        a, b = self.elements, self.elements[:, [1, 2, 0]]
         n = self.node_count
-        keys, counts = np.unique(pairs[:, 0] * n + pairs[:, 1], return_counts=True)
+        keys, counts = np.unique(np.minimum(a, b) * n + np.maximum(a, b), return_counts=True)
         return np.stack([keys // n, keys % n], axis=1), counts
 
     def _audit_edges(self) -> None:
@@ -435,16 +453,26 @@ def mesh_domain(spec: dict, h: float) -> TriangleMesh:
 # ---------------------------------------------------------------------------
 
 
+def _operator(mesh: TriangleMesh, name: str):
+    """The operator `name` the mesh holds, or else one built for the caller alone."""
+    held = vars(mesh)
+    return held[name] if name in held else getattr(TriangleMesh, name).func(mesh)
+
+
 def p1_matrices(mesh: TriangleMesh) -> tuple[sp.csc_matrix, sp.csc_matrix]:
     """Stiffness G^T diag(area) G and consistent mass P^T diag(area / 3) P.
 
     The midpoint rule is exact for the quadratic products of P1 functions,
-    so the mass is the consistent one, not lumped.
+    so the mass is the consistent one, not lumped. Operators the mesh does
+    not hold yet are built for this call alone, G dropped before P is
+    built, so a p = 2 solve factorizes holding only the mesh arrays, K and M.
     """
     import scipy.sparse as sp
-    g, p = mesh.gradient_operator, mesh.midpoint_operator
-    return (g.T @ sp.diags(np.repeat(mesh.areas, 2)) @ g,
-            p.T @ sp.diags(mesh.midpoint_weights) @ p)
+    g = _operator(mesh, "gradient_operator")
+    stiffness = g.T @ sp.diags(np.repeat(mesh.areas, 2)) @ g
+    del g
+    p = _operator(mesh, "midpoint_operator")
+    return stiffness, p.T @ sp.diags(_operator(mesh, "midpoint_weights")) @ p
 
 
 def _shifted_solve(mesh: TriangleMesh, count: int):
@@ -547,7 +575,8 @@ def subset_average(mesh: TriangleMesh, values: np.ndarray, element_mask=None) ->
 
 def _gradient_powers(grads: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
     """Squared lengths and p-th powers of the element gradients grads = G f."""
-    gsq = (grads * grads).reshape(-1, 2).sum(axis=1)
+    sq = grads * grads
+    gsq = sq[0::2] + sq[1::2]
     return gsq, gsq ** (0.5 * p)
 
 
@@ -713,8 +742,9 @@ def minimize_rayleigh_p(
     check_exponent(p)
     if starts < 1:
         raise ValueError(f"starts must be at least 1, got {starts!r}")
-    _, _, _, lu, vecs = _shifted_solve(mesh, starts)
+    # built and kept before the solve, whose assembly then reuses them
     mid_op, grad_op, weights = mesh.midpoint_operator, mesh.gradient_operator, mesh.midpoint_weights
+    _, _, _, lu, vecs = _shifted_solve(mesh, starts)
     best, total_iters, converged = math.inf, 0, False
     for v in vecs.T:
         with np.errstate(over="ignore", invalid="ignore"):

@@ -1,3 +1,5 @@
+import functools
+import gc
 import json
 import math
 import time
@@ -1459,6 +1461,119 @@ class TestDescentOperatorsMatchReference:
         values[3] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             project_constraint(mesh, values, 3.0)
+
+
+# ---------------------------------------------------------------------------
+# operators built on first use, and the previous formulas of the gradient pair
+# sum and the edge keys, kept verbatim to pin identical bits
+# ---------------------------------------------------------------------------
+
+OPERATORS = ("gradient_operator", "midpoint_operator", "midpoint_weights")
+
+
+def reference_gradient_powers(grads, p):
+    gsq = (grads * grads).reshape(-1, 2).sum(axis=1)
+    return gsq, gsq ** (0.5 * p)
+
+
+def reference_edge_keys(elements, n):
+    pairs = np.sort(elements[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    keys, counts = np.unique(pairs[:, 0] * n + pairs[:, 1], return_counts=True)
+    return np.stack([keys // n, keys % n], axis=1), counts
+
+
+def random_delaunay(rng, n):
+    """Delaunay mesh of n random points, with the node numbers shuffled and
+    about half of the elements given clockwise."""
+    points = rng.random((n, 2))
+    tri = Delaunay(points).simplices
+    flip = rng.random(len(tri)) < 0.5
+    tri[flip] = tri[flip][:, [0, 2, 1]]
+    perm = rng.permutation(n)  # point i becomes node perm[i]
+    nodes = np.empty_like(points)
+    nodes[perm] = points
+    return nodes, perm[tri]
+
+
+def same_bits(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestOperatorsOnFirstUse:
+    def counted_builds(self, monkeypatch):
+        """Count the builds of each operator property of TriangleMesh."""
+        counts = dict.fromkeys(OPERATORS, 0)
+        for name in OPERATORS:
+            build = getattr(TriangleMesh, name).func
+
+            def counted(mesh, name=name, build=build):
+                counts[name] += 1
+                return build(mesh)
+
+            prop = functools.cached_property(counted)
+            prop.__set_name__(TriangleMesh, name)
+            monkeypatch.setattr(TriangleMesh, name, prop)
+        return counts
+
+    def test_construction_builds_no_operator(self):
+        mesh = square_mesh(0.2)
+        assert not set(OPERATORS) & set(vars(mesh))
+        assert mesh.gradient_operator is mesh.gradient_operator
+        assert set(OPERATORS) - set(vars(mesh)) == {"midpoint_operator", "midpoint_weights"}
+
+    def test_p2_check_factorizes_without_the_operators(self, monkeypatch):
+        mesh = mesh_domain({"kind": "rectangle", "bounds": [0, 0, 1.3, 0.7]}, 0.05)
+        e, n = mesh.element_count, mesh.node_count
+        shapes = {(2 * e, n), (3 * e, n), (n, 2 * e), (n, 3 * e)}
+        splu, factored = scipy.sparse.linalg.splu, []
+
+        def checked_splu(a, *args, **kwargs):
+            # neither the mesh nor anything else still alive holds G, P or a transpose
+            assert not set(OPERATORS) & set(vars(mesh))
+            assert not [o for o in gc.get_objects() if scipy.sparse.issparse(o) and o.shape in shapes]
+            factored.append(a.shape)
+            return splu(a, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", checked_splu)
+        assert check_domination(EigenBound(mu_lower=1.0, p=2.0), mesh).passed
+        assert factored == [(n, n)]
+
+    def test_held_and_built_operators_assemble_the_same_matrices(self):
+        spec, h = DESCENT_MESHES[1]
+        fresh, held = mesh_domain(spec, h), mesh_domain(spec, h)
+        for name in OPERATORS:
+            getattr(held, name)
+        for a, b in zip(p1_matrices(fresh), p1_matrices(held)):
+            assert all(same_bits(getattr(a, k), getattr(b, k)) for k in ("data", "indices", "indptr"))
+        assert not set(OPERATORS) & set(vars(fresh))
+        assert neumann_mu2(fresh).mu2 == neumann_mu2(held).mu2
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_a_check_builds_each_operator_once(self, monkeypatch, p):
+        counts = self.counted_builds(monkeypatch)
+        mesh = mesh_domain({"kind": "star", "delta": 1.0}, 0.2)
+        check_domination(EigenBound(mu_lower=1.0, p=p), mesh)
+        assert counts == dict.fromkeys(OPERATORS, 1)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_pair_sum_and_edge_keys_match_previous_formulas(self, seed):
+        rng = np.random.default_rng(seed)
+        nodes, elements = random_delaunay(rng, int(rng.integers(20, 400)))
+        mesh = TriangleMesh(nodes, elements)
+        assert np.any(mesh.elements != elements)  # the constructor turned some elements
+        # the edges of the stored elements, and of the elements as given
+        for m in (mesh, SimpleNamespace(elements=elements, node_count=len(nodes))):
+            got, want = TriangleMesh._edge_counts(m), reference_edge_keys(m.elements, m.node_count)
+            assert all(same_bits(g, w) for g, w in zip(got, want))
+        scales = 10.0 ** rng.integers(-160, 150, 2 * mesh.element_count)
+        wild = rng.standard_normal(2 * mesh.element_count) * scales
+        wild[rng.random(len(wild)) < 0.1] = 0.0
+        for grads in (mesh.gradient_operator @ rng.standard_normal(mesh.node_count), wild):
+            for p in (1.1, 1.5, 2.0, 3.0, 4.0):
+                with np.errstate(over="ignore", under="ignore"):
+                    got, want = oracle._gradient_powers(grads, p), reference_gradient_powers(grads, p)
+                assert all(same_bits(g, w) for g, w in zip(got, want))
 
 
 class TestExactZeroMidpoints:

@@ -7,6 +7,7 @@ tool the same way and check its lines against the workload's commands.
 import hashlib
 import json
 import importlib.util
+import re
 from pathlib import Path
 
 TOOL_PATH = Path(__file__).resolve().parents[1] / "tools" / "replay_bench.py"
@@ -32,6 +33,17 @@ def test_replay_digests_and_copies_every_output(tmp_path, capsys):
         copy = tmp_path / "certify-batch" / "11" / cmd.out
         assert hashlib.sha256(copy.read_bytes()).hexdigest() == digest
 
+
+
+def test_rss_column_ends_each_line_with_the_peak_so_far(capsys):
+    tool = load_tool()
+    assert tool.main(["--workloads", "certify-batch", "--seeds", "11", "--rss"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert rows and all(len(row) == 5 for row in rows)
+    peaks = [row[-1] for row in rows]
+    assert all(re.fullmatch(r"\d+\.\d", peak) for peak in peaks)
+    assert [float(peak) for peak in peaks] == sorted(map(float, peaks))
+    assert float(peaks[-1]) <= round(tool.peak_rss_mb(), 1)
 
 def write_report(path, checks, **rest):
     path.parent.mkdir(parents=True, exist_ok=True)

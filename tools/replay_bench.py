@@ -4,6 +4,7 @@ Usage, from the root of a checkout, with the library to replay on the path:
 
     PYTHONPATH=src python tools/replay_bench.py --seeds 11 301
     PYTHONPATH=src python tools/replay_bench.py --workloads fem-verify --json outs
+    PYTHONPATH=src python tools/replay_bench.py --workloads fem-verify --rss
     python tools/replay_bench.py --diff old_outs new_outs
 
 For each workload and seed the tool builds the inputs with
@@ -15,7 +16,10 @@ and the sha256 of what the command wrote to standard error ("-" if
 nothing). Two versions of the library replay identically when their lines
 are equal. ``--json DIR`` also copies each output, and each non-empty
 standard error as ``<path>.stderr``, to DIR/<workload>/<seed>/, for a
-numeric diff.
+numeric diff. ``--rss`` appends to each line the process's peak resident
+set size so far, in MB (``ru_maxrss`` / 1024, as the benchmark reports
+``peak_rss_mb``), so the line where it first reaches its final value names
+the command that sets a workload's peak.
 
 ``--diff OLD NEW`` compares two such trees instead of replaying. For each
 domination check (a report entry with ``oracle_value`` and ``iterations``;
@@ -37,6 +41,7 @@ import importlib.util
 import io
 import json
 import os
+import resource
 import shutil
 import sys
 import tempfile
@@ -60,8 +65,13 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def replay(cli, built, copy_to: Path | None) -> list[str]:
-    """Run each command of one built workload in a scratch directory; one line per output."""
+def peak_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def replay(cli, built, copy_to: Path | None, rss: bool = False) -> list[str]:
+    """Run each command of one built workload in a scratch directory; one line per
+    output, ending in the peak RSS so far if rss is set."""
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
@@ -84,7 +94,8 @@ def replay(cli, built, copy_to: Path | None) -> list[str]:
                 out = work / cmd.out
                 body = out.read_bytes() if out.is_file() else b""
                 stderr = err.getvalue().encode()
-                lines.append(f"{cmd.out} {code} {sha256(body)} {sha256(stderr) if stderr else '-'}")
+                line = f"{cmd.out} {code} {sha256(body)} {sha256(stderr) if stderr else '-'}"
+                lines.append(f"{line} {peak_rss_mb():.1f}" if rss else line)
                 if copy_to is not None:
                     (copy_to / cmd.out).parent.mkdir(parents=True, exist_ok=True)
                     if out.is_file():
@@ -173,6 +184,8 @@ def main(argv=None) -> int:
     ap.add_argument("--json", type=Path, help="copy the outputs under this directory")
     ap.add_argument("--diff", nargs=2, type=Path, metavar=("OLD", "NEW"),
                     help="compare two --json trees instead of replaying")
+    ap.add_argument("--rss", action="store_true",
+                    help="end each line with the peak RSS in MB after its command")
     args = ap.parse_args(argv)
     if args.diff:
         lines, differences = diff_trees(*args.diff)
@@ -185,7 +198,7 @@ def main(argv=None) -> int:
     for name in args.workloads:
         for seed in args.seeds:
             copy_to = None if args.json is None else args.json.resolve() / name / str(seed)
-            for line in replay(cli, workloads.build(name, seed), copy_to):
+            for line in replay(cli, workloads.build(name, seed), copy_to, args.rss):
                 print(f"{name}/{seed}/{line}", flush=True)
     return 0
 
