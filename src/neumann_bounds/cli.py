@@ -220,43 +220,36 @@ def _cells_bound(spec: dict, p: float) -> tuple[PoincareBound, RectCover | CellC
     raise CliError(f"unknown cells structure {structure!r}")
 
 
-def _cells_mesh_spec(cover: RectCover | CellCover) -> dict | None:
-    """Oracle mesh description of a cover by axis-aligned rectangles."""
-    return ({"kind": "rect_union", "rects": [list(r) for r in cover.cells]}
-            if isinstance(cover, RectCover) else None)
+def _oracle_mesh(spec: dict, h: float, cover=None) -> TriangleMesh | None:
+    """The oracle mesh of a --domain description, or None where the oracle has none.
 
-
-def _mesh_spec_for_domain(spec: dict) -> dict | None:
-    """Translate a domain description into an oracle mesh description."""
+    A description without "type" or "kind" is a mesh file. A cells domain is
+    the rect_union of its RectCover (the given cover, or the one its cells
+    make); mesh_domain answers for every other kind.
+    """
     kind = spec.get("type") or spec.get("kind")
+    if kind is None:
+        return TriangleMesh.from_dict(spec)
     if kind == "cells":
-        return _cells_mesh_spec(_cover_from_spec(spec))
-    if kind == "star" and read_field(spec, "dim", "integer", 2, what="star domain", error=CliError) != 2:
+        cover = _cover_from_spec(spec) if cover is None else cover
+        if not isinstance(cover, RectCover):
+            return None
+        spec, kind = {"rects": [list(r) for r in cover.cells]}, "rect_union"
+    return mesh_domain({**spec, "kind": kind}, h)
+
+
+def _append_check(report: dict, bound, spec: dict, h: float, label: str, cover=None) -> dict | None:
+    """Check bound on the oracle mesh of spec (see _oracle_mesh); where there is
+    none, note so and return None."""
+    mesh = _oracle_mesh(spec, h, cover)
+    if mesh is None:
+        report["notes"].append(f"{label}: no oracle available for this domain kind")
         return None
-    if kind in ("rectangle", "rect_union", "polygon", "star", "disk"):
-        out = dict(spec)
-        out["kind"] = kind
-        out.pop("type", None)
-        return out
-    return None
-
-
-def _append_check(report: dict, bound, mesh: TriangleMesh, label: str) -> dict:
     entry = check_domination(bound, mesh).to_dict()
     entry["label"] = label
     entry["mesh_dof"] = mesh.node_count
     report["checks"].append(entry)
     return entry
-
-
-def _maybe_verify(report: dict, bound, mesh_spec: dict | None, args: argparse.Namespace,
-                  label: str) -> None:
-    if not args.verify:
-        return
-    if mesh_spec is None:
-        report["notes"].append(f"{label}: no oracle available for this domain kind")
-        return
-    _append_check(report, bound, mesh_domain(mesh_spec, args.h), label)
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +277,8 @@ def _run_bound_cells(args: argparse.Namespace) -> dict:
     bound, cover, structure = _cells_bound(spec, args.p)
     report = _new_report(args)
     report["certificates"].append(_certificate(f"cells-{structure}", "poincare", bound.to_dict()))
-    mesh_spec = _cells_mesh_spec(cover) if args.verify else None
-    _maybe_verify(report, bound, mesh_spec, args, f"cells-{structure}")
+    if args.verify:
+        _append_check(report, bound, spec, args.h, f"cells-{structure}", cover)
     return report
 
 
@@ -304,8 +297,9 @@ def _run_bound_star(args: argparse.Namespace) -> dict:
     bound = replace(bound, details=tuple(details), notes=tuple(notes), domain=f"star{args.dim}d")
     report = _new_report(args)
     report["certificates"].append(_certificate("star-union", "poincare", bound.to_dict()))
-    mesh_spec = {"kind": "star", "delta": args.delta} if args.dim == 2 else None
-    _maybe_verify(report, bound, mesh_spec, args, "star-union")
+    if args.verify:
+        _append_check(report, bound, {"kind": "star", "delta": args.delta, "dim": args.dim},
+                      args.h, "star-union")
     return report
 
 
@@ -385,15 +379,10 @@ def _run_verify(args: argparse.Namespace) -> dict:
         raise CliError("verify needs --bound and --domain")
     bound = load_bound(_load_json(args.bound))
     spec = _load_json(args.domain)
-    if "nodes" in spec and "elements" in spec:
-        mesh = TriangleMesh.from_dict(spec)
-    else:
-        mesh_spec = _mesh_spec_for_domain(spec)
-        if mesh_spec is None:
-            raise CliError("domain kind has no oracle mesh")
-        mesh = mesh_domain(mesh_spec, args.h)
     report = _new_report(args)
-    entry = _append_check(report, bound, mesh, "verified-bound")
+    entry = _append_check(report, bound, spec, args.h, "verified-bound")
+    if entry is None:
+        raise CliError("domain kind has no oracle mesh")
     report["certificates"].append(_certificate("verified-bound", entry["kind"], bound.to_dict()))
     return report
 

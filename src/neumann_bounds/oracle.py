@@ -220,12 +220,6 @@ class TriangleMesh:
     def total_area(self) -> float:
         return float(self.areas.sum())
 
-    def to_dict(self) -> dict:
-        return {
-            "nodes": self.nodes.tolist(),
-            "elements": self.elements.tolist(),
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "TriangleMesh":
         """Mesh of a mesh file; a key whose entries are not finite numbers,
@@ -388,16 +382,20 @@ def _disk_mesh(radius: float, h: float, center=(0.0, 0.0)) -> TriangleMesh:
     return _quad_grid_mesh(grid, np.stack([kept & inside[:-1, 1:], kept & inside[1:, :-1]], axis=-1))
 
 
-def mesh_domain(spec: dict, h: float) -> TriangleMesh:
+def mesh_domain(spec: dict, h: float) -> TriangleMesh | None:
     """Deterministic conforming triangulation of a supported 2D domain.
 
-    Supported kinds: rectangle, rect_union, convex polygon, the 2D star
-    domain, and disk. Maximum edge length stays below 1.5 h. Before any
-    node is placed, the node count is estimated as that of a spacing-h
-    lattice over the domain's bounding box (the meshers place between
-    about 0.6x and 3.3x as many); above MAX_MESH_NODES the mesh is refused.
+    The one place that knows a domain kind: each branch reads its keys,
+    sizes the node guard and picks the mesher. Supported kinds: rectangle,
+    rect_union, convex polygon, the star domain, and disk. A star whose
+    "dim" (default 2) is not 2 is a kind the oracle has no mesh for, and
+    gets None; an unknown kind is refused. Maximum edge length stays below
+    1.5 h. Before any node is placed, the node count is estimated as that
+    of a spacing-h lattice over the domain's bounding box (the meshers
+    place between about 0.6x and 3.3x as many); above MAX_MESH_NODES the
+    mesh is refused.
     """
-    if h <= 0.0:
+    if not h > 0.0:
         raise MeshError("target edge length must be positive")
     kind = spec.get("kind")
     read = functools.partial(read_field, spec, what=f"{kind} mesh description", error=MeshError)
@@ -422,6 +420,8 @@ def mesh_domain(spec: dict, h: float) -> TriangleMesh:
         width, height = np.ptp(vertices, axis=0)
         build = functools.partial(_convex_polygon_mesh, vertices, h)
     elif kind == "star":
+        if read("dim", "integer", 2) != 2:
+            return None
         delta = read("delta", "finite number")
         alpha = StarDomainSpec(delta=delta, n=2).alpha
         width, height = 2.0 * (delta + alpha), 2.0 * alpha

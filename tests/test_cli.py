@@ -382,7 +382,8 @@ class TestVerifyCommand:
         from neumann_bounds.oracle import mesh_domain
 
         mesh = mesh_domain({"kind": "rectangle", "bounds": [0, 0, 1, 1]}, 0.15)
-        mesh_path = write_json(tmp_path / "mesh.json", mesh.to_dict())
+        mesh_path = write_json(tmp_path / "mesh.json",
+                               {"nodes": mesh.nodes.tolist(), "elements": mesh.elements.tolist()})
         bound_path = write_json(
             tmp_path / "bound.json",
             {"bound": 0.6, "p": 2.0, "form": "deviation-from-mean"},
@@ -524,6 +525,9 @@ class TestMissingSpecKeys:
              "entry 'vertices' must be an array of finite numbers"),
             ({"nodes": [[0, 0], [1, 0], [0, math.nan]], "elements": [[0, 1, 2]]},
              "mesh key 'nodes' must be an array of finite numbers"),
+            # no "type" or "kind": a mesh file; an unknown kind is named
+            ({"nodes": [[0, 0], [1, 0], [0, 1]]}, "mesh needs key 'elements'"),
+            ({"type": "annulus"}, "unsupported domain kind 'annulus'"),
         ],
     )
     def test_verify_domain(self, tmp_path, capsys, domain, key):
@@ -1368,12 +1372,64 @@ def test_bound_cells_builds_each_cell_once(tmp_path, monkeypatch):
 @pytest.mark.parametrize("cells", [ROW5["cells"], ROW5["cells"][:2] + [
     {"vertices": [[1.2, 0], [2.2, 0], [2.2, 1], [1.4, 1]]}]], ids=["rectangles", "mixed"])
 def test_no_verify_builds_no_mesh_spec(tmp_path, monkeypatch, cells):
-    def refuse(cover):
-        raise AssertionError("mesh spec built for an unverified run")
+    def refuse(*args):
+        raise AssertionError("mesh built for an unverified run")
 
-    monkeypatch.setattr(cli, "_cells_mesh_spec", refuse)
+    monkeypatch.setattr(cli, "mesh_domain", refuse)
     domain = write_json(tmp_path / "cells.json", {"type": "cells", "cells": cells})
-    assert run_cli(["bound-cells", "--domain", domain, "--no-verify", "--out", tmp_path / "o.json"]) == 0
+    out = tmp_path / "o.json"
+    assert run_cli(["bound-cells", "--domain", domain, "--no-verify", "--out", out]) == 0
+    # a verified run of the mixed cover would note that it has no oracle mesh
+    report = json.loads(out.read_text())
+    assert report["checks"] == [] and report["notes"] == []
+
+
+# --domain descriptions ("type", as in a domain file) of every kind mesh_domain meshes, and
+# two domains it has no mesh for, each with the bound command that meets it
+ORACLE_DOMAINS = {
+    "rectangle": ({"type": "rectangle", "bounds": [0, 0, 2, 1]}, None),
+    "rect_union": ({"type": "rect_union", "rects": [[0, 0, 1, 1], [0.5, 0, 1.5, 1]]}, None),
+    "polygon": ({"type": "polygon", "vertices": [[0, 0], [2, 0], [1, 1]]}, None),
+    "star": ({"type": "star", "delta": 0.8}, None),
+    "disk": ({"type": "disk", "radius": 1, "center": [2, 0.5]}, None),
+    "star-3d": ({"type": "star", "delta": 1, "dim": 3}, ["bound-star", "--dim", 3, "--mgon", 8]),
+    # the near-rectangle cover of test_rect_cover.py
+    "near-rectangle-cover": ({"type": "cells", "structure": "chain", "multiplicity": 1, "cells": [
+        {"vertices": [[0, 0], [1, 0], [1, 1], [2.0**-40, 1]]},
+        {"vertices": [[0.5, 0], [1.5, 0], [1.5, 1], [0.5, 1]]},
+        {"vertices": [[1.2, 0], [2.2, 0], [2.2, 1], [1.2, 1]]}]}, ["bound-cells"]),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_DOMAINS)
+def test_each_domain_kind_meshes_as_mesh_domain(tmp_path, capsys, monkeypatch, name):
+    domain, bound_command = ORACLE_DOMAINS[name]
+    domain_path = write_json(tmp_path / "domain.json", domain)
+    checked = []
+    check = cli.check_domination
+    monkeypatch.setattr(cli, "check_domination",
+                        lambda bound, mesh: check(bound, checked.append(mesh) or mesh))
+    verify = ["verify", "--bound", write_json(tmp_path / "bound.json", {"bound": 10.0, "p": 2.0}),
+              "--domain", domain_path, "--h", 0.25, "--out", tmp_path / "verify.json"]
+    if bound_command is None:
+        assert run_cli(verify) in (0, 2)
+        spec = {key: value for key, value in domain.items() if key != "type"}
+        assert canonical(checked) == canonical([mesh_domain({**spec, "kind": domain["type"]}, 0.25)])
+        return
+    out = tmp_path / "bound_out.json"
+    flags = ["--domain", domain_path] if bound_command[0] == "bound-cells" else []
+    assert run_cli([*bound_command, *flags, "--h", 0.25, "--out", out]) == 0
+    notes = json.loads(out.read_text())["notes"]
+    assert [note.split(": ", 1)[1] for note in notes] == ["no oracle available for this domain kind"]
+    assert one_line_error(verify, capsys).endswith("error: domain kind has no oracle mesh")
+    assert checked == []
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_bound_star_refuses_a_nonpositive_h(capsys, dim):
+    # the 3D star has no oracle mesh, but its verified run reads --h as the 2D one does
+    line = one_line_error(["bound-star", "--dim", dim, "--mgon", 8, "--h", 0], capsys)
+    assert line.endswith("target edge length must be positive")
 
 
 def canonical(obj):

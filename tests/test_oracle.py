@@ -152,14 +152,17 @@ class TestMeshing:
         mesh = mesh_domain({"kind": "star", "delta": 1.0}, 0.08)
         assert mesh.total_area() == pytest.approx(math.sqrt(3.0), rel=1e-12)
         assert mesh.max_edge_length() <= 1.5 * 0.08
+        # the oracle meshes the plane star only
+        assert mesh_domain({"kind": "star", "delta": 1.0, "dim": 3}, 0.2) is None
 
     def test_unsupported_kind(self):
         with pytest.raises(MeshError):
             mesh_domain({"kind": "annulus", "radius": 1.0}, 0.1)
 
     def test_bad_h(self):
-        with pytest.raises(MeshError):
-            mesh_domain({"kind": "disk", "radius": 1.0}, 0.0)
+        for h in (0.0, -0.1, math.nan):
+            with pytest.raises(MeshError, match="target edge length must be positive"):
+                mesh_domain({"kind": "disk", "radius": 1.0}, h)
 
     @pytest.mark.parametrize(
         "spec",
@@ -239,12 +242,11 @@ class TestMeshing:
 
     def test_json_round_trip_bit_exact(self):
         mesh = square_mesh(0.13)
-        data = json.loads(json.dumps(mesh.to_dict()))
+        data = json.loads(json.dumps({"nodes": mesh.nodes.tolist(), "elements": mesh.elements.tolist()}))
         back = TriangleMesh.from_dict(data)
-        assert np.array_equal(back.nodes, mesh.nodes)
-        assert np.array_equal(back.elements, mesh.elements)
-        assert back.elements.dtype == mesh.elements.dtype
-        assert back.to_dict() == mesh.to_dict()
+        assert back.nodes.tobytes() == mesh.nodes.tobytes()
+        assert back.elements.tobytes() == mesh.elements.tobytes()
+        assert back.nodes.dtype == mesh.nodes.dtype and back.elements.dtype == mesh.elements.dtype
 
     def test_hanging_node_rejected(self):
         nodes = [(0, 0), (1, 0), (0, 1), (0.5, 0), (0.5, -0.5)]

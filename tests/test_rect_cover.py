@@ -198,14 +198,19 @@ class TestDetection:
         cover = cli._cover_from_spec({"cells": [rect(0.5, 0, 1.5, 1), {"vertices": verts}]})
         assert isinstance(cover, RectCover) and cover.cells[1] == (0.0, 0.0, 1.0, 1.0)
 
-    def test_near_rectangle_takes_the_cell_path(self):
+    def test_near_rectangle_takes_the_cell_path(self, tmp_path):
         # a corner 2^-40 off the box is no rectangle: no oracle mesh and no exact multiplicity
         near = {"vertices": [[0, 0], [1, 0], [1, 1], [2.0**-40, 1]]}
         spec = {"cells": [near, rect(0.5, 0, 1.5, 1), rect(1.2, 0, 2.2, 1)], "structure": "chain"}
-        cover = cli._cover_from_spec(spec)
-        assert isinstance(cover, CellCover) and cli._cells_mesh_spec(cover) is None
+        assert isinstance(cli._cover_from_spec(spec), CellCover)
         with pytest.raises(cli.CliError, match="multiplicity must be given explicitly"):
             cli._cells_bound(spec, 2.0)
+        out = tmp_path / "near_out.json"
+        domain = write_cells(tmp_path, spec["cells"], structure="chain", multiplicity=1)
+        assert cli.main(["bound-cells", "--domain", domain, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["checks"] == []
+        assert report["notes"] == ["cells-chain: no oracle available for this domain kind"]
 
 
 def fraction_clip(subject, clipper):
