@@ -31,7 +31,6 @@ computes only the eigenpairs its caller reads: one at p = 2, one per start.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
@@ -75,6 +74,13 @@ def _signed_areas(nodes: np.ndarray, elements: np.ndarray) -> np.ndarray:
     )
 
 
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For the ranges starts[i] + 0 .. counts[i] - 1 laid end to end: the
+    index i of the range each entry comes from, and the entries."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    return owner, starts[owner] + np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]
+
+
 def _degenerate(nodes: np.ndarray, areas: np.ndarray) -> np.ndarray:
     """Elements whose |area| is below AREA_TOL times the squared mesh extent."""
     scale = float(np.ptp(nodes, axis=0).max()) or 1.0
@@ -95,6 +101,8 @@ class TriangleMesh:
         elements = np.array(elements, dtype=np.int64)  # copy: orientation may flip
         if nodes.ndim != 2 or nodes.shape[1] != 2:
             raise MeshError("nodes must be an (N, 2) array")
+        if not np.all(np.isfinite(nodes)):
+            raise MeshError("nodes must be finite")
         if elements.ndim != 2 or elements.shape[1] != 3:
             raise MeshError("elements must be an (M, 3) array")
         if elements.min(initial=0) < 0 or elements.max(initial=-1) >= len(nodes):
@@ -174,24 +182,36 @@ class TriangleMesh:
         return np.stack([keys // n, keys % n], axis=1), counts
 
     def _audit_edges(self) -> None:
-        from scipy.spatial import cKDTree
         edges, counts = self._edge_counts()
         if np.any(counts > 2):
             raise MeshError("an edge is shared by more than two elements")
         # hanging-node audit: no mesh node may sit strictly inside a
-        # boundary edge. The ball around the edge midpoint holds every node
-        # the exact test below can accept, so it only prunes candidates.
+        # boundary edge. Every node the exact test below can accept lies in
+        # the edge's box grown by 2 tol, and a grid cell index is monotone in
+        # the coordinate, so the nodes of the grid cells the box touches are
+        # a superset. Sorted by column-major cell key, each column the box
+        # spans is one searchsorted range. The cell side is the median box
+        # side, but at least extent / sqrt(N): an edge spans <= ~sqrt(N) columns.
         boundary = edges[counts == 1]
         if not len(boundary):
             return
         scale = float(np.ptp(self.nodes, axis=0).max()) or 1.0
         tol = 1e-9 * scale
         pa, pb = self.nodes[boundary[:, 0]], self.nodes[boundary[:, 1]]
-        length = np.sqrt(((pb - pa) ** 2).sum(axis=1))
-        near = cKDTree(self.nodes).query_ball_point(0.5 * (pa + pb), 0.5 * length + 2.0 * tol)
-        sizes = np.fromiter(map(len, near), dtype=np.int64, count=len(near))
-        edge = np.repeat(np.arange(len(boundary)), sizes)
-        node = np.fromiter(itertools.chain.from_iterable(near), dtype=np.int64, count=sizes.sum())
+        lo, hi = np.minimum(pa, pb) - 2.0 * tol, np.maximum(pa, pb) + 2.0 * tol
+        side = max(float(np.median((hi - lo).max(axis=1))), scale / math.sqrt(self.node_count))
+        origin = self.nodes.min(axis=0)
+        cells, lo, hi = (np.floor((x - origin) / side).astype(np.int64) for x in (self.nodes, lo, hi))
+        top = cells.max(axis=0)
+        lo, hi, rows = np.clip(lo, 0, top), np.clip(hi, 0, top), top[1] + 1
+        keys = cells[:, 0] * rows + cells[:, 1]
+        order = np.argsort(keys)
+        keys = keys[order]
+        edge, column = _ranges(lo[:, 0], hi[:, 0] - lo[:, 0] + 1)
+        first = np.searchsorted(keys, column * rows + lo[edge, 1], side="left")
+        last = np.searchsorted(keys, column * rows + hi[edge, 1], side="right")
+        row, at = _ranges(first, last - first)
+        edge, node = edge[row], order[at]
         d = (pb - pa)[edge]
         length2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
         rel = self.nodes[node] - pa[edge]
@@ -308,8 +328,7 @@ def _convex_polygon_mesh(vertices: np.ndarray, h: float) -> TriangleMesh:
     edges = np.roll(verts, -1, axis=0) - verts
     # edge i carries k_i samples verts[i] + edges[i] * (t / k_i), t = 0 .. k_i - 1
     counts = np.array([max(1, math.ceil(np.linalg.norm(e) / spacing)) for e in edges])
-    edge = np.repeat(np.arange(len(verts)), counts)
-    t = np.arange(len(edge)) - np.repeat(np.cumsum(counts) - counts, counts)
+    edge, t = _ranges(np.zeros_like(counts), counts)
     boundary = verts[edge] + edges[edge] * (t / counts[edge])[:, None]
     lo, hi = verts.min(axis=0), verts.max(axis=0)
     g = spacing

@@ -159,8 +159,8 @@ def test_certificate_only_commands_load_no_scipy(tmp_path):
 
 
 def test_on_use_imports_serve_qhull_and_the_mesh_paths(tmp_path):
-    """Qhull alone for a 3D cell (2D cells are measured in integers); Delaunay, the
-    cKDTree audit and the solve for a polygon domain and for a raw mesh file."""
+    """Qhull alone for a 3D cell (2D cells are measured in integers); the mesh
+    audit and the solve for a polygon domain and for a raw mesh file."""
     tetrahedron = write_json(tmp_path / "tetrahedron.json", {"type": "cells", "cells": [
         {"vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]}]})
     cert = tmp_path / "cert.json"
@@ -180,6 +180,30 @@ def test_on_use_imports_serve_qhull_and_the_mesh_paths(tmp_path):
     assert "scipy.sparse.linalg" not in covered[1]
     assert verified[0] == [0, 0]
     assert {"scipy.sparse.csgraph", "scipy.sparse.linalg"} <= set(verified[1])
+
+
+def test_lattice_domains_and_mesh_files_check_without_scipy_spatial(tmp_path):
+    """The mesh audit searches a sorted grid, so a rectangle, a star, a disk and
+    a raw mesh file check on the solve's scipy.sparse alone; the polygon's
+    Delaunay mesher is what loads scipy.spatial."""
+    domains = [write_json(tmp_path / f"{name}.json", spec) for name, spec in (
+        ("rectangle", SQUARE),
+        ("star", {"kind": "star", "delta": 0.5}),
+        ("disk", {"kind": "disk", "radius": 1.0}),
+        ("mesh", {"nodes": [[0, 0], [1, 0], [2, 0], [0, 1], [1, 1], [2, 1]],
+                  "elements": [[0, 1, 4], [0, 4, 3], [1, 2, 5], [1, 5, 4]]}),
+        ("polygon", {"kind": "polygon", "vertices": [[0, 0], [2, 0], [2.5, 1], [1, 1.8], [-0.4, 1]]}),
+    )]
+    bound = write_json(tmp_path / "bound.json", {"bound": 1.0, "p": 2.0})
+    lattice, polygon = run_fresh_commands(
+        *[[["verify", "--bound", bound, "--domain", domain, "--h", 0.3, "--out", f"{domain}.out"]
+           for domain in stage] for stage in (domains[:-1], domains[-1:])],
+    )[1:]
+    assert lattice[0] == [0, 0, 0, 0]
+    assert {"scipy.sparse.csgraph", "scipy.sparse.linalg"} <= set(lattice[1])
+    assert "scipy.spatial" not in lattice[1]
+    assert polygon[0] == [0]
+    assert "scipy.spatial" in polygon[1]
 
 
 class TestBoundCommands:

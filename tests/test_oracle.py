@@ -272,6 +272,14 @@ class TestMeshing:
         with pytest.raises(MeshError, match="degenerate"):
             TriangleMesh(nodes, elements)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_node_rejected(self, bad):
+        mesh = mesh_domain({"kind": "rectangle", "bounds": [0, 0, 1, 1]}, 0.2)
+        nodes = mesh.nodes.copy()
+        nodes[7, 1] = bad
+        with pytest.raises(MeshError, match="finite"):
+            TriangleMesh(nodes, mesh.elements)
+
 
 # the unit square (near-double mu2), the 2x1 rectangle (double mu3), the unit
 # disk (double mu2) and the delta = 1 star
@@ -1241,6 +1249,47 @@ def audit_verdict(nodes, elements):
     return "pass"
 
 
+def long_edges_beside_a_dense_patch(k=20, reach=3.0):
+    """A k x k lattice patch of the unit square, and one long triangle left of
+    it whose edge x = 0 spans the patch's left side, so the patch's left nodes
+    hang on that edge; its two other edges are long boundary edges too."""
+    s = np.linspace(0.0, 1.0, k + 1)
+    nodes = [(x, y) for y in s for x in s] + [(-reach, 0.5)]
+    elements = []
+    for j in range(k):
+        for i in range(k):
+            a = j * (k + 1) + i
+            elements += [(a, a + 1, a + k + 2), (a, a + k + 2, a + k + 1)]
+    elements.append((0, k * (k + 1), len(nodes) - 1))
+    return nodes, elements
+
+
+def bucket_border_point(nodes, boundary, rng):
+    """A point on a boundary edge whose coordinate on one axis lies exactly on
+    a cell border of the hanging-node audit's grid once the point joins nodes.
+
+    The grid is the audit's: its origin is the nodes' minimum, and its cell
+    side is the median longer side of the boundary edges' boxes grown by
+    2 tol, but at least extent / sqrt(N)."""
+    scale = float(np.ptp(nodes, axis=0).max())
+    tol = 1e-9 * scale
+    pa, pb = nodes[[a for a, _ in boundary]], nodes[[b for _, b in boundary]]
+    lo, hi = np.minimum(pa, pb) - 2.0 * tol, np.maximum(pa, pb) + 2.0 * tol
+    side = max(float(np.median((hi - lo).max(axis=1))), scale / math.sqrt(len(nodes) + 1))
+    origin = nodes.min(axis=0)
+    first = int(rng.integers(2))
+    for axis in (first, 1 - first):
+        for a, b in rng.permutation(boundary):
+            low, high = sorted((nodes[a, axis], nodes[b, axis]))
+            border = origin[axis] + math.floor((high - origin[axis]) / side) * side
+            if low < border < high:
+                point = nodes[a] + (border - nodes[a, axis]) / (nodes[b, axis] - nodes[a, axis]) * (
+                    nodes[b] - nodes[a])
+                point[axis] = border
+                return point
+    raise AssertionError("no boundary edge crosses a cell border")
+
+
 class TestMeshAuditMatchesReference:
     """The vectorized edge audit gives the loop audit's verdict on every input."""
 
@@ -1249,6 +1298,7 @@ class TestMeshAuditMatchesReference:
         ([(0, 0), (1, 0), (0, 1), (0, -1), (-1, 0.5)], [(0, 1, 2), (0, 1, 3), (0, 1, 4)]),
         ([(0, 0), (1, 0), (0, 1), (5, 5), (6, 5), (5, 6)], [(0, 1, 2), (3, 4, 5)]),
         ([(0, 0), (1, 0), (2, 0), (0, 1)], [(0, 1, 2), (0, 1, 3)]),
+        long_edges_beside_a_dense_patch(),
     ]
 
     def both_verdicts(self, monkeypatch, nodes, elements):
@@ -1273,20 +1323,27 @@ class TestMeshAuditMatchesReference:
             ({"kind": "polygon", "vertices": [[0, 0], [1, 0], [0.5, 0.8]]}, 0.2),
         ],
     )
-    def test_seeded_perturbations(self, monkeypatch, spec, h):
+    @pytest.mark.parametrize("shift, factor", [(0.0, 1.0), (1e6, 1.0), (-1e6, 1.0), (0.0, 1e-6), (0.0, 1e6)],
+                             ids=["in-place", "shifted-up", "shifted-down", "shrunk", "grown"])
+    def test_seeded_perturbations(self, monkeypatch, spec, h, shift, factor):
         base = mesh_domain(spec, h)
         boundary = boundary_edges(base)
         assert set(boundary) == {e for e, c in reference_edge_counts(base).items() if c == 1}
         scale = float(np.ptp(base.nodes, axis=0).max())
+        # the mutations run on a copy moved shift * scale away, or scaled by factor
+        base_nodes = factor * base.nodes + shift * scale
+        h, scale = factor * h, factor * scale
         rng = np.random.default_rng(7)
         verdicts = set()
         for trial in range(60):
-            nodes, elements = base.nodes.copy(), base.elements.copy()
-            kind = trial % 4
+            nodes, elements = base_nodes.copy(), base.elements.copy()
+            kind = trial % 5
             if kind == 0:  # jitter every node
                 nodes += rng.normal(scale=rng.choice([1e-3, 0.05, 0.3]) * h, size=nodes.shape)
             elif kind == 1:  # drop elements, exposing new boundary edges
                 elements = np.delete(elements, rng.choice(len(elements), 3, replace=False), axis=0)
+            elif kind == 4:  # an unreferenced node on a boundary edge and a cell border of the audit
+                nodes = np.vstack([nodes, bucket_border_point(nodes, boundary, rng)])
             else:  # an unreferenced node on, next to or beyond a boundary edge
                 a, b = boundary[rng.integers(len(boundary))]
                 d = nodes[b] - nodes[a]

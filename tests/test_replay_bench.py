@@ -7,7 +7,10 @@ tool the same way and check its lines against the workload's commands.
 import hashlib
 import json
 import importlib.util
+import itertools
 import re
+import sys
+import types
 from pathlib import Path
 
 TOOL_PATH = Path(__file__).resolve().parents[1] / "tools" / "replay_bench.py"
@@ -44,6 +47,29 @@ def test_rss_column_ends_each_line_with_the_peak_so_far(capsys):
     assert all(re.fullmatch(r"\d+\.\d", peak) for peak in peaks)
     assert [float(peak) for peak in peaks] == sorted(map(float, peaks))
     assert float(peaks[-1]) <= round(tool.peak_rss_mb(), 1)
+
+
+def test_imports_column_names_the_scipy_subpackages_a_command_loaded_first(monkeypatch):
+    tool = load_tool()
+    built = tool.load_workloads().build("certify-batch", 11)
+    # the second command loads a public subpackage, a private one and a plain module
+    package, private, plain = (types.ModuleType(name) for name in
+                               ("scipy.replay_test", "scipy._replay_test", "scipy.replay_test_module"))
+    package.__path__ = private.__path__ = []
+    calls = itertools.count()
+
+    def main(argv):
+        if next(calls) == 1:
+            for module in (package, private, plain):
+                monkeypatch.setitem(sys.modules, module.__name__, module)
+        return 0
+
+    rows = [line.split() for line in
+            tool.replay(types.SimpleNamespace(main=main), built, None, rss=True, imports=True)]
+    assert len(rows) > 2 and all(len(row) == 6 for row in rows)
+    assert all(re.fullmatch(r"\d+\.\d", row[4]) for row in rows)
+    assert [row[5] for row in rows] == ["-", "scipy.replay_test"] + ["-"] * (len(rows) - 2)
+
 
 def write_report(path, checks, **rest):
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -5,6 +5,7 @@ Usage, from the root of a checkout, with the library to replay on the path:
     PYTHONPATH=src python tools/replay_bench.py --seeds 11 301
     PYTHONPATH=src python tools/replay_bench.py --workloads fem-verify --json outs
     PYTHONPATH=src python tools/replay_bench.py --workloads fem-verify --rss
+    PYTHONPATH=src python tools/replay_bench.py --workloads fem-verify --imports
     python tools/replay_bench.py --diff old_outs new_outs
 
 For each workload and seed the tool builds the inputs with
@@ -19,7 +20,9 @@ standard error as ``<path>.stderr``, to DIR/<workload>/<seed>/, for a
 numeric diff. ``--rss`` appends to each line the process's peak resident
 set size so far, in MB (``ru_maxrss`` / 1024, as the benchmark reports
 ``peak_rss_mb``), so the line where it first reaches its final value names
-the command that sets a workload's peak.
+the command that sets a workload's peak. ``--imports`` appends the public
+scipy subpackages (``scipy.spatial``, ``scipy.sparse.linalg``, ...) that
+the command loaded first in the process, comma-separated, or "-" if none.
 
 ``--diff OLD NEW`` compares two such trees instead of replaying. For each
 domination check (a report entry with ``oracle_value`` and ``iterations``;
@@ -69,10 +72,18 @@ def peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def replay(cli, built, copy_to: Path | None, rss: bool = False) -> list[str]:
+def scipy_subpackages() -> set[str]:
+    """The public scipy subpackages loaded in this process."""
+    return {name for name, module in list(sys.modules.items())
+            if name.startswith("scipy.") and hasattr(module, "__path__")
+            and not any(part.startswith("_") for part in name.split("."))}
+
+
+def replay(cli, built, copy_to: Path | None, rss: bool = False, imports: bool = False) -> list[str]:
     """Run each command of one built workload in a scratch directory; one line per
-    output, ending in the peak RSS so far if rss is set."""
-    lines = []
+    output, ending in the peak RSS so far if rss is set, then in the scipy
+    subpackages the command loaded first if imports is set."""
+    lines, loaded = [], scipy_subpackages()
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for rel, body in built.files.items():
@@ -95,7 +106,13 @@ def replay(cli, built, copy_to: Path | None, rss: bool = False) -> list[str]:
                 body = out.read_bytes() if out.is_file() else b""
                 stderr = err.getvalue().encode()
                 line = f"{cmd.out} {code} {sha256(body)} {sha256(stderr) if stderr else '-'}"
-                lines.append(f"{line} {peak_rss_mb():.1f}" if rss else line)
+                if rss:
+                    line += f" {peak_rss_mb():.1f}"
+                if imports:
+                    now = scipy_subpackages()
+                    line += " " + (",".join(sorted(now - loaded)) or "-")
+                    loaded = now
+                lines.append(line)
                 if copy_to is not None:
                     (copy_to / cmd.out).parent.mkdir(parents=True, exist_ok=True)
                     if out.is_file():
@@ -186,6 +203,8 @@ def main(argv=None) -> int:
                     help="compare two --json trees instead of replaying")
     ap.add_argument("--rss", action="store_true",
                     help="end each line with the peak RSS in MB after its command")
+    ap.add_argument("--imports", action="store_true",
+                    help="end each line with the scipy subpackages its command loaded first")
     args = ap.parse_args(argv)
     if args.diff:
         lines, differences = diff_trees(*args.diff)
@@ -198,7 +217,7 @@ def main(argv=None) -> int:
     for name in args.workloads:
         for seed in args.seeds:
             copy_to = None if args.json is None else args.json.resolve() / name / str(seed)
-            for line in replay(cli, workloads.build(name, seed), copy_to, args.rss):
+            for line in replay(cli, workloads.build(name, seed), copy_to, args.rss, args.imports):
                 print(f"{name}/{seed}/{line}", flush=True)
     return 0
 
