@@ -68,10 +68,12 @@ class SolveError(RuntimeError):
 
 def _signed_areas(nodes: np.ndarray, elements: np.ndarray) -> np.ndarray:
     x = nodes[elements]
-    return 0.5 * (
-        (x[:, 1, 0] - x[:, 0, 0]) * (x[:, 2, 1] - x[:, 0, 1])
-        - (x[:, 2, 0] - x[:, 0, 0]) * (x[:, 1, 1] - x[:, 0, 1])
-    )
+    # products past float range give inf or nan, and _degenerate's scale**2 then refuses the mesh
+    with np.errstate(over="ignore", invalid="ignore"):
+        return 0.5 * (
+            (x[:, 1, 0] - x[:, 0, 0]) * (x[:, 2, 1] - x[:, 0, 1])
+            - (x[:, 2, 0] - x[:, 0, 0]) * (x[:, 1, 1] - x[:, 0, 1])
+        )
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -673,36 +675,13 @@ def project_constraint(mesh: TriangleMesh, values: np.ndarray, p: float) -> np.n
 
     Floating-point limit: as p approaches 1, |m - c|^(p-1) gets unbounded
     slope at every midpoint value, so the ulp-wide bracket can still leave
-    |F| above FEASIBILITY_TOL of that scale, the tolerance rayleigh_quotient
-    demands (at p = 1.1 on a 697-node star, 12 of 200 random inputs, worst
-    1.2e-5; at p >= 1.25 below 1e-13). minimize_rayleigh_p then reports the
-    estimate as not converged.
+    |F| above FEASIBILITY_TOL of that scale, the tolerance a converged
+    descent meets (at p = 1.1 on a 697-node star, 12 of 200 random inputs,
+    worst 1.2e-5; at p >= 1.25 below 1e-13). minimize_rayleigh_p then
+    reports the estimate as not converged.
     """
     mids, lo, hi = mesh.midpoint_operator @ values, float(values.min()), float(values.max())
     return values - _constraint_shift(mids, mesh.midpoint_weights, p, lo, hi)[0]
-
-
-def rayleigh_quotient(
-    mesh: TriangleMesh, values: np.ndarray, p: float, project: bool = False
-) -> float:
-    """Discrete Rayleigh quotient int |grad f|^p / int |f|^p of nodal values.
-
-    The argument must satisfy the discretized zero-mean constraint to
-    FEASIBILITY_TOL (constraint_residual), unless project=True requests the
-    constant-shift projection.
-    Always an upper bound for the discrete minimum.
-    """
-    values = np.asarray(values, dtype=float)
-    if len(values) != mesh.node_count:
-        raise ValueError("nodal value count does not match the mesh")
-    if np.ptp(values) <= 1e-14 * max(1.0, np.abs(values).max()):
-        raise ValueError("Rayleigh quotient of a constant function is undefined")
-    # a NaN residual (non-finite constraint) counts as violated
-    if not constraint_residual(mesh, values, p) <= FEASIBILITY_TOL:
-        if not project:
-            raise ValueError("constraint violated; pass project=True to shift")
-        values = project_constraint(mesh, values, p)
-    return gradient_integral(mesh, values, p) / integrate_abs_power(mesh, values, p)
 
 
 def _rayleigh_gradient(mesh: TriangleMesh, values, p: float, terms=None):

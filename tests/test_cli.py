@@ -7,7 +7,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from types import SimpleNamespace
+from types import ModuleType, SimpleNamespace
 
 import numpy as np
 import pytest
@@ -79,6 +79,15 @@ def run_fresh_process(args, module=("-m", "neumann_bounds.cli")):
         [sys.executable, *module, *map(str, args)],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def test_package_root_binds_only_its_version_and_submodules():
+    """Each name has one import path, its own module: the root re-exports nothing."""
+    stray = sorted(name for name, value in vars(neumann_bounds).items()
+                   if not name.startswith("_")
+                   and not (isinstance(value, ModuleType) and value.__name__ == f"neumann_bounds.{name}"))
+    assert stray == []
+    assert isinstance(neumann_bounds.__version__, str)
 
 
 def test_import_defers_optimize_and_integrate():
@@ -502,6 +511,41 @@ class TestErrorPaths:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "mesh too large" in err[0]
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["bound-cells"], "bound-cells needs --domain"),
+            (["bound-cells", "--domain", "{polygon}"], 'bound-cells expects a domain of type "cells"'),
+            (["transfer", "--base", "{bound}"], "transfer needs --map and --base"),
+            (["verify", "--bound", "{bound}"], "verify needs --bound and --domain"),
+            (["bound-star", "--no-verify", "--out", "{missing}"], "No such file or directory"),
+            (["bound-star", "--delta", -1], "delta must be positive"),
+            (["bound-snowflake", "--a", -1], "root side length must be positive"),
+            (["bound-snowflake", "--depth", -1], "depth must be >= 0"),
+            (["bound-snowflake", "--overlap-fraction", 1.5], "overlap_fraction must lie in (0, 1)"),
+            (["bound-cells", "--domain", "{hollow}", "--no-verify"],
+             "vertex list must be a non-empty (m, n) array"),
+            (["bound-cells", "--domain", "{flat}", "--no-verify"], "degenerate cell: QH6154"),
+            (["transfer", "--map", "{sampled}", "--base", "{base}", "--mode", "eigen", "--p", 1.0000005],
+             "empty q-grid: p is too close to 1"),
+            (["transfer", "--map", "{still}", "--base", "{base}", "--mode", "eigen", "--p", 4, "--r", 8],
+             "distortion integral vanishes: every |D phi| sample is zero"),
+        ],
+    )
+    def test_refusal_one_line(self, tmp_path, capsys, args, message):
+        paths = {name: write_json(tmp_path / f"{name}.json", spec) for name, spec in (
+            ("polygon", {"kind": "polygon", "vertices": [[0, 0], [1, 0], [0, 1]]}),
+            ("bound", {"bound": 1.0, "p": 2.0}),
+            ("hollow", {"type": "cells", "cells": [{"vertices": []}]}),
+            ("flat", {"type": "cells",
+                      "cells": [{"vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]]}]}),
+            ("sampled", SAMPLED_R4[0]),
+            ("still", {**SAMPLED_R4[0], "dphi": [0.0, 0.0]}),
+            ("base", SAMPLED_R4[1]),
+        )}
+        paths["missing"] = str(tmp_path / "missing" / "out.json")
+        assert message in one_line_error([str(a).format(**paths) for a in args], capsys)
+
 
 def one_line_error(args, capsys):
     assert run_cli(args) == 1
@@ -511,6 +555,13 @@ def one_line_error(args, capsys):
 
 
 SAMPLED = {"kind": "sampled", "weights": [1.0], "dphi": [1.0], "jac": [1.0], "K": 1.0}
+
+# the 3 x 3 lattice of the square [-1, 1]^2, and one triangle, scaled so that
+# the area products overflow while every coordinate stays finite
+HUGE_LATTICE = {"nodes": [[8.5e307 * x, 8.5e307 * y] for y in (-1, 0, 1) for x in (-1, 0, 1)],
+                "elements": [[0, 1, 4], [0, 4, 3], [1, 2, 5], [1, 5, 4],
+                             [3, 4, 7], [3, 7, 6], [4, 5, 8], [4, 8, 7]]}
+HUGE_TRIANGLE = {"nodes": [[0, 0], [8e307, 1.6e308], [1.6e308, 8e307]], "elements": [[0, 1, 2]]}
 
 
 class TestMissingSpecKeys:
@@ -552,6 +603,14 @@ class TestMissingSpecKeys:
             # no "type" or "kind": a mesh file; an unknown kind is named
             ({"nodes": [[0, 0], [1, 0], [0, 1]]}, "mesh needs key 'elements'"),
             ({"type": "annulus"}, "unsupported domain kind 'annulus'"),
+            ({"nodes": [[0, 0, 0], [1, 0, 0], [0, 1, 0]], "elements": [[0, 1, 2]]},
+             "nodes must be an (N, 2) array"),
+            ({"nodes": [[0, 0], [1, 0], [0, 1]], "elements": [[0, 1]]}, "elements must be an (M, 3) array"),
+            ({"nodes": [[0, 0], [1, 0], [0, 1]], "elements": [[0, 1, 3]]}, "element indices out of range"),
+            # numpy's overflow warnings would print before the one line
+            *(pytest.param(mesh, "a value exceeds float range",
+                           marks=pytest.mark.filterwarnings("error::RuntimeWarning"))
+              for mesh in (HUGE_LATTICE, HUGE_TRIANGLE)),
         ],
     )
     def test_verify_domain(self, tmp_path, capsys, domain, key):
@@ -588,6 +647,10 @@ class TestMissingSpecKeys:
             ({**SAMPLED, "weights": ["1"]}, "key 'weights' must be an array of finite numbers"),
             ({"kind": "linear", "matrix": [[1, "0"], [0, 1]]},
              "key 'matrix' must be an array of finite numbers"),
+            ({"kind": "moebius"}, "unknown map kind 'moebius'"),
+            ({**SAMPLED, "dphi": [-1.0]}, "derivative-norm samples must be nonnegative"),
+            ({**SAMPLED, "n": 4}, "map dimension must be 2 or 3"),
+            ({"kind": "linear", "matrix": np.eye(4).tolist()}, "linear map matrix must be 2x2 or 3x3"),
         ],
     )
     def test_map(self, tmp_path, capsys, spec, key):
@@ -643,6 +706,15 @@ class TestMalformedCertificates:
              "certificate key 'provenance' is malformed: entry 'value' must be a number, got '1'"),
             (("verify", "transfer"), {"bound": 1.0, "p": 2, "details": {"overlap": False}},
              "certificate key 'details' is malformed: entry 'overlap' must be a number, got False"),
+            (("verify", "transfer"), {"certificates": []}, "report contains no certificates"),
+            (("verify", "transfer"), {"bound": -1.0, "p": 2}, "bound value must be positive"),
+            (("verify", "transfer"), {"bound": 1.0, "p": 2, "form": "xyz"}, "unknown bound form 'xyz'"),
+            (("verify", "transfer"),
+             {"bound": 1e300, "p": 4, "terms": [{"label": "a", "rule": "r", "value": 1.0}]},
+             "bound 1e+300 to the power p = 4 overflows"),
+            (("verify", "transfer"), {"foo": 1}, "unrecognized bound certificate layout"),
+            (("verify", "transfer"), {"kind": "poincare", "data": [1]},
+             "poincare certificate data must be a JSON object, not list"),
             (("report",), {"certificates": [{"label": "x"}]}, "malformed report: needs key 'data'"),
         ],
     )
@@ -740,6 +812,17 @@ class TestPolygonDomainChecked:
         bound = write_json(tmp_path / "bound.json", {"bound": 1.0, "p": 2.0})
         domain = write_json(tmp_path / "poly.json", {"kind": "polygon", "vertices": vertices})
         assert message in one_line_error(["verify", "--bound", bound, "--domain", domain], capsys)
+
+    def test_clockwise_order_checks_as_counterclockwise(self, tmp_path):
+        bound = write_json(tmp_path / "bound.json", {"bound": 1.0, "p": 2.0})
+        square = [[0, 0], [1, 0], [1, 1], [0, 1]]
+        values = []
+        for name, vertices in (("ccw", square), ("cw", square[::-1])):
+            domain = write_json(tmp_path / f"{name}.json", {"kind": "polygon", "vertices": vertices})
+            out = tmp_path / f"{name}.out.json"
+            assert run_cli(["verify", "--bound", bound, "--domain", domain, "--h", 0.2, "--out", out]) == 0
+            values.append(json.loads(out.read_text())["checks"][0]["oracle_value"])
+        assert values[1] == pytest.approx(values[0], rel=1e-12, abs=0)
 
 
 class TestFlagsPerCommand:
@@ -942,6 +1025,11 @@ class TestChainInputs:
             ({"multiplicity": True}, "cells domain key 'multiplicity' must be an integer, got True"),
             ({"multiplicity": 2.0}, "cells domain key 'multiplicity' must be an integer"),
             ({"multiplicity": 1}, "chain multiplicity 1 is below the cover multiplicity 2"),
+            ({"structure": "single"}, "single structure needs exactly one cell"),
+            ({"structure": "pair"}, "pair structure needs exactly two cells"),
+            ({"structure": "triple"}, "triple structure needs exactly three cells"),
+            ({"cells": ROW5["cells"][:4]}, "default chain grouping needs an odd cell count >= 3"),
+            ({"structure": "ring"}, "unknown cells structure 'ring'"),
         ],
     )
     def test_exit_1_one_line(self, tmp_path, capsys, override, message):

@@ -28,7 +28,6 @@ from neumann_bounds.oracle import (
     neumann_mu2,
     p1_matrices,
     project_constraint,
-    rayleigh_quotient,
     subset_average,
 )
 from neumann_bounds.poincare import FORM_DEVIATION, CertTerm, PoincareBound
@@ -441,18 +440,25 @@ class TestNeumannEigenvalue:
         assert elapsed < 0.6
 
 
+def projected_quotient(mesh, values, p):
+    """int |grad f|^p / int |f|^p of f = values shifted onto the zero-mean
+    constraint: the quotient minimize_rayleigh_p reports."""
+    f = project_constraint(mesh, values, p)
+    return gradient_integral(mesh, f, p) / integrate_abs_power(mesh, f, p)
+
+
 class TestRayleighQuotient:
     def test_separated_mode_on_square(self):
         mesh = square_mesh(0.05)
         f = np.cos(math.pi * mesh.nodes[:, 0])
-        value = rayleigh_quotient(mesh, f, 2.0)
+        value = projected_quotient(mesh, f, 2.0)
         # interpolation error of the exact mode is O(h^2)
         assert value == pytest.approx(PI2, rel=5e-3)
 
     def test_eigenvector_reproduces_mu2(self):
         mesh = square_mesh(0.1)
         result = neumann_mu2(mesh)
-        value = rayleigh_quotient(mesh, result.eigenvector, 2.0)
+        value = projected_quotient(mesh, result.eigenvector, 2.0)
         assert abs(value - result.mu2) <= 1e-8 * result.mu2
 
     def test_minimality_against_random_functions(self):
@@ -461,28 +467,27 @@ class TestRayleighQuotient:
         rng = np.random.default_rng(5)
         for _ in range(20):
             f = rng.standard_normal(mesh.node_count)
-            value = rayleigh_quotient(mesh, f, 2.0, project=True)
+            value = projected_quotient(mesh, f, 2.0)
             assert value >= mu2 - 1e-8
 
     def test_scale_invariance(self):
         mesh = square_mesh(0.1)
         rng = np.random.default_rng(9)
         values = project_constraint(mesh, rng.standard_normal(mesh.node_count), 2.0)
-        v1 = rayleigh_quotient(mesh, values, 2.0)
-        v2 = rayleigh_quotient(mesh, 7.5 * values, 2.0)
+        v1 = projected_quotient(mesh, values, 2.0)
+        v2 = projected_quotient(mesh, 7.5 * values, 2.0)
         assert v1 == pytest.approx(v2, rel=1e-12)
 
     def test_constant_rejected(self):
+        # the quotient of a constant is 0 / 0: the projection refuses it
         mesh = square_mesh(0.2)
-        with pytest.raises(ValueError):
-            rayleigh_quotient(mesh, np.ones(mesh.node_count), 2.0)
+        with pytest.raises(ValueError, match="constant"):
+            projected_quotient(mesh, np.ones(mesh.node_count), 2.0)
 
-    def test_constraint_enforced_unless_projected(self):
+    def test_offset_function_projected(self):
         mesh = square_mesh(0.2)
         f = mesh.nodes[:, 0] + 3.0
-        with pytest.raises(ValueError, match="constraint"):
-            rayleigh_quotient(mesh, f, 2.0)
-        value = rayleigh_quotient(mesh, f, 2.0, project=True)
+        value = projected_quotient(mesh, f, 2.0)
         assert value > 0.0
 
     def test_projection_zeroes_constraint_general_p(self):
@@ -690,7 +695,8 @@ class TestCarriedTrialSteps:
         mesh = mesh_domain(spec, h)
         for _, x, (value, (_, c, den, _)) in carried_trials(mesh, p):
             projected = project_constraint(mesh, x, p)
-            assert value == pytest.approx(rayleigh_quotient(mesh, x, p, project=True), rel=1e-12, abs=0)
+            quotient = gradient_integral(mesh, projected, p) / integrate_abs_power(mesh, projected, p)
+            assert value == pytest.approx(quotient, rel=1e-12, abs=0)
             assert relative_gap(x - c, projected) <= 1e-12
             assert den == pytest.approx(integrate_abs_power(mesh, projected, p), rel=1e-12, abs=0)
 
@@ -1264,19 +1270,23 @@ def long_edges_beside_a_dense_patch(k=20, reach=3.0):
     return nodes, elements
 
 
-def bucket_border_point(nodes, boundary, rng):
-    """A point on a boundary edge whose coordinate on one axis lies exactly on
-    a cell border of the hanging-node audit's grid once the point joins nodes.
-
-    The grid is the audit's: its origin is the nodes' minimum, and its cell
-    side is the median longer side of the boundary edges' boxes grown by
-    2 tol, but at least extent / sqrt(N)."""
+def audit_grid(nodes, boundary):
+    """tol, cell side and origin of the hanging-node audit's grid: the origin
+    is the nodes' minimum, and the cell side is the median longer side of the
+    boundary edges' boxes grown by 2 tol, but at least extent / sqrt(N)."""
     scale = float(np.ptp(nodes, axis=0).max())
     tol = 1e-9 * scale
     pa, pb = nodes[[a for a, _ in boundary]], nodes[[b for _, b in boundary]]
     lo, hi = np.minimum(pa, pb) - 2.0 * tol, np.maximum(pa, pb) + 2.0 * tol
-    side = max(float(np.median((hi - lo).max(axis=1))), scale / math.sqrt(len(nodes) + 1))
-    origin = nodes.min(axis=0)
+    side = max(float(np.median((hi - lo).max(axis=1))), scale / math.sqrt(len(nodes)))
+    return tol, side, nodes.min(axis=0)
+
+
+def bucket_border_point(nodes, boundary, rng):
+    """A point on a boundary edge whose coordinate on one axis lies exactly on
+    a cell border of the hanging-node audit's grid (audit_grid) once the point
+    joins nodes."""
+    _, side, origin = audit_grid(np.vstack([nodes, nodes[:1]]), boundary)
     first = int(rng.integers(2))
     for axis in (first, 1 - first):
         for a, b in rng.permutation(boundary):
@@ -1288,6 +1298,34 @@ def bucket_border_point(nodes, boundary, rng):
                 point[axis] = border
                 return point
     raise AssertionError("no boundary edge crosses a cell border")
+
+
+def step_with_a_node_past_a_cell_border(rng):
+    """A row of w unit-wide cells of height y under a row of k < w unit cells,
+    and an unreferenced node d above the exposed top edge of the lower row;
+    transposed at random. Returns nodes, elements, y and the axis y lies on.
+
+    The w / sqrt(N) floor sets the audit's cell side (audit_grid), as the
+    boundary edges' boxes are shorter, so y = side - delta puts a cell border
+    delta above the edge, with tol / 2 < delta < d < tol: the node hangs on
+    the edge and lies in the next row of cells, which only a box grown past
+    tol / 2 reaches."""
+    w, k = int(rng.integers(10, 16)), int(rng.integers(2, 6))
+    tol = 1e-9 * w
+    side = w / math.sqrt(2 * (w + 1) + (k + 1) + 1)
+    delta = rng.uniform(0.55, 0.85) * tol
+    y = side - delta
+    d = rng.uniform(delta + 0.05 * tol, 0.95 * tol)
+    x = k + int(rng.integers(w - k)) + rng.uniform(0.05, 0.95)
+    nodes = [(i, 0.0) for i in range(w + 1)] + [(i, y) for i in range(w + 1)]
+    nodes += [(i, y + 1.0) for i in range(k + 1)] + [(x, y + d)]
+    elements = []
+    for first, top, width in ((0, w + 1, w), (w + 1, 2 * (w + 1), k)):
+        for a, c in zip(range(first, first + width), range(top, top + width)):
+            elements += [(a, a + 1, c + 1), (a, c + 1, c)]
+    axis = int(rng.integers(2))  # the axis y lies on: 1 as built, 0 transposed
+    nodes = np.array(nodes)
+    return (nodes if axis else nodes[:, ::-1]), elements, y, axis
 
 
 class TestMeshAuditMatchesReference:
@@ -1312,6 +1350,19 @@ class TestMeshAuditMatchesReference:
         for nodes, elements in self.REJECT_CASES:
             new, old = self.both_verdicts(monkeypatch, nodes, elements)
             assert new == old != "pass"
+
+    def test_node_past_a_cell_border_off_an_axis_aligned_edge(self, monkeypatch):
+        # pins the audit's box growth: the node is found only if the edge's box
+        # grows past the cell border between tol / 2 and tol off the edge
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            nodes, elements, y, axis = step_with_a_node_past_a_cell_border(rng)
+            edges, counts = TriangleMesh._edge_counts(
+                SimpleNamespace(elements=np.array(elements), node_count=len(nodes)))
+            tol, side, origin = audit_grid(nodes, edges[counts == 1].tolist())
+            assert y + 0.5 * tol < origin[axis] + side < nodes[-1, axis] < y + tol
+            new, old = self.both_verdicts(monkeypatch, nodes, elements)
+            assert new == old == "hanging node detected on a boundary edge"
 
     @pytest.mark.parametrize(
         "spec, h",
@@ -1648,11 +1699,13 @@ class TestExactZeroMidpoints:
         assert math.isfinite(value) and np.all(np.isfinite(grad))
         projected = project_constraint(mesh, values, p)
         assert constraint_residual(mesh, projected, p) <= 1e-12
-        assert math.isfinite(rayleigh_quotient(mesh, values, p))
+        # the quotient at the exact zeros, and at the projection the descent reports
+        for f in (values, projected):
+            assert math.isfinite(gradient_integral(mesh, f, p) / integrate_abs_power(mesh, f, p))
 
     def test_non_finite_constraint_counts_as_violated(self):
         mesh = square_mesh(0.2)
         values = mesh.nodes[:, 0] - 0.5
         values[0] = np.nan
-        with pytest.raises(ValueError, match="constraint"):
-            rayleigh_quotient(mesh, values, 1.5)
+        residual = constraint_residual(mesh, values, 1.5)
+        assert math.isnan(residual) and not residual <= oracle.FEASIBILITY_TOL
