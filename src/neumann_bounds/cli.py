@@ -50,7 +50,6 @@ from .poincare import (
 from .qc_transfer import (
     EigenBound,
     QCMapData,
-    SampledDerivative,
     TransferError,
     eigen_transfer,
     eigen_transfer_lipschitz,
@@ -330,12 +329,12 @@ def _map_from_spec(spec: dict) -> QCMapData:
         data = QCMapData.from_linear(read("matrix", "array"), volume)
         return replace(data, K=read("K", "number")) if "K" in spec else data
     if kind == "sampled":
-        field_data = SampledDerivative(*(read(name, "array") for name in ("weights", "dphi", "jac")))
+        samples = {name: read(name, "array") for name in ("weights", "dphi", "jac")}
         alpha = read("alpha", "number", None)
         return QCMapData(
             n=read("n", "integer", 2),
             K=read("K", "number"),
-            derivative_field=field_data,
+            **samples,
             alpha=math.inf if alpha is None else alpha,
             lipschitz=read("lipschitz", "flag", False),
         )

@@ -385,6 +385,9 @@ class _Cover:
         up, down = (partial(_outward, scale=self._scale, up=side) for side in (True, False))
         rule = TripleMeasures(up(a1), down(a2), up(a3), up(a1 + a2 - o12), up(a3 + a2 - o23),
                               down(o12), down(o23))
+        if min(rule.o12, rule.o23) < sys.float_info.min:  # subnormal or zero: its accuracy is lost
+            raise GeometryError(f"triple overlap {min(rule.o12, rule.o23):g} is below the smallest "
+                                f"normal float {sys.float_info.min:g}")
         return WhitneyTriple(self, tuple(idx), rule, up(a1 + a2 + a3 - o12 - o23))
 
     def link(self, t1: WhitneyTriple, t2: WhitneyTriple) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poincare import PoincareBound, check_exponent, pi_p, read_entry, read_field
+from .poincare import PoincareBound, _check_float_range, check_exponent, pi_p, read_entry, read_field
 
 Q_GRID_SIZE = 64
 # relative slack of the pointwise distortion check |D phi|^n <= K |J| (1 + QC_SLACK):
@@ -27,21 +27,24 @@ class TransferError(ValueError):
 
 
 @dataclass(frozen=True)
-class SampledDerivative:
-    """Quadrature samples of |D phi| and |J| over the base domain.
+class QCMapData:
+    """All analytic data of a quasiconformal map needed by the transfers.
 
-    The weights sum to the domain volume; a map with a constant derivative
-    is one sample weighted by the whole volume.
+    weights, dphi and jac are quadrature samples of |D phi| and |J| over the
+    base domain. The weights sum to the domain volume; a map with a constant
+    derivative is one sample weighted by the whole volume.
     """
 
+    n: int
+    K: float
     weights: np.ndarray
     dphi: np.ndarray
     jac: np.ndarray
+    alpha: float = math.inf
+    lipschitz: bool = True
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=float)
-        d = np.asarray(self.dphi, dtype=float)
-        j = np.asarray(self.jac, dtype=float)
+        w, d, j = (np.asarray(a, dtype=float) for a in (self.weights, self.dphi, self.jac))
         if not (w.ndim == d.ndim == j.ndim == 1 and len(w) == len(d) == len(j) > 0):
             raise TransferError("sampled derivative arrays must be lists that share a positive length")
         # negated comparisons also refuse NaN samples
@@ -51,29 +54,14 @@ class SampledDerivative:
             raise TransferError("Jacobian samples must be positive (orientation fixed)")
         if not np.all(d >= 0.0):
             raise TransferError("derivative-norm samples must be nonnegative")
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "dphi", d)
-        object.__setattr__(self, "jac", j)
-
-
-@dataclass(frozen=True)
-class QCMapData:
-    """All analytic data of a quasiconformal map needed by the transfers."""
-
-    n: int
-    K: float
-    derivative_field: SampledDerivative
-    alpha: float = math.inf
-    lipschitz: bool = True
-
-    def __post_init__(self) -> None:
+        for name, samples in zip(("weights", "dphi", "jac"), (w, d, j)):
+            object.__setattr__(self, name, samples)
         if self.n not in (2, 3):
             raise TransferError("map dimension must be 2 or 3")
         if not self.K >= 1.0:
             raise TransferError("distortion coefficient K must be >= 1")
-        f = self.derivative_field
         with np.errstate(over="ignore"):
-            if np.any(f.dphi**self.n > self.K * f.jac * (1.0 + QC_SLACK)):
+            if np.any(d**self.n > self.K * j * (1.0 + QC_SLACK)):
                 raise TransferError("a sample violates |D phi|^n <= K |J|")
 
     @classmethod
@@ -96,26 +84,41 @@ class QCMapData:
             K = math.inf
         if not math.isfinite(K):
             raise TransferError(f"linear map {m.tolist()}: distortion |A|^n / |det A| overflows")
-        return cls(n=n, K=K, derivative_field=SampledDerivative([domain_volume], [op_norm], [jac]))
+        return cls(n=n, K=K, weights=[domain_volume], dphi=[op_norm], jac=[jac])
 
     def ess_sup_dphi(self) -> float:
-        return float(self.derivative_field.dphi.max())
+        return float(self.dphi.max())
 
     def dphi_integral_norm(self, alpha: float) -> float:
-        """L_alpha norm of |D phi|; the alpha = inf convention drops the
-        volume factor and returns the essential supremum.
+        """L_alpha norm D S^(1/alpha) of |D phi|, with (S, D) = _power_sum(self, alpha);
+        the alpha = inf convention drops the volume factor and returns the essential
+        supremum."""
+        if math.isinf(alpha):
+            return self.ess_sup_dphi()
+        total, scale = _power_sum(self, alpha)
+        return scale * total ** (1.0 / alpha)
 
-        Computed as D (sum w (|D phi| / D)^alpha)^(1/alpha) with D the
-        largest sample, so the sum stays finite whenever the norm is.
-        """
-        scale = self.ess_sup_dphi()
-        if math.isinf(alpha) or scale == 0.0:
-            return scale
-        f = self.derivative_field
-        value = scale * float(f.weights @ (f.dphi / scale) ** alpha) ** (1.0 / alpha)
-        if not math.isfinite(value):
-            raise TransferError("derivative integral norm diverges")
-        return value
+
+def _power_sum(map_data: QCMapData, a: float) -> tuple[float, float]:
+    """(S, D) with int |D phi|^a = D^a S over the supplied quadrature.
+
+    D is the largest sample for a > 0 and the smallest for a < 0, so no term
+    of S = sum w (|D phi| / D)^a exceeds its weight and S stays finite
+    whenever the weight sum does. At a = 0, S is the weight sum and D = 1.
+    """
+    scale = 1.0 if a == 0.0 else float(map_data.dphi.max() if a > 0.0 else map_data.dphi.min())
+    if scale == 0.0:
+        raise TransferError("distortion integral diverges at a zero |D phi| sample" if a < 0.0
+                            else "distortion integral vanishes: every |D phi| sample is zero")
+    with np.errstate(over="ignore"):  # a sum past float range is refused below
+        if a == 0.0:
+            total = float(map_data.weights.sum())
+        else:  # one temporary: the scaled samples, raised in place
+            base = map_data.dphi / scale
+            total = float(map_data.weights @ np.power(base, a, out=base))
+    if not 0.0 < total < math.inf:
+        raise TransferError("distortion integral diverges")
+    return total, scale
 
 
 @dataclass(frozen=True)
@@ -206,45 +209,28 @@ def q_grid(p: float) -> np.ndarray:
 def q_pq_norm(map_data: QCMapData, p: float, q: float) -> float:
     """Distortion integral norm (int |D phi|^((p-n)q/(p-q)))^((p-q)/(pq)).
 
-    The integral uses the supplied quadrature. At p = n the integrand is
-    identically one and the result is the domain volume (the weight sum) to
-    the outer power. Otherwise the integral is D^inner * S with
-    S = sum w (|D phi| / D)^inner, where D is the largest sample for
-    inner > 0 and the smallest for inner < 0, so no term of S exceeds its
-    weight and S stays finite as q approaches p; the result is
-    S^outer * D^((p - n)/p).
+    With (S, D) = _power_sum at the inner exponent, the result is
+    S^((p-q)/(pq)) D^((p-n)/p), which stays finite as q approaches p. At
+    p = n the integrand is identically one and the result is the domain
+    volume (the weight sum) to the outer power.
     """
     if not 1.0 <= q < p:
         raise TransferError(f"need 1 <= q < p, got q={q}, p={p}")
-    inner = (p - map_data.n) * q / (p - q)
-    outer = (p - q) / (p * q)
-    f = map_data.derivative_field
-    if inner == 0.0:
-        integral = float(f.weights.sum())
-        if not math.isfinite(integral):
-            raise TransferError("distortion integral diverges")
-        return integral**outer
-    scale = float(f.dphi.max() if inner > 0.0 else f.dphi.min())
-    if scale == 0.0:
-        raise TransferError(
-            "distortion integral diverges at a zero |D phi| sample"
-            if inner < 0.0
-            else "distortion integral vanishes: every |D phi| sample is zero"
-        )
-    # one temporary per q: the scaled samples, raised in place
-    base = f.dphi / scale
-    np.power(base, inner, out=base)
-    integral = float(f.weights @ base)
-    if not math.isfinite(integral) or integral <= 0.0:
-        raise TransferError("distortion integral diverges")
-    return integral**outer * scale ** ((p - map_data.n) / p)
+    total, scale = _power_sum(map_data, (p - map_data.n) * q / (p - q))
+    return total ** ((p - q) / (p * q)) * scale ** ((p - map_data.n) / p)
 
 
-def q_p_sup_norm(map_data: QCMapData, p: float) -> float:
-    """Supremum distortion factor (ess sup |D phi|)^((p-n)/p) for Lipschitz maps."""
-    if not map_data.lipschitz:
-        raise TransferError("supremum distortion factor needs a Lipschitz map")
-    return map_data.ess_sup_dphi() ** ((p - map_data.n) / p)
+def _best_q(map_data: QCMapData, p: float, power: float, norm: float) -> tuple[float, float]:
+    """(q_star, factor): the grid point minimizing factor = Q_{p,q}^power * norm."""
+    grid = q_grid(p)
+    factors = np.array([q_pq_norm(map_data, p, q) ** power for q in grid]) * norm
+    best = int(np.argmin(factors))
+    return float(grid[best]), float(factors[best])
+
+
+def _check_transfer_range(transfer: str, p: float, *values: float) -> None:
+    _check_float_range(values, f"{transfer} at p = {p:g} puts a factor product or its bound "
+                               "outside the normal float range")
 
 
 def poincare_transfer(map_data: QCMapData, base: PoincareBound, p: float) -> TransferResult:
@@ -265,25 +251,20 @@ def poincare_transfer(map_data: QCMapData, base: PoincareBound, p: float) -> Tra
     s = r if math.isinf(alpha) else (alpha - n) * r / alpha
     if s < 1.0:
         raise TransferError("alpha too small: the image exponent s drops below 1")
-    norm_alpha = map_data.dphi_integral_norm(alpha) ** (n / s)
-    grid = q_grid(p)
-    factors = np.array([q_pq_norm(map_data, p, q) for q in grid]) * norm_alpha
-    best = int(np.argmin(factors))
+    q_star, factor = _best_q(map_data, p, 1.0, map_data.dphi_integral_norm(alpha) ** (n / s))
     k_factor = map_data.K ** (1.0 / p)
-    bound = k_factor * factors[best] * base.value
+    bound = k_factor * factor * base.value
+    _check_transfer_range("Poincare transfer", p, factor, bound)
     notes = ()
     if math.isinf(alpha):
         notes = ("alpha = inf: derivative norm taken as the essential supremum, volume factor dropped",)
     return TransferResult(
         bound=bound,
-        q_star=float(grid[best]),
+        q_star=q_star,
         chain=(
             ChainFactor("distortion-coefficient-root", k_factor, (("K", map_data.K), ("p", p))),
-            ChainFactor(
-                "min-q-composition-factor",
-                float(factors[best]),
-                (("q_star", float(grid[best])), ("s", s), ("alpha", alpha)),
-            ),
+            ChainFactor("min-q-composition-factor", factor,
+                        (("q_star", q_star), ("s", s), ("alpha", alpha))),
             ChainFactor("base-constant", base.value, (("r", r), ("q", base.p))),
         ),
         notes=notes,
@@ -308,22 +289,17 @@ def eigen_transfer(map_data: QCMapData, base: PoincareBound, p: float) -> EigenB
         raise TransferError(
             f"map integrability alpha={map_data.alpha} below the required {alpha_req}"
         )
-    norm_alpha = map_data.dphi_integral_norm(alpha_req) ** n
-    grid = q_grid(p)
-    factors = np.array([q_pq_norm(map_data, p, q) ** p for q in grid]) * norm_alpha
-    best = int(np.argmin(factors))
-    denom = map_data.K * float(factors[best]) * base.bound_power()
+    q_star, factor = _best_q(map_data, p, p, map_data.dphi_integral_norm(alpha_req) ** n)
+    denom = map_data.K * factor * base.bound_power()
+    _check_transfer_range("eigen transfer", p, factor, denom)
     mu = 1.0 / denom
+    _check_transfer_range("eigen transfer", p, mu)
     return EigenBound(
         mu_lower=mu,
         p=p,
         provenance=(
             ChainFactor("distortion-coefficient", map_data.K),
-            ChainFactor(
-                "min-q-composition-power",
-                float(factors[best]),
-                (("q_star", float(grid[best])), ("alpha", alpha_req)),
-            ),
+            ChainFactor("min-q-composition-power", factor, (("q_star", q_star), ("alpha", alpha_req))),
             ChainFactor("base-constant-power", base.bound_power(), (("r", r),)),
         ),
         notes=("lower bound is the reciprocal of the recorded factor product",),
@@ -340,13 +316,14 @@ def eigen_transfer_lipschitz(map_data: QCMapData, base_mu: EigenBound, p: float)
     if not map_data.lipschitz:
         raise TransferError("Lipschitz transfer needs a Lipschitz map")
     sup = map_data.ess_sup_dphi()
-    qp = q_p_sup_norm(map_data, p)
-    product = qp**p * sup**map_data.n
+    product = (sup ** ((p - map_data.n) / p)) ** p * sup**map_data.n
     direct = sup**p
     if abs(product - direct) > 1e-12 * max(product, direct):
         raise TransferError("internal identity Q_p^p * L^n = L^p violated")
     denom = map_data.K * product
+    _check_transfer_range("Lipschitz transfer", p, product, denom)
     mu = base_mu.mu_lower / denom
+    _check_transfer_range("Lipschitz transfer", p, mu)
     return EigenBound(
         mu_lower=mu,
         p=p,
@@ -398,11 +375,8 @@ def example_c(delta: float, p: float, base_mu: EigenBound) -> EigenBound:
     k_squared = 2.0 * math.sqrt(4.0 + s6 + s2) / (4.0 - s6 - s2)
     k_bound = math.sqrt(k_squared)
     l_bound = 2.0 * delta * (math.sqrt(4.0 + s6 - s2) + math.sqrt(4.0 - s6 + s2)) / (s6 - s2)
-    map_data = QCMapData(
-        n=3,
-        K=k_bound,
-        derivative_field=SampledDerivative([4.0 * math.pi / 3.0], [l_bound], [l_bound**3 / k_bound]),
-    )
+    map_data = QCMapData(n=3, K=k_bound, weights=[4.0 * math.pi / 3.0], dphi=[l_bound],
+                         jac=[l_bound**3 / k_bound])
     result = eigen_transfer_lipschitz(map_data, base_mu, p)
     return EigenBound(
         mu_lower=result.mu_lower,
@@ -430,10 +404,8 @@ def whitney_qc_bound(chain_bound: PoincareBound, map_data: QCMapData, p: float) 
     """
     if abs(chain_bound.p - p) > 1e-12:
         raise TransferError("chain bound exponent does not match the transfer exponent")
-    base_mu = EigenBound(
-        mu_lower=chain_bound.value ** (-p),
-        p=p,
-        provenance=(ChainFactor("constant-to-eigenvalue", chain_bound.value ** (-p),
-                                (("poincare_bound", chain_bound.value),)),),
-    )
+    power = chain_bound.value ** (-p)
+    _check_transfer_range("Lipschitz transfer", p, power)
+    base_mu = EigenBound(mu_lower=power, p=p, provenance=(
+        ChainFactor("constant-to-eigenvalue", power, (("poincare_bound", chain_bound.value),)),))
     return eigen_transfer_lipschitz(map_data, base_mu, p)

@@ -36,7 +36,6 @@ from neumann_bounds.qc_transfer import (
     ChainFactor,
     EigenBound,
     QCMapData,
-    SampledDerivative,
     eigen_transfer,
 )
 
@@ -344,8 +343,8 @@ class TestTransferCommand:
         assert run_cli(["transfer", "--map", map_path, "--base", base_path, "--mode", "eigen",
                         "--p", 2, *flags, "--out", out]) == 0
         cert = json.loads(out.read_text())["certificates"][0]
-        map_data = QCMapData(n=2, K=1.5, alpha=8.0, derivative_field=SampledDerivative(
-            np.array([0.5, 0.5]), np.array([1.0, 1.2]), np.array([1.0, 1.0])))
+        map_data = QCMapData(n=2, K=1.5, alpha=8.0, weights=np.array([0.5, 0.5]),
+                             dphi=np.array([1.0, 1.2]), jac=np.array([1.0, 1.0]))
         base = PoincareBound.from_dict(base_data)
         expected = eigen_transfer(map_data, base if r is None else dataclasses.replace(base, r=r), 2.0)
         assert cert["label"] == "transfer-eigen"
@@ -530,6 +529,22 @@ class TestErrorPaths:
              "empty q-grid: p is too close to 1"),
             (["transfer", "--map", "{still}", "--base", "{base}", "--mode", "eigen", "--p", 4, "--r", 8],
              "distortion integral vanishes: every |D phi| sample is zero"),
+            *((["transfer", "--map", "{still}", "--base", "{base}", "--mode", mode, "--p", 2],
+               "distortion integral vanishes: every |D phi| sample is zero")
+              for mode in ("eigen", "poincare")),
+            # tiny |D phi| samples: mu_lower would be Infinity, or a division by zero
+            *((["transfer", "--map", name, "--base", "{base}", "--mode", "eigen", "--p", 2],
+               "eigen transfer at p = 2 puts a factor product or its bound outside the normal "
+               "float range") for name in ("{faint}", "{fainter}")),
+            (["transfer", "--map", "{shrink}", "--base", "{base4}", "--p", 4],
+             "Lipschitz transfer at p = 4 puts a factor product or its bound outside the normal "
+             "float range"),
+            # numpy's overflow warning would print before the one line
+            pytest.param(["transfer", "--map", "{heavy}", "--base", "{base}", "--mode", "eigen",
+                          "--p", 3], "distortion integral diverges",
+                         marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
+            (["bound-cells", "--domain", "{sliver}", "--no-verify"],
+             "triple overlap 0 is below the smallest normal float"),
         ],
     )
     def test_refusal_one_line(self, tmp_path, capsys, args, message):
@@ -541,7 +556,16 @@ class TestErrorPaths:
                       "cells": [{"vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]]}]}),
             ("sampled", SAMPLED_R4[0]),
             ("still", {**SAMPLED_R4[0], "dphi": [0.0, 0.0]}),
+            ("faint", {**SAMPLED_R4[0], "dphi": [1e-155, 1e-155]}),
+            ("fainter", {**SAMPLED_R4[0], "dphi": [1e-200, 1e-200]}),
+            ("heavy", {**SAMPLED_R4[0], "weights": [1e308, 1e308]}),
+            ("shrink", {"kind": "linear", "matrix": [[1e-100, 0], [0, 1e-100]]}),
             ("base", SAMPLED_R4[1]),
+            ("base4", {"bound": 0.5, "p": 4, "terms": [{"label": "c", "rule": "r", "value": 0.0625}]}),
+            # the first cell meets the square in a 5e-324 wide strip, whose area rounds down to 0
+            ("sliver", {"type": "cells", "cells": [{"vertices": v} for v in (
+                [[-1, 0], [5e-324, 0], [5e-324, 0.5], [-1, 0.5]], [[0, 0], [1, 0], [1, 1], [0, 1]],
+                [[0.9, 0], [2, 0], [2, 1], [0.9, 1]])]}),
         )}
         paths["missing"] = str(tmp_path / "missing" / "out.json")
         assert message in one_line_error([str(a).format(**paths) for a in args], capsys)
@@ -1590,8 +1614,7 @@ WELL_TYPED_INPUTS = {
     "sampled map": ('{"kind": "sampled", "weights": [1, 2], "dphi": [1, 0.5], "jac": [1, 1], "K": 2,'
                     ' "alpha": 8, "lipschitz": true, "n": 2}',
                     lambda path: cli._map_from_spec(cli._load_json(path)),
-                    lambda: QCMapData(2, 2.0, SampledDerivative(*map(floats, ([1, 2], [1, 0.5], [1, 1]))),
-                                      8.0, True)),
+                    lambda: QCMapData(2, 2.0, *map(floats, ([1, 2], [1, 0.5], [1, 1])), 8.0, True)),
     "cells": ('{"type": "cells", "cells": [{"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}]}',
               lambda path: cli._cover_from_spec(cli._load_json(path)).cells,
               lambda: [(0.0, 0.0, 1.0, 1.0)]),

@@ -9,7 +9,6 @@ from neumann_bounds.poincare import FORM_DEVIATION, CertTerm, PoincareBound, pi_
 from neumann_bounds.qc_transfer import (
     EigenBound,
     QCMapData,
-    SampledDerivative,
     TransferError,
     ball_lower_bound,
     eigen_transfer,
@@ -17,7 +16,6 @@ from neumann_bounds.qc_transfer import (
     example_c,
     poincare_transfer,
     q_grid,
-    q_p_sup_norm,
     q_pq_norm,
     whitney_qc_bound,
 )
@@ -37,7 +35,9 @@ def constant_map(op_norm, jac, n=2, volume=1.0, K=None, alpha=math.inf, lipschit
     return QCMapData(
         n=n,
         K=K if K is not None else op_norm**n / jac,
-        derivative_field=SampledDerivative([volume], [op_norm], [jac]),
+        weights=[volume],
+        dphi=[op_norm],
+        jac=[jac],
         alpha=alpha,
         lipschitz=lipschitz,
     )
@@ -70,9 +70,9 @@ class TestMapData:
 
     def test_sampled_validation(self):
         with pytest.raises(TransferError):
-            SampledDerivative(weights=[1.0], dphi=[1.0], jac=[-1.0])
+            QCMapData(n=2, K=1.0, weights=[1.0], dphi=[1.0], jac=[-1.0])
         with pytest.raises(TransferError):
-            SampledDerivative(weights=[1.0, 1.0], dphi=[1.0], jac=[1.0])
+            QCMapData(n=2, K=1.0, weights=[1.0, 1.0], dphi=[1.0], jac=[1.0])
 
     def test_singular_linear_map_rejected(self):
         with pytest.raises(TransferError):
@@ -110,7 +110,7 @@ class TestQpqNorm:
         jac = abs(np.linalg.det(np.asarray(mat)))
         sampled = QCMapData(
             n=2, K=closed.K,
-            derivative_field=SampledDerivative(w, np.full_like(w, sup), np.full_like(w, jac)),
+            weights=w, dphi=np.full_like(w, sup), jac=np.full_like(w, jac),
             alpha=math.inf, lipschitz=True,
         )
         for p, q in [(3.0, 2.0), (4.0, 1.0), (2.5, 1.7)]:
@@ -120,17 +120,16 @@ class TestQpqNorm:
 
     def test_divergent_integral(self):
         # p < n makes the inner exponent negative, so a zero sample diverges
-        field = SampledDerivative(weights=[0.5, 0.5], dphi=[0.0, 1.0], jac=[1.0, 1.0])
-        m = QCMapData(n=3, K=1.0, derivative_field=field)
+        m = QCMapData(n=3, K=1.0, weights=[0.5, 0.5], dphi=[0.0, 1.0], jac=[1.0, 1.0])
         with pytest.raises(TransferError, match="diverges"):
             q_pq_norm(m, 2.5, 2.4999999)
 
     def test_huge_samples_near_the_grid_top_match_the_sup_factor(self):
         # |D phi|^(inner) overflows unscaled; the scaled integral tends to the
         # supremum factor (ess sup |D phi|)^((p-n)/p) = 1e100 as q -> p
-        field = SampledDerivative(weights=[1.0], dphi=[1e300], jac=[1e308])
-        m = QCMapData(n=2, K=1e300, derivative_field=field)
-        assert q_pq_norm(m, 3.0, 2.9999999) == pytest.approx(q_p_sup_norm(m, 3.0), rel=1e-12)
+        m = QCMapData(n=2, K=1e300, weights=[1.0], dphi=[1e300], jac=[1e308])
+        sup_factor = m.ess_sup_dphi() ** ((3.0 - m.n) / 3.0)
+        assert q_pq_norm(m, 3.0, 2.9999999) == pytest.approx(sup_factor, rel=1e-12)
 
 
 def closed_form_q_pq_norm(op_norm, domain_volume, n, p, q):
@@ -187,9 +186,13 @@ class TestLinearMapAsOneSample:
 
     def test_huge_sample_alpha_norm(self):
         # |D phi|^alpha overflows unscaled; one unit-weight sample is its own norm
-        field = SampledDerivative(weights=[1.0], dphi=[1e200], jac=[1e300])
-        m = QCMapData(n=2, K=1e300, derivative_field=field, alpha=8.0, lipschitz=False)
+        m = QCMapData(n=2, K=1e300, weights=[1.0], dphi=[1e200], jac=[1e300], alpha=8.0,
+                      lipschitz=False)
         assert m.dphi_integral_norm(8.0) == pytest.approx(1e200, rel=1e-14)
+        # and many samples, from 1e-150 to 1e150, against the log-space sum
+        wide = sampled_map(WIDE_DPHI)
+        reference = math.exp(log_space_integral(wide, 8.0) / 8.0)
+        assert wide.dphi_integral_norm(8.0) == pytest.approx(reference, rel=1e-12)
 
     def test_distortion_beyond_float_range_refused(self):
         with pytest.raises(TransferError, match=r"linear map \[\[1e\+200"):
@@ -210,29 +213,38 @@ def sampled_map(dphi, n=2):
     """Sampled map on a unit-volume domain with |J| = |D phi|^n, so K = 1."""
     dphi = np.asarray(dphi, dtype=float)
     w = np.full(len(dphi), 1.0 / len(dphi))
-    field = SampledDerivative(weights=w, dphi=dphi, jac=np.maximum(dphi, 1e-3) ** n)
-    return QCMapData(n=n, K=1.0, derivative_field=field)
+    return QCMapData(n=n, K=1.0, weights=w, dphi=dphi, jac=np.maximum(dphi, 1e-3) ** n)
+
+
+# samples whose unscaled powers overflow at the grid top and at alpha = 8
+WIDE_DPHI = np.geomspace(1e-150, 1e150, 1000)
+
+
+def log_space_integral(m, a):
+    """log of sum w |D phi|^a, summed in log space."""
+    terms = np.log(m.weights) + a * np.log(m.dphi)
+    top = terms.max()
+    return top + math.log(np.exp(terms - top).sum())
 
 
 def log_space_q_pq_norm(m, p, q):
-    f = m.derivative_field
     inner = (p - m.n) * q / (p - q)
     outer = (p - q) / (p * q)
-    terms = np.log(f.weights) + inner * np.log(f.dphi)
-    top = terms.max()
-    return math.exp(outer * (top + math.log(np.exp(terms - top).sum())))
+    return math.exp(outer * log_space_integral(m, inner))
 
 
 class TestSampledQpqNormAwayFromPEqualsN:
     """The sampled distortion integral stays finite as q approaches p != n."""
 
+    @pytest.mark.parametrize("dphi", [np.linspace(1.0, 1.5, 1000), WIDE_DPHI],
+                             ids=["narrow", "wide"])
     @pytest.mark.parametrize("p", [3.0, 1.5])
-    def test_matches_log_space_up_to_the_grid_top(self, p):
-        m = sampled_map(np.linspace(1.0, 1.5, 1000))
+    def test_matches_log_space_up_to_the_grid_top(self, p, dphi):
+        m = sampled_map(dphi)
         for q in q_grid(p):
             assert q_pq_norm(m, p, q) == pytest.approx(log_space_q_pq_norm(m, p, q), rel=1e-9)
         # the limit q -> p is the sup (p > n) or inf (p < n) distortion factor
-        limit = (1.5 if p > 2.0 else 1.0) ** ((p - 2.0) / p)
+        limit = (dphi.max() if p > 2.0 else dphi.min()) ** ((p - 2.0) / p)
         assert q_pq_norm(m, p, p - 1e-6) == pytest.approx(limit, rel=1e-5)
 
     @pytest.mark.parametrize("p", [3.0, 1.5])
@@ -245,7 +257,7 @@ class TestSampledQpqNormAwayFromPEqualsN:
         m = sampled_map(np.linspace(0.0, 1.5, 1000))
         for q in q_grid(2.0):
             outer = (2.0 - q) / (2.0 * q)
-            assert q_pq_norm(m, 2.0, q) == float(m.derivative_field.weights.sum()) ** outer
+            assert q_pq_norm(m, 2.0, q) == float(m.weights.sum()) ** outer
 
     def test_zero_sample_with_negative_exponent_rejected(self):
         m = sampled_map(np.linspace(0.0, 1.5, 1000))
@@ -254,21 +266,29 @@ class TestSampledQpqNormAwayFromPEqualsN:
         assert math.isfinite(q_pq_norm(m, 3.0, 2.0))
 
 
+def sup_derivative_power(m, p):
+    """The factor Q_p^p L^n that the Lipschitz transfer records, with
+    Q_p = (ess sup |D phi|)^((p - n)/p) the supremum distortion factor."""
+    out = eigen_transfer_lipschitz(m, EigenBound(mu_lower=1.0, p=p), p)
+    return next(f.value for f in out.provenance if f.rule == "sup-derivative-power")
+
+
 class TestQpSupNorm:
     def test_values(self):
         m = constant_map(2.0, 2.67, n=3)
-        assert q_p_sup_norm(m, 4.0) == pytest.approx(2.0 ** 0.25, rel=1e-14)
-        assert q_p_sup_norm(m, 3.0) == 1.0  # p = n
+        assert m.ess_sup_dphi() ** ((4.0 - m.n) / 4.0) == pytest.approx(2.0 ** 0.25, rel=1e-14)
+        assert sup_derivative_power(m, 4.0) == pytest.approx((2.0 ** 0.25) ** 4 * 2.0**3, rel=1e-14)
+        assert sup_derivative_power(m, 3.0) == 2.0**3  # p = n: Q_p = 1
 
     def test_isometry(self):
         m = constant_map(1.0, 1.0)
         for p in (2.0, 3.0, 7.0):
-            assert q_p_sup_norm(m, p) == 1.0
+            assert sup_derivative_power(m, p) == 1.0
 
     def test_non_lipschitz_rejected(self):
         m = constant_map(1.0, 1.0, lipschitz=False)
         with pytest.raises(TransferError):
-            q_p_sup_norm(m, 2.0)
+            eigen_transfer_lipschitz(m, EigenBound(mu_lower=1.0, p=2.0), 2.0)
 
 
 class TestPoincareTransfer:
@@ -281,8 +301,7 @@ class TestPoincareTransfer:
         assert any("alpha = inf" in note for note in result.notes)
 
     def test_s_formula(self):
-        field = SampledDerivative(weights=[1.0], dphi=[1.0], jac=[1.0])
-        m = QCMapData(n=2, K=1.0, derivative_field=field,
+        m = QCMapData(n=2, K=1.0, weights=[1.0], dphi=[1.0], jac=[1.0],
                       alpha=4.0, lipschitz=False)
         base = base_bound(0.4, 2.0, r=4.0)
         result = poincare_transfer(m, base, 2.0)
@@ -303,12 +322,12 @@ class TestPoincareTransfer:
         assert 1.0 <= result.q_star < 2.0
 
     def test_alpha_too_small(self):
-        field = SampledDerivative(weights=[1.0], dphi=[1.0], jac=[1.0])
-        m = QCMapData(n=2, K=1.0, derivative_field=field,
+        field = {"weights": [1.0], "dphi": [1.0], "jac": [1.0]}
+        m = QCMapData(n=2, K=1.0, **field,
                       alpha=2.0, lipschitz=False)
         with pytest.raises(TransferError, match="alpha too small"):
             poincare_transfer(m, base_bound(0.4, 2.0, r=4.0), 2.0)
-        m = QCMapData(n=2, K=1.0, derivative_field=field,
+        m = QCMapData(n=2, K=1.0, **field,
                       alpha=2.2, lipschitz=False)
         with pytest.raises(TransferError, match="alpha too small"):
             # s = (0.2/2.2) * 4 < 1
@@ -353,8 +372,7 @@ class TestEigenTransfer:
         m = constant_map(1.0, 1.0)
         with pytest.raises(TransferError):
             eigen_transfer(m, base_bound(0.5, 2.0, r=2.0), 2.0)
-        field = SampledDerivative(weights=[1.0], dphi=[1.0], jac=[1.0])
-        shallow = QCMapData(n=2, K=1.0, derivative_field=field,
+        shallow = QCMapData(n=2, K=1.0, weights=[1.0], dphi=[1.0], jac=[1.0],
                             alpha=3.0, lipschitz=False)
         with pytest.raises(TransferError, match="integrability"):
             eigen_transfer(shallow, base_bound(0.5, 2.0, r=4.0), 2.0)
