@@ -133,30 +133,23 @@ def _cover_from_spec(spec: dict) -> RectCover | CellCover:
 def rect_cover_multiplicity(triples) -> int:
     """Exact cover multiplicity of triples of axis-aligned rectangles (x0, y0, x1, y1).
 
-    Evaluates coverage on the rectangle arrangement, where membership is
-    constant per arrangement cell: count the triples with a rectangle
-    containing the open cell, which holds when it contains both end points of
-    the cell's x and y strips. End points are read as floats, so a strip one
-    ulp wide counts too (its midpoint would round onto an end). Inclusion-exclusion
-    over each triple's 7 sub-intersections S gives all counts as one product:
-    signed [x in S] times [y in S].
+    Membership is constant per cell of the arrangement that the strip ends cut.
+    A rectangle covers the cells between the indices of its two ends among the
+    sorted ends, so each triple marks its rectangles in a mask over its own index
+    box and adds the mask into a grid of counts; a strip one ulp wide counts too.
     """
-    rects = np.array(triples, dtype=float).reshape(len(triples), 1, 3, 4)  # (T, 1, 3, [x0, y0, x1, y1])
+    rects = np.array(triples, dtype=float).reshape(len(triples), 3, 4)  # (T, 3, [x0, y0, x1, y1])
     # the distinct strip ends in order (the first np.unique of a process imports numpy.ma)
     xs, ys = (np.array(sorted(set(rects[..., [d, d + 2]].ravel().tolist()))) for d in (0, 1))
-    member = np.array([[i >> k & 1 for k in range(3)] for i in range(1, 8)], bool)[..., None]
-    lo = np.where(member, rects[..., :2], -np.inf).max(axis=2).reshape(-1, 2)  # (7T, [x, y])
-    hi = np.where(member, rects[..., 2:], np.inf).min(axis=2).reshape(-1, 2)
-    sign = np.tile(member.sum(axis=(1, 2)) % 2 * 2.0 - 1.0, len(triples))
-    in_y = ((lo[:, 1] <= ys[:-1, None]) & (ys[1:, None] <= hi[:, 1])).astype(float)  # (Y, 7T)
-    best = 0
-    # x strips in blocks keep the work arrays O(Y T), like the y-strip matrix
-    step = max(len(ys) - 1, 64)
-    for start in range(0, len(xs) - 1, step):
-        x = xs[start:start + step + 1, None]  # the end points of up to step x strips
-        in_x = ((lo[:, 0] <= x[:-1]) & (x[1:] <= hi[:, 0])) * sign
-        best = max(best, int((in_x @ in_y.T).max(initial=0)))
-    return max(best, 1)
+    ix, iy = (np.searchsorted(ends, rects[..., d::2]).tolist() for d, ends in enumerate((xs, ys)))
+    grid = np.zeros((len(xs) - 1, len(ys) - 1), dtype=np.int32)  # triples per (x strip, y strip)
+    for tx, ty in zip(ix, iy):  # each rectangle's [lo, hi] strip-end indices in x and in y
+        x0, y0 = min(r[0] for r in tx), min(r[0] for r in ty)
+        mask = np.zeros((max(r[1] for r in tx) - x0, max(r[1] for r in ty) - y0), dtype=bool)
+        for (a, b), (c, d) in zip(tx, ty):
+            mask[a - x0:b - x0, c - y0:d - y0] = True
+        grid[x0:x0 + mask.shape[0], y0:y0 + mask.shape[1]] += mask
+    return max(int(grid.max(initial=0)), 1)
 
 
 def _cells_bound(spec: dict, p: float) -> tuple[PoincareBound, RectCover | CellCover, str]:
@@ -399,7 +392,7 @@ def _table_rows(reports: list[dict]) -> list[dict]:
     rows = []
     for report in reports:
         checks_by_label = {c.get("label"): c for c in report.get("checks", [])}
-        for cert in report.get("certificates", []):
+        for cert in report["certificates"]:
             data = cert["data"]
             if cert["kind"] in _TABLE_KINDS:
                 value_key, rules_key, joiner = _TABLE_KINDS[cert["kind"]]

@@ -38,7 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from .geometry import ConvexCell, StarDomainSpec, _shoelace
-from .poincare import PoincareBound, check_exponent, read_field
+from .poincare import PoincareBound, _check_float_range, check_exponent, read_field
 from .qc_transfer import EigenBound
 
 AREA_TOL = 1e-14
@@ -307,11 +307,10 @@ def _rect_union_mesh(rects: np.ndarray, h: float) -> TriangleMesh:
     """
     xs, ys = (_cut_lines(rects[:, d].min(), rects[:, d + 2].max(), rects[:, [d, d + 2]].ravel(), h)
               for d in (0, 1))
-    cx = 0.5 * (xs[:-1] + xs[1:])
-    cy = 0.5 * (ys[:-1] + ys[1:])
-    covered = np.zeros((len(cy), len(cx)), dtype=bool)
-    for r in rects:
-        covered |= ((r[1] <= cy) & (cy <= r[3]))[:, None] & ((r[0] <= cx) & (cx <= r[2]))[None, :]
+    covered = np.zeros((len(ys) - 1, len(xs) - 1), dtype=bool)
+    for x0, y0, x1, y1 in rects:  # every edge is a grid line, so a rectangle covers whole cells
+        (j0, j1), (i0, i1) = np.searchsorted(ys, (y0, y1)), np.searchsorted(xs, (x0, x1))
+        covered[j0:j1, i0:i1] = True
     if not covered.any():
         raise MeshError("rectangle union is empty")
     return _quad_grid_mesh(np.stack(np.meshgrid(xs, ys), axis=-1), np.stack([covered, covered], axis=-1))
@@ -511,11 +510,15 @@ def _shifted_solve(mesh: TriangleMesh, count: int):
     rather than computed: every LU solve is projected mass-orthogonally off
     constants, and the Krylov basis holds min(N, 10 k) vectors, so a caller
     that reads one eigenvector pays for one. The eigenvectors come back as
-    columns in ascending eigenvalue order.
+    columns in ascending eigenvalue order. The solve runs on M scaled in place
+    by unit^2, the power of two that brings the mesh extent into [1/2, 1), so
+    it is scale-free too: K - sigma M keeps its bits, and M is restored.
     """
     import scipy.sparse.linalg as spla
     stiffness, mass = p1_matrices(mesh)
     n = mesh.node_count
+    unit = 2.0 ** -math.frexp(float(np.ptp(mesh.nodes, axis=0).max()))[1]
+    mass.data *= unit * unit
     ones_mass = np.asarray(mass.sum(axis=0)).ravel()  # M @ 1
     total = ones_mass.sum()
     coords = mesh.nodes - (ones_mass @ mesh.nodes) / total
@@ -544,7 +547,8 @@ def _shifted_solve(mesh: TriangleMesh, count: int):
         )
     except spla.ArpackNoConvergence as exc:
         raise SolveError(f"shift-invert Lanczos did not converge: {exc}") from None
-    return stiffness, mass, ones_mass, lu, vecs[:, np.argsort(w)]
+    mass.data /= unit * unit
+    return stiffness, mass, ones_mass / (unit * unit), lu, vecs[:, np.argsort(w)] * unit
 
 
 def neumann_mu2(mesh: TriangleMesh) -> EigenResult:
@@ -716,6 +720,8 @@ def _normalized(mesh: TriangleMesh, p: float, x, c: float, den: float, terms):
     return (x - c) / norm, terms[0] / norm, terms[2] / norm, value, grad * norm
 
 
+# a value, trial or direction past float range is refused or rejected, not warned about
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def minimize_rayleigh_p(
     mesh: TriangleMesh,
     p: float,
@@ -745,14 +751,14 @@ def minimize_rayleigh_p(
     _, _, _, lu, vecs = _shifted_solve(mesh, starts)
     best, total_iters, converged = math.inf, 0, False
     for v in vecs.T:
-        with np.errstate(over="ignore", invalid="ignore"):
-            v = project_constraint(mesh, v, p)
-            norm = integrate_abs_power(mesh, v, p)
+        v = project_constraint(mesh, v, p)
+        norm = integrate_abs_power(mesh, v, p)
         if not 0.0 < norm < math.inf:
             raise SolveError(f"general-p oracle at p = {p:g}: int |f|^p leaves float range")
         v /= norm ** (1.0 / p)
         pv, gv = mid_op @ v, grad_op @ v
         value, grad = _rayleigh_gradient(mesh, v, p)
+        _check_float_range((value,), f"general-p oracle at p = {p:g}: int |grad f|^p leaves float range")
         step, history, z, z_prev, stopped = 0.5, [], None, None, False
         for _ in range(iterations):
             history.append(value)
@@ -761,6 +767,8 @@ def minimize_rayleigh_p(
                 pz, gz, gz_dot = mid_op @ z, grad_op @ z, float(grad @ z)
                 # M-norms as w.(P x)^2, exact since M = P^T diag(w) P
                 slope = gz_dot * math.sqrt((weights @ (pv * pv)) / (weights @ (pz * pz)))
+                if not math.isfinite(slope):
+                    raise SolveError(f"general-p oracle at p = {p:g}: the descent direction leaves float range")
                 beta = 0.0 if z_prev is None else max(0.0, (gz_dot - float(grad @ z_prev)) / gz_dot_prev)
                 if beta > 0.0 and gz_dot + beta * float(grad @ d) > 0.0:
                     d, pd, gd = z + beta * d, pz + beta * pd, gz + beta * gd

@@ -52,8 +52,8 @@ class QCMapData:
             raise TransferError("quadrature weights (a constant map's domain volume) must be positive")
         if not np.all(j > 0.0):
             raise TransferError("Jacobian samples must be positive (orientation fixed)")
-        if not np.all(d >= 0.0):
-            raise TransferError("derivative-norm samples must be nonnegative")
+        if not np.all((d >= 0.0) & (d < math.inf)):
+            raise TransferError("derivative-norm samples must be nonnegative and finite")
         for name, samples in zip(("weights", "dphi", "jac"), (w, d, j)):
             object.__setattr__(self, name, samples)
         if self.n not in (2, 3):
@@ -61,6 +61,8 @@ class QCMapData:
         if not self.K >= 1.0:
             raise TransferError("distortion coefficient K must be >= 1")
         with np.errstate(over="ignore"):
+            if not math.isfinite(w.sum()):  # then no scaled sum of _power_sum can overflow
+                raise TransferError("quadrature weights must sum to a finite domain volume")
             if np.any(d**self.n > self.K * j * (1.0 + QC_SLACK)):
                 raise TransferError("a sample violates |D phi|^n <= K |J|")
 
@@ -102,23 +104,19 @@ class QCMapData:
 def _power_sum(map_data: QCMapData, a: float) -> tuple[float, float]:
     """(S, D) with int |D phi|^a = D^a S over the supplied quadrature.
 
-    D is the largest sample for a > 0 and the smallest for a < 0, so no term
-    of S = sum w (|D phi| / D)^a exceeds its weight and S stays finite
-    whenever the weight sum does. At a = 0, S is the weight sum and D = 1.
+    D is the largest sample for a > 0 and the smallest for a < 0, so each term
+    of S = sum w (|D phi| / D)^a is a base in [0, 1] raised to |a|: S is
+    positive and at most the weight sum, which the map checked is finite. At
+    a = 0, S is the weight sum and D = 1.
     """
-    scale = 1.0 if a == 0.0 else float(map_data.dphi.max() if a > 0.0 else map_data.dphi.min())
+    if a == 0.0:
+        return float(map_data.weights.sum()), 1.0
+    scale = float(map_data.dphi.max() if a > 0.0 else map_data.dphi.min())
     if scale == 0.0:
         raise TransferError("distortion integral diverges at a zero |D phi| sample" if a < 0.0
                             else "distortion integral vanishes: every |D phi| sample is zero")
-    with np.errstate(over="ignore"):  # a sum past float range is refused below
-        if a == 0.0:
-            total = float(map_data.weights.sum())
-        else:  # one temporary: the scaled samples, raised in place
-            base = map_data.dphi / scale
-            total = float(map_data.weights @ np.power(base, a, out=base))
-    if not 0.0 < total < math.inf:
-        raise TransferError("distortion integral diverges")
-    return total, scale
+    base = map_data.dphi / scale if a > 0.0 else scale / map_data.dphi  # one temporary, raised in place
+    return float(map_data.weights @ np.power(base, abs(a), out=base)), scale
 
 
 @dataclass(frozen=True)

@@ -541,10 +541,12 @@ class TestErrorPaths:
              "float range"),
             # numpy's overflow warning would print before the one line
             pytest.param(["transfer", "--map", "{heavy}", "--base", "{base}", "--mode", "eigen",
-                          "--p", 3], "distortion integral diverges",
+                          "--p", 3], "quadrature weights must sum to a finite domain volume",
                          marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
             (["bound-cells", "--domain", "{sliver}", "--no-verify"],
              "triple overlap 0 is below the smallest normal float"),
+            *((["report", name], "malformed report: needs key 'certificates'")
+              for name in ("{empty}", "{bound}", "{polygon}")),
         ],
     )
     def test_refusal_one_line(self, tmp_path, capsys, args, message):
@@ -555,6 +557,7 @@ class TestErrorPaths:
             ("flat", {"type": "cells",
                       "cells": [{"vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]]}]}),
             ("sampled", SAMPLED_R4[0]),
+            ("empty", {}),
             ("still", {**SAMPLED_R4[0], "dphi": [0.0, 0.0]}),
             ("faint", {**SAMPLED_R4[0], "dphi": [1e-155, 1e-155]}),
             ("fainter", {**SAMPLED_R4[0], "dphi": [1e-200, 1e-200]}),
@@ -790,6 +793,32 @@ class TestOverflowOneLine:
         domain = write_json(tmp_path / "sq.json", SQUARE)
         line = one_line_error(["verify", "--bound", cert, "--domain", domain, "--h", 0.3], capsys)
         assert "p = 1e+308" in line
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # a numpy warning would print before the line
+    @pytest.mark.parametrize("side, p, message", [
+        (1e-100, 3, "int |grad f|^p leaves float range"),  # the start's value overflows
+        (1e70, 3, "int |grad f|^p leaves float range"),  # ... and underflows to 0
+        (1e-50, 4, "the descent direction leaves float range"),
+        (1e50, 4, "the descent direction leaves float range"),
+    ])
+    def test_verify_descent_out_of_float_range(self, tmp_path, capsys, side, p, message):
+        cert = write_json(tmp_path / "cert.json", {"bound": side, "p": p})
+        domain = write_json(tmp_path / "sq.json", {"kind": "rectangle", "bounds": [0, 0, side, side]})
+        line = one_line_error(["verify", "--bound", cert, "--domain", domain, "--h", side / 10], capsys)
+        assert line.endswith(f"general-p oracle at p = {p}: {message}")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("kind, side, p", [("rectangle", 1e-100, 2), ("rectangle", 1e80, 2),
+                                               ("disk", 1e100, 2), ("rectangle", 1e-60, 3)])
+    def test_verify_at_extreme_sides(self, tmp_path, kind, side, p):
+        spec = ({"kind": kind, "bounds": [0, 0, side, side]} if kind == "rectangle"
+                else {"kind": kind, "radius": side})
+        cert = write_json(tmp_path / "cert.json", {"bound": side, "p": p})
+        out = tmp_path / "out.json"
+        domain = write_json(tmp_path / "domain.json", spec)
+        assert run_cli(["verify", "--bound", cert, "--domain", domain, "--h", side / 10, "--out", out]) == 0
+        check = json.loads(out.read_text())["checks"][0]
+        assert 0.1 < check["oracle_value"] / side < 1.0 and check["passed"]
 
 
 class TestSnowflakeFloatRange:
@@ -1174,7 +1203,8 @@ def multiplicity(triples):
 
 
 def reference_rect_cover_multiplicity(triples):
-    """Arrangement-cell loop that rect_cover_multiplicity vectorizes."""
+    """Arrangement-cell loop over float midpoints, one count per cell of the
+    grid that rect_cover_multiplicity counts on."""
     rects_per_triple = []
     xs, ys = set(), set()
     for t in triples:
@@ -1202,7 +1232,7 @@ def reference_rect_cover_multiplicity(triples):
 
 
 def previous_rect_cover_multiplicity(triples):
-    """Verbatim copy of the x-strip loop that the one matrix product replaced."""
+    """Verbatim copy of an earlier x-strip loop over float midpoints."""
     rects = []
     for t in triples:
         for cell in t.cells:
@@ -1224,6 +1254,35 @@ def previous_rect_cover_multiplicity(triples):
     return max(best, 1)
 
 
+def inclusion_exclusion_rect_cover_multiplicity(triples) -> int:
+    """Exact cover multiplicity of triples of axis-aligned rectangles (x0, y0, x1, y1).
+
+    Evaluates coverage on the rectangle arrangement, where membership is
+    constant per arrangement cell: count the triples with a rectangle
+    containing the open cell, which holds when it contains both end points of
+    the cell's x and y strips. End points are read as floats, so a strip one
+    ulp wide counts too (its midpoint would round onto an end). Inclusion-exclusion
+    over each triple's 7 sub-intersections S gives all counts as one product:
+    signed [x in S] times [y in S].
+    """
+    rects = np.array(triples, dtype=float).reshape(len(triples), 1, 3, 4)  # (T, 1, 3, [x0, y0, x1, y1])
+    # the distinct strip ends in order (the first np.unique of a process imports numpy.ma)
+    xs, ys = (np.array(sorted(set(rects[..., [d, d + 2]].ravel().tolist()))) for d in (0, 1))
+    member = np.array([[i >> k & 1 for k in range(3)] for i in range(1, 8)], bool)[..., None]
+    lo = np.where(member, rects[..., :2], -np.inf).max(axis=2).reshape(-1, 2)  # (7T, [x, y])
+    hi = np.where(member, rects[..., 2:], np.inf).min(axis=2).reshape(-1, 2)
+    sign = np.tile(member.sum(axis=(1, 2)) % 2 * 2.0 - 1.0, len(triples))
+    in_y = ((lo[:, 1] <= ys[:-1, None]) & (ys[1:, None] <= hi[:, 1])).astype(float)  # (Y, 7T)
+    best = 0
+    # x strips in blocks keep the work arrays O(Y T), like the y-strip matrix
+    step = max(len(ys) - 1, 64)
+    for start in range(0, len(xs) - 1, step):
+        x = xs[start:start + step + 1, None]  # the end points of up to step x strips
+        in_x = ((lo[:, 0] <= x[:-1]) & (x[1:] <= hi[:, 0])) * sign
+        best = max(best, int((in_x @ in_y.T).max(initial=0)))
+    return max(best, 1)
+
+
 def rect_cell(x0, y0, x1, y1):
     return ConvexCell([(x0, y0), (x1, y0), (x1, y1), (x0, y1)])
 
@@ -1239,6 +1298,13 @@ def bench_row(rng, count):
         if i < count - 1:
             x += widths[i] - overlaps[i]
     return rects
+
+
+def jittered_row(rng, count):
+    """bench_row with each rectangle's lower end moved too, so the y strips number
+    about twice the cells."""
+    return [(x0, y0 + shift, x1, y1 + shift)
+            for (x0, y0, x1, y1), shift in zip(bench_row(rng, count), rng.uniform(-0.2, 0.2, size=count))]
 
 
 class TestRectCoverMultiplicity:
@@ -1278,10 +1344,22 @@ class TestRectCoverMultiplicity:
         triples = [SimpleNamespace(cells=tuple(cells[i:i + 3])) for i in range(0, count - 2, 2)]
         assert multiplicity(triples) == previous_rect_cover_multiplicity(triples)
 
+    @pytest.mark.parametrize("count", [41, 161, 401])
+    def test_jittered_rows_match_inclusion_exclusion(self, count):
+        rng = np.random.default_rng(count)
+        rects = jittered_row(rng, count)
+        triples = [rects[i:i + 3] for i in range(0, count - 2, 2)]
+        expected = inclusion_exclusion_rect_cover_multiplicity(triples)
+        assert rect_cover_multiplicity(triples) == expected
+        if count < 401:  # the strip loop takes seconds at 401 cells
+            cells = [SimpleNamespace(cells=tuple(rect_cell(*r) for r in t)) for t in triples]
+            assert previous_rect_cover_multiplicity(cells) == expected
+
     @pytest.mark.parametrize("where", [0, 63, 64, 199])
     def test_overlap_in_one_strip(self, where):
         # a flat row of 200 x strips; a second triple meets it in strip `where` only,
-        # the first, the last, or either side of a 64-strip block boundary
+        # the first, the last, or either side of the 64-strip block boundary that an
+        # earlier blocked count had
         row = [rect_cell(i, 0, i + 1, 1) for i in range(200)]
         first = SimpleNamespace(cells=(rect_cell(0, 0, 200, 1), row[0], row[1]))
         second = SimpleNamespace(cells=(row[where], rect_cell(where, 5, where + 1, 6),

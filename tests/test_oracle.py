@@ -393,6 +393,19 @@ class TestNeumannEigenvalue:
             kv = stiffness @ v
             assert np.linalg.norm(kv - value * (mass @ v)) / np.linalg.norm(kv) <= 1e-8
 
+    @pytest.mark.parametrize("side", [1e-100, 1e-60, 1e-10, 1e80, 1e100])
+    @pytest.mark.parametrize("kind", ["rectangle", "disk"])
+    def test_scale_free(self, kind, side):
+        # unscaled, the shift, the LU or ARPACK's tolerance leave float range at these sides
+        def spec(length):
+            return ({"kind": kind, "bounds": [0, 0, length, length]} if kind == "rectangle"
+                    else {"kind": kind, "radius": length})
+
+        unit = neumann_mu2(mesh_domain(spec(1.0), 0.1)).mu2
+        result = neumann_mu2(mesh_domain(spec(side), 0.1 * side))
+        assert result.mu2 * side**2 == pytest.approx(unit, rel=1e-12, abs=0)
+        assert result.residual <= 1e-8
+
     def test_repeat_solve_bit_identical(self):
         mesh = mesh_domain({"kind": "star", "delta": 0.5}, 0.1)
         first, second = neumann_mu2(mesh), neumann_mu2(mesh)
@@ -1241,6 +1254,11 @@ class TestStructuredMeshersMatchReference:
             union = mesh_domain({"kind": "rect_union", "rects": [bounds]}, h)
             assert np.array_equal(mesh.nodes, union.nodes)
             assert np.array_equal(mesh.elements, union.elements)
+
+    def test_one_ulp_gap_not_covered(self):
+        # the float midpoint of the gap's grid cell rounds onto the first rectangle's edge
+        with pytest.raises(MeshError, match="not connected"):
+            mesh_domain({"kind": "rect_union", "rects": [[0, 0, 1, 1], [math.nextafter(1, 2), 0, 2, 1]]}, 0.1)
 
     def test_empty_rect_union_rejected(self):
         with pytest.raises(MeshError, match="empty"):

@@ -74,6 +74,17 @@ class TestMapData:
         with pytest.raises(TransferError):
             QCMapData(n=2, K=1.0, weights=[1.0, 1.0], dphi=[1.0], jac=[1.0])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_weights_past_float_range_refused_when_built(self):
+        # then no scaled sum of a transfer can overflow
+        with pytest.raises(TransferError, match="quadrature weights must sum to a finite domain volume"):
+            QCMapData(n=2, K=1.0, weights=[1e308, 1e308], dphi=[1.0, 1.0], jac=[1.0, 1.0])
+
+    def test_infinite_derivative_sample_refused(self):
+        # K = inf admits |D phi| = |J| = inf in the distortion check
+        with pytest.raises(TransferError, match="nonnegative and finite"):
+            QCMapData(n=2, K=math.inf, weights=[1.0], dphi=[math.inf], jac=[math.inf])
+
     def test_singular_linear_map_rejected(self):
         with pytest.raises(TransferError):
             QCMapData.from_linear([[1.0, 0.0], [0.0, 0.0]], 1.0)
